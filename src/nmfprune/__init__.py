@@ -17,14 +17,13 @@ from .masking import (
     Mask,
     SparsityReport,
     ThresholdConfig,
-    apply_initial_pruning,
     generate_all_masks,
     generate_mask,
     global_sparsity,
     layer_threshold,
     tune_gamma,
 )
-from .matrix import MatrixStats, abs_map, as_matrix, elementwise, frobenius_sq, matmul, stats
+from .matrix import MatrixStats, abs_map, frobenius_sq, stats
 from .network import (
     Conv2d,
     Flatten,

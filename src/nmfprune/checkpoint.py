@@ -20,6 +20,7 @@ corrupted files before any tensor is handed back.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Conv2d, Flatten, Linear, Network, ReLU, init_network
+from .network import LAYER_KINDS, Network, init_network
 
 MAGIC = b"ONGC"
 VERSION = 1
@@ -103,46 +104,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, tensors
 
 
-def _spec_to_dict(spec) -> dict:
-    if isinstance(spec, Linear):
-        return {
-            "kind": "linear",
-            "in_features": spec.in_features,
-            "out_features": spec.out_features,
-            "prunable": spec.prunable,
-        }
-    if isinstance(spec, Conv2d):
-        return {
-            "kind": "conv2d",
-            "in_channels": spec.in_channels,
-            "out_channels": spec.out_channels,
-            "kernel_h": spec.kernel_h,
-            "kernel_w": spec.kernel_w,
-            "stride": spec.stride,
-            "padding": spec.padding,
-            "prunable": spec.prunable,
-        }
-    if isinstance(spec, ReLU):
-        return {"kind": "relu"}
-    if isinstance(spec, Flatten):
-        return {"kind": "flatten"}
-    raise CheckpointError(f"unknown layer spec {spec!r}")
-
-
-def _spec_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "linear":
-        return Linear(d["in_features"], d["out_features"], d["prunable"])
-    if kind == "conv2d":
-        return Conv2d(
-            d["in_channels"], d["out_channels"], d["kernel_h"], d["kernel_w"],
-            d["stride"], d["padding"], d["prunable"],
-        )
-    if kind == "relu":
-        return ReLU()
-    if kind == "flatten":
-        return Flatten()
-    raise CheckpointError(f"unknown layer kind {kind!r} in checkpoint")
+_KIND_NAMES = {cls: kind for kind, cls in LAYER_KINDS.items()}
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -150,7 +112,7 @@ def save_checkpoint(net: Network, path) -> None:
     meta = {
         "kind": "checkpoint",
         "seed": net.seed,
-        "specs": [_spec_to_dict(s) for s in net.specs],
+        "specs": [{"kind": _KIND_NAMES[type(s)], **dataclasses.asdict(s)} for s in net.specs],
         "prunable": {l.layer_id: l.prunable for l in net.weighted_layers},
     }
     tensors: dict[str, np.ndarray] = {}
@@ -162,33 +124,80 @@ def save_checkpoint(net: Network, path) -> None:
     write_container(path, meta, tensors)
 
 
+def _network_from_meta(meta, path) -> Network:
+    """The network the metadata describes, with its stored prunable flags."""
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind != "checkpoint":
+        raise CheckpointError(f"{path} is a {kind!r} container, not a checkpoint")
+    for key, expected in (("seed", int), ("specs", list), ("prunable", dict)):
+        value = meta.get(key)
+        if not isinstance(value, expected) or isinstance(value, bool):
+            raise CheckpointError(
+                f"{path}: metadata {key!r} is missing or not a {expected.__name__}"
+            )
+    specs = []
+    for entry in meta["specs"]:
+        fields = dict(entry) if isinstance(entry, dict) else {}
+        cls = LAYER_KINDS.get(fields.pop("kind", None))
+        if cls is None:
+            raise CheckpointError(f"{path}: unknown layer spec {entry!r}")
+        try:
+            specs.append(cls(**fields))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad layer spec {entry!r}: {exc}") from None
+    try:
+        net = init_network(specs, meta["seed"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    for layer in net.weighted_layers:
+        prunable = meta["prunable"].get(layer.layer_id)
+        if not isinstance(prunable, bool):
+            raise CheckpointError(f"{path}: no prunable flag for {layer.layer_id!r}")
+        layer.prunable = prunable
+    return net
+
+
 def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint; raises before returning anything
-    partial."""
+    partial.
+
+    Metadata, tensor shapes and masks are checked: every mask holds only 0.0
+    and 1.0, and every weight it prunes is exactly 0.0.
+    """
     meta, tensors = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise CheckpointError(f"{path} is a {meta.get('kind')!r} container, not a checkpoint")
-    specs = [_spec_from_dict(d) for d in meta["specs"]]
-    net = init_network(specs, meta["seed"])
+    net = _network_from_meta(meta, path)
     for layer in net.weighted_layers:
-        # Restore the stored prunable resolution, then overwrite parameters.
-        layer.prunable = meta["prunable"][layer.layer_id]
+        lid = layer.layer_id
         try:
-            weight = tensors[f"{layer.layer_id}.weight"]
-            bias = tensors[f"{layer.layer_id}.bias"]
+            weight = tensors[f"{lid}.weight"]
+            bias = tensors[f"{lid}.bias"]
         except KeyError as exc:
             raise CheckpointError(f"missing tensor {exc} in {path}") from None
         if weight.shape != layer.weights.shape:
             raise CheckpointError(
                 f"checkpoint weight shape {weight.shape} does not match "
-                f"{layer.weights.shape} for {layer.layer_id!r}"
+                f"{layer.weights.shape} for {lid!r}"
+            )
+        if bias.size != layer.bias.size:
+            raise CheckpointError(
+                f"checkpoint bias of {bias.size} values does not match "
+                f"{layer.bias.size} for {lid!r}"
             )
         layer.weights = weight
         layer.bias = bias.reshape(layer.bias.shape)
-        mask = tensors.get(f"{layer.layer_id}.mask")
-        if mask is not None:
-            frozen = mask.copy()
-            frozen.flags.writeable = False
-            layer.mask = frozen
+        mask = tensors.get(f"{lid}.mask")
+        if mask is None:
+            continue
+        if mask.shape != weight.shape:
+            raise CheckpointError(
+                f"checkpoint mask shape {mask.shape} does not match {weight.shape} for {lid!r}"
+            )
+        pruned = mask == 0.0
+        if not np.all(pruned | (mask == 1.0)):
+            raise CheckpointError(f"mask of {lid!r} holds values other than 0.0 and 1.0")
+        if np.any(weight[pruned] != 0.0):
+            raise CheckpointError(f"weights of {lid!r} are non-zero where its mask is 0.0")
+        mask.flags.writeable = False
+        layer.mask = mask
     net.invalidate_cache()
     return net

@@ -140,17 +140,17 @@ def generate_all_masks(
     }
 
 
-def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
-    """Exact zero counts per layer and pooled across all layers."""
-    if not masks:
-        raise ValueError("cannot compute sparsity of an empty mask set")
+def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
+    """Exact zero counts per named array and pooled across all of them."""
+    if not arrays:
+        raise ValueError("cannot compute sparsity of an empty set of arrays")
     per_layer: dict[str, LayerSparsity] = {}
     global_zeros = 0
     global_total = 0
-    for layer_id, mask in masks.items():
-        zeros = int(np.count_nonzero(mask.bits == 0.0))
-        total = int(mask.bits.size)
-        per_layer[layer_id] = LayerSparsity(zeros=zeros, total=total, sparsity=zeros / total)
+    for name, values in arrays.items():
+        zeros = int(np.count_nonzero(values == 0.0))
+        total = int(values.size)
+        per_layer[name] = LayerSparsity(zeros=zeros, total=total, sparsity=zeros / total)
         global_zeros += zeros
         global_total += total
     return SparsityReport(
@@ -159,6 +159,11 @@ def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
         global_total=global_total,
         global_sparsity=global_zeros / global_total,
     )
+
+
+def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
+    """Exact zero counts of the masks per layer and pooled across all layers."""
+    return sparsity_report({layer_id: mask.bits for layer_id, mask in masks.items()})
 
 
 def _sparsity_at(all_scores: dict[str, ScoreMatrix], t_type: str, gamma: float) -> float:
@@ -230,21 +235,3 @@ def tune_gamma(
         iterations=iterations,
         trace=trace,
     )
-
-
-def apply_initial_pruning(weights: dict[str, np.ndarray], masks: dict[str, Mask]) -> None:
-    """Zero masked positions in place: W <- W * M for every masked layer.
-
-    Layers in ``weights`` without a mask are left untouched; a mask without a
-    matching weight matrix is an error.
-    """
-    for layer_id, mask in masks.items():
-        if layer_id not in weights:
-            raise ValueError(f"mask for unknown layer {layer_id!r}")
-        w = weights[layer_id]
-        if w.shape != mask.bits.shape:
-            raise ValueError(
-                f"mask shape {mask.bits.shape} does not match weights "
-                f"{w.shape} for layer {layer_id!r}"
-            )
-        w *= mask.bits

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ELEMENTWISE_OPS = ("mul", "sub", "add")
-
 
 @dataclass(frozen=True)
 class MatrixStats:
@@ -24,15 +22,6 @@ class MatrixStats:
     std: float
     median: float
     mad: float
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to a validated 2D float64 array (copying if needed)."""
-    a = np.array(data, dtype=np.float64, order="C")
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    check_matrix(a)
-    return a
 
 
 def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -46,33 +35,6 @@ def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit dimension check."""
-    check_matrix(a, "a")
-    check_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: a is {a.shape[0]}x{a.shape[1]}, "
-            f"b is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def elementwise(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Elementwise ``mul``, ``sub`` or ``add`` of two same-shaped matrices."""
-    check_matrix(a, "a")
-    check_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    if op == "add":
-        return a + b
-    raise ValueError(f"unknown elementwise op {op!r}, expected one of {_ELEMENTWISE_OPS}")
 
 
 def abs_map(a: np.ndarray) -> np.ndarray:

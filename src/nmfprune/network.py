@@ -11,12 +11,13 @@ and gradient buffers, so one instance must not be driven from two threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .masking import LayerSparsity, Mask, SparsityReport
+from .masking import Mask, SparsityReport, sparsity_report
 from .seeds import derive_seed
 
 
@@ -61,6 +62,12 @@ class Flatten:
 
 
 LayerSpec = Union[Linear, Conv2d, ReLU, Flatten]
+
+# The layer kinds by the names config files and checkpoints give them. A
+# spec's fields without a default are its required arguments.
+LAYER_KINDS: dict[str, type] = {
+    "linear": Linear, "conv2d": Conv2d, "relu": ReLU, "flatten": Flatten,
+}
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
@@ -132,6 +139,11 @@ class _LinearLayer:
         self.grad_bias = dout.sum(axis=0)
         return dout @ self.weights
 
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if shape != (self.spec.in_features,):
+            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
+        return (self.spec.out_features,)
+
 
 class _ConvLayer:
     kind = "conv"
@@ -157,6 +169,11 @@ class _ConvLayer:
         if out_h < 1 or out_w < 1:
             raise ValueError(f"{self.layer_id}: kernel does not fit a {h}x{w} input")
         return out_h, out_w
+
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 3 or shape[0] != self.spec.in_channels:
+            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
+        return (self.spec.out_channels, *self.output_hw(shape[1], shape[2]))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         s = self.spec
@@ -196,6 +213,9 @@ class _ReLULayer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return np.where(self._active, dout, 0.0)
 
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return shape
+
 
 class _FlattenLayer:
     kind = "flatten"
@@ -212,8 +232,14 @@ class _FlattenLayer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout.reshape(self._x_shape)
 
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return (math.prod(shape),)
+
 
 _WEIGHTED = (_LinearLayer, _ConvLayer)
+_LAYER_CLASSES = {
+    Linear: _LinearLayer, Conv2d: _ConvLayer, ReLU: _ReLULayer, Flatten: _FlattenLayer,
+}
 
 
 def _validate_chain(specs: list[LayerSpec]) -> None:
@@ -265,12 +291,8 @@ class Network:
     @property
     def input_kind(self) -> str:
         """"image" when the first weighted layer is a conv, else "vector"."""
-        for layer in self.layers:
-            if isinstance(layer, _ConvLayer):
-                return "image"
-            if isinstance(layer, _LinearLayer):
-                return "vector"
-        return "vector"
+        first = next((l for l in self.layers if isinstance(l, _WEIGHTED)), None)
+        return "image" if isinstance(first, _ConvLayer) else "vector"
 
     @property
     def weighted_layers(self) -> list:
@@ -349,18 +371,15 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
     rng = np.random.default_rng(derive_seed(seed, "init"))
     layers: list = []
     for i, spec in enumerate(specs):
-        if isinstance(spec, Linear):
-            prunable = spec.prunable if spec.prunable is not None else i != last_weighted
-            layers.append(_LinearLayer(f"layer{i}_linear", spec, prunable, rng))
-        elif isinstance(spec, Conv2d):
-            prunable = spec.prunable if spec.prunable is not None else i != last_weighted
-            layers.append(_ConvLayer(f"layer{i}_conv", spec, prunable, rng))
-        elif isinstance(spec, ReLU):
-            layers.append(_ReLULayer(f"layer{i}_relu"))
-        elif isinstance(spec, Flatten):
-            layers.append(_FlattenLayer(f"layer{i}_flatten"))
-        else:
+        cls = _LAYER_CLASSES.get(type(spec))
+        if cls is None:
             raise ValueError(f"unknown layer spec {spec!r}")
+        layer_id = f"layer{i}_{cls.kind}"
+        if cls in _WEIGHTED:
+            prunable = spec.prunable if spec.prunable is not None else i != last_weighted
+            layers.append(cls(layer_id, spec, prunable, rng))
+        else:
+            layers.append(cls(layer_id))
     return Network(layers, specs, seed)
 
 
@@ -399,21 +418,7 @@ def count_zero_weights(net: Network) -> SparsityReport:
     prunable = net.prunable_layers
     if not prunable:
         raise ValueError("network has no prunable layers")
-    per_layer: dict[str, LayerSparsity] = {}
-    global_zeros = 0
-    global_total = 0
-    for layer in prunable:
-        zeros = int(np.count_nonzero(layer.weights == 0.0))
-        total = int(layer.weights.size)
-        per_layer[layer.layer_id] = LayerSparsity(zeros=zeros, total=total, sparsity=zeros / total)
-        global_zeros += zeros
-        global_total += total
-    return SparsityReport(
-        per_layer=per_layer,
-        global_zeros=global_zeros,
-        global_total=global_total,
-        global_sparsity=global_zeros / global_total,
-    )
+    return sparsity_report({layer.layer_id: layer.weights for layer in prunable})
 
 
 @dataclass(frozen=True)
@@ -435,29 +440,11 @@ def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
     dense = 0
     sparse = 0
     for layer in net.layers:
-        if isinstance(layer, _LinearLayer):
-            if len(shape) != 1 or shape[0] != layer.spec.in_features:
-                raise ValueError(f"{layer.layer_id}: input shape {shape} does not fit")
-            nnz = (
-                int(np.count_nonzero(layer.mask)) if layer.mask is not None
-                else layer.weights.size
-            )
-            dense += 2 * layer.weights.size
-            sparse += 2 * nnz
-            shape = (layer.spec.out_features,)
-        elif isinstance(layer, _ConvLayer):
-            if len(shape) != 3 or shape[0] != layer.spec.in_channels:
-                raise ValueError(f"{layer.layer_id}: input shape {shape} does not fit")
-            out_h, out_w = layer.output_hw(shape[1], shape[2])
-            positions = out_h * out_w
-            nnz = (
-                int(np.count_nonzero(layer.mask)) if layer.mask is not None
-                else layer.weights.size
-            )
+        out = layer.output_shape(shape)
+        if isinstance(layer, _WEIGHTED):
+            positions = math.prod(out[1:])  # output pixels of a conv, 1 for a linear layer
+            kept = layer.weights.size if layer.mask is None else int(np.count_nonzero(layer.mask))
             dense += 2 * layer.weights.size * positions
-            sparse += 2 * nnz * positions
-            shape = (layer.spec.out_channels, out_h, out_w)
-        elif isinstance(layer, _FlattenLayer):
-            shape = (int(np.prod(shape)),)
-        # ReLU leaves the shape unchanged and costs nothing by convention.
+            sparse += 2 * kept * positions
+        shape = out
     return FlopsEstimate(dense_flops=dense, sparse_flops=sparse)

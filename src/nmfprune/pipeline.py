@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,32 +125,26 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     wall: dict[str, float] = {}
 
-    def _fail(stage: str, exc: BaseException):
-        (out / "status.json").write_text(
-            json.dumps({"status": "incomplete", "stage": stage, "error": str(exc)}) + "\n"
-        )
-        raise StageError(stage, exc) from exc
+    @contextmanager
+    def stage(name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            (out / "status.json").write_text(
+                json.dumps({"status": "incomplete", "stage": name, "error": str(exc)}) + "\n"
+            )
+            raise StageError(name, exc) from exc
+        wall[name] = time.perf_counter() - t0
 
-    stage = "data"
-    t0 = time.perf_counter()
-    try:
+    with stage("data"):
         dataset = load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
-    except Exception as exc:
-        _fail(stage, exc)
-    wall[stage] = time.perf_counter() - t0
 
-    stage = "score"
-    t0 = time.perf_counter()
-    try:
+    with stage("score"):
         net = init_network(cfg.model, cfg.seed)
         scores = compute_scores(net, cfg.scorer, cfg.seed)
-    except Exception as exc:
-        _fail(stage, exc)
-    wall[stage] = time.perf_counter() - t0
 
-    stage = "mask"
-    t0 = time.perf_counter()
-    try:
+    with stage("mask"):
         trace: list[GammaTraceEntry] = []
         if cfg.gamma_search is not None:
             result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
@@ -160,13 +155,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             gamma_star = cfg.threshold.gamma
         masks = generate_all_masks(scores, cfg.threshold.t_type, gamma_star)
         net = convert_to_masked(net, masks)
-    except Exception as exc:
-        _fail(stage, exc)
-    wall[stage] = time.perf_counter() - t0
 
-    stage = "train"
-    t0 = time.perf_counter()
-    try:
+    with stage("train"):
         train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, "train"))
         with open(out / "epochs.jsonl", "w", encoding="utf-8") as epoch_log:
 
@@ -177,13 +167,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
                     save_checkpoint(network, out / f"checkpoint_epoch{epoch:04d}.bin")
 
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
-    except Exception as exc:
-        _fail(stage, exc)
-    wall[stage] = time.perf_counter() - t0
 
-    stage = "report"
-    t0 = time.perf_counter()
-    try:
+    with stage("report"):
         flops = flops_estimate(net, _input_shape(net, dataset))
         if metrics:
             final_acc = metrics[-1].test_accuracy
@@ -199,9 +184,6 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             final_test_accuracy=final_acc,
         )
         save_checkpoint(net, out / "checkpoint.bin")
-    except Exception as exc:
-        _fail(stage, exc)
-    wall[stage] = time.perf_counter() - t0
 
     report.wall_times = wall
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")

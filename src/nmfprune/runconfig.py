@@ -1,21 +1,24 @@
 """Run configuration: the key=value config file format and its parser.
 
-The format is line oriented with ``[section]`` headers. Blank lines and lines
-starting with ``#`` are ignored; ``layer`` may repeat inside ``[model]``, all
-other keys appear at most once per section. Exactly one of a fixed
-``gamma`` under ``[threshold]`` or a ``[gamma_search]`` section must be
-present: the first pins the threshold scale, the second searches for it.
+The format is line oriented with ``[section]`` headers. ``#`` starts a comment
+that runs to the end of the line, and blank lines are ignored. ``layer`` may
+repeat inside ``[model]``; all other keys appear at most once per section.
+A section's keys are the fields of the dataclass it builds, so the defaults
+are the dataclass defaults and a key that names no field is an error. Exactly
+one of a fixed ``gamma`` under ``[threshold]`` or a ``[gamma_search]``
+section must be present: the first pins the threshold scale, the second
+searches for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import Union, get_args, get_type_hints
 
 from .datasets import CsvSource, DatasetSpec, IdxSource, SyntheticBlobs
 from .masking import GammaSearchConfig, ThresholdConfig
-from .network import Conv2d, Flatten, LayerSpec, Linear, ReLU
+from .network import LAYER_KINDS, LayerSpec
 from .nmf import NmfConfig
 from .trainer import TrainConfig
 
@@ -31,6 +34,10 @@ class MagnitudeScorer:
 
 ScorerSpec = Union[NmfConfig, MagnitudeScorer]
 
+_DATASET_KINDS = {"synthetic-blobs": SyntheticBlobs, "csv": CsvSource, "idx": IdxSource}
+_SCORER_KINDS = {"nmf": NmfConfig, "magnitude": MagnitudeScorer}
+_SECTIONS = {"run", "model", "dataset", "scorer", "threshold", "gamma_search", "train"}
+
 
 @dataclass
 class RunConfig:
@@ -40,7 +47,7 @@ class RunConfig:
     threshold: ThresholdConfig
     gamma_search: GammaSearchConfig | None
     train: TrainConfig
-    output_dir: Path
+    output_dir: Path = Path("runs/run")
     seed: int = 0
     checkpoint_every: int | None = None  # periodic checkpoints, in epochs
 
@@ -50,12 +57,57 @@ class RunConfig:
         return self.gamma_search is not None
 
 
+def _parse_bool(token: str) -> bool:
+    if token.lower() in ("true", "1", "yes"):
+        return True
+    if token.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {token!r}")
+
+
+def _parse_ints(token: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in token.replace(",", " ").split())
+
+
+# How a value is read for each field type, and what the error says it must be.
+_READERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "text"),
+    Path: (Path, "a path"),
+    bool: (_parse_bool, "a boolean"),
+    tuple[int, ...]: (_parse_ints, "integers"),
+}
+
+
+def _make(cls, values: dict[str, tuple[str, str, str]], context: str, **given):
+    """``cls(**given, ...)`` with each field in ``values``, given as
+    ``(key, text, location)``, read as the type the field is annotated with.
+    ``X | None`` reads as ``X``; ``context`` prefixes the errors of ``cls``'s
+    own validation."""
+    hints = get_type_hints(cls)
+    kwargs = dict(given)
+    for name, (key, text, location) in values.items():
+        hint = hints[name]
+        if type(None) in get_args(hint):
+            hint = next(a for a in get_args(hint) if a is not type(None))
+        read, what = _READERS[hint]
+        try:
+            kwargs[name] = read(text)
+        except ValueError:
+            raise ConfigError(f"{location}: {key} must be {what}") from None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _parse_sections(text: str, source: str) -> dict[str, list[tuple[int, str, str]]]:
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
@@ -74,220 +126,128 @@ class _Section:
     def __init__(self, name: str, entries: list[tuple[int, str, str]], source: str):
         self.name = name
         self.source = source
-        self.entries = entries
         self.kv: dict[str, tuple[int, str]] = {}
         for lineno, key, value in entries:
-            if key == "layer":
-                continue
             if key in self.kv:
                 raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{name}]")
             self.kv[key] = (lineno, value)
 
-    def layers(self) -> list[tuple[int, str]]:
-        return [(lineno, value) for lineno, key, value in self.entries if key == "layer"]
+    def pick(self, kinds: dict[str, type]) -> type:
+        """The class the section's ``kind`` key names; the key is used up."""
+        if "kind" not in self.kv:
+            raise ConfigError(f"{self.source}: [{self.name}] is missing required key 'kind'")
+        lineno, kind = self.kv.pop("kind")
+        if kind.lower() not in kinds:
+            raise ConfigError(f"{self.source}:{lineno}: [{self.name}] has unknown kind {kind!r}")
+        return kinds[kind.lower()]
 
-    def _raw(self, key: str, default=None, required: bool = False):
-        if key in self.kv:
-            return self.kv[key]
-        if required:
-            raise ConfigError(f"{self.source}: [{self.name}] is missing required key {key!r}")
-        return None, default
+    def build(self, cls, aliases: dict[str, str] | None = None, fixed: tuple = (), **given):
+        """``cls`` from the section's keys, one key per dataclass field.
 
-    def get(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        _, value = self._raw(key, default, required)
-        return value
-
-    def get_int(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        lineno, value = self._raw(key, default, required)
-        if lineno is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{self.source}:{lineno}: {key} must be an integer") from None
-
-    def get_float(
-        self, key: str, default: float | None = None, required: bool = False
-    ) -> float | None:
-        lineno, value = self._raw(key, default, required)
-        if lineno is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{self.source}:{lineno}: {key} must be a number") from None
-
-    def has(self, key: str) -> bool:
-        return key in self.kv
+        A field's key is its name, or ``aliases[name]`` where the config
+        spells it differently. Fields in ``fixed`` or ``given`` take no key;
+        fields without a key keep their dataclass default.
+        """
+        aliases = aliases or {}
+        accepted = {
+            aliases.get(f.name, f.name): f
+            for f in fields(cls) if f.name not in fixed and f.name not in given
+        }
+        values = {}
+        for key, (lineno, text) in self.kv.items():
+            if key not in accepted:
+                raise ConfigError(f"{self.source}:{lineno}: unknown key {key!r} in [{self.name}]")
+            values[accepted[key].name] = (key, text, f"{self.source}:{lineno}")
+        for key, f in accepted.items():
+            if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{self.source}: [{self.name}] is missing required key {key!r}")
+        return _make(cls, values, self.source, **given)
 
 
-def _parse_bool(token: str, context: str) -> bool:
-    if token.lower() in ("true", "1", "yes"):
-        return True
-    if token.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{context}: expected a boolean, got {token!r}")
-
-
-def _parse_layer(lineno: int, value: str, source: str) -> LayerSpec:
-    ctx = f"{source}:{lineno}"
+def _parse_layer(value: str, location: str) -> LayerSpec:
+    """A layer spec from ``<kind> <required fields...> [field=value ...]``."""
     tokens = value.split()
     if not tokens:
-        raise ConfigError(f"{ctx}: empty layer definition")
+        raise ConfigError(f"{location}: empty layer definition")
     kind, args = tokens[0].lower(), tokens[1:]
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"{location}: unknown layer kind {kind!r}")
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    optional = {f.name for f in fields(cls)} - set(required)
     positional = [t for t in args if "=" not in t]
     options = dict(t.split("=", 1) for t in args if "=" in t)
-
-    prunable: bool | None = None
-    if "prunable" in options:
-        prunable = _parse_bool(options.pop("prunable"), ctx)
-    try:
-        if kind == "linear":
-            if len(positional) != 2:
-                raise ConfigError(f"{ctx}: linear takes <in> <out>")
-            if options:
-                raise ConfigError(f"{ctx}: unknown linear options {sorted(options)}")
-            return Linear(int(positional[0]), int(positional[1]), prunable)
-        if kind == "conv2d":
-            if len(positional) != 4:
-                raise ConfigError(f"{ctx}: conv2d takes <in_ch> <out_ch> <kh> <kw>")
-            stride = int(options.pop("stride", 1))
-            padding = int(options.pop("padding", 0))
-            if options:
-                raise ConfigError(f"{ctx}: unknown conv2d options {sorted(options)}")
-            return Conv2d(
-                int(positional[0]), int(positional[1]), int(positional[2]),
-                int(positional[3]), stride, padding, prunable,
-            )
-        if kind == "relu":
-            return ReLU()
-        if kind == "flatten":
-            return Flatten()
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
-    raise ConfigError(f"{ctx}: unknown layer kind {kind!r}")
-
-
-def _parse_dataset(section: _Section) -> DatasetSpec:
-    kind = (section.get("kind", required=True) or "").lower()
-    if kind == "synthetic-blobs":
-        return SyntheticBlobs(
-            n_samples=section.get_int("n_samples", required=True),
-            n_features=section.get_int("n_features", required=True),
-            n_classes=section.get_int("n_classes", required=True),
-            seed=section.get_int("seed", 0),
-        )
-    if kind == "csv":
-        return CsvSource(
-            path=section.get("path", required=True),
-            label_column=section.get_int("label_column", required=True),
-        )
-    if kind == "idx":
-        return IdxSource(
-            images_path=section.get("images", required=True),
-            labels_path=section.get("labels", required=True),
-        )
-    raise ConfigError(f"[dataset] has unknown kind {kind!r}")
-
-
-def _parse_scorer(section: _Section) -> ScorerSpec:
-    kind = (section.get("kind", required=True) or "").lower()
-    if kind == "nmf":
-        return NmfConfig(
-            k=section.get_int("k", required=True),
-            n_iter=section.get_int("n_iter", 200),
-            epsilon=section.get_float("epsilon", 1e-12),
-        )
-    if kind == "magnitude":
-        return MagnitudeScorer()
-    raise ConfigError(f"[scorer] has unknown kind {kind!r}")
+    if len(positional) != len(required):
+        usage = " ".join(f"<{name}>" for name in required) or "no positional arguments"
+        raise ConfigError(f"{location}: {kind} takes {usage}")
+    unknown = sorted(set(options) - optional)
+    if unknown:
+        raise ConfigError(f"{location}: unknown {kind} options {unknown}")
+    values = {
+        name: (name, text, location)
+        for name, text in [*zip(required, positional), *options.items()]
+    }
+    return _make(cls, values, location)
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     sections = _parse_sections(text, source)
-
-    def want(name: str) -> _Section:
-        if name not in sections:
-            raise ConfigError(f"{source}: missing required section [{name}]")
-        return _Section(name, sections[name], source)
-
-    known = {"run", "model", "dataset", "scorer", "threshold", "gamma_search", "train"}
-    unknown = set(sections) - known
+    unknown = set(sections) - _SECTIONS
     if unknown:
         raise ConfigError(f"{source}: unknown sections {sorted(unknown)}")
 
-    model_section = want("model")
-    model = [_parse_layer(lineno, value, source) for lineno, value in model_section.layers()]
+    def want(name: str) -> list[tuple[int, str, str]]:
+        if name not in sections:
+            raise ConfigError(f"{source}: missing required section [{name}]")
+        return sections[name]
+
+    model = []
+    for lineno, key, value in want("model"):
+        if key != "layer":
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [model]")
+        model.append(_parse_layer(value, f"{source}:{lineno}"))
     if not model:
         raise ConfigError(f"{source}: [model] defines no layers")
 
-    dataset = _parse_dataset(want("dataset"))
-    scorer = _parse_scorer(want("scorer"))
+    dataset_section = _Section("dataset", want("dataset"), source)
+    dataset = dataset_section.build(
+        dataset_section.pick(_DATASET_KINDS),
+        aliases={"images_path": "images", "labels_path": "labels"},
+    )
+    scorer_section = _Section("scorer", want("scorer"), source)
+    # Factorization and training seeds derive from [run] seed.
+    scorer = scorer_section.build(scorer_section.pick(_SCORER_KINDS), fixed=("seed",))
 
-    threshold_section = want("threshold")
-    t_type = threshold_section.get("type", required=True)
-    fixed_gamma = threshold_section.get_float("gamma")
+    threshold_section = _Section("threshold", want("threshold"), source)
+    threshold = threshold_section.build(ThresholdConfig, aliases={"t_type": "type"})
+    fixed_gamma = "gamma" in threshold_section.kv
 
     gamma_search: GammaSearchConfig | None = None
     if "gamma_search" in sections:
-        gs = _Section("gamma_search", sections["gamma_search"], source)
-        gamma_search = GammaSearchConfig(
-            s_target=gs.get_float("s_target", required=True),
-            epsilon_sparsity=gs.get_float("epsilon_sparsity", 0.005),
-            n_search=gs.get_int("n_search", 30),
-            gamma_min=gs.get_float("gamma_min", 0.01),
-            gamma_max=gs.get_float("gamma_max", 10.0),
-            gamma_guess=gs.get_float("gamma_guess", 1.0),
-            epsilon_gamma_conv=gs.get_float("epsilon_gamma_conv", 1e-4),
+        gamma_search = _Section("gamma_search", sections["gamma_search"], source).build(
+            GammaSearchConfig
         )
-    if gamma_search is not None and fixed_gamma is not None:
+    if gamma_search is not None and fixed_gamma:
         raise ConfigError(
             f"{source}: give either [threshold] gamma or a [gamma_search] section, not both"
         )
-    if gamma_search is None and fixed_gamma is None:
+    if gamma_search is None and not fixed_gamma:
         raise ConfigError(
             f"{source}: masking needs either [threshold] gamma or a [gamma_search] section"
         )
 
-    train_section = want("train")
-    milestones: tuple[int, ...] = ()
-    if train_section.has("milestones"):
-        lineno, value = train_section.kv["milestones"]
-        try:
-            milestones = tuple(int(t) for t in value.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"{source}:{lineno}: milestones must be integers") from None
-
-    try:
-        train = TrainConfig(
-            epochs=train_section.get_int("epochs", required=True),
-            lr=train_section.get_float("lr", required=True),
-            momentum=train_section.get_float("momentum", 0.9),
-            weight_decay=train_section.get_float("weight_decay", 5e-4),
-            batch_size=train_section.get_int("batch_size", 128),
-            lr_milestones=milestones,
-            lr_gamma=train_section.get_float("lr_gamma", 0.1),
-        )
-        threshold = ThresholdConfig(
-            t_type=t_type, gamma=fixed_gamma if fixed_gamma is not None else 1.0
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-
-    run_section = (
-        _Section("run", sections["run"], source) if "run" in sections
-        else _Section("run", [], source)
+    train = _Section("train", want("train"), source).build(
+        TrainConfig, aliases={"lr_milestones": "milestones"}, fixed=("seed",)
     )
-    return RunConfig(
+    return _Section("run", sections.get("run", []), source).build(
+        RunConfig,
+        aliases={"output_dir": "output"},
         model=model,
         dataset=dataset,
         scorer=scorer,
         threshold=threshold,
         gamma_search=gamma_search,
         train=train,
-        output_dir=Path(run_section.get("output", "runs/run")),
-        seed=run_section.get_int("seed", 0),
-        checkpoint_every=run_section.get_int("checkpoint_every"),
     )
 
 

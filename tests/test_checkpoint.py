@@ -10,6 +10,7 @@ from nmfprune.checkpoint import (
     save_checkpoint,
     write_container,
 )
+from nmfprune.cli import main
 from nmfprune.masking import Mask
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import OptimizerState, TrainConfig, masked_train_step
@@ -150,3 +151,38 @@ class TestCheckpoint:
         write_container(path, {"kind": "scores"}, {"l": np.ones((2, 2))})
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+def _set(table, key, value):
+    table[key] = value
+
+
+# Edits to a valid checkpoint's metadata and tensors that load_checkpoint must
+# reject; the container stays CRC-valid.
+BAD_CHECKPOINTS = {
+    "missing-prunable-entry": lambda meta, t: meta["prunable"].pop("layer0_linear"),
+    "missing-seed": lambda meta, t: meta.pop("seed"),
+    "spec-without-out-features": lambda meta, t: meta["specs"][0].pop("out_features"),
+    "null-spec-field": lambda meta, t: _set(meta["specs"][0], "in_features", None),
+    "unknown-spec-field": lambda meta, t: _set(meta["specs"][0], "dilation", 2),
+    "fractional-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), 0.5),
+    "bias-size-mismatch": lambda meta, t: _set(t, "layer0_linear.bias", np.zeros(3)),
+    "mask-shape-mismatch": lambda meta, t: _set(t, "layer0_linear.mask", np.ones((6, 10))),
+    "live-pruned-weight": lambda meta, t: _set(
+        t["layer0_linear.weight"], t["layer0_linear.mask"] == 0.0, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+def test_bad_checkpoint_metadata_rejected(tmp_path, capsys, edit):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(trained_masked_net(), path)
+    meta, tensors = read_container(path)
+    edit(meta, tensors)
+    write_container(path, meta, tensors)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

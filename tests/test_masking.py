@@ -9,7 +9,6 @@ from nmfprune.masking import (
     GammaSearchConfig,
     Mask,
     ThresholdConfig,
-    apply_initial_pruning,
     generate_all_masks,
     generate_mask,
     global_sparsity,
@@ -211,36 +210,3 @@ class TestTuneGamma:
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no score"):
             tune_gamma({}, "std", GammaSearchConfig(s_target=0.5))
-
-
-class TestApplyInitialPruning:
-    def test_all_ones_mask_leaves_weights(self):
-        w = np.random.default_rng(7).normal(size=(3, 3))
-        weights = {"l": w.copy()}
-        apply_initial_pruning(weights, {"l": Mask("l", np.ones((3, 3)))})
-        assert np.array_equal(weights["l"], w)
-
-    def test_all_zeros_mask_zeroes_weights(self):
-        weights = {"l": np.random.default_rng(8).normal(size=(4, 2))}
-        apply_initial_pruning(weights, {"l": Mask("l", np.zeros((4, 2)))})
-        assert np.all(weights["l"] == 0.0)
-
-    def test_hand_checked(self):
-        weights = {"l": np.array([[5.0, 7.0]])}
-        apply_initial_pruning(weights, {"l": Mask("l", np.array([[1.0, 0.0]]))})
-        assert np.array_equal(weights["l"], [[5.0, 0.0]])
-
-    def test_mutates_in_place(self):
-        w = np.array([[1.0, 2.0]])
-        apply_initial_pruning({"l": w}, {"l": Mask("l", np.array([[0.0, 1.0]]))})
-        assert np.array_equal(w, [[0.0, 2.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            apply_initial_pruning(
-                {"l": np.ones((2, 2))}, {"l": Mask("l", np.ones((2, 3)))}
-            )
-
-    def test_unknown_layer_rejected(self):
-        with pytest.raises(ValueError, match="unknown layer"):
-            apply_initial_pruning({}, {"l": Mask("l", np.ones((1, 1)))})

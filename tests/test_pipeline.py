@@ -10,7 +10,8 @@ from nmfprune.datasets import SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Linear, ReLU, count_zero_weights
 from nmfprune.nmf import NmfConfig
-from nmfprune.pipeline import StageError, run_pipeline, score_magnitude
+from nmfprune import pipeline
+from nmfprune.pipeline import STAGES, StageError, run_pipeline, score_magnitude
 from nmfprune.runconfig import MagnitudeScorer, RunConfig
 from nmfprune.trainer import TrainConfig
 
@@ -104,16 +105,34 @@ class TestRunPipeline:
         assert masked_metrics[-1].test_accuracy == dense_metrics[-1].test_accuracy
         assert [m.train_loss for m in masked_metrics] == [m.train_loss for m in dense_metrics]
 
-    def test_stage_error_names_stage_and_marks_incomplete(self, tmp_path):
-        cfg = base_config(
-            tmp_path, dataset=SyntheticBlobs(600, 12, 2, seed=5)  # 12 != model's 16
-        )
-        with pytest.raises(StageError) as err:
-            run_pipeline(cfg)
-        assert err.value.stage == "train"
-        status = json.loads((cfg.output_dir / "status.json").read_text())
-        assert status["status"] == "incomplete"
-        assert status["stage"] == "train"
+    def test_stage_error_names_stage_and_marks_incomplete(self, tmp_path, monkeypatch):
+        # One function the pipeline calls in each stage, made to fail.
+        calls = {
+            "data": "load_dataset",
+            "score": "compute_scores",
+            "mask": "generate_all_masks",
+            "train": "run_training",
+            "report": "save_checkpoint",
+        }
+        assert tuple(calls) == STAGES
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        for stage, name in calls.items():
+            cfg = base_config(
+                tmp_path, output_dir=tmp_path / stage,
+                train=TrainConfig(epochs=1, lr=0.1, batch_size=64),
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, name, fail)
+                with pytest.raises(StageError) as err:
+                    run_pipeline(cfg)
+            assert err.value.stage == stage
+            assert isinstance(err.value.__cause__, RuntimeError)
+            status = json.loads((cfg.output_dir / "status.json").read_text())
+            assert status == {"status": "incomplete", "stage": stage, "error": "injected failure"}
+            assert not (cfg.output_dir / "report.json").exists()
 
     def test_outputs_written(self, tmp_path):
         cfg = base_config(tmp_path)

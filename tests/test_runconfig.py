@@ -1,11 +1,16 @@
 """Config file parsing: grammar, defaults, and mode exclusivity."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from nmfprune.datasets import SyntheticBlobs
+from nmfprune.masking import GammaSearchConfig
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU
 from nmfprune.nmf import NmfConfig
 from nmfprune.runconfig import ConfigError, MagnitudeScorer, load_config, parse_config
+from nmfprune.trainer import TrainConfig
 
 BASE = """
 [run]
@@ -82,8 +87,25 @@ class TestParsing:
         assert parse_config(text).scorer == MagnitudeScorer()
 
     def test_comments_and_blanks_ignored(self):
-        text = "# leading comment\n" + BASE.replace("[run]", "# note\n\n[run]")
-        assert parse_config(text).seed == 42
+        text = "# leading comment\n" + BASE.replace("[run]", "# note\n\n[run]  # trailing")
+        text = text.replace("output = runs/test", "output = runs/x   # my run")
+        text = text.replace("layer = linear 64 2", "layer = linear 64 2  # classifier")
+        cfg = parse_config(text)
+        assert cfg.seed == 42
+        assert cfg.output_dir == Path("runs/x")
+        assert cfg.model[-1] == Linear(64, 2)
+
+    def test_readme_example(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = parse_config(block, "README")
+        assert cfg.model == [Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2)]
+        assert cfg.dataset == SyntheticBlobs(1000, 16, 2, seed=7)
+        assert cfg.scorer == NmfConfig(k=6, n_iter=200)
+        assert cfg.threshold.t_type == "std"
+        assert cfg.gamma_search == GammaSearchConfig(s_target=0.8)
+        assert cfg.train == TrainConfig(epochs=40, lr=0.1, lr_milestones=(20, 30))
+        assert cfg.output_dir == Path("runs/blobs")
 
     def test_defaults_without_run_section(self):
         text = BASE.replace("[run]\nseed = 42\noutput = runs/test\n", "")
@@ -117,6 +139,44 @@ class TestErrors:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown sections"):
             parse_config(BASE + "\n[extra]\nfoo = 1\n")
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("[train]", "momentun = 0.0"),
+            ("[train]", "seed = 3"),
+            ("[train]", "layer = flatten"),
+            ("[scorer]", "n_iters = 5"),
+            ("[scorer]", "seed = 3"),
+            ("[run]", "checkpoint_evry = 2"),
+            ("[model]", "layers = relu"),
+            ("[threshold]", "t_type = mad"),
+        ],
+    )
+    def test_unknown_key_rejected_at_its_line(self, section, line):
+        text = BASE.replace(section, f"{section}\n{line}")
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{lineno}: unknown key"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            ("relu 5", "relu takes no positional arguments"),
+            ("flatten stride=2", r"unknown flatten options \['stride'\]"),
+            ("linear 16", "linear takes <in_features> <out_features>"),
+            ("conv2d 1 8 3 3 dilation=2", r"unknown conv2d options \['dilation'\]"),
+            ("linear 16 64 prunable=maybe", "prunable must be a boolean"),
+            ("linear 16 x", "out_features must be an integer"),
+            ("linear 0 64", "Linear dimensions must be positive"),
+        ],
+    )
+    def test_bad_layer_arguments_located_once(self, layer, message):
+        text = BASE.replace("layer = linear 16 64", f"layer = {layer}")
+        lineno = text.splitlines().index(f"layer = {layer}") + 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{lineno}: {message}") as err:
+            parse_config(text)
+        assert str(err.value).count("<config>") == 1
 
     def test_bad_layer_line_has_location(self):
         text = BASE.replace("layer = relu", "layer = rezu")
