@@ -162,15 +162,16 @@ def load_checkpoint(path) -> Network:
     partial.
 
     Metadata, tensor shapes and masks are checked: every mask holds only 0.0
-    and 1.0, and every weight it prunes is exactly 0.0.
+    and 1.0, every weight it prunes is exactly 0.0, and every tensor belongs
+    to a layer.
     """
     meta, tensors = read_container(path)
     net = _network_from_meta(meta, path)
     for layer in net.weighted_layers:
         lid = layer.layer_id
         try:
-            weight = tensors[f"{lid}.weight"]
-            bias = tensors[f"{lid}.bias"]
+            weight = tensors.pop(f"{lid}.weight")
+            bias = tensors.pop(f"{lid}.bias")
         except KeyError as exc:
             raise CheckpointError(f"missing tensor {exc} in {path}") from None
         if weight.shape != layer.weights.shape:
@@ -185,7 +186,7 @@ def load_checkpoint(path) -> Network:
             )
         layer.weights = weight
         layer.bias = bias.reshape(layer.bias.shape)
-        mask = tensors.get(f"{lid}.mask")
+        mask = tensors.pop(f"{lid}.mask", None)
         if mask is None:
             continue
         if mask.shape != weight.shape:
@@ -199,5 +200,7 @@ def load_checkpoint(path) -> Network:
             raise CheckpointError(f"weights of {lid!r} are non-zero where its mask is 0.0")
         mask.flags.writeable = False
         layer.mask = mask
+    if tensors:
+        raise CheckpointError(f"{path}: tensors {sorted(tensors)} belong to no layer")
     net.invalidate_cache()
     return net

@@ -23,7 +23,8 @@ from .checkpoint import load_checkpoint, write_container
 from .datasets import DatasetError
 from .masking import GammaSearchConfig, tune_gamma
 from .network import count_zero_weights, init_network
-from .pipeline import StageError, compute_scores, run_pipeline
+from .nmf import NmfConfig
+from .pipeline import RunReport, StageError, compute_scores, run_pipeline
 from .runconfig import ConfigError, RunConfig, load_config
 from .trainer import SparsityViolationError
 
@@ -89,9 +90,21 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _warn_if_missed(report: RunReport) -> None:
+    """One stderr line, never silenced, when the gamma search missed its target."""
+    search = report.gamma_search
+    if search is not None and not search["hit_target"]:
+        print(
+            f"warning: sparsity target {search['target']:g} missed: the gamma search "
+            f"achieved {search['achieved']:.4f} after {search['iterations']} iterations",
+            file=sys.stderr,
+        )
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     report = run_pipeline(cfg)
+    _warn_if_missed(report)
     _say(args, f"gamma* = {report.gamma_star:.6g}")
     _say(
         args,
@@ -150,6 +163,8 @@ def _cmd_sweep(args) -> int:
         else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
     )
     ks = [int(k) for k in args.ks.split(",")] if args.ks else [None]
+    if args.ks and not isinstance(cfg.scorer, NmfConfig):
+        raise ConfigError("--ks sets the factorization rank and needs [scorer] kind = nmf")
     base_out = Path(cfg.output_dir)
     for target in targets:
         for k in ks:
@@ -158,13 +173,11 @@ def _cmd_sweep(args) -> int:
                 gamma_search=dataclasses.replace(
                     cfg.gamma_search or GammaSearchConfig(s_target=target), s_target=target
                 ),
-                scorer=(
-                    dataclasses.replace(cfg.scorer, k=k)
-                    if k is not None and hasattr(cfg.scorer, "k") else cfg.scorer
-                ),
+                scorer=dataclasses.replace(cfg.scorer, k=k) if k is not None else cfg.scorer,
                 output_dir=base_out / (f"t{target:g}" + (f"_k{k}" if k is not None else "")),
             )
             report = run_pipeline(sub)
+            _warn_if_missed(report)
             _say(
                 args,
                 f"target {target:g}" + (f" k={k}" if k is not None else "") +

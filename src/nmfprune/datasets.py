@@ -7,6 +7,7 @@ computed on the training split only.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,6 +102,8 @@ def _read_csv(spec: CsvSource) -> tuple[np.ndarray, np.ndarray]:
                     raise DatasetError(
                         f"non-numeric cell {cell!r} at row {lineno}, column {col}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DatasetError(f"non-finite cell {cell!r} at row {lineno}, column {col}")
                 if col == spec.label_column:
                     if value != int(value) or value < 0:
                         raise DatasetError(

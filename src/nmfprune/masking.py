@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import check_matrix, stats
+from .matrix import MatrixStats, check_matrix, stats
 from .nmf import ScoreMatrix
 
 T_TYPES = ("std", "mad")
@@ -73,6 +73,8 @@ class GammaSearchConfig:
             raise ValueError(
                 f"gamma_min must be < gamma_max, got [{self.gamma_min}, {self.gamma_max}]"
             )
+        if not self.gamma_guess >= 0:
+            raise ValueError(f"gamma_guess must be >= 0, got {self.gamma_guess}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,15 @@ class GammaSearchResult:
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
+def _threshold(st: MatrixStats, t_type: str, gamma: float) -> float:
+    if t_type == "std":
+        return st.mean + gamma * st.std
+    return st.median + gamma * st.mad
+
+
 def layer_threshold(scores: ScoreMatrix, cfg: ThresholdConfig) -> float:
     """Pruning threshold for one layer from its own score statistics."""
-    st = stats(scores.scores)
-    if cfg.t_type == "std":
-        return st.mean + cfg.gamma * st.std
-    return st.median + cfg.gamma * st.mad
+    return _threshold(stats(scores.scores), cfg.t_type, cfg.gamma)
 
 
 def generate_mask(scores: ScoreMatrix, threshold: float) -> Mask:
@@ -166,16 +171,13 @@ def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
     return sparsity_report({layer_id: mask.bits for layer_id, mask in masks.items()})
 
 
-def _sparsity_at(all_scores: dict[str, ScoreMatrix], t_type: str, gamma: float) -> float:
-    """Global sparsity if masks were generated at ``gamma`` (masks not kept)."""
-    cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
-    zeros = 0
-    total = 0
-    for sm in all_scores.values():
-        tau = layer_threshold(sm, cfg)
-        zeros += int(np.count_nonzero(sm.scores < tau))
-        total += sm.scores.size
-    return zeros / total
+def _sparsity_at(
+    layers: list[tuple[np.ndarray, MatrixStats]], t_type: str, gamma: float
+) -> float:
+    """Global sparsity if masks were generated at ``gamma`` (masks not kept),
+    from each layer's scores and their precomputed statistics."""
+    zeros = sum(int(np.count_nonzero(s < _threshold(st, t_type, gamma))) for s, st in layers)
+    return zeros / sum(s.size for s, _ in layers)
 
 
 def tune_gamma(
@@ -191,15 +193,19 @@ def tune_gamma(
     ``epsilon_gamma_conv``. If no probe reaches tolerance, the closest gamma
     seen is returned with ``hit_target=False``; the best-so-far slot starts at
     ``gamma_guess``, so a search that never improves on it hands it back.
+
+    Each layer's score statistics do not depend on gamma, so they are computed
+    once per search; a probe only counts the scores below each threshold.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
+    layers = [(sm.scores, stats(sm.scores)) for sm in all_scores.values()]
 
     lo = cfg.gamma_min
     hi = cfg.gamma_max
     gamma_best = cfg.gamma_guess
-    s_closest = _sparsity_at(all_scores, t, cfg.gamma_guess)
+    s_closest = _sparsity_at(layers, t, cfg.gamma_guess)
     trace = [GammaTraceEntry(0, cfg.gamma_guess, s_closest, lo, hi)]
 
     iterations = 0
@@ -208,7 +214,7 @@ def tune_gamma(
         gamma = (lo + hi) / 2.0
         if gamma < _GAMMA_FLOOR:
             gamma = _GAMMA_FLOOR
-        achieved = _sparsity_at(all_scores, t, gamma)
+        achieved = _sparsity_at(layers, t, gamma)
         trace.append(GammaTraceEntry(it, gamma, achieved, lo, hi))
         if abs(achieved - cfg.s_target) < abs(s_closest - cfg.s_target):
             s_closest = achieved

@@ -65,12 +65,17 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
 
     Factors are initialized from a seeded uniform draw on (0, 1] scaled by
     sqrt(mean(w_abs) / k_eff), so the initial reconstruction magnitude matches
-    the data. One iteration updates F then G:
+    the data. One iteration updates F then G in the Gram form of Lee & Seung,
+    two m x p x k products per iteration (G @ G.T carries over to the next
+    F update):
 
-        F <- F * (W @ G.T) / (F @ G @ G.T + eps)
-        G <- G * (F.T @ W) / (F.T @ F @ G + eps)
+        F <- F * (W @ G.T) / (F @ (G @ G.T) + eps)
+        G <- G * (F.T @ W) / ((F.T @ F) @ G + eps)
 
     which keeps both factors non-negative and the objective non-increasing.
+    ``objective_trace[0]`` is ||W - F @ G||^2 computed directly; later entries
+    are ||W||^2 - 2 <F.T @ W, G> + <F.T @ F, G @ G.T> from the G update's
+    products, clamped at 0.0 since rounding can push a near-exact fit below it.
     The requested rank is clamped to min(k, rows, cols) when the matrix is
     smaller than k in either dimension.
     """
@@ -92,10 +97,15 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     eps = cfg.epsilon
     trace = np.empty(cfg.n_iter + 1)
     trace[0] = frobenius_sq(w_abs - f @ g)
+    w_sq = frobenius_sq(w_abs)
+    ggt = g @ g.T
     for it in range(cfg.n_iter):
-        f *= (w_abs @ g.T) / (f @ g @ g.T + eps)
-        g *= (f.T @ w_abs) / (f.T @ f @ g + eps)
-        trace[it + 1] = frobenius_sq(w_abs - f @ g)
+        f *= (w_abs @ g.T) / (f @ ggt + eps)
+        ftw = f.T @ w_abs
+        ftf = f.T @ f
+        g *= ftw / (ftf @ g + eps)
+        ggt = g @ g.T
+        trace[it + 1] = max(w_sq - 2.0 * np.vdot(ftw, g) + np.vdot(ftf, ggt), 0.0)
     return NmfResult(f=f, g=g, objective_trace=trace, k_eff=k_eff)
 
 

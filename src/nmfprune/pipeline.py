@@ -54,11 +54,14 @@ class RunReport:
     flops_dense: int
     flops_sparse: int
     final_test_accuracy: float
+    # target, achieved, hit_target and iterations of the search; None for a fixed gamma
+    gamma_search: dict | None = None
     wall_times: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "gamma_star": self.gamma_star,
+            "gamma_search": self.gamma_search,
             "sparsity": {
                 "global_zeros": self.sparsity_report.global_zeros,
                 "global_total": self.sparsity_report.global_total,
@@ -146,10 +149,17 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
 
     with stage("mask"):
         trace: list[GammaTraceEntry] = []
+        search = None
         if cfg.gamma_search is not None:
             result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
             gamma_star = result.gamma_star
             trace = result.trace
+            search = {
+                "target": cfg.gamma_search.s_target,
+                "achieved": result.achieved,
+                "hit_target": result.hit_target,
+                "iterations": result.iterations,
+            }
             _write_jsonl(out / "gamma_search.jsonl", [dataclasses.asdict(t) for t in trace])
         else:
             gamma_star = cfg.threshold.gamma
@@ -182,6 +192,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             flops_dense=flops.dense_flops,
             flops_sparse=flops.sparse_flops,
             final_test_accuracy=final_acc,
+            gamma_search=search,
         )
         save_checkpoint(net, out / "checkpoint.bin")
 

@@ -84,7 +84,7 @@ def _make(cls, values: dict[str, tuple[str, str, str]], context: str, **given):
     """``cls(**given, ...)`` with each field in ``values``, given as
     ``(key, text, location)``, read as the type the field is annotated with.
     ``X | None`` reads as ``X``; ``context`` prefixes the errors of ``cls``'s
-    own validation."""
+    own validation that name no given field."""
     hints = get_type_hints(cls)
     kwargs = dict(given)
     for name, (key, text, location) in values.items():
@@ -99,7 +99,9 @@ def _make(cls, values: dict[str, tuple[str, str, str]], context: str, **given):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        # A message that opens with a field's name is located at that field's key.
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{values[name][2] if name in values else context}: {exc}") from None
 
 
 def _parse_sections(text: str, source: str) -> dict[str, list[tuple[int, str, str]]]:

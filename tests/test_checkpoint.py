@@ -171,6 +171,7 @@ BAD_CHECKPOINTS = {
     "live-pruned-weight": lambda meta, t: _set(
         t["layer0_linear.weight"], t["layer0_linear.mask"] == 0.0, 1.0
     ),
+    "tensor-of-no-layer": lambda meta, t: _set(t, "layer9_linear.weight", np.ones((2, 2))),
 }
 
 

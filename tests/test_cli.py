@@ -85,6 +85,34 @@ class TestRun:
         second = json.loads((out / "report.json").read_text())
         assert first["gamma_star"] != second["gamma_star"]
 
+    def test_hit_target_prints_no_warning(self, config_path, capsys):
+        path, out = config_path
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        search = json.loads((out / "report.json").read_text())["gamma_search"]
+        assert search["target"] == 0.7
+        assert search["hit_target"] is True
+        assert abs(search["achieved"] - 0.7) <= 0.005
+        assert search["iterations"] >= 1
+
+    def test_missed_target_warns_even_when_quiet(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        # One probe in a bracket that cannot prune anywhere near 95%.
+        missed = tmp_path / "missed.cfg"
+        missed.write_text(path.read_text().replace(
+            "s_target = 0.7", "s_target = 0.95\nn_search = 1\ngamma_min = 0.01\ngamma_max = 0.02"
+        ))
+        assert main(["run", "--config", str(missed), "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: sparsity target 0.95 missed")
+        search = json.loads((out / "report.json").read_text())["gamma_search"]
+        assert search["hit_target"] is False
+        assert search["iterations"] == 1
+        assert lines[0].endswith(f"achieved {search['achieved']:.4f} after 1 iterations")
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err
@@ -168,6 +196,18 @@ class TestSweep:
         ) == 0
         assert (out / "t0.5_k2" / "report.json").exists()
         assert (out / "t0.7_k2" / "report.json").exists()
+
+    def test_ks_needs_nmf_scorer(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        magnitude = tmp_path / "magnitude.cfg"
+        magnitude.write_text(path.read_text().replace("kind = nmf\nk = 4", "kind = magnitude"))
+        assert main(
+            ["sweep", "--config", str(magnitude), "--targets", "0.8", "--ks", "2,9"]
+        ) == 1
+        assert "--ks" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["sweep", "--config", str(magnitude), "--targets", "0.8", "--quiet"]) == 0
+        assert (out / "t0.8" / "report.json").exists()
 
 
 class TestInspect:

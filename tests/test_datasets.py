@@ -82,6 +82,16 @@ class TestCsv:
         with pytest.raises(DatasetError, match="non-negative integer"):
             load_dataset(CsvSource(str(p), label_column=1))
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("1.0,inf", 1), ("1.0,nan", 1), ("nan,0", 0), ("-inf,1", 0), ("INF,1", 0)],
+    )
+    def test_non_finite_cell_rejected(self, tmp_path, row, column):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.0,0\n2.0,1\n" * 5 + row + "\n")
+        with pytest.raises(DatasetError, match=rf"non-finite cell .* row 11, column {column}"):
+            load_dataset(CsvSource(str(p), label_column=1))
+
     def test_missing_file_rejected(self):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(CsvSource("/nonexistent.csv", label_column=0))

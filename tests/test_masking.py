@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nmfprune import masking
 from nmfprune.masking import (
     GammaSearchConfig,
     Mask,
@@ -15,6 +16,7 @@ from nmfprune.masking import (
     layer_threshold,
     tune_gamma,
 )
+from nmfprune.matrix import stats
 from nmfprune.nmf import ScoreMatrix
 
 
@@ -206,7 +208,41 @@ class TestTuneGamma:
             GammaSearchConfig(s_target=0.5, n_search=0)
         with pytest.raises(ValueError):
             GammaSearchConfig(s_target=0.5, epsilon_sparsity=0.0)
+        with pytest.raises(ValueError, match="gamma_guess must be >= 0"):
+            GammaSearchConfig(s_target=0.5, gamma_guess=-0.5)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no score"):
             tune_gamma({}, "std", GammaSearchConfig(s_target=0.5))
+
+    def test_stats_computed_once_per_layer_per_search(self, monkeypatch):
+        calls = []
+
+        def counting_stats(a):
+            calls.append(id(a))
+            return stats(a)
+
+        monkeypatch.setattr(masking, "stats", counting_stats)
+        rng = np.random.default_rng(8)
+        scores = {lid: ScoreMatrix(lid, rng.random((24, 16))) for lid in ("a", "b", "c")}
+        for t_type in ("std", "mad"):
+            calls.clear()
+            result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.6))
+            assert len(result.trace) > 1
+            assert sorted(calls) == sorted(id(sm.scores) for sm in scores.values())
+
+
+@pytest.mark.parametrize("t_type", ["std", "mad"])
+def test_every_probe_matches_the_mask_path(t_type):
+    # The search's per-probe count and the final masks cannot drift apart.
+    rng = np.random.default_rng(9)
+    scores = {
+        "a": ScoreMatrix("a", rng.random((40, 30))),
+        "b": ScoreMatrix("b", rng.exponential(3.0, (20, 50))),
+        "c": ScoreMatrix("c", rng.normal(size=(16, 16)) ** 2),
+    }
+    result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4))
+    assert len(result.trace) > 3
+    for entry in result.trace:
+        masks = generate_all_masks(scores, t_type, entry.gamma)
+        assert entry.achieved == global_sparsity(masks).global_sparsity

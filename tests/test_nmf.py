@@ -104,6 +104,18 @@ class TestScoreLayer:
         assert sm.scores.shape == w.shape
 
 
+class TestObjectiveTrace:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_negative_and_final_entry_matches_direct_norm(self, k):
+        rng = np.random.default_rng(20)
+        matrices = [rank_one_matrix(rng, 30, 20), rng.random((12, 9)), rng.random((40, 7)) ** 3]
+        for i, w in enumerate(matrices):
+            result = factorize(w, NmfConfig(k=k, seed=i))
+            assert np.all(result.objective_trace >= 0.0)
+            direct = frobenius_sq(w - result.f @ result.g)
+            assert abs(result.objective_trace[-1] - direct) <= 1e-12 * frobenius_sq(w)
+
+
 class TestMonotonicityProperty:
     def test_twenty_random_matrices(self):
         for i in range(20):

@@ -134,6 +134,23 @@ class TestRunPipeline:
             assert status == {"status": "incomplete", "stage": stage, "error": "injected failure"}
             assert not (cfg.output_dir / "report.json").exists()
 
+    def test_report_records_the_search_outcome(self, tmp_path):
+        searched = base_config(tmp_path)
+        run_pipeline(searched)
+        report = json.loads((searched.output_dir / "report.json").read_text())
+        assert report["gamma_search"] == {
+            "target": 0.8,
+            "achieved": report["sparsity"]["global_sparsity"],
+            "hit_target": True,
+            "iterations": len(report["gamma_trace"]) - 1,
+        }
+        fixed = base_config(
+            tmp_path, gamma_search=None, output_dir=tmp_path / "fixed",
+            train=TrainConfig(epochs=1, lr=0.1, batch_size=64),
+        )
+        run_pipeline(fixed)
+        assert json.loads((fixed.output_dir / "report.json").read_text())["gamma_search"] is None
+
     def test_outputs_written(self, tmp_path):
         cfg = base_config(tmp_path)
         run_pipeline(cfg)

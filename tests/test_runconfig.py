@@ -202,6 +202,12 @@ class TestErrors:
         with pytest.raises(ConfigError, match="lr must be"):
             parse_config(text)
 
+    def test_negative_gamma_guess_rejected_at_its_line(self):
+        text = BASE.replace("s_target = 0.8", "s_target = 0.8\ngamma_guess = -1")
+        lineno = text.splitlines().index("gamma_guess = -1") + 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{lineno}: gamma_guess must be >= 0"):
+            parse_config(text)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
