@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -36,6 +37,17 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file in the target's directory, then rename it
+    over ``path``: a crash mid-write leaves the previous file whole."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only left behind when a step failed
 
 
 def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -54,7 +66,7 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
         parts.append(arr.tobytes())
     body = b"".join(parts)
     blob = MAGIC + struct.pack("<I", VERSION) + body + struct.pack("<I", zlib.crc32(body))
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 class _Reader:
@@ -189,17 +201,12 @@ def load_checkpoint(path) -> Network:
         mask = tensors.pop(f"{lid}.mask", None)
         if mask is None:
             continue
-        if mask.shape != weight.shape:
-            raise CheckpointError(
-                f"checkpoint mask shape {mask.shape} does not match {weight.shape} for {lid!r}"
-            )
-        pruned = mask == 0.0
-        if not np.all(pruned | (mask == 1.0)):
-            raise CheckpointError(f"mask of {lid!r} holds values other than 0.0 and 1.0")
-        if np.any(weight[pruned] != 0.0):
+        try:
+            live = layer.attach_mask(mask)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+        if live:
             raise CheckpointError(f"weights of {lid!r} are non-zero where its mask is 0.0")
-        mask.flags.writeable = False
-        layer.mask = mask
     if tensors:
         raise CheckpointError(f"{path}: tensors {sorted(tensors)} belong to no layer")
     net.invalidate_cache()

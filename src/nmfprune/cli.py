@@ -220,6 +220,9 @@ def main(argv=None) -> int:
         if isinstance(exc.__cause__, SparsityViolationError):
             print(f"invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
+        if isinstance(exc.__cause__, DatasetError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, RuntimeError, OSError) as exc:

@@ -109,6 +109,8 @@ def _read_csv(spec: CsvSource) -> tuple[np.ndarray, np.ndarray]:
                         raise DatasetError(
                             f"label {cell!r} at row {lineno} is not a non-negative integer"
                         )
+                    if value >= 2**63:
+                        raise DatasetError(f"label {cell!r} at row {lineno} does not fit in int64")
                     label_val = int(value)
                 else:
                     features.append(value)
@@ -198,9 +200,14 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     if train_y.min() < 0 or test_y.min() < 0:
         raise DatasetError("labels must be non-negative integers")
-    missing = set(range(n_classes)) - set(np.unique(train_y).tolist())
-    if missing:
-        raise DatasetError(f"classes absent from the training split: {sorted(missing)}")
+    present = np.unique(train_y)  # all within [0, n_classes)
+    if present.size < n_classes:
+        # Five absent labels lie among the first present.size + 5 candidates.
+        first = np.setdiff1d(np.arange(min(n_classes, present.size + 5)), present)[:5]
+        raise DatasetError(
+            f"{n_classes - present.size} of {n_classes} classes absent from the training "
+            f"split, first {first.tolist()}"
+        )
 
     mean = train_x.mean(axis=0)
     std = train_x.std(axis=0)

@@ -1,9 +1,10 @@
 """Small feedforward networks with maskable linear and conv layers.
 
-Backpropagation is written out by hand. Convolution runs as im2col followed
-by a matrix product, so the 2D weight view used for scoring and masking
-(out_ch x in_ch*kh*kw) is the same array the forward pass multiplies with.
-Losses are softmax cross-entropy with mean reduction over the batch.
+Backpropagation is written out by hand. Linear and conv layers multiply rows
+(the input, or its im2col unfolding) by one 2D weight view (out x fan_in),
+the same array used for scoring and masking. The first weighted layer
+computes no input gradient. Losses are softmax cross-entropy with mean
+reduction over the batch.
 
 A Network instance is single-writer: forward/backward mutate per-layer caches
 and gradient buffers, so one instance must not be driven from two threads.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .masking import Mask, SparsityReport, sparsity_report
 from .seeds import derive_seed
@@ -71,96 +73,121 @@ LAYER_KINDS: dict[str, type] = {
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (N, C, H, W) into (N*out_h*out_w, C*kh*kw) patch rows."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
-    cols = np.empty((n, c, kh, kw, out_h, out_w))
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kh * kw)
+    """Unfold (N, C, H, W) into (N*out_h*out_w, C*kh*kw) patch rows, returned
+    as the transpose of a channel-major array: the copy then runs along output
+    rows, not along the short kernel width."""
+    n, c = x.shape[:2]
+    img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)]) if padding else x
+    windows = sliding_window_view(img, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols_t = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
+    return cols_t.T
 
 
 def col2im(
-    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
+    cols_t: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
-    """Fold patch-row gradients back onto the (N, C, H, W) input, accumulating
-    where patches overlap."""
+    """Fold channel-major patch gradients (C*kh*kw, N*out_h*out_w), the
+    transpose of im2col's layout, back onto the (N, C, H, W) input,
+    accumulating where patches overlap. Returns a transposed view."""
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    planes = cols_t.reshape(c, kh, kw, n, out_h, out_w)
+    img = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            img[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding == 0:
-        return img
-    return img[:, :, padding:-padding, padding:-padding]
+            img[:, :, i:i_max:stride, j:j_max:stride] += planes[:, i, j]
+    return img[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    bound = np.sqrt(6.0 / shape[1])  # shape is (out, fan_in)
-    return rng.uniform(-bound, bound, shape)
+class _WeightedLayer:
+    """Weights (out x fan_in) times the rows of ``cols(x)``, plus a bias. The
+    defaults are the linear case; a conv layer unfolds its input into rows."""
 
-
-class _LinearLayer:
-    kind = "linear"
-
-    def __init__(self, layer_id: str, spec: Linear, prunable: bool, rng: np.random.Generator):
+    def __init__(self, layer_id, spec, prunable: bool, rng, fan_in: int, fan_out: int):
         self.layer_id = layer_id
         self.spec = spec
         self.prunable = prunable
-        self.weights = _kaiming_uniform(rng, (spec.out_features, spec.in_features))
-        self.bias = np.zeros(spec.out_features)
-        self.grad_weights: np.ndarray | None = None
-        self.grad_bias: np.ndarray | None = None
-        self.mask: np.ndarray | None = None
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2:
-            raise ValueError(f"{self.layer_id}: expected 2D input, got shape {x.shape}")
-        if x.shape[1] != self.spec.in_features:
-            raise ValueError(
-                f"{self.layer_id}: expected {self.spec.in_features} features, got {x.shape[1]}"
-            )
-        self._x = x
-        return x @ self.weights.T + self.bias
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.grad_weights = dout.T @ self._x
-        self.grad_bias = dout.sum(axis=0)
-        return dout @ self.weights
-
-    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        if shape != (self.spec.in_features,):
-            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
-        return (self.spec.out_features,)
-
-
-class _ConvLayer:
-    kind = "conv"
-
-    def __init__(self, layer_id: str, spec: Conv2d, prunable: bool, rng: np.random.Generator):
-        self.layer_id = layer_id
-        self.spec = spec
-        self.prunable = prunable
-        fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-        # Flattened 2D view: out_ch x (in_ch * kh * kw).
-        self.weights = _kaiming_uniform(rng, (spec.out_channels, fan_in))
-        self.bias = np.zeros(spec.out_channels)
+        bound = np.sqrt(6.0 / fan_in)  # Kaiming uniform
+        self.weights = rng.uniform(-bound, bound, (fan_out, fan_in))
+        self.bias = np.zeros(fan_out)
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple | None = None
+        self._out_shape: tuple | None = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._out_shape = (*x.shape[:1], *self.output_shape(x.shape[1:]))
+        self._x_shape = x.shape
+        self._cols = self.cols(x)
+        out = self._cols @ self.weights.T
+        out += self.bias
+        return self.unflatten(out)
+
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Fill the parameter gradients; return the input gradient unless
+        ``input_grad`` is false (the first weighted layer has no use for it)."""
+        dout_flat = self.flatten(dout)
+        self.grad_weights = dout_flat.T @ self._cols
+        self.grad_bias = dout_flat.sum(axis=0)
+        return self.input_grad(dout_flat) if input_grad else None
+
+    def cols(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def unflatten(self, out: np.ndarray) -> np.ndarray:
+        return out
+
+    def flatten(self, dout: np.ndarray) -> np.ndarray:
+        return dout
+
+    def input_grad(self, dout: np.ndarray) -> np.ndarray:
+        return dout @ self.weights
+
+    def attach_mask(self, bits: np.ndarray) -> int:
+        """Freeze a copy of ``bits`` as this layer's mask and write +0.0 at
+        its pruned positions. Returns how many of those weights were non-zero
+        before."""
+        if bits.shape != self.weights.shape:
+            raise ValueError(
+                f"mask shape {bits.shape} does not match weights "
+                f"{self.weights.shape} for layer {self.layer_id!r}"
+            )
+        mask = np.array(bits, dtype=np.float64)
+        pruned = mask == 0.0
+        if not np.all(pruned | (mask == 1.0)):
+            raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
+        mask.flags.writeable = False
+        self.mask = mask
+        live = int(np.count_nonzero(self.weights[pruned]))
+        self.weights[pruned] = 0.0
+        return live
+
+
+class _LinearLayer(_WeightedLayer):
+    kind = "linear"
+
+    def __init__(self, layer_id: str, spec: Linear, prunable: bool, rng: np.random.Generator):
+        super().__init__(layer_id, spec, prunable, rng, spec.in_features, spec.out_features)
+
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        n = self.spec.in_features
+        if shape != (n,):
+            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit {n} features")
+        return (self.spec.out_features,)
+
+
+class _ConvLayer(_WeightedLayer):
+    kind = "conv"
+
+    def __init__(self, layer_id: str, spec: Conv2d, prunable: bool, rng: np.random.Generator):
+        fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
+        super().__init__(layer_id, spec, prunable, rng, fan_in, spec.out_channels)
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         s = self.spec
@@ -175,27 +202,23 @@ class _ConvLayer:
             raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
         return (self.spec.out_channels, *self.output_hw(shape[1], shape[2]))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def cols(self, x: np.ndarray) -> np.ndarray:
         s = self.spec
-        if x.ndim != 4:
-            raise ValueError(f"{self.layer_id}: expected 4D input, got shape {x.shape}")
-        n, c, h, w = x.shape
-        if c != s.in_channels:
-            raise ValueError(f"{self.layer_id}: expected {s.in_channels} channels, got {c}")
-        out_h, out_w = self.output_hw(h, w)
-        cols = im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
-        self._cols = cols
-        self._x_shape = x.shape
-        out = cols @ self.weights.T + self.bias  # (N*oh*ow, out_ch)
-        return out.reshape(n, out_h, out_w, s.out_channels).transpose(0, 3, 1, 2)
+        return im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def unflatten(self, out: np.ndarray) -> np.ndarray:
+        """(N*oh*ow, out_ch) rows as an (N, out_ch, oh, ow) view."""
+        n, c, h, w = self._out_shape
+        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+    def flatten(self, dout: np.ndarray) -> np.ndarray:
+        return dout.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_channels)
+
+    def input_grad(self, dout: np.ndarray) -> np.ndarray:
         s = self.spec
-        dout_flat = dout.transpose(0, 2, 3, 1).reshape(-1, s.out_channels)
-        self.grad_weights = dout_flat.T @ self._cols
-        self.grad_bias = dout_flat.sum(axis=0)
-        dcols = dout_flat @ self.weights
-        return col2im(dcols, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        # Channel-major (C*kh*kw, N*oh*ow), so col2im adds contiguous planes.
+        cols_t = self.weights.T @ dout.T
+        return col2im(cols_t, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
 
 
 class _ReLULayer:
@@ -207,11 +230,17 @@ class _ReLULayer:
         self._active: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # Out of place: x may be a slice of the caller's array.
         self._active = x > 0
-        return np.where(self._active, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._active, dout, 0.0)
+        # In the forward input's memory layout: the multiply then runs over
+        # matching layouts, and a conv before this layer flattens it for free.
+        grad = np.empty_like(self._active, dtype=np.float64)
+        np.copyto(grad, dout)
+        grad *= self._active
+        return grad
 
     def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return shape
@@ -236,7 +265,6 @@ class _FlattenLayer:
         return (math.prod(shape),)
 
 
-_WEIGHTED = (_LinearLayer, _ConvLayer)
 _LAYER_CLASSES = {
     Linear: _LinearLayer, Conv2d: _ConvLayer, ReLU: _ReLULayer, Flatten: _FlattenLayer,
 }
@@ -252,27 +280,23 @@ def _validate_chain(specs: list[LayerSpec]) -> None:
     state: tuple[str, int | None] | None = None  # ("vec", features) or ("img", channels)
     prev: LayerSpec | None = None
     for spec in specs:
-        if isinstance(spec, Linear):
-            if state is not None and state[0] == "img":
-                raise ValueError(f"incompatible layer pair: {prev} -> {spec} (flatten first)")
-            if state is not None and state[0] == "vec" and state[1] is not None:
-                if state[1] != spec.in_features:
-                    raise ValueError(
-                        f"incompatible layer pair: {prev} -> {spec} "
-                        f"({state[1]} features flow into in_features={spec.in_features})"
-                    )
-            state = ("vec", spec.out_features)
-        elif isinstance(spec, Conv2d):
-            if state is not None and state[0] == "vec":
-                raise ValueError(f"incompatible layer pair: {prev} -> {spec}")
-            if state is not None and state[0] == "img" and state[1] != spec.in_channels:
+        if isinstance(spec, (Linear, Conv2d)):
+            kind, unit, n_in, n_out = (
+                ("vec", "features", spec.in_features, spec.out_features)
+                if isinstance(spec, Linear)
+                else ("img", "channels", spec.in_channels, spec.out_channels)
+            )
+            if state is not None and state[0] != kind:
+                hint = " (flatten first)" if kind == "vec" else ""
+                raise ValueError(f"incompatible layer pair: {prev} -> {spec}{hint}")
+            if state is not None and state[1] not in (None, n_in):
                 raise ValueError(
                     f"incompatible layer pair: {prev} -> {spec} "
-                    f"({state[1]} channels flow into in_channels={spec.in_channels})"
+                    f"({state[1]} {unit} flow into in_{unit}={n_in})"
                 )
-            state = ("img", spec.out_channels)
-        elif isinstance(spec, Flatten):
-            state = ("vec", None) if state is None or state[0] == "img" else state
+            state = (kind, n_out)
+        elif isinstance(spec, Flatten) and (state is None or state[0] == "img"):
+            state = ("vec", None)
         # ReLU preserves whatever state holds.
         prev = spec
 
@@ -291,12 +315,11 @@ class Network:
     @property
     def input_kind(self) -> str:
         """"image" when the first weighted layer is a conv, else "vector"."""
-        first = next((l for l in self.layers if isinstance(l, _WEIGHTED)), None)
-        return "image" if isinstance(first, _ConvLayer) else "vector"
+        return "image" if isinstance(self.weighted_layers[0], _ConvLayer) else "vector"
 
     @property
     def weighted_layers(self) -> list:
-        return [l for l in self.layers if isinstance(l, _WEIGHTED)]
+        return [l for l in self.layers if isinstance(l, _WeightedLayer)]
 
     @property
     def prunable_layers(self) -> list:
@@ -322,7 +345,8 @@ class Network:
 
     def backward(self, labels: np.ndarray) -> float:
         """Backprop mean softmax cross-entropy; fills every layer's gradient
-        buffers and returns the batch loss."""
+        buffers and returns the batch loss. The first weighted layer computes
+        no input gradient, and the layers before it run no backward."""
         if not self._cache_fresh:
             raise RuntimeError("stale forward cache: call forward() after any weight update")
         labels = np.asarray(labels)
@@ -332,9 +356,11 @@ class Network:
                 f"of {self._batch_size}"
             )
         loss, dlogits = softmax_cross_entropy(self._logits, labels)
+        first = self.layers.index(self.weighted_layers[0])
         grad = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[first + 1 :]):
             grad = layer.backward(grad)
+        self.layers[first].backward(grad, input_grad=False)
         return loss
 
     def invalidate_cache(self) -> None:
@@ -375,7 +401,7 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
         if cls is None:
             raise ValueError(f"unknown layer spec {spec!r}")
         layer_id = f"layer{i}_{cls.kind}"
-        if cls in _WEIGHTED:
+        if issubclass(cls, _WeightedLayer):
             prunable = spec.prunable if spec.prunable is not None else i != last_weighted
             layers.append(cls(layer_id, spec, prunable, rng))
         else:
@@ -384,8 +410,8 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
 
 
 def convert_to_masked(net: Network, masks: dict[str, Mask]) -> Network:
-    """Attach immutable masks to every prunable layer and zero the pruned
-    weights (in place). Returns ``net``.
+    """Attach immutable masks to every prunable layer and write +0.0 at the
+    pruned weights (in place). Returns ``net``.
 
     Every prunable layer must have a shape-matching mask; masks naming
     non-prunable or unknown layers are rejected.
@@ -398,16 +424,7 @@ def convert_to_masked(net: Network, masks: dict[str, Mask]) -> Network:
     if missing:
         raise ValueError(f"missing masks for prunable layers: {sorted(missing)}")
     for layer in net.prunable_layers:
-        bits = masks[layer.layer_id].bits
-        if bits.shape != layer.weights.shape:
-            raise ValueError(
-                f"mask shape {bits.shape} does not match weights "
-                f"{layer.weights.shape} for layer {layer.layer_id!r}"
-            )
-        frozen = bits.copy()
-        frozen.flags.writeable = False
-        layer.mask = frozen
-        layer.weights *= layer.mask
+        layer.attach_mask(masks[layer.layer_id].bits)
     net.invalidate_cache()
     return net
 
@@ -441,7 +458,7 @@ def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
     sparse = 0
     for layer in net.layers:
         out = layer.output_shape(shape)
-        if isinstance(layer, _WEIGHTED):
+        if isinstance(layer, _WeightedLayer):
             positions = math.prod(out[1:])  # output pixels of a conv, 1 for a linear layer
             kept = layer.weights.size if layer.mask is None else int(np.count_nonzero(layer.mask))
             dense += 2 * layer.weights.size * positions

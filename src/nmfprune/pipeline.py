@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
-from .datasets import Dataset, load_dataset
+from .checkpoint import save_checkpoint, write_atomic
+from .datasets import load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
 from .network import Network, convert_to_masked, count_zero_weights, flops_estimate, init_network
 from .nmf import ScoreMatrix, score_layer
@@ -104,20 +104,6 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
     return scores
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
-def _input_shape(net: Network, dataset: Dataset) -> tuple[int, ...]:
-    if net.input_kind == "image":
-        if dataset.image_shape is None:
-            raise ValueError("network expects image input but the dataset has no image shape")
-        return dataset.image_shape
-    return (dataset.n_features,)
-
-
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute all stages of a run; see the module docstring for outputs.
 
@@ -134,9 +120,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         try:
             yield
         except Exception as exc:
-            (out / "status.json").write_text(
-                json.dumps({"status": "incomplete", "stage": name, "error": str(exc)}) + "\n"
-            )
+            status = {"status": "incomplete", "stage": name, "error": str(exc)}
+            write_atomic(out / "status.json", (json.dumps(status) + "\n").encode())
             raise StageError(name, exc) from exc
         wall[name] = time.perf_counter() - t0
 
@@ -160,7 +145,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
                 "hit_target": result.hit_target,
                 "iterations": result.iterations,
             }
-            _write_jsonl(out / "gamma_search.jsonl", [dataclasses.asdict(t) for t in trace])
+            lines = "".join(json.dumps(dataclasses.asdict(t)) + "\n" for t in trace)
+            write_atomic(out / "gamma_search.jsonl", lines.encode())
         else:
             gamma_star = cfg.threshold.gamma
         masks = generate_all_masks(scores, cfg.threshold.t_type, gamma_star)
@@ -179,7 +165,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
 
     with stage("report"):
-        flops = flops_estimate(net, _input_shape(net, dataset))
+        flops = flops_estimate(net, model_input(net, dataset, dataset.test_x[:1]).shape[1:])
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:
@@ -197,6 +183,6 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         save_checkpoint(net, out / "checkpoint.bin")
 
     report.wall_times = wall
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    (out / "status.json").write_text(json.dumps({"status": "complete"}) + "\n")
+    write_atomic(out / "report.json", (json.dumps(report.to_dict(), indent=2) + "\n").encode())
+    write_atomic(out / "status.json", (json.dumps({"status": "complete"}) + "\n").encode())
     return report

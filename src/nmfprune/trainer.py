@@ -5,8 +5,9 @@ the masked gradient entries and re-zeroes the masked weights immediately
 before the optimizer step. Because masked gradients and masked weights are
 exact zeros entering the step, weight decay contributes nothing at pruned
 positions and the zero count never moves; a post-step assertion enforces that
-with no tolerance. Momentum buffers are deliberately left untouched by the
-masks.
+with no tolerance. Masked weights enter training as +0.0 (see
+``network.convert_to_masked``) and the step keeps them +0.0. Momentum buffers
+are deliberately left untouched by the masks.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
             (f"{layer.layer_id}.weight", layer.weights, layer.grad_weights),
             (f"{layer.layer_id}.bias", layer.bias, layer.grad_bias),
         ):
-            if not np.all(np.isfinite(grad)):
-                raise FloatingPointError(
-                    f"non-finite gradient in {key} (max |grad| = {np.nanmax(np.abs(grad))})"
-                )
+            finite = np.isfinite(grad)
+            if not finite.all():
+                bad = np.flatnonzero(~finite)
+                raise FloatingPointError(f"non-finite gradient in {key}: {bad.size} entries, "
+                                         f"first at flat index {bad[0]}")
             buf = state.buffers[key]
             buf *= cfg.momentum
             buf += grad + cfg.weight_decay * param
@@ -129,8 +131,10 @@ def masked_train_step(
     """One training step with strict mask enforcement.
 
     Order is fixed: forward, backward, then per masked layer gradient masking
-    and weight re-masking, then the optimizer step. Afterwards every masked
-    position must hold exactly 0.0 or the step fails hard.
+    and weight re-masking, then the optimizer step. Masking multiplies by the
+    mask, so a non-finite gradient at a pruned position becomes NaN and still
+    fails the step. Afterwards every masked position must hold exactly 0.0 or
+    the step fails hard.
     """
     logits = net.forward(x)
     loss = net.backward(y)

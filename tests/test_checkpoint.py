@@ -1,8 +1,11 @@
 """Container format round-trip and corruption rejection tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nmfprune.checkpoint as checkpoint
 from nmfprune.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -13,7 +16,12 @@ from nmfprune.checkpoint import (
 from nmfprune.cli import main
 from nmfprune.masking import Mask
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
-from nmfprune.trainer import OptimizerState, TrainConfig, masked_train_step
+from nmfprune.trainer import (
+    OptimizerState,
+    SparsityViolationError,
+    TrainConfig,
+    masked_train_step,
+)
 
 
 def trained_masked_net(seed=0):
@@ -151,6 +159,72 @@ class TestCheckpoint:
         write_container(path, {"kind": "scores"}, {"l": np.ones((2, 2))})
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+class TestLoadedMasks:
+    def test_loaded_network_trains_like_the_original(self, tmp_path):
+        net = trained_masked_net(seed=10)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        cfg = TrainConfig(epochs=1, lr=0.1)
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(8, 6)), rng.integers(0, 3, 8)
+        for model in (net, loaded):
+            masked_train_step(model, x, y, OptimizerState.for_network(model), 0.1, cfg)
+        for a, b in zip(net.weighted_layers, loaded.weighted_layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+        for layer in loaded.masked_layers:
+            assert not np.any(np.signbit(layer.weights[layer.mask == 0.0]))
+
+    def test_loaded_network_reports_violations_at_their_flat_indices(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(trained_masked_net(seed=12), path)
+        net = load_checkpoint(path)
+        layer = net.masked_layers[0]
+        state = OptimizerState.for_network(net)
+        injected = np.flatnonzero(layer.mask == 0.0)[[1, 4]]
+        state.buffers[f"{layer.layer_id}.weight"].flat[injected] = 5.0
+        rng = np.random.default_rng(13)
+        with pytest.raises(SparsityViolationError) as err:
+            masked_train_step(
+                net, rng.normal(size=(4, 6)), rng.integers(0, 3, 4), state, 0.1,
+                TrainConfig(epochs=1, lr=0.1),
+            )
+        assert err.value.layer_id == layer.layer_id
+        assert err.value.indices.tolist() == injected.tolist()
+
+
+class TestAtomicWrites:
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(trained_masked_net(seed=14), path)
+        before = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def torn_write(self, data):
+            write_bytes(self, data[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(trained_masked_net(seed=15), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        checkpoint.write_atomic(path, b"old")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            checkpoint.write_atomic(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 def _set(table, key, value):

@@ -122,6 +122,24 @@ class TestRun:
         bad.write_text("[model]\nlayer = linear 4\n")
         assert main(["run", "--config", str(bad)]) == 1
 
+    def test_dataset_error_in_data_stage_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = [f"{i % 7}.0,{i % 16}.5,{i % 2}" for i in range(40)] + ["1.0,2.0,1e300"]
+        data.write_text("\n".join(rows) + "\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            CONFIG.format(out=tmp_path / "out")
+            .replace("linear 16 32", "linear 2 32")
+            .replace(
+                "kind = synthetic-blobs\nn_samples = 400\nn_features = 16\n"
+                "n_classes = 2\nseed = 9",
+                f"kind = csv\npath = {data}\nlabel_column = 2",
+            )
+        )
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'data' failed: label '1e300' at row 41")
+
     def test_stage_failure_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         bad = tmp_path / "bad.cfg"

@@ -92,6 +92,32 @@ class TestCsv:
         with pytest.raises(DatasetError, match=rf"non-finite cell .* row 11, column {column}"):
             load_dataset(CsvSource(str(p), label_column=1))
 
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.0,0\n2.0,1\n" * 5 + "3.0,1e300\n")
+        with pytest.raises(DatasetError, match=r"label '1e300' at row 11 does not fit in int64"):
+            load_dataset(CsvSource(str(p), label_column=1))
+
+    def test_huge_label_reports_absent_classes_without_enumerating_them(self, tmp_path):
+        # A label of 4e9 implies 4e9 + 1 classes; finding the absent ones must
+        # not build a set of every class index.
+        p = tmp_path / "sparse.csv"
+        p.write_text("1.0,0\n2.0,1\n" * 5 + "3.0,4000000000\n")
+        with pytest.raises(
+            DatasetError,
+            match=r"\d+ of 4000000001 classes absent from the training split, "
+            r"first \[2, 3, 4, 5, 6\]",
+        ):
+            load_dataset(CsvSource(str(p), label_column=1))
+
+    def test_absent_class_listed(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text("1.0,0\n2.0,2\n" * 5)
+        with pytest.raises(
+            DatasetError, match=r"1 of 3 classes absent from the training split, first \[1\]"
+        ):
+            load_dataset(CsvSource(str(p), label_column=1))
+
     def test_missing_file_rejected(self):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(CsvSource("/nonexistent.csv", label_column=0))

@@ -1,18 +1,23 @@
 """Network tests: shape contracts, mask semantics, analytic gradients against
 central finite differences, and conv against a direct nested-loop oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import nmfprune.network as network
 from nmfprune.masking import Mask
 from nmfprune.network import (
     Conv2d,
     Flatten,
     Linear,
     ReLU,
+    col2im,
     convert_to_masked,
     count_zero_weights,
     flops_estimate,
+    im2col,
     init_network,
     softmax_cross_entropy,
 )
@@ -37,6 +42,27 @@ def direct_conv(x, weights_2d, bias, spec):
     return out
 
 
+def im2col_oracle(x, kh, kw, stride, padding):
+    """Independent unfolding: one patch row per output position, in
+    (sample, out_row, out_col) order, each flattened as (channel, kh, kw)."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding : padding + h, padding : padding + w] = x
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    rows = []
+    for b in range(n):
+        for i in range(out_h):
+            for j in range(out_w):
+                patch = padded[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                rows.append(patch.ravel())
+    return np.array(rows)
+
+
+# Channels, kernel (kh, kw), stride, padding; inputs are 5x7 (non-square).
+GEOMETRIES = list(itertools.product((1, 3), ((1, 1), (2, 3), (3, 3)), (1, 2, 3), (0, 1, 2)))
+
+
 def numeric_grad(net, x, y, param, index, h=1e-5):
     """Central finite difference of the batch loss w.r.t. one parameter."""
     original = param[index]
@@ -50,6 +76,30 @@ def numeric_grad(net, x, y, param, index, h=1e-5):
 
 def mlp_specs():
     return [Linear(4, 6), ReLU(), Linear(6, 3)]
+
+
+class TestIm2col:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(40)
+        for c, (kh, kw), stride, padding in GEOMETRIES:
+            x = rng.normal(size=(2, c, 5, 7))
+            got = im2col(x, kh, kw, stride, padding)
+            assert np.array_equal(got, im2col_oracle(x, kh, kw, stride, padding)), (
+                c, kh, kw, stride, padding,
+            )
+
+    def test_col2im_is_adjoint_of_im2col(self):
+        # <im2col(x), cols> == <x, col2im(cols^T)> for every geometry.
+        rng = np.random.default_rng(41)
+        for c, (kh, kw), stride, padding in GEOMETRIES:
+            x = rng.normal(size=(2, c, 5, 7))
+            unfolded = im2col(x, kh, kw, stride, padding)
+            cols = rng.normal(size=unfolded.shape)
+            folded = col2im(np.ascontiguousarray(cols.T), x.shape, kh, kw, stride, padding)
+            assert folded.shape == x.shape
+            lhs = np.sum(unfolded * cols)
+            rhs = np.sum(x * folded)
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), (c, kh, kw, stride, padding)
 
 
 class TestInitNetwork:
@@ -229,6 +279,73 @@ class TestBackward:
         for a, b in zip(single, doubled):
             assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_finite_difference_two_conv(self):
+        # The second conv's input gradient (col2im) feeds the first conv's.
+        net = init_network(
+            [Conv2d(2, 3, 3, 3, padding=1), ReLU(), Conv2d(3, 4, 2, 3, stride=2, padding=1),
+             ReLU(), Flatten(), Linear(48, 2)],
+            seed=42,
+        )
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(3, 2, 5, 7))
+        y = rng.integers(0, 2, 3)
+        net.forward(x)
+        net.backward(y)
+        first = net.weighted_layers[0]
+        analytic = first.grad_weights.copy()
+        for index in [(0, 0), (1, 7), (2, 17), (0, 13)]:
+            numeric = numeric_grad(net, x, y, first.weights, index)
+            denom = max(abs(numeric), abs(analytic[index]), 1e-8)
+            assert abs(analytic[index] - numeric) / denom <= 1e-4
+
+    def test_col2im_once_per_backward_on_two_conv_network(self, monkeypatch):
+        calls = []
+
+        def counting_col2im(*args):
+            calls.append(args[1])
+            return col2im(*args)
+
+        monkeypatch.setattr(network, "col2im", counting_col2im)
+        net = init_network(
+            [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Conv2d(2, 3, 3, 3, stride=2, padding=1),
+             ReLU(), Flatten(), Linear(48, 2)],
+            seed=44,
+        )
+        rng = np.random.default_rng(45)
+        net.forward(rng.normal(size=(2, 1, 8, 8)))
+        net.backward(np.array([0, 1]))
+        # Only the second conv folds a gradient back, onto the first's output.
+        assert calls == [(2, 2, 8, 8)]
+
+    def test_first_layer_computes_no_input_gradient(self, monkeypatch):
+        calls = []
+        original = network._LinearLayer.input_grad
+
+        def counting(self, dout):
+            calls.append(self.layer_id)
+            return original(self, dout)
+
+        monkeypatch.setattr(network._LinearLayer, "input_grad", counting)
+        net = init_network([Linear(4, 6), ReLU(), Linear(6, 5), ReLU(), Linear(5, 3)], seed=46)
+        net.forward(np.random.default_rng(47).normal(size=(3, 4)))
+        net.backward(np.array([0, 1, 2]))
+        assert calls == ["layer4_linear", "layer2_linear"]
+        assert all(l.grad_weights is not None for l in net.weighted_layers)
+
+    def test_relu_first_network_leaves_input_unchanged(self):
+        rng = np.random.default_rng(48)
+        for specs, shape in [
+            ([ReLU(), Linear(4, 3)], (5, 4)),
+            ([ReLU(), Conv2d(1, 2, 3, 3), Flatten(), Linear(8, 2)], (5, 1, 4, 4)),
+        ]:
+            net = init_network(specs, seed=49)
+            data = rng.normal(size=(10, *shape[1:]))
+            before = data.copy()
+            batch = data[2:7]  # a slice, as the trainer and evaluate pass it
+            net.forward(batch)
+            net.backward(rng.integers(0, 2, 5))
+            assert np.array_equal(data, before)
+
     def test_backward_without_forward_rejected(self):
         net = init_network(mlp_specs(), seed=16)
         with pytest.raises(RuntimeError, match="stale"):
@@ -263,6 +380,15 @@ class TestConvertToMasked:
         convert_to_masked(net, masks)
         for layer in net.masked_layers:
             assert np.all(layer.weights * (1.0 - layer.mask) == 0.0)
+            # +0.0, not the -0.0 a multiply by the mask leaves at negative weights.
+            assert not np.any(np.signbit(layer.weights[layer.mask == 0.0]))
+
+    def test_non_binary_mask_rejected(self):
+        net = init_network(mlp_specs(), seed=28)
+        bits = np.ones((6, 4))
+        bits[1, 1] = 0.5
+        with pytest.raises(ValueError, match="other than 0.0 and 1.0"):
+            convert_to_masked(net, {"layer0_linear": Mask("layer0_linear", bits)})
 
     def test_sparsity_matches_mask_report(self):
         from nmfprune.masking import global_sparsity

@@ -159,6 +159,7 @@ class TestRunPipeline:
         assert (out / "checkpoint.bin").exists()
         assert (out / "epochs.jsonl").exists()
         assert (out / "gamma_search.jsonl").exists()
+        assert not list(out.glob(".*.tmp"))  # atomic writes leave no temp files
         status = json.loads((out / "status.json").read_text())
         assert status == {"status": "complete"}
         report = json.loads((out / "report.json").read_text())

@@ -90,6 +90,19 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
             sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
 
+    def test_inf_gradient_reports_count_and_first_index(self):
+        net = make_net()
+        cfg = TrainConfig(epochs=1, lr=0.1)
+        set_grads(net, 1.0)
+        grad = net.weighted_layers[0].grad_weights
+        grad[0, 3] = np.inf
+        grad[2, 1] = -np.inf
+        with pytest.raises(
+            FloatingPointError,
+            match=r"non-finite gradient in layer0_linear.weight: 2 entries, first at flat index 3$",
+        ):
+            sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
+
     def test_missing_gradients_rejected(self):
         net = make_net()
         cfg = TrainConfig(epochs=1, lr=0.1)
@@ -180,6 +193,41 @@ class TestMaskedTrainStep:
             masked_train_step(net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4), state, 0.1, cfg)
         assert err.value.layer_id == layer.layer_id
         assert len(err.value.indices) >= 1
+
+
+    def test_non_finite_gradient_at_pruned_position_raises(self):
+        net = make_net(seed=30)
+        convert_to_masked(net, random_masks(net, keep=0.5, seed=31))
+        layer = net.masked_layers[0]
+        pruned = int(np.flatnonzero(layer.mask == 0.0)[0])
+        backward = net.backward
+
+        def backward_with_inf(y):
+            loss = backward(y)
+            layer.grad_weights.flat[pruned] = np.inf
+            return loss
+
+        net.backward = backward_with_inf
+        rng = np.random.default_rng(32)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match=rf"1 entries, first at flat index {pruned}$"
+        ):
+            masked_train_step(
+                net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4),
+                OptimizerState.for_network(net), 0.1, TrainConfig(epochs=1, lr=0.1),
+            )
+
+    def test_masked_weights_stay_positive_zero(self):
+        net = make_net(seed=33)
+        convert_to_masked(net, random_masks(net, keep=0.4, seed=34))
+        cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        state = OptimizerState.for_network(net)
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            masked_train_step(net, rng.normal(size=(8, 4)), rng.integers(0, 3, 8), state, 0.1, cfg)
+            for layer in net.masked_layers:
+                pruned = layer.weights[layer.mask == 0.0]
+                assert np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
 
 
 class TestLrSchedule:
