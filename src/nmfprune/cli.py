@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, write_container
@@ -24,7 +24,7 @@ from .datasets import DatasetError
 from .masking import GammaSearchConfig, tune_gamma
 from .network import count_zero_weights, init_network
 from .nmf import NmfConfig
-from .pipeline import RunReport, StageError, compute_scores, run_pipeline
+from .pipeline import RunReport, StageError, compute_scores, run_pipeline, write_gamma_trace
 from .runconfig import ConfigError, RunConfig, load_config
 from .trainer import SparsityViolationError
 
@@ -80,9 +80,19 @@ def _load(args) -> RunConfig:
     if args.output is not None:
         cfg.output_dir = Path(args.output)
     if args.target_sparsity is not None:
-        base = cfg.gamma_search or GammaSearchConfig(s_target=args.target_sparsity)
-        cfg.gamma_search = dataclasses.replace(base, s_target=args.target_sparsity)
+        with _flag("--target-sparsity"):
+            base = cfg.gamma_search or GammaSearchConfig(s_target=args.target_sparsity)
+            cfg.gamma_search = dataclasses.replace(base, s_target=args.target_sparsity)
     return cfg
+
+
+@contextmanager
+def _flag(name: str):
+    """Report a bad flag value as a ConfigError (exit 1), as in a config file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _say(args, message: str) -> None:
@@ -147,9 +157,7 @@ def _cmd_tune(args) -> int:
     result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "gamma_search.jsonl", "w", encoding="utf-8") as fh:
-        for entry in result.trace:
-            fh.write(json.dumps(dataclasses.asdict(entry)) + "\n")
+    write_gamma_trace(out, result.trace)
     _say(args, f"gamma* = {result.gamma_star:.6g}")
     _say(args, f"achieved sparsity = {result.achieved:.4f} (target {cfg.gamma_search.s_target})")
     _say(args, f"iterations = {result.iterations}, within tolerance = {result.hit_target}")
@@ -158,22 +166,26 @@ def _cmd_tune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    targets = (
-        [float(t) for t in args.targets.split(",")] if args.targets
-        else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
-    )
-    ks = [int(k) for k in args.ks.split(",")] if args.ks else [None]
     if args.ks and not isinstance(cfg.scorer, NmfConfig):
         raise ConfigError("--ks sets the factorization rank and needs [scorer] kind = nmf")
+    # Every flag value is checked before the first run starts.
+    with _flag("--targets"):
+        targets = (
+            [float(t) for t in args.targets.split(",")] if args.targets
+            else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
+        )
+        searches = [
+            dataclasses.replace(cfg.gamma_search or GammaSearchConfig(s_target=t), s_target=t)
+            for t in targets
+        ]
+    with _flag("--ks"):
+        ks = [int(k) for k in args.ks.split(",")] if args.ks else [None]
+        scorers = [cfg.scorer if k is None else dataclasses.replace(cfg.scorer, k=k) for k in ks]
     base_out = Path(cfg.output_dir)
-    for target in targets:
-        for k in ks:
+    for target, search in zip(targets, searches):
+        for k, scorer in zip(ks, scorers):
             sub = dataclasses.replace(
-                cfg,
-                gamma_search=dataclasses.replace(
-                    cfg.gamma_search or GammaSearchConfig(s_target=target), s_target=target
-                ),
-                scorer=dataclasses.replace(cfg.scorer, k=k) if k is not None else cfg.scorer,
+                cfg, gamma_search=search, scorer=scorer,
                 output_dir=base_out / (f"t{target:g}" + (f"_k{k}" if k is not None else "")),
             )
             report = run_pipeline(sub)

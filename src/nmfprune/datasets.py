@@ -70,7 +70,11 @@ def _blobs(spec: SyntheticBlobs) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     centers = rng.uniform(-10.0, 10.0, (spec.n_classes, spec.n_features))
     y = rng.integers(0, spec.n_classes, spec.n_samples)
-    x = centers[y] + rng.normal(0.0, 1.0, (spec.n_samples, spec.n_features))
+    # Noise first, centers added in place a class at a time: no second
+    # sample-sized array, and the sums are the same as centers[y] + noise.
+    x = rng.normal(0.0, 1.0, (spec.n_samples, spec.n_features))
+    for c in range(spec.n_classes):
+        x[y == c] += centers[c]
     return x, y.astype(np.int64)
 
 
@@ -196,6 +200,7 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
 
     train_x, train_y = x[train_idx], y[train_idx]
     test_x, test_y = x[test_idx], y[test_idx]
+    del x  # the split holds copies; standardize them in place
 
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     if train_y.min() < 0 or test_y.min() < 0:
@@ -212,10 +217,13 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
     mean = train_x.mean(axis=0)
     std = train_x.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
+    for split in (train_x, test_x):
+        split -= mean
+        split /= std
     return Dataset(
-        train_x=(train_x - mean) / std,
+        train_x=train_x,
         train_y=train_y,
-        test_x=(test_x - mean) / std,
+        test_x=test_x,
         test_y=test_y,
         n_classes=n_classes,
         image_shape=image_shape,

@@ -6,8 +6,11 @@ the same array used for scoring and masking. The first weighted layer
 computes no input gradient. Losses are softmax cross-entropy with mean
 reduction over the batch.
 
-A Network instance is single-writer: forward/backward mutate per-layer caches
-and gradient buffers, so one instance must not be driven from two threads.
+A training forward caches what backward needs (im2col rows, ReLU masks,
+logits) and backward releases each cache as it uses it; an evaluation forward
+caches nothing. A Network instance is single-writer: forward/backward mutate
+per-layer caches and gradient buffers, so one instance must not be driven from
+two threads.
 """
 
 from __future__ import annotations
@@ -121,19 +124,22 @@ class _WeightedLayer:
         self._x_shape: tuple | None = None
         self._out_shape: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         self._out_shape = (*x.shape[:1], *self.output_shape(x.shape[1:]))
         self._x_shape = x.shape
-        self._cols = self.cols(x)
-        out = self._cols @ self.weights.T
+        cols = self.cols(x)
+        self._cols = cols if cache else None
+        out = cols @ self.weights.T
         out += self.bias
         return self.unflatten(out)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Fill the parameter gradients; return the input gradient unless
-        ``input_grad`` is false (the first weighted layer has no use for it)."""
+        """Fill the parameter gradients and release the forward cache; return
+        the input gradient unless ``input_grad`` is false (the first weighted
+        layer has no use for it)."""
         dout_flat = self.flatten(dout)
         self.grad_weights = dout_flat.T @ self._cols
+        self._cols = None
         self.grad_bias = dout_flat.sum(axis=0)
         return self.input_grad(dout_flat) if input_grad else None
 
@@ -229,17 +235,18 @@ class _ReLULayer:
         self.layer_id = layer_id
         self._active: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         # Out of place: x may be a slice of the caller's array.
-        self._active = x > 0
+        self._active = x > 0 if cache else None
         return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         # In the forward input's memory layout: the multiply then runs over
         # matching layouts, and a conv before this layer flattens it for free.
-        grad = np.empty_like(self._active, dtype=np.float64)
+        active, self._active = self._active, None
+        grad = np.empty_like(active, dtype=np.float64)
         np.copyto(grad, dout)
-        grad *= self._active
+        grad *= active
         return grad
 
     def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -254,7 +261,7 @@ class _FlattenLayer:
         self.layer_id = layer_id
         self._x_shape: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -308,6 +315,8 @@ class Network:
         self.layers = layers
         self.specs = specs
         self.seed = seed
+        # Backward stops at the first weighted layer; nothing before it caches.
+        self._first = next(i for i, l in enumerate(layers) if isinstance(l, _WeightedLayer))
         self._logits: np.ndarray | None = None
         self._batch_size: int | None = None
         self._cache_fresh = False
@@ -329,24 +338,30 @@ class Network:
     def masked_layers(self) -> list:
         return [l for l in self.weighted_layers if l.mask is not None]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the batch through every layer; returns logits and caches the
-        activations needed by backward."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Run the batch through every layer and return the logits.
+
+        With ``cache`` (a training forward) each layer from the first weighted
+        one on keeps what backward needs, until backward releases it. With
+        ``cache=False`` (evaluation) no layer keeps anything and the cache is
+        stale, so a backward after it raises.
+        """
         x = np.asarray(x, dtype=np.float64)
         out = x
-        for layer in self.layers:
-            out = layer.forward(out)
+        for i, layer in enumerate(self.layers):
+            out = layer.forward(out, cache=cache and i >= self._first)
         if out.ndim != 2:
             raise ValueError(f"network output must be 2D logits, got shape {out.shape}")
-        self._logits = out
+        self._logits = out if cache else None
         self._batch_size = x.shape[0]
-        self._cache_fresh = True
+        self._cache_fresh = cache
         return out
 
     def backward(self, labels: np.ndarray) -> float:
         """Backprop mean softmax cross-entropy; fills every layer's gradient
         buffers and returns the batch loss. The first weighted layer computes
-        no input gradient, and the layers before it run no backward."""
+        no input gradient, and the layers before it run no backward. Each
+        cache is released as it is used, so the cache is stale afterwards."""
         if not self._cache_fresh:
             raise RuntimeError("stale forward cache: call forward() after any weight update")
         labels = np.asarray(labels)
@@ -355,12 +370,12 @@ class Network:
                 f"labels length {labels.shape[0]} does not match cached batch "
                 f"of {self._batch_size}"
             )
-        loss, dlogits = softmax_cross_entropy(self._logits, labels)
-        first = self.layers.index(self.weighted_layers[0])
-        grad = dlogits
-        for layer in reversed(self.layers[first + 1 :]):
+        logits, self._logits = self._logits, None
+        self._cache_fresh = False
+        loss, grad = softmax_cross_entropy(logits, labels)
+        for layer in reversed(self.layers[self._first + 1 :]):
             grad = layer.backward(grad)
-        self.layers[first].backward(grad, input_grad=False)
+        self.layers[self._first].backward(grad, input_grad=False)
         return loss
 
     def invalidate_cache(self) -> None:

@@ -104,6 +104,12 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
     return scores
 
 
+def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
+    """Write ``gamma_search.jsonl`` in ``out`` atomically, one line per probe."""
+    lines = "".join(json.dumps(dataclasses.asdict(t)) + "\n" for t in trace)
+    write_atomic(out / "gamma_search.jsonl", lines.encode())
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute all stages of a run; see the module docstring for outputs.
 
@@ -145,8 +151,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
                 "hit_target": result.hit_target,
                 "iterations": result.iterations,
             }
-            lines = "".join(json.dumps(dataclasses.asdict(t)) + "\n" for t in trace)
-            write_atomic(out / "gamma_search.jsonl", lines.encode())
+            write_gamma_trace(out, trace)
         else:
             gamma_star = cfg.threshold.gamma
         masks = generate_all_masks(scores, cfg.threshold.t_type, gamma_star)
@@ -169,7 +174,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:
-            final_acc = evaluate(net, model_input(net, dataset, dataset.test_x), dataset.test_y)
+            test_x = model_input(net, dataset, dataset.test_x)
+            final_acc = evaluate(net, test_x, dataset.test_y, cfg.train.batch_size)
         report = RunReport(
             gamma_star=gamma_star,
             sparsity_report=count_zero_weights(net),

@@ -159,11 +159,13 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr * cfg.lr_gamma**decays
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
-    """Top-1 accuracy on a split."""
+def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Top-1 accuracy on a split. The forward keeps no activation cache, and
+    callers pass the training batch size, so evaluation never needs more
+    memory than one training step."""
     correct = 0
     for start in range(0, len(x), batch_size):
-        logits = net.forward(x[start : start + batch_size])
+        logits = net.forward(x[start : start + batch_size], cache=False)
         correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
     return correct / len(x)
 
@@ -211,7 +213,7 @@ def run_training(
             epoch=epoch,
             train_loss=loss_sum / n,
             train_accuracy=correct / n,
-            test_accuracy=evaluate(net, test_x, dataset.test_y),
+            test_accuracy=evaluate(net, test_x, dataset.test_y, cfg.batch_size),
             achieved_sparsity=report.global_sparsity,
             zero_count=report.global_zeros,
         )

@@ -176,6 +176,26 @@ class TestRun:
         assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["run", "--target-sparsity", "1.5"],
+        ["tune", "--target-sparsity", "-1"],
+        ["sweep", "--targets", "abc"],
+        ["sweep", "--ks", "0"],
+        ["sweep", "--ks", "x"],
+    ],
+    ids=["run-target", "tune-target", "sweep-targets", "sweep-ks-zero", "sweep-ks-text"],
+)
+def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
+    path, out = config_path
+    assert main([*flags, "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestScore:
     def test_dumps_score_tensors(self, config_path, capsys):
         path, out = config_path
@@ -204,6 +224,16 @@ class TestTune:
         fixed.write_text(text)
         assert main(["tune", "--config", str(fixed)]) == 1
         assert main(["tune", "--config", str(fixed), "--target-sparsity", "0.6"]) == 0
+
+    def test_writes_the_same_trace_as_run(self, config_path, tmp_path):
+        path, _ = config_path
+        runs = {}
+        for command in ("run", "tune"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--output", str(out), "--quiet"]) == 0
+            runs[command] = (out / "gamma_search.jsonl").read_bytes()
+            assert not list(out.glob(".*.tmp"))
+        assert runs["run"] == runs["tune"]
 
 
 class TestSweep:

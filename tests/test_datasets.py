@@ -1,6 +1,7 @@
 """Dataset loading: determinism, normalization, and format error contracts."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nmfprune.datasets import (
     SyntheticBlobs,
     load_dataset,
 )
+from nmfprune.seeds import derive_seed
 
 
 def write_idx_images(path, images):
@@ -162,3 +164,61 @@ class TestIdx:
         write_idx_labels(tmp_path / "lbls", labels)
         with pytest.raises(DatasetError, match="counts differ"):
             load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
+
+
+def reference_split(x, y, split_seed):
+    """The seeded 80/20 split and train-split standardization, out of place."""
+    perm = np.random.default_rng(derive_seed(split_seed, "split")).permutation(len(x))
+    train, test = perm[: int(len(x) * 0.8)], perm[int(len(x) * 0.8) :]
+    mean = x[train].mean(axis=0)
+    std = x[train].std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    return (x[train] - mean) / std, y[train], (x[test] - mean) / std, y[test]
+
+
+class TestInPlaceBuild:
+    def assert_bit_identical(self, ds, x, y, split_seed):
+        got = (ds.train_x, ds.train_y, ds.test_x, ds.test_y)
+        for a, b in zip(got, reference_split(x, y, split_seed)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_blobs_match_reference(self):
+        rng = np.random.default_rng(7)
+        centers = rng.uniform(-10.0, 10.0, (4, 12))
+        y = rng.integers(0, 4, 300)
+        x = centers[y] + rng.normal(0.0, 1.0, (300, 12))
+        ds = load_dataset(SyntheticBlobs(300, 12, 4, seed=7), split_seed=8)
+        self.assert_bit_identical(ds, x, y, 8)
+
+    def test_csv_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.normal(0.0, 3.0, (60, 5))
+        x[:, 2] = 1.5  # a constant feature stays unscaled
+        y = np.arange(60) % 3
+        p = tmp_path / "data.csv"
+        rows = [",".join(map(repr, [*row, label])) for row, label in zip(x.tolist(), y.tolist())]
+        p.write_text("\n".join(rows) + "\n")
+        ds = load_dataset(CsvSource(str(p), label_column=5), split_seed=10)
+        self.assert_bit_identical(ds, x, y, 10)
+
+    def test_idx_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        images = rng.integers(0, 256, (50, 3, 4), dtype=np.uint8)
+        labels = (np.arange(50) % 3).astype(np.uint8)
+        write_idx_images(tmp_path / "imgs", images)
+        write_idx_labels(tmp_path / "lbls", labels)
+        ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), split_seed=12)
+        x = images.reshape(50, 12).astype(np.float64)
+        self.assert_bit_identical(ds, x, labels.astype(np.int64), 12)
+
+    def test_peak_memory_near_the_returned_arrays(self):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = load_dataset(SyntheticBlobs(5000, 784, 10))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
+        assert peak <= 2.2 * returned

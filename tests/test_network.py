@@ -358,6 +358,43 @@ class TestBackward:
             net.backward(np.array([0, 1]))
 
 
+def cached(net):
+    """Layer ids that still hold a forward cache."""
+    return [
+        l.layer_id for l in net.layers
+        if getattr(l, "_cols", None) is not None or getattr(l, "_active", None) is not None
+    ]
+
+
+class TestActivationCache:
+    SPECS = [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Flatten(), Linear(32, 3)]
+
+    def test_backward_releases_every_cache(self):
+        net = init_network(self.SPECS, seed=50)
+        x = np.random.default_rng(51).normal(size=(6, 1, 4, 4))
+        net.forward(x)
+        assert cached(net) == ["layer0_conv", "layer1_relu", "layer3_linear"]
+        net.backward(np.arange(6) % 3)
+        assert cached(net) == []
+        assert net._logits is None
+        with pytest.raises(RuntimeError, match="stale"):
+            net.backward(np.arange(6) % 3)
+
+    def test_cache_free_forward_matches_and_leaves_cache_stale(self):
+        net = init_network(self.SPECS, seed=52)
+        x = np.random.default_rng(53).normal(size=(6, 1, 4, 4))
+        logits = net.forward(x).copy()
+        assert np.array_equal(net.forward(x, cache=False), logits)
+        assert cached(net) == []  # the earlier training forward's cache went too
+        with pytest.raises(RuntimeError, match="stale"):
+            net.backward(np.arange(6) % 3)
+
+    def test_layers_before_the_first_weighted_layer_cache_nothing(self):
+        net = init_network([ReLU(), Linear(4, 3), ReLU(), Linear(3, 2)], seed=54)
+        net.forward(np.random.default_rng(55).normal(size=(5, 4)))
+        assert cached(net) == ["layer1_linear", "layer2_relu", "layer3_linear"]
+
+
 class TestConvertToMasked:
     def test_all_ones_masks_identity_forward(self):
         specs = mlp_specs()

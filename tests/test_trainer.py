@@ -1,15 +1,18 @@
 """Optimizer, masked-step, schedule, and training-loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nmfprune.datasets import Dataset
 from nmfprune.masking import Mask
-from nmfprune.network import Linear, ReLU, convert_to_masked, init_network
+from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import (
     OptimizerState,
     SparsityViolationError,
     TrainConfig,
+    evaluate,
     lr_at,
     masked_train_step,
     run_training,
@@ -314,3 +317,49 @@ class TestRunTraining:
                 net, small_dataset(seed=27), TrainConfig(epochs=5, lr=0.1, batch_size=32, seed=28)
             )
             assert metrics[-1].train_loss < metrics[0].train_loss
+
+
+def small_conv_net(seed):
+    return init_network([
+        Conv2d(1, 8, 3, 3, padding=1), ReLU(), Conv2d(8, 16, 3, 3, stride=2, padding=1), ReLU(),
+        Flatten(), Linear(16 * 7 * 7, 10),
+    ], seed=seed)
+
+
+class TestEvaluate:
+    def test_accuracy_independent_of_batch_size(self):
+        net = small_conv_net(seed=29)
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(70, 1, 14, 14))
+        y = rng.integers(0, 10, 70)
+        expected = np.mean(net.forward(x).argmax(axis=1) == y)
+        assert 0.0 < expected < 1.0
+        for batch_size in (1, 7, 64):
+            assert evaluate(net, x, y, batch_size) == expected
+        with pytest.raises(RuntimeError, match="stale"):
+            net.backward(y[-6:])  # evaluation left no cache behind
+
+    def test_peak_memory_within_one_training_step(self):
+        batch = 32
+        net = small_conv_net(seed=31)
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(200, 1, 14, 14))
+        y = rng.integers(0, 10, 200)
+        cfg = TrainConfig(epochs=1, lr=0.01, batch_size=batch)
+        state = OptimizerState.for_network(net)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+
+            def peak(fn):
+                tracemalloc.reset_peak()
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+
+            # The first step also allocates the gradient buffers; measure the second.
+            masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg)
+            step = peak(lambda: masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg))
+            evaluation = peak(lambda: evaluate(net, x, y, batch))
+        finally:
+            tracemalloc.stop()
+        assert evaluation <= step
