@@ -25,6 +25,7 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +40,27 @@ class CheckpointError(ValueError):
     pass
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temp file in the target's directory, then rename it
-    over ``path``: a crash mid-write leaves the previous file whole."""
+def write_atomic(path, chunks: Iterable) -> None:
+    """Write the byte chunks in order to a temp file in the target's
+    directory, then rename it over ``path``: a crash mid-write leaves the
+    previous file whole. Chunks may be any bytes-like objects, arrays
+    included, and are written without copies."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # only left behind when a step failed
 
 
-def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
-    parts = [struct.pack("<Q", 0), struct.pack("<Q", len(tensors))]
+def _body_chunks(meta: dict, tensors: dict[str, np.ndarray]) -> Iterator:
+    """The container body in order; tensors are byte views of their arrays,
+    not copies."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    parts[0] = struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    yield struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    yield struct.pack("<Q", len(tensors))
     for name, tensor in tensors.items():
         arr = np.ascontiguousarray(tensor, dtype="<f8")
         if arr.ndim == 1:
@@ -61,12 +68,22 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
         if arr.ndim != 2:
             raise CheckpointError(f"tensor {name!r} must be 1D or 2D, got shape {tensor.shape}")
         name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name_bytes)) + name_bytes)
-        parts.append(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
-    blob = MAGIC + struct.pack("<I", VERSION) + body + struct.pack("<I", zlib.crc32(body))
-    write_atomic(path, blob)
+        yield struct.pack("<I", len(name_bytes)) + name_bytes + struct.pack("<QQ", *arr.shape)
+        yield arr.reshape(-1).view(np.uint8)
+
+
+def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Stream the container into ``path`` with a running body CRC."""
+
+    def chunks():
+        yield MAGIC + struct.pack("<I", VERSION)
+        crc = 0
+        for chunk in _body_chunks(meta, tensors):
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc)
+
+    write_atomic(path, chunks())
 
 
 class _Reader:

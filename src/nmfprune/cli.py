@@ -8,7 +8,8 @@ Subcommands:
     inspect  print a checkpoint's sparsity report
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime stage
-failure, 3 sparsity-invariant violation.
+failure or any other error, 3 sparsity-invariant violation. Failures are
+reported on stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def _flag(name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _distinct(values: list) -> list:
+    """``values``, or a ValueError naming the first one given twice: two runs
+    of one grid point would write into one output directory."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{repeated[0]!r} is given more than once")
+    return values
+
+
 def _say(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message)
@@ -170,7 +180,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--ks sets the factorization rank and needs [scorer] kind = nmf")
     # Every flag value is checked before the first run starts.
     with _flag("--targets"):
-        targets = (
+        targets = _distinct(
             [float(t) for t in args.targets.split(",")] if args.targets
             else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
         )
@@ -179,20 +189,21 @@ def _cmd_sweep(args) -> int:
             for t in targets
         ]
     with _flag("--ks"):
-        ks = [int(k) for k in args.ks.split(",")] if args.ks else [None]
+        ks = _distinct([int(k) for k in args.ks.split(",")] if args.ks else [None])
         scorers = [cfg.scorer if k is None else dataclasses.replace(cfg.scorer, k=k) for k in ks]
     base_out = Path(cfg.output_dir)
     for target, search in zip(targets, searches):
         for k, scorer in zip(ks, scorers):
+            # repr gives distinct floats distinct names.
             sub = dataclasses.replace(
                 cfg, gamma_search=search, scorer=scorer,
-                output_dir=base_out / (f"t{target:g}" + (f"_k{k}" if k is not None else "")),
+                output_dir=base_out / (f"t{target!r}" + (f"_k{k}" if k is not None else "")),
             )
             report = run_pipeline(sub)
             _warn_if_missed(report)
             _say(
                 args,
-                f"target {target:g}" + (f" k={k}" if k is not None else "") +
+                f"target {target!r}" + (f" k={k}" if k is not None else "") +
                 f": achieved {report.sparsity_report.global_sparsity:.4f}, "
                 f"accuracy {report.final_test_accuracy:.4f}",
             )
@@ -239,6 +250,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # a defect: still one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -120,6 +120,7 @@ class _WeightedLayer:
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None
+        self.kept: np.ndarray | None = None  # flat indices of the mask's 1.0 entries
         self._cols: np.ndarray | None = None
         self._x_shape: tuple | None = None
         self._out_shape: tuple | None = None
@@ -156,9 +157,9 @@ class _WeightedLayer:
         return dout @ self.weights
 
     def attach_mask(self, bits: np.ndarray) -> int:
-        """Freeze a copy of ``bits`` as this layer's mask and write +0.0 at
-        its pruned positions. Returns how many of those weights were non-zero
-        before."""
+        """Freeze a copy of ``bits`` as this layer's mask, and its kept flat
+        indices as ``kept``, and write +0.0 at its pruned positions. Returns
+        how many of those weights were non-zero before."""
         if bits.shape != self.weights.shape:
             raise ValueError(
                 f"mask shape {bits.shape} does not match weights "
@@ -168,8 +169,11 @@ class _WeightedLayer:
         pruned = mask == 0.0
         if not np.all(pruned | (mask == 1.0)):
             raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
+        kept = np.flatnonzero(mask)
         mask.flags.writeable = False
+        kept.flags.writeable = False
         self.mask = mask
+        self.kept = kept
         live = int(np.count_nonzero(self.weights[pruned]))
         self.weights[pruned] = 0.0
         return live
@@ -475,7 +479,7 @@ def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
         out = layer.output_shape(shape)
         if isinstance(layer, _WeightedLayer):
             positions = math.prod(out[1:])  # output pixels of a conv, 1 for a linear layer
-            kept = layer.weights.size if layer.mask is None else int(np.count_nonzero(layer.mask))
+            kept = layer.weights.size if layer.kept is None else layer.kept.size
             dense += 2 * layer.weights.size * positions
             sparse += 2 * kept * positions
         shape = out

@@ -107,7 +107,7 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
 def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
     """Write ``gamma_search.jsonl`` in ``out`` atomically, one line per probe."""
     lines = "".join(json.dumps(dataclasses.asdict(t)) + "\n" for t in trace)
-    write_atomic(out / "gamma_search.jsonl", lines.encode())
+    write_atomic(out / "gamma_search.jsonl", [lines.encode()])
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
@@ -127,7 +127,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             yield
         except Exception as exc:
             status = {"status": "incomplete", "stage": name, "error": str(exc)}
-            write_atomic(out / "status.json", (json.dumps(status) + "\n").encode())
+            write_atomic(out / "status.json", [(json.dumps(status) + "\n").encode()])
             raise StageError(name, exc) from exc
         wall[name] = time.perf_counter() - t0
 
@@ -189,6 +189,6 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         save_checkpoint(net, out / "checkpoint.bin")
 
     report.wall_times = wall
-    write_atomic(out / "report.json", (json.dumps(report.to_dict(), indent=2) + "\n").encode())
-    write_atomic(out / "status.json", (json.dumps({"status": "complete"}) + "\n").encode())
+    write_atomic(out / "report.json", [(json.dumps(report.to_dict(), indent=2) + "\n").encode()])
+    write_atomic(out / "status.json", [(json.dumps({"status": "complete"}) + "\n").encode()])
     return report

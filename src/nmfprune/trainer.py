@@ -1,13 +1,12 @@
 """SGD with momentum and weight decay, plus the sparsity-preserving loop.
 
-Every training step runs forward, backward, then for each masked layer zeroes
-the masked gradient entries and re-zeroes the masked weights immediately
-before the optimizer step. Because masked gradients and masked weights are
-exact zeros entering the step, weight decay contributes nothing at pruned
-positions and the zero count never moves; a post-step assertion enforces that
-with no tolerance. Masked weights enter training as +0.0 (see
-``network.convert_to_masked``) and the step keeps them +0.0. Momentum buffers
-are deliberately left untouched by the masks.
+Every training step runs forward and backward, zeroes the masked gradient
+entries (the paper's gradient masking), then runs the optimizer step. For a
+masked weight the step gathers only the kept entries (``layer.kept``),
+updates them and scatters them back, so the pruned weights are never written:
+they enter training as +0.0 (see ``network.convert_to_masked``) and stay
++0.0. A masked weight's momentum buffer holds its kept entries only. A
+post-step check enforces the zero count with no tolerance.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Momentum buffers, one per parameter, shapes tracking the parameters."""
+    """Momentum buffers, one per parameter. A masked weight's buffer is flat
+    and holds its kept entries, in the order of the layer's ``kept``
+    indices; every other buffer has its parameter's shape."""
 
     def __init__(self, buffers: dict[str, np.ndarray]):
         self.buffers = buffers
@@ -60,7 +61,9 @@ class OptimizerState:
     def for_network(cls, net: Network) -> "OptimizerState":
         buffers = {}
         for layer in net.weighted_layers:
-            buffers[f"{layer.layer_id}.weight"] = np.zeros_like(layer.weights)
+            buffers[f"{layer.layer_id}.weight"] = (
+                np.zeros_like(layer.weights) if layer.kept is None else np.zeros(layer.kept.size)
+            )
             buffers[f"{layer.layer_id}.bias"] = np.zeros_like(layer.bias)
         return cls(buffers)
 
@@ -100,13 +103,16 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
 
         buf <- momentum * buf + (grad + weight_decay * param)
         param <- param - lr * buf
+
+    A masked weight is updated at its kept indices only; its pruned entries
+    are not read or written.
     """
     for layer in net.weighted_layers:
         if layer.grad_weights is None or layer.grad_bias is None:
             raise RuntimeError(f"no gradients for layer {layer.layer_id!r}: run backward first")
-        for key, param, grad in (
-            (f"{layer.layer_id}.weight", layer.weights, layer.grad_weights),
-            (f"{layer.layer_id}.bias", layer.bias, layer.grad_bias),
+        for key, param, grad, kept in (
+            (f"{layer.layer_id}.weight", layer.weights, layer.grad_weights, layer.kept),
+            (f"{layer.layer_id}.bias", layer.bias, layer.grad_bias, None),
         ):
             finite = np.isfinite(grad)
             if not finite.all():
@@ -114,9 +120,21 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
                 raise FloatingPointError(f"non-finite gradient in {key}: {bad.size} entries, "
                                          f"first at flat index {bad[0]}")
             buf = state.buffers[key]
+            size = param.size if kept is None else kept.size
+            if buf.size != size:
+                raise RuntimeError(
+                    f"momentum buffer of {key} has {buf.size} entries but the parameter "
+                    f"updates {size}: build the optimizer state after attaching masks"
+                )
+            if kept is None:
+                p, g = param, grad
+            else:
+                p, g = np.take(param, kept), np.take(grad, kept)
             buf *= cfg.momentum
-            buf += grad + cfg.weight_decay * param
-            param -= lr * buf
+            buf += g + cfg.weight_decay * p
+            p -= lr * buf
+            if kept is not None:
+                np.put(param, kept, p)
     net.invalidate_cache()
 
 
@@ -130,17 +148,16 @@ def masked_train_step(
 ) -> StepResult:
     """One training step with strict mask enforcement.
 
-    Order is fixed: forward, backward, then per masked layer gradient masking
-    and weight re-masking, then the optimizer step. Masking multiplies by the
-    mask, so a non-finite gradient at a pruned position becomes NaN and still
-    fails the step. Afterwards every masked position must hold exactly 0.0 or
-    the step fails hard.
+    Order is fixed: forward, backward, gradient masking per masked layer, then
+    the optimizer step, which writes kept weights only. Masking multiplies the
+    gradient by the mask, so a non-finite gradient at a pruned position
+    becomes NaN and still fails the step. Afterwards every masked position
+    must hold exactly 0.0 or the step fails hard.
     """
     logits = net.forward(x)
     loss = net.backward(y)
     for layer in net.masked_layers:
         layer.grad_weights *= layer.mask
-        layer.weights *= layer.mask
     sgd_step(net, state, lr, cfg)
     for layer in net.masked_layers:
         violations = np.flatnonzero((layer.mask == 0.0) & (layer.weights != 0.0))

@@ -1,5 +1,9 @@
 """Container format round-trip and corruption rejection tests."""
 
+import json
+import struct
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -183,13 +187,14 @@ class TestLoadedMasks:
         save_checkpoint(trained_masked_net(seed=12), path)
         net = load_checkpoint(path)
         layer = net.masked_layers[0]
-        state = OptimizerState.for_network(net)
         injected = np.flatnonzero(layer.mask == 0.0)[[1, 4]]
-        state.buffers[f"{layer.layer_id}.weight"].flat[injected] = 5.0
+        # The step never writes pruned weights, so these stay live through it.
+        layer.weights.flat[injected] = 5.0
         rng = np.random.default_rng(13)
         with pytest.raises(SparsityViolationError) as err:
             masked_train_step(
-                net, rng.normal(size=(4, 6)), rng.integers(0, 3, 4), state, 0.1,
+                net, rng.normal(size=(4, 6)), rng.integers(0, 3, 4),
+                OptimizerState.for_network(net), 0.1,
                 TrainConfig(epochs=1, lr=0.1),
             )
         assert err.value.layer_id == layer.layer_id
@@ -201,28 +206,73 @@ class TestAtomicWrites:
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(trained_masked_net(seed=14), path)
         before = path.read_bytes()
-        write_bytes = Path.write_bytes
+        open_path = Path.open
 
-        def torn_write(self, data):
-            write_bytes(self, data[:100])
-            raise OSError("disk full")
+        class TornFile:
+            """Writes the first 100 bytes it is given, then fails."""
 
-        monkeypatch.setattr(Path, "write_bytes", torn_write)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: TornFile(open_path(self, *a, **k)))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(trained_masked_net(seed=15), path)
+        monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
+    def test_checkpoint_bytes_match_the_documented_layout(self, tmp_path):
+        net = trained_masked_net(seed=16)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(net, path)
+        meta, tensors = read_container(path)
+        body = struct.pack("<Q", len(json.dumps(meta, sort_keys=True)))
+        body += json.dumps(meta, sort_keys=True).encode() + struct.pack("<Q", len(tensors))
+        for name, arr in tensors.items():
+            body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<QQ", *arr.shape)
+            body += arr.astype("<f8").tobytes()
+        expected = b"ONGC" + struct.pack("<I", 1) + body + struct.pack("<I", zlib.crc32(body))
+        assert path.read_bytes() == expected
+
+    def test_save_peak_memory_below_one_and_a_half_tensor_copies(self, tmp_path):
+        net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=17)
+        rng = np.random.default_rng(18)
+        convert_to_masked(net, {
+            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.1).astype(float))
+            for l in net.prunable_layers
+        })
+        tensor_bytes = sum(
+            a.nbytes for l in net.weighted_layers for a in (l.weights, l.bias, l.mask)
+            if a is not None
+        )
+        tracemalloc.start()
+        try:
+            save_checkpoint(net, tmp_path / "ck.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * tensor_bytes
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
-        checkpoint.write_atomic(path, b"old")
+        checkpoint.write_atomic(path, [b"old"])
 
         def failing_replace(src, dst):
             raise OSError("rename failed")
 
         monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
         with pytest.raises(OSError, match="rename failed"):
-            checkpoint.write_atomic(path, b"new")
+            checkpoint.write_atomic(path, [b"new"])
         assert path.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 

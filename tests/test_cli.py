@@ -196,6 +196,24 @@ def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc", [KeyError("layer"), ZeroDivisionError("division by zero")])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unexpected_exception_exits_2_without_traceback(
+    config_path, capsys, monkeypatch, exc, command
+):
+    import nmfprune.cli as cli_module
+
+    def failing_pipeline(cfg):
+        raise exc
+
+    path, _ = config_path
+    monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
+    assert main([command, "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err
+
+
 class TestScore:
     def test_dumps_score_tensors(self, config_path, capsys):
         path, out = config_path
@@ -244,6 +262,24 @@ class TestSweep:
         ) == 0
         assert (out / "t0.5_k2" / "report.json").exists()
         assert (out / "t0.7_k2" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--targets", "0.5,0.7,0.50"], ["--ks", "2,3,02"]], ids=["targets", "ks"]
+    )
+    def test_repeated_grid_value_exits_1_before_any_run(self, config_path, capsys, flags):
+        path, out = config_path
+        assert main(["sweep", "--config", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]}: ") and "given more than once" in err
+        assert not out.exists()
+
+    def test_close_targets_get_their_own_directories(self, config_path, capsys):
+        path, out = config_path
+        targets = "0.7000001,0.7000004"
+        assert main(["sweep", "--config", str(path), "--targets", targets, "--quiet"]) == 0
+        for target in targets.split(","):
+            report = json.loads((out / f"t{target}" / "report.json").read_text())
+            assert report["gamma_search"]["target"] == float(target)
 
     def test_ks_needs_nmf_scorer(self, config_path, tmp_path, capsys):
         path, out = config_path

@@ -106,6 +106,41 @@ class TestSgdStep:
         ):
             sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
 
+    def test_masked_step_never_writes_pruned_weights(self):
+        net = make_net(seed=36)
+        convert_to_masked(net, random_masks(net, keep=0.4, seed=37))
+        cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        state = OptimizerState.for_network(net)
+        for _ in range(3):
+            set_grads(net, 1.0)  # non-zero at the pruned positions too
+            sgd_step(net, state, 0.1, cfg)
+        layer = net.masked_layers[0]
+        pruned = layer.weights[layer.mask == 0.0]
+        assert pruned.size and np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
+        assert np.all(layer.weights[layer.mask == 1.0] != 0.0)
+
+    def test_masked_buffer_holds_kept_entries_only(self):
+        net = make_net(seed=38)
+        convert_to_masked(net, random_masks(net, keep=0.4, seed=39))
+        state = OptimizerState.for_network(net)
+        for layer in net.weighted_layers:
+            buf = state.buffers[f"{layer.layer_id}.weight"]
+            expected = layer.weights.shape if layer.kept is None else (layer.kept.size,)
+            assert buf.shape == expected
+            assert state.buffers[f"{layer.layer_id}.bias"].shape == layer.bias.shape
+
+    def test_state_built_before_masks_rejected(self):
+        net = make_net(seed=40)
+        state = OptimizerState.for_network(net)
+        convert_to_masked(net, random_masks(net, keep=0.5, seed=41))
+        set_grads(net, 1.0)
+        before = [l.weights.copy() for l in net.weighted_layers]
+        with pytest.raises(
+            RuntimeError, match=r"momentum buffer of layer0_linear.weight has 32 entries"
+        ):
+            sgd_step(net, state, 0.1, TrainConfig(epochs=1, lr=0.1))
+        assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
+
     def test_missing_gradients_rejected(self):
         net = make_net()
         cfg = TrainConfig(epochs=1, lr=0.1)
@@ -186,17 +221,51 @@ class TestMaskedTrainStep:
         net = make_net(seed=10)
         convert_to_masked(net, random_masks(net, keep=0.5, seed=11))
         layer = net.masked_layers[0]
-        # Corrupt a buffer so the optimizer pushes a masked weight off zero.
+        # The step never writes pruned weights, so a live one stays live.
         state = OptimizerState.for_network(net)
         masked_index = tuple(np.argwhere(layer.mask == 0.0)[0])
-        state.buffers[f"{layer.layer_id}.weight"][masked_index] = 123.0
+        layer.weights[masked_index] = 123.0
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9)
         rng = np.random.default_rng(12)
         with pytest.raises(SparsityViolationError) as err:
             masked_train_step(net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4), state, 0.1, cfg)
         assert err.value.layer_id == layer.layer_id
-        assert len(err.value.indices) >= 1
+        assert err.value.indices.tolist() == [np.ravel_multi_index(masked_index, layer.mask.shape)]
 
+    @pytest.mark.parametrize("keep", [0.0, 0.3, 0.9, 1.0])
+    def test_kept_index_update_matches_dense_update_bitwise(self, keep):
+        specs = [Linear(4, 8), ReLU(), Linear(8, 6), ReLU(), Linear(6, 3)]
+        cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        net = init_network(specs, seed=42)
+        masks = random_masks(net, keep=keep, seed=43)
+        convert_to_masked(net, masks)
+        state = OptimizerState.for_network(net)
+        # Reference: the dense update over every entry, with masked gradients
+        # and weights re-masked before each step.
+        ref = init_network(specs, seed=42)
+        bits = {lid: m.bits for lid, m in masks.items()}
+        for layer in ref.prunable_layers:
+            layer.weights[bits[layer.layer_id] == 0.0] = 0.0
+        params = [(l, name) for l in ref.weighted_layers for name in ("weights", "bias")]
+        bufs = [np.zeros_like(getattr(l, name)) for l, name in params]
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, 8)
+            masked_train_step(net, x, y, state, 0.1, cfg)
+            ref.forward(x)
+            ref.backward(y)
+            for layer in ref.prunable_layers:
+                layer.grad_weights *= bits[layer.layer_id]
+                layer.weights *= bits[layer.layer_id]
+            for (layer, name), buf in zip(params, bufs):
+                param = getattr(layer, name)
+                grad = layer.grad_weights if name == "weights" else layer.grad_bias
+                buf *= cfg.momentum
+                buf += grad + cfg.weight_decay * param
+                param -= 0.1 * buf
+            for a, b in zip(net.weighted_layers, ref.weighted_layers):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
 
     def test_non_finite_gradient_at_pruned_position_raises(self):
         net = make_net(seed=30)
