@@ -9,13 +9,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 config or validation error, 2 runtime stage
 failure or any other error, 3 sparsity-invariant violation. Failures are
-reported on stderr, never as a traceback.
+reported on stderr, never as a traceback. Warnings logged by the library
+(a factorization at full rank) and a missed sparsity target are printed as
+``warning:`` lines on stderr, even with ``--quiet``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -231,6 +234,12 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "inspect": _cmd_inspect,
     }
+    # Library warnings go to this call's stderr, one line each.
+    warning_lines = logging.StreamHandler(sys.stderr)
+    warning_lines.setFormatter(logging.Formatter("warning: %(message)s"))
+    warning_lines.setLevel(logging.WARNING)
+    library_log = logging.getLogger("nmfprune")
+    library_log.addHandler(warning_lines)
     try:
         return commands[args.command](args)
     except (ConfigError, DatasetError) as exc:
@@ -254,6 +263,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect: still one line, never a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        library_log.removeHandler(warning_lines)
 
 
 def entry() -> None:

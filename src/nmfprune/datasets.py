@@ -154,7 +154,9 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
     if len(raw) < header_len:
         raise DatasetError(f"idx file {path} truncated in dimension header")
     dims = struct.unpack(f">{n_dims}i", raw[4:header_len])
-    count = int(np.prod(dims))
+    if min(dims) < 0:
+        raise DatasetError(f"idx file {path} has a negative dimension in its header {dims}")
+    count = math.prod(dims)  # Python ints: a product past 2**63 cannot wrap to a match
     if len(raw) != header_len + count:
         raise DatasetError(
             f"idx file {path} has {len(raw) - header_len} data bytes, expected {count}"

@@ -77,7 +77,9 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     are ||W||^2 - 2 <F.T @ W, G> + <F.T @ F, G @ G.T> from the G update's
     products, clamped at 0.0 since rounding can push a near-exact fit below it.
     The requested rank is clamped to min(k, rows, cols) when the matrix is
-    smaller than k in either dimension.
+    smaller than k in either dimension. At the full rank min(rows, cols), the
+    clamp included, the fit is exact up to rounding, so the reconstruction
+    error is rounding residue: that logs a warning on this module's logger.
     """
     check_matrix(w_abs, "w_abs")
     if np.any(w_abs < 0):
@@ -85,8 +87,11 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
 
     m, p = w_abs.shape
     k_eff = min(cfg.k, m, p)
-    if k_eff < cfg.k:
-        log.info("clamping rank from %d to %d for a %dx%d matrix", cfg.k, k_eff, m, p)
+    if k_eff == min(m, p):
+        log.warning(
+            "rank %d (k = %d) is the full rank of a %dx%d matrix: the fit is exact up to "
+            "rounding and its scores are noise", k_eff, cfg.k, m, p,
+        )
 
     rng = np.random.default_rng(cfg.seed)
     scale = np.sqrt(w_abs.mean() / k_eff)

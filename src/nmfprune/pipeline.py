@@ -1,10 +1,18 @@
 """End-to-end orchestration: score, tune, prune, train, report.
 
-Stage 1 scores every prunable layer (factorization-based or magnitude).
-Stage 2 fixes the threshold scale gamma (searched against a sparsity target,
-or taken from the config), generates the final masks, and prunes. Stage 3
-trains with gradient and weight masking. Each stage is timed; artifacts land
-in the run's output directory:
+The stages run in ``STAGES`` order, except that the data stage (load, split,
+standardize) runs on a second thread beside the score stage: scores come from
+the initial weights alone, the two share no state, and NumPy releases the
+interpreter lock in their heavy work, so they overlap on two cores. The score
+stage scores every prunable layer (factorization-based or magnitude). After
+both finish, the mask stage fixes the threshold scale gamma (searched against
+a sparsity target, or taken from the config), generates the final masks, and
+prunes. The train stage masks each step's weight gradients and updates only
+the kept weights, so pruned weights stay exactly zero; the report stage
+counts, evaluates and saves. Each stage is timed on the thread that runs it,
+so ``wall_times["data"]`` is the loader's own elapsed time and the five
+stage times can sum to more than the run. Artifacts land in the run's output
+directory:
 
     report.json        full run report
     gamma_search.jsonl one line per search probe
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -110,35 +119,70 @@ def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
     write_atomic(out / "gamma_search.jsonl", [lines.encode()])
 
 
+@contextmanager
+def _stage(name: str, wall: dict[str, float]):
+    """Time the block into ``wall[name]``; its failure is a StageError naming
+    the stage, with the original exception chained."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    wall[name] = time.perf_counter() - t0
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute all stages of a run; see the module docstring for outputs.
 
     Any stage failure writes an incomplete-status marker and raises a
-    StageError naming the stage, with the original exception chained.
+    StageError naming the stage, with the original exception chained. When
+    the data and score stages both fail, the data stage is the one named, as
+    it comes first.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wall: dict[str, float] = {}
+    try:
+        report = _run_stages(cfg, out)
+    except StageError as err:
+        status = {"status": "incomplete", "stage": err.stage, "error": str(err.__cause__)}
+        write_atomic(out / "status.json", [(json.dumps(status) + "\n").encode()])
+        raise
+    write_atomic(out / "report.json", [(json.dumps(report.to_dict(), indent=2) + "\n").encode()])
+    write_atomic(out / "status.json", [(json.dumps({"status": "complete"}) + "\n").encode()])
+    return report
 
-    @contextmanager
-    def stage(name: str):
-        t0 = time.perf_counter()
+
+def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
+    """The stages of ``run_pipeline``; a failure is a StageError."""
+    # Every key exists up front, so the loader thread only replaces a value.
+    wall = dict.fromkeys(STAGES, 0.0)
+    loaded: list = []  # the Dataset, or the exception the loader raised
+
+    def load() -> None:
         try:
-            yield
-        except Exception as exc:
-            status = {"status": "incomplete", "stage": name, "error": str(exc)}
-            write_atomic(out / "status.json", [(json.dumps(status) + "\n").encode()])
-            raise StageError(name, exc) from exc
-        wall[name] = time.perf_counter() - t0
+            with _stage("data", wall):
+                loaded.append(load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data")))
+        except BaseException as exc:  # re-raised on the calling thread after the join
+            loaded.append(exc)
 
-    with stage("data"):
-        dataset = load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
+    loader = threading.Thread(target=load, name="nmfprune-data")
+    loader.start()
+    score_error = None
+    try:
+        with _stage("score", wall):
+            net = init_network(cfg.model, cfg.seed)
+            scores = compute_scores(net, cfg.scorer, cfg.seed)
+    except StageError as err:
+        score_error = err
+    finally:
+        loader.join()
+    # Both stages have ended; a failure is raised in stage order, data first.
+    (dataset,) = loaded
+    for failure in (dataset, score_error):
+        if isinstance(failure, BaseException):
+            raise failure
 
-    with stage("score"):
-        net = init_network(cfg.model, cfg.seed)
-        scores = compute_scores(net, cfg.scorer, cfg.seed)
-
-    with stage("mask"):
+    with _stage("mask", wall):
         trace: list[GammaTraceEntry] = []
         search = None
         if cfg.gamma_search is not None:
@@ -157,7 +201,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         masks = generate_all_masks(scores, cfg.threshold.t_type, gamma_star)
         net = convert_to_masked(net, masks)
 
-    with stage("train"):
+    with _stage("train", wall):
         train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, "train"))
         with open(out / "epochs.jsonl", "w", encoding="utf-8") as epoch_log:
 
@@ -169,7 +213,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
 
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
 
-    with stage("report"):
+    with _stage("report", wall):
         flops = flops_estimate(net, model_input(net, dataset, dataset.test_x[:1]).shape[1:])
         if metrics:
             final_acc = metrics[-1].test_accuracy
@@ -189,6 +233,4 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         save_checkpoint(net, out / "checkpoint.bin")
 
     report.wall_times = wall
-    write_atomic(out / "report.json", [(json.dumps(report.to_dict(), indent=2) + "\n").encode()])
-    write_atomic(out / "status.json", [(json.dumps({"status": "complete"}) + "\n").encode()])
     return report

@@ -137,8 +137,33 @@ class TestRun:
             )
         )
         assert main(["run", "--config", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 'data' failed: label '1e300' at row 41")
+        *warnings, error = capsys.readouterr().err.splitlines()
+        # The score stage runs beside the data stage; k = 4 is the full rank of 32x2.
+        assert warnings == [
+            "warning: rank 2 (k = 4) is the full rank of a 32x2 matrix: the fit is exact "
+            "up to rounding and its scores are noise"
+        ]
+        assert error.startswith("error: stage 'data' failed: label '1e300' at row 41")
+
+    def test_data_failure_is_reported_over_score_failure(
+        self, config_path, capsys, monkeypatch
+    ):
+        from nmfprune import pipeline
+        from nmfprune.datasets import DatasetError
+
+        def fail(error):
+            def raise_error(*args, **kwargs):
+                raise error
+
+            return raise_error
+
+        monkeypatch.setattr(pipeline, "load_dataset", fail(DatasetError("bad data")))
+        monkeypatch.setattr(pipeline, "compute_scores", fail(RuntimeError("bad scores")))
+        path, out = config_path
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: stage 'data' failed: bad data\n"
+        status = json.loads((out / "status.json").read_text())
+        assert status == {"status": "incomplete", "stage": "data", "error": "bad data"}
 
     def test_stage_failure_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -212,6 +237,21 @@ def test_unexpected_exception_exits_2_without_traceback(
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "score", "tune", "sweep"])
+def test_full_rank_factorization_warns_even_when_quiet(config_path, tmp_path, capsys, command):
+    # k = 16 is the full rank of the 32x16 first layer.
+    path, _ = config_path
+    full_rank = tmp_path / "full_rank.cfg"
+    full_rank.write_text(path.read_text().replace("k = 4", "k = 16"))
+    assert main([command, "--config", str(full_rank), "--quiet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: rank 16 (k = 16) is the full rank of a 32x16 matrix: the fit is exact "
+        "up to rounding and its scores are noise"
+    ]
 
 
 class TestScore:

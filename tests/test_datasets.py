@@ -157,6 +157,20 @@ class TestIdx:
         with pytest.raises(DatasetError, match="data bytes"):
             load_dataset(IdxSource(str(p), str(p)))
 
+    @pytest.mark.parametrize(
+        "dims, n_bytes, match",
+        [
+            ((-1, -28, 28), 784, "negative dimension"),  # the product is 784
+            ((2**30, 2**30, 16), 0, "data bytes"),  # an int64 product wraps to 0
+        ],
+    )
+    def test_bad_header_dimensions_rejected(self, tmp_path, dims, n_bytes, match):
+        p = tmp_path / "imgs"
+        p.write_bytes(struct.pack(">iiii", 0x00000803, *dims) + bytes(n_bytes))
+        with pytest.raises(DatasetError, match=match) as err:
+            load_dataset(IdxSource(str(p), str(p)))
+        assert str(p) in str(err.value)
+
     def test_count_mismatch_rejected(self, tmp_path):
         images = np.zeros((5, 2, 2), dtype=np.uint8)
         labels = np.zeros(6, dtype=np.uint8)

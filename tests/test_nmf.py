@@ -1,5 +1,7 @@
 """Factorization and score tests: convergence, monotonicity, determinism."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ class TestFactorize:
         assert result.k_eff == 3
         assert result.f.shape == (3, 3)
         assert result.g.shape == (3, 5)
+
+    @pytest.mark.parametrize("k, warns", [(10, True), (4, True), (3, False)])
+    def test_full_rank_warns(self, caplog, k, warns):
+        w = np.random.default_rng(7).random((4, 6))
+        with caplog.at_level(logging.WARNING, logger="nmfprune"):
+            factorize(w, NmfConfig(k=k, seed=0))
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if warns:
+            assert messages == [
+                f"rank 4 (k = {k}) is the full rank of a 4x6 matrix: the fit is exact up to "
+                "rounding and its scores are noise"
+            ]
+        else:
+            assert messages == []
 
     def test_zero_rows_converge_to_zero_reconstruction(self):
         w = np.random.default_rng(8).random((6, 4))

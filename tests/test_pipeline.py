@@ -1,12 +1,14 @@
 """End-to-end pipeline tests on the synthetic-blobs task."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from nmfprune.checkpoint import load_checkpoint
-from nmfprune.datasets import SyntheticBlobs
+from nmfprune.datasets import DatasetError, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Linear, ReLU, count_zero_weights
 from nmfprune.nmf import NmfConfig
@@ -133,6 +135,86 @@ class TestRunPipeline:
             status = json.loads((cfg.output_dir / "status.json").read_text())
             assert status == {"status": "incomplete", "stage": stage, "error": "injected failure"}
             assert not (cfg.output_dir / "report.json").exists()
+
+    def test_data_stage_runs_beside_score_stage(self, tmp_path, monkeypatch):
+        # The loader waits for the score stage to start, which only a
+        # concurrent data stage can see.
+        scoring = threading.Event()
+        load, compute = pipeline.load_dataset, pipeline.compute_scores
+
+        def load_once_scoring(*args, **kwargs):
+            if not scoring.wait(timeout=5):
+                raise TimeoutError("the score stage did not start during the data stage")
+            return load(*args, **kwargs)
+
+        def compute_and_signal(*args, **kwargs):
+            scoring.set()
+            time.sleep(0.5)  # the loader finishes meanwhile
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_dataset", load_once_scoring)
+        monkeypatch.setattr(pipeline, "compute_scores", compute_and_signal)
+        cfg = base_config(tmp_path, train=TrainConfig(epochs=1, lr=0.1, batch_size=64))
+        report = run_pipeline(cfg)
+        assert abs(report.sparsity_report.global_sparsity - 0.8) <= 0.005
+        assert tuple(report.wall_times) == STAGES
+        assert all(t > 0 for t in report.wall_times.values())
+        # The data stage is timed on the loader's thread, not until the join.
+        assert report.wall_times["data"] < 0.5 <= report.wall_times["score"]
+
+    @pytest.mark.parametrize("score_fails", [False, True])
+    def test_data_failure_is_reported_after_the_score_stage(
+        self, tmp_path, monkeypatch, score_fails
+    ):
+        # The loader fails only once the score stage has ended, failed or not.
+        scored = threading.Event()
+        compute = pipeline.compute_scores
+
+        def late_failing_load(*args, **kwargs):
+            scored.wait(timeout=5)
+            raise DatasetError("injected data failure")
+
+        def compute_then_signal(*args, **kwargs):
+            try:
+                if score_fails:
+                    raise RuntimeError("injected score failure")
+                return compute(*args, **kwargs)
+            finally:
+                scored.set()
+
+        monkeypatch.setattr(pipeline, "load_dataset", late_failing_load)
+        monkeypatch.setattr(pipeline, "compute_scores", compute_then_signal)
+        cfg = base_config(tmp_path, train=TrainConfig(epochs=1, lr=0.1, batch_size=64))
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "data"
+        assert isinstance(err.value.__cause__, DatasetError)
+        out = cfg.output_dir
+        status = json.loads((out / "status.json").read_text())
+        assert status == {"status": "incomplete", "stage": "data", "error": "injected data failure"}
+        assert sorted(p.name for p in out.iterdir()) == ["status.json"]
+
+    def test_failed_score_stage_leaves_no_loader_running(self, tmp_path, monkeypatch):
+        loaders = []
+        load = pipeline.load_dataset
+
+        def slow_load(*args, **kwargs):
+            loaders.append(threading.current_thread())
+            time.sleep(0.3)
+            return load(*args, **kwargs)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(pipeline, "load_dataset", slow_load)
+        monkeypatch.setattr(pipeline, "compute_scores", fail)
+        cfg = base_config(tmp_path)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "score"
+        assert len(loaders) == 1
+        assert loaders[0] is not threading.current_thread()
+        assert not loaders[0].is_alive()
 
     def test_report_records_the_search_outcome(self, tmp_path):
         searched = base_config(tmp_path)
