@@ -23,7 +23,6 @@ from .masking import (
     layer_threshold,
     tune_gamma,
 )
-from .matrix import MatrixStats, abs_map, frobenius_sq, stats
 from .network import (
     Conv2d,
     Flatten,

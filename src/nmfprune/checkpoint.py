@@ -120,10 +120,18 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"checksum failure reading {path}")
 
     reader = _Reader(body, path)
-    meta = json.loads(reader.take(reader.u64()).decode("utf-8"))
+    meta_bytes = reader.take(reader.u64())
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CheckpointError(f"{path}: metadata is not UTF-8 JSON: {exc}") from None
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u64()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name_bytes = reader.take(reader.u32())
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from None
         rows = reader.u64()
         cols = reader.u64()
         data = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8")

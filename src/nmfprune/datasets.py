@@ -192,6 +192,8 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
         x, y, image_shape = _idx(spec)
     else:
         raise DatasetError(f"unknown dataset spec {spec!r}")
+    if x.shape[1] == 0:
+        raise DatasetError(f"{spec} has no feature columns")
 
     n = len(x)
     n_train = int(n * 0.8)

@@ -1,10 +1,11 @@
 """Score thresholding, binary masks, and the global-sparsity gamma search.
 
 Each layer gets its own threshold from its score statistics: mean + gamma*std
-("std" mode) or median + gamma*mad ("mad" mode). One shared scaling factor
-``gamma`` therefore controls how aggressively every layer prunes; a bisection
-search tunes it until the global fraction of pruned weights hits a target.
-Scores at or above the threshold are kept (ties survive).
+("std" mode, population std) or median + gamma*mad ("mad" mode, lower median,
+unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
+aggressively every layer prunes; a bisection search tunes it until the global
+fraction of pruned weights hits a target. Scores at or above the threshold are
+kept (ties survive).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import MatrixStats, check_matrix, stats
 from .nmf import ScoreMatrix
 
 T_TYPES = ("std", "mad")
@@ -114,22 +114,33 @@ class GammaSearchResult:
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
-def _threshold(st: MatrixStats, t_type: str, gamma: float) -> float:
+def _lower_median(a: np.ndarray) -> float:
+    """Median with the lower of the two middle elements for even counts:
+    deterministic and oracle-checkable, unlike the interpolating convention."""
+    flat = np.ravel(a)
+    k = (flat.size - 1) // 2
+    return float(np.partition(flat, k)[k])
+
+
+def _center_spread(scores: np.ndarray, t_type: str) -> tuple[float, float]:
+    """The two statistics the ``t_type`` rule reads, and only those:
+    (mean, population std) or (lower median, unscaled MAD)."""
     if t_type == "std":
-        return st.mean + gamma * st.std
-    return st.median + gamma * st.mad
+        return float(scores.mean()), float(scores.std())
+    median = _lower_median(scores)
+    return median, _lower_median(np.abs(scores - median))
 
 
 def layer_threshold(scores: ScoreMatrix, cfg: ThresholdConfig) -> float:
     """Pruning threshold for one layer from its own score statistics."""
-    return _threshold(stats(scores.scores), cfg.t_type, cfg.gamma)
+    center, spread = _center_spread(scores.scores, cfg.t_type)
+    return center + cfg.gamma * spread
 
 
 def generate_mask(scores: ScoreMatrix, threshold: float) -> Mask:
     """Keep (1.0) every score >= threshold, prune (0.0) the rest."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    check_matrix(scores.scores, "scores")
     bits = (scores.scores >= threshold).astype(np.float64)
     return Mask(layer_id=scores.layer_id, bits=bits)
 
@@ -171,13 +182,11 @@ def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
     return sparsity_report({layer_id: mask.bits for layer_id, mask in masks.items()})
 
 
-def _sparsity_at(
-    layers: list[tuple[np.ndarray, MatrixStats]], t_type: str, gamma: float
-) -> float:
+def _sparsity_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) -> float:
     """Global sparsity if masks were generated at ``gamma`` (masks not kept),
-    from each layer's scores and their precomputed statistics."""
-    zeros = sum(int(np.count_nonzero(s < _threshold(st, t_type, gamma))) for s, st in layers)
-    return zeros / sum(s.size for s, _ in layers)
+    from each layer's scores and their precomputed center and spread."""
+    zeros = sum(int(np.count_nonzero(s < center + gamma * spread)) for s, center, spread in layers)
+    return zeros / sum(s.size for s, _, _ in layers)
 
 
 def tune_gamma(
@@ -194,18 +203,19 @@ def tune_gamma(
     seen is returned with ``hit_target=False``; the best-so-far slot starts at
     ``gamma_guess``, so a search that never improves on it hands it back.
 
-    Each layer's score statistics do not depend on gamma, so they are computed
-    once per search; a probe only counts the scores below each threshold.
+    Each layer's center and spread do not depend on gamma, so they are
+    computed once per search; a probe only counts the scores below each
+    threshold.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
-    layers = [(sm.scores, stats(sm.scores)) for sm in all_scores.values()]
+    layers = [(sm.scores, *_center_spread(sm.scores, t)) for sm in all_scores.values()]
 
     lo = cfg.gamma_min
     hi = cfg.gamma_max
     gamma_best = cfg.gamma_guess
-    s_closest = _sparsity_at(layers, t, cfg.gamma_guess)
+    s_closest = _sparsity_at(layers, cfg.gamma_guess)
     trace = [GammaTraceEntry(0, cfg.gamma_guess, s_closest, lo, hi)]
 
     iterations = 0
@@ -214,7 +224,7 @@ def tune_gamma(
         gamma = (lo + hi) / 2.0
         if gamma < _GAMMA_FLOOR:
             gamma = _GAMMA_FLOOR
-        achieved = _sparsity_at(layers, t, gamma)
+        achieved = _sparsity_at(layers, gamma)
         trace.append(GammaTraceEntry(it, gamma, achieved, lo, hi))
         if abs(achieved - cfg.s_target) < abs(s_closest - cfg.s_target):
             s_closest = achieved

@@ -15,9 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import abs_map, check_matrix, frobenius_sq
-
 log = logging.getLogger(__name__)
+
+
+def _check_matrix(a: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``a`` is a finite,
+    non-empty 2D float64 array. Only ``factorize`` and ``ScoreMatrix`` call
+    it: nothing downstream of them checks a matrix again."""
+    if not isinstance(a, np.ndarray) or a.ndim != 2:
+        raise ValueError(f"{name} must be a 2D array, got {getattr(a, 'shape', type(a))}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"{name} must have at least one row and column, got shape {a.shape}")
+    if a.dtype != np.float64:
+        raise ValueError(f"{name} must be float64, got {a.dtype}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains NaN or Inf")
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,9 @@ class ScoreMatrix:
     layer_id: str
     scores: np.ndarray
 
+    def __post_init__(self):
+        _check_matrix(self.scores, f"scores of {self.layer_id!r}")
+
 
 def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     """Factorize a non-negative matrix with multiplicative updates.
@@ -81,7 +96,7 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     clamp included, the fit is exact up to rounding, so the reconstruction
     error is rounding residue: that logs a warning on this module's logger.
     """
-    check_matrix(w_abs, "w_abs")
+    _check_matrix(w_abs, "w_abs")
     if np.any(w_abs < 0):
         raise ValueError(f"w_abs must be non-negative, min is {w_abs.min()}")
 
@@ -101,8 +116,8 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
 
     eps = cfg.epsilon
     trace = np.empty(cfg.n_iter + 1)
-    trace[0] = frobenius_sq(w_abs - f @ g)
-    w_sq = frobenius_sq(w_abs)
+    trace[0] = np.sum(np.square(w_abs - f @ g))  # no residual lives on through the loop
+    w_sq = np.sum(np.square(w_abs))
     ggt = g @ g.T
     for it in range(cfg.n_iter):
         f *= (w_abs @ g.T) / (f @ ggt + eps)
@@ -120,7 +135,7 @@ def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> Score
     Operates on |w| only (the result is invariant under sign flips of the
     weights) and never mutates ``w``.
     """
-    w_abs = abs_map(w)
+    w_abs = np.abs(w)
     result = factorize(w_abs, cfg)
     scores = np.abs(w_abs - result.f @ result.g)
     return ScoreMatrix(layer_id=layer_id, scores=scores)

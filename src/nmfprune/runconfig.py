@@ -2,7 +2,8 @@
 
 The format is line oriented with ``[section]`` headers. ``#`` starts a comment
 that runs to the end of the line, and blank lines are ignored. ``layer`` may
-repeat inside ``[model]``; all other keys appear at most once per section.
+repeat inside ``[model]``; all other keys appear at most once per section,
+and each ``name=value`` option at most once per layer.
 A section's keys are the fields of the dataclass it builds, so the defaults
 are the dataclass defaults and a key that names no field is an error. Exactly
 one of a fixed ``gamma`` under ``[threshold]`` or a ``[gamma_search]``
@@ -51,10 +52,9 @@ class RunConfig:
     seed: int = 0
     checkpoint_every: int | None = None  # periodic checkpoints, in epochs
 
-    @property
-    def target_mode(self) -> bool:
-        """True when a sparsity target drives the gamma search."""
-        return self.gamma_search is not None
+    def __post_init__(self):
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
 
 
 def _parse_bool(token: str) -> bool:
@@ -178,7 +178,11 @@ def _parse_layer(value: str, location: str) -> LayerSpec:
     required = [f.name for f in fields(cls) if f.default is MISSING]
     optional = {f.name for f in fields(cls)} - set(required)
     positional = [t for t in args if "=" not in t]
-    options = dict(t.split("=", 1) for t in args if "=" in t)
+    options: dict[str, str] = {}
+    for name, text in (t.split("=", 1) for t in args if "=" in t):
+        if name in options:
+            raise ConfigError(f"{location}: duplicate {kind} option {name!r}")
+        options[name] = text
     if len(positional) != len(required):
         usage = " ".join(f"<{name}>" for name in required) or "no positional arguments"
         raise ConfigError(f"{location}: {kind} takes {usage}")

@@ -311,3 +311,30 @@ def test_bad_checkpoint_metadata_rejected(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _container_bytes(meta: bytes, name: bytes) -> bytes:
+    """A CRC-valid container holding ``meta`` as its metadata and one 1x1
+    tensor called ``name``, both written as given."""
+    body = struct.pack("<Q", len(meta)) + meta + struct.pack("<Q", 1)
+    body += struct.pack("<I", len(name)) + name + struct.pack("<QQd", 1, 1, 0.0)
+    return b"ONGC" + struct.pack("<I", 1) + body + struct.pack("<I", zlib.crc32(body))
+
+
+UNDECODABLE = {
+    "metadata-not-json": (b"{kind: checkpoint", b"w"),
+    "metadata-not-utf8": (b'{"kind": "\xff"}', b"w"),
+    "tensor-name-not-utf8": (b'{"kind": "checkpoint"}', b"\xffw"),
+}
+
+
+@pytest.mark.parametrize("meta, name", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_undecodable_container_names_the_file(tmp_path, capsys, meta, name):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(_container_bytes(meta, name))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

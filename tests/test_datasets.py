@@ -124,6 +124,13 @@ class TestCsv:
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(CsvSource("/nonexistent.csv", label_column=0))
 
+    def test_label_column_only_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("0\n1\n" * 10)
+        with pytest.raises(DatasetError, match="has no feature columns") as err:
+            load_dataset(CsvSource(str(p), label_column=0))
+        assert str(p) in str(err.value)
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("1.0,2.0,0\n1.0,2.0,3.0,0\n")
@@ -170,6 +177,14 @@ class TestIdx:
         with pytest.raises(DatasetError, match=match) as err:
             load_dataset(IdxSource(str(p), str(p)))
         assert str(p) in str(err.value)
+
+    def test_zero_pixel_images_rejected(self, tmp_path):
+        labels = np.arange(50, dtype=np.uint8) % 2
+        write_idx_images(tmp_path / "imgs", np.zeros((50, 0, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", labels)
+        with pytest.raises(DatasetError, match="has no feature columns") as err:
+            load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
+        assert str(tmp_path / "imgs") in str(err.value)
 
     def test_count_mismatch_rejected(self, tmp_path):
         images = np.zeros((5, 2, 2), dtype=np.uint8)

@@ -16,7 +16,6 @@ from nmfprune.masking import (
     layer_threshold,
     tune_gamma,
 )
-from nmfprune.matrix import stats
 from nmfprune.nmf import ScoreMatrix
 
 
@@ -218,11 +217,13 @@ class TestTuneGamma:
     def test_stats_computed_once_per_layer_per_search(self, monkeypatch):
         calls = []
 
-        def counting_stats(a):
-            calls.append(id(a))
-            return stats(a)
+        center_spread = masking._center_spread
 
-        monkeypatch.setattr(masking, "stats", counting_stats)
+        def counting_center_spread(a, t_type):
+            calls.append(id(a))
+            return center_spread(a, t_type)
+
+        monkeypatch.setattr(masking, "_center_spread", counting_center_spread)
         rng = np.random.default_rng(8)
         scores = {lid: ScoreMatrix(lid, rng.random((24, 16))) for lid in ("a", "b", "c")}
         for t_type in ("std", "mad"):

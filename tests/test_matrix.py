@@ -1,11 +1,19 @@
-"""Matrix operation tests against independent loop/sort oracles."""
+"""Score-matrix statistics and checks against independent sort oracles.
+
+The threshold rules read a center and a spread of a layer's scores: mean and
+population std, or lower median and unscaled MAD. They are tested through
+``layer_threshold``: at gamma = 0 it returns the center, at gamma = 1 the
+center plus the spread.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from nmfprune.matrix import abs_map, check_matrix, frobenius_sq, lower_median, stats
+from nmfprune.masking import ThresholdConfig, layer_threshold
+from nmfprune.nmf import ScoreMatrix
+from nmfprune.pipeline import score_magnitude
 
 
 def stats_oracle(values):
@@ -20,91 +28,56 @@ def stats_oracle(values):
     return mean, math.sqrt(var), median, mad
 
 
-class TestAbsMap:
-    def test_sign_stripping(self):
-        assert np.array_equal(abs_map(np.array([[-1.0, 2.0], [0.0, -3.0]])), [[1, 2], [0, 3]])
+def threshold(values, t_type, gamma):
+    scores = ScoreMatrix("l", np.asarray(values, dtype=np.float64))
+    return layer_threshold(scores, ThresholdConfig(t_type, gamma))
 
-    def test_nonnegative_unchanged(self):
-        a = np.array([[0.5, 0.0], [2.0, 7.0]])
-        assert np.array_equal(abs_map(a), a)
 
-    def test_idempotent_and_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.normal(size=(4, 6))
-            once = abs_map(a)
-            assert np.all(once >= 0)
-            assert np.array_equal(abs_map(once), once)
+def assert_matches_oracle(a):
+    mean, std, median, mad = stats_oracle(a.ravel())
+    assert abs(threshold(a, "std", 0.0) - mean) <= 1e-12
+    assert abs(threshold(a, "std", 1.0) - (mean + std)) <= 1e-12
+    assert threshold(a, "mad", 0.0) == median
+    assert threshold(a, "mad", 1.0) == median + 1.0 * mad
 
 
 class TestStats:
     def test_constant_matrix(self):
-        st = stats(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert (st.mean, st.std, st.median, st.mad) == (1.0, 0.0, 1.0, 0.0)
+        for t_type in ("std", "mad"):
+            for gamma in (0.0, 1.0):
+                assert threshold([[1.0, 1.0], [1.0, 1.0]], t_type, gamma) == 1.0
 
     def test_hand_computed_odd_length(self):
-        st = stats(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
-        assert st.mean == 3.0
-        assert st.std == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert st.median == 3.0
-        assert st.mad == 1.0
+        a = [[1.0, 2.0, 3.0, 4.0, 5.0]]
+        assert threshold(a, "std", 0.0) == 3.0
+        # Population std sqrt(2), not the sample std sqrt(2.5).
+        assert threshold(a, "std", 1.0) == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-15)
+        assert threshold(a, "mad", 0.0) == 3.0
+        # Unscaled MAD 1, not 1.4826 (the normal-consistency factor).
+        assert threshold(a, "mad", 1.0) == 4.0
 
     def test_lower_median_for_even_counts(self):
-        assert lower_median(np.array([[1.0, 2.0, 3.0, 4.0]])) == 2.0
+        assert threshold([[1.0, 2.0, 3.0, 4.0]], "mad", 0.0) == 2.0
 
     def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(5, 10))
-        st = stats(a)
-        mean, std, median, mad = stats_oracle(a.ravel())
-        assert abs(st.mean - mean) <= 1e-12
-        assert abs(st.std - std) <= 1e-12
-        assert st.median == median
-        assert st.mad == mad
+        assert_matches_oracle(np.random.default_rng(4).normal(size=(5, 10)))
 
     def test_oracle_on_even_sizes(self):
         rng = np.random.default_rng(5)
         for shape in [(1, 2), (2, 2), (3, 4), (8, 8)]:
-            a = rng.normal(size=shape)
-            st = stats(a)
-            mean, std, median, mad = stats_oracle(a.ravel())
-            assert abs(st.mean - mean) <= 1e-12
-            assert abs(st.std - std) <= 1e-12
-            assert st.median == median
-            assert st.mad == mad
+            assert_matches_oracle(rng.normal(size=shape))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stats(np.zeros((0, 3)))
-
-
-class TestFrobeniusSq:
-    def test_zero_matrix(self):
-        assert frobenius_sq(np.zeros((3, 3))) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_sq(np.array([[3.0, 4.0]])) == 25.0
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(6, 5))
-        expected = math.fsum(float(v) ** 2 for v in a.ravel())
-        assert abs(frobenius_sq(a) - expected) <= 1e-12
+        with pytest.raises(ValueError, match="scores of 'l' must have at least one row"):
+            ScoreMatrix("l", np.zeros((0, 3)))
 
 
 class TestValidation:
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            check_matrix(np.array([[1.0, float("nan")]]))
+        with pytest.raises(ValueError, match="^scores of 'layer0_linear' contains NaN or Inf$"):
+            ScoreMatrix("layer0_linear", np.array([[1.0, float("nan")]]))
 
     def test_inf_rejected(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            abs_map(np.array([[np.inf, 1.0]]))
-
-    def test_no_nan_escapes_finite_inputs(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(4, 4))
-        assert np.all(np.isfinite(abs_map(a)))
-        st = stats(a)
-        assert all(np.isfinite(v) for v in (st.mean, st.std, st.median, st.mad))
-        assert np.isfinite(frobenius_sq(a))
+        # The magnitude scorer's scores are checked where they are built, too.
+        with pytest.raises(ValueError, match="^scores of 'layer2_linear' contains NaN or Inf$"):
+            score_magnitude(np.array([[-np.inf, 1.0]]), "layer2_linear")

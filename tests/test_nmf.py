@@ -5,8 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from nmfprune.matrix import frobenius_sq
-from nmfprune.nmf import NmfConfig, factorize, score_layer
+from nmfprune.nmf import NmfConfig, ScoreMatrix, factorize, score_layer
 
 
 def rank_one_matrix(rng, m, p):
@@ -19,7 +18,7 @@ class TestFactorize:
     def test_rank_one_input_recovered(self):
         w = rank_one_matrix(np.random.default_rng(0), 30, 20)
         result = factorize(w, NmfConfig(k=1, seed=1))
-        assert result.objective_trace[-1] <= 1e-6 * frobenius_sq(w)
+        assert result.objective_trace[-1] <= 1e-6 * np.sum(w * w)
 
     def test_zero_matrix(self):
         result = factorize(np.zeros((4, 5)), NmfConfig(k=2, seed=0))
@@ -128,8 +127,8 @@ class TestObjectiveTrace:
         for i, w in enumerate(matrices):
             result = factorize(w, NmfConfig(k=k, seed=i))
             assert np.all(result.objective_trace >= 0.0)
-            direct = frobenius_sq(w - result.f @ result.g)
-            assert abs(result.objective_trace[-1] - direct) <= 1e-12 * frobenius_sq(w)
+            r = w - result.f @ result.g
+            assert abs(result.objective_trace[-1] - np.sum(r * r)) <= 1e-12 * np.sum(w * w)
 
 
 class TestMonotonicityProperty:
@@ -140,3 +139,27 @@ class TestMonotonicityProperty:
             result = factorize(w, NmfConfig(k=3, seed=i))
             trace = result.objective_trace
             assert np.all(trace[1:] <= trace[:-1] + 1e-9), f"matrix {i} not monotone"
+
+
+# Inputs every entry point rejects with a ValueError that names its argument
+# or layer; past these checks no code checks the matrix again.
+BAD_MATRICES = {
+    "nan": np.array([[1.0, np.nan]]),
+    "inf": np.array([[np.inf, 1.0]]),
+    "1d": np.ones(4),
+    "empty": np.zeros((0, 3)),
+    "int": np.ones((2, 2), dtype=np.int64),
+}
+ENTRY_POINTS = {
+    "factorize": (lambda a: factorize(a, NmfConfig(k=1)), "w_abs"),
+    "score_layer": (lambda a: score_layer(a, NmfConfig(k=1), "layer0_linear"), "w_abs"),
+    "ScoreMatrix": (lambda a: ScoreMatrix("layer0_linear", a), "scores of 'layer0_linear'"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_entry_points_reject_bad_matrices(entry, bad):
+    call, name = entry
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(bad)

@@ -60,7 +60,6 @@ class TestParsing:
         assert cfg.gamma_search.n_search == 30
         assert cfg.train.epochs == 10
         assert cfg.train.lr_milestones == (5, 8)
-        assert cfg.target_mode
 
     def test_fixed_gamma_mode(self):
         text = BASE.replace("[gamma_search]\ns_target = 0.8\n", "").replace(
@@ -70,7 +69,6 @@ class TestParsing:
         assert cfg.gamma_search is None
         assert cfg.threshold.gamma == 1.5
         assert cfg.threshold.t_type == "mad"
-        assert not cfg.target_mode
 
     def test_conv_layer_with_options(self):
         text = BASE.replace(
@@ -166,6 +164,7 @@ class TestErrors:
             ("flatten stride=2", r"unknown flatten options \['stride'\]"),
             ("linear 16", "linear takes <in_features> <out_features>"),
             ("conv2d 1 8 3 3 dilation=2", r"unknown conv2d options \['dilation'\]"),
+            ("conv2d 1 8 3 3 stride=1 stride=2", "duplicate conv2d option 'stride'"),
             ("linear 16 64 prunable=maybe", "prunable must be a boolean"),
             ("linear 16 x", "out_features must be an integer"),
             ("linear 0 64", "Linear dimensions must be positive"),
@@ -186,6 +185,15 @@ class TestErrors:
     def test_non_numeric_value_has_location(self):
         text = BASE.replace("epochs = 10", "epochs = ten")
         with pytest.raises(ConfigError, match="must be an integer"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_below_one_rejected_at_its_line(self, every):
+        text = BASE.replace("seed = 42", f"seed = 42\ncheckpoint_every = {every}")
+        lineno = text.splitlines().index(f"checkpoint_every = {every}") + 1
+        with pytest.raises(
+            ConfigError, match=rf"^<config>:{lineno}: checkpoint_every must be >= 1, got {every}$"
+        ):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):
