@@ -132,6 +132,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
         rows = reader.u64()
         cols = reader.u64()
         data = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8")

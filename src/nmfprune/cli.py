@@ -7,10 +7,10 @@ Subcommands:
     sweep    grid of runs over sparsity targets and/or factorization ranks
     inspect  print a checkpoint's sparsity report
 
-Exit codes: 0 success, 1 config or validation error, 2 runtime stage
-failure or any other error, 3 sparsity-invariant violation. Failures are
-reported on stderr, never as a traceback. Warnings logged by the library
-(a factorization at full rank) and a missed sparsity target are printed as
+Exit codes: 0 success, 1 config or dataset error, 2 any other error, 3
+sparsity-invariant violation; a failed pipeline stage counts as its cause.
+Failures are one line on stderr, never a traceback. Library warnings (a
+factorization at full rank, a missed sparsity target) are printed as
 ``warning:`` lines on stderr, even with ``--quiet``.
 """
 
@@ -28,7 +28,7 @@ from .datasets import DatasetError
 from .masking import GammaSearchConfig, tune_gamma
 from .network import count_zero_weights, init_network
 from .nmf import NmfConfig
-from .pipeline import RunReport, StageError, compute_scores, run_pipeline, write_gamma_trace
+from .pipeline import StageError, compute_scores, run_pipeline, write_gamma_trace
 from .runconfig import ConfigError, RunConfig, load_config
 from .trainer import SparsityViolationError
 
@@ -113,21 +113,9 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _warn_if_missed(report: RunReport) -> None:
-    """One stderr line, never silenced, when the gamma search missed its target."""
-    search = report.gamma_search
-    if search is not None and not search["hit_target"]:
-        print(
-            f"warning: sparsity target {search['target']:g} missed: the gamma search "
-            f"achieved {search['achieved']:.4f} after {search['iterations']} iterations",
-            file=sys.stderr,
-        )
-
-
 def _cmd_run(args) -> int:
     cfg = _load(args)
     report = run_pipeline(cfg)
-    _warn_if_missed(report)
     _say(args, f"gamma* = {report.gamma_star:.6g}")
     _say(
         args,
@@ -203,7 +191,6 @@ def _cmd_sweep(args) -> int:
                 output_dir=base_out / (f"t{target!r}" + (f"_k{k}" if k is not None else "")),
             )
             report = run_pipeline(sub)
-            _warn_if_missed(report)
             _say(
                 args,
                 f"target {target!r}" + (f" k={k}" if k is not None else "") +
@@ -242,27 +229,16 @@ def main(argv=None) -> int:
     library_log.addHandler(warning_lines)
     try:
         return commands[args.command](args)
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SparsityViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except StageError as exc:
-        if isinstance(exc.__cause__, SparsityViolationError):
+    except Exception as exc:  # one line on stderr, never a traceback
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
+        if isinstance(cause, SparsityViolationError):
             print(f"invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
-        if isinstance(exc.__cause__, DatasetError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # a defect: still one line, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        message = str(exc)
+        if not isinstance(exc, (ValueError, RuntimeError, OSError)):  # a defect
+            message = f"{type(exc).__name__}: {message}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(cause, (ConfigError, DatasetError)) else EXIT_RUNTIME
     finally:
         library_log.removeHandler(warning_lines)
 

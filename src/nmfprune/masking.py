@@ -10,11 +10,14 @@ kept (ties survive).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nmf import ScoreMatrix
+
+log = logging.getLogger(__name__)
 
 T_TYPES = ("std", "mad")
 
@@ -200,8 +203,9 @@ def tune_gamma(
     soon as a probe lands within ``epsilon_sparsity`` of the target, or stops
     early when the bracket's relative width drops below
     ``epsilon_gamma_conv``. If no probe reaches tolerance, the closest gamma
-    seen is returned with ``hit_target=False``; the best-so-far slot starts at
-    ``gamma_guess``, so a search that never improves on it hands it back.
+    seen is returned with ``hit_target=False`` and a warning on this module's
+    logger; the best-so-far slot starts at ``gamma_guess``, so a search that
+    never improves on it hands it back.
 
     Each layer's center and spread do not depend on gamma, so they are
     computed once per search; a probe only counts the scores below each
@@ -244,10 +248,14 @@ def tune_gamma(
         if (hi - lo) / ((hi + lo) / 2.0 + 1e-9) < cfg.epsilon_gamma_conv:
             break
 
+    hit = abs(s_closest - cfg.s_target) <= cfg.epsilon_sparsity
+    if not hit:
+        missed = "sparsity target %g missed: the gamma search achieved %.4f after %d iterations"
+        log.warning(missed, cfg.s_target, s_closest, iterations)
     return GammaSearchResult(
         gamma_star=gamma_best,
         achieved=s_closest,
-        hit_target=abs(s_closest - cfg.s_target) <= cfg.epsilon_sparsity,
+        hit_target=hit,
         iterations=iterations,
         trace=trace,
     )

@@ -133,9 +133,13 @@ def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> Score
     """Score a layer's weights by absolute reconstruction error.
 
     Operates on |w| only (the result is invariant under sign flips of the
-    weights) and never mutates ``w``.
+    weights) and never mutates ``w``. A weight matrix ``factorize`` rejects is
+    a ValueError that starts with ``layer_id``.
     """
     w_abs = np.abs(w)
-    result = factorize(w_abs, cfg)
+    try:
+        result = factorize(w_abs, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{layer_id}: {exc}") from None
     scores = np.abs(w_abs - result.f @ result.g)
     return ScoreMatrix(layer_id=layer_id, scores=scores)

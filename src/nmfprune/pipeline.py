@@ -1,17 +1,17 @@
 """End-to-end orchestration: score, tune, prune, train, report.
 
 The stages run in ``STAGES`` order, except that the data stage (load, split,
-standardize) runs on a second thread beside the score stage: scores come from
-the initial weights alone, the two share no state, and NumPy releases the
-interpreter lock in their heavy work, so they overlap on two cores. The score
-stage scores every prunable layer (factorization-based or magnitude). After
-both finish, the mask stage fixes the threshold scale gamma (searched against
-a sparsity target, or taken from the config), generates the final masks, and
-prunes. The train stage masks each step's weight gradients and updates only
-the kept weights, so pruned weights stay exactly zero; the report stage
-counts, evaluates and saves. Each stage is timed on the thread that runs it,
-so ``wall_times["data"]`` is the loader's own elapsed time and the five
-stage times can sum to more than the run. Artifacts land in the run's output
+standardize) runs beside the score stage as a task on a one-worker executor:
+scores come from the initial weights alone, the two share no state, and NumPy
+releases the interpreter lock in their heavy work, so they overlap on two
+cores. After both finish, the mask stage fixes the threshold scale gamma
+(searched against a sparsity target, or taken from the config), generates the
+final masks, and prunes. The train stage checks that the model has an output
+per class, masks each step's weight gradients and updates only the kept
+weights, so pruned weights stay exactly zero; the report stage counts,
+evaluates and saves. Each stage is timed on the thread that runs it, so
+``wall_times["data"]`` is the loader's own elapsed time and the five stage
+times can sum to more than the run. Artifacts land in the run's output
 directory:
 
     report.json        full run report
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +39,7 @@ from .datasets import load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
 from .network import Network, convert_to_masked, count_zero_weights, flops_estimate, init_network
 from .nmf import ScoreMatrix, score_layer
-from .runconfig import MagnitudeScorer, RunConfig, ScorerSpec
+from .runconfig import ConfigError, MagnitudeScorer, RunConfig, ScorerSpec
 from .seeds import derive_seed
 from .trainer import EpochMetrics, evaluate, model_input, run_training
 
@@ -156,31 +156,22 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
     """The stages of ``run_pipeline``; a failure is a StageError."""
     # Every key exists up front, so the loader thread only replaces a value.
     wall = dict.fromkeys(STAGES, 0.0)
-    loaded: list = []  # the Dataset, or the exception the loader raised
 
-    def load() -> None:
+    def load():
+        with _stage("data", wall):
+            return load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
+
+    # Leaving the block joins the loader, whatever the score stage raised.
+    with ThreadPoolExecutor(1, thread_name_prefix="nmfprune-data") as pool:
+        loading = pool.submit(load)
         try:
-            with _stage("data", wall):
-                loaded.append(load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data")))
-        except BaseException as exc:  # re-raised on the calling thread after the join
-            loaded.append(exc)
-
-    loader = threading.Thread(target=load, name="nmfprune-data")
-    loader.start()
-    score_error = None
-    try:
-        with _stage("score", wall):
-            net = init_network(cfg.model, cfg.seed)
-            scores = compute_scores(net, cfg.scorer, cfg.seed)
-    except StageError as err:
-        score_error = err
-    finally:
-        loader.join()
-    # Both stages have ended; a failure is raised in stage order, data first.
-    (dataset,) = loaded
-    for failure in (dataset, score_error):
-        if isinstance(failure, BaseException):
-            raise failure
+            with _stage("score", wall):
+                net = init_network(cfg.model, cfg.seed)
+                scores = compute_scores(net, cfg.scorer, cfg.seed)
+        except StageError:
+            loading.result()  # a data failure comes first in stage order
+            raise
+        dataset = loading.result()
 
     with _stage("mask", wall):
         trace: list[GammaTraceEntry] = []
@@ -202,6 +193,15 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         net = convert_to_masked(net, masks)
 
     with _stage("train", wall):
+        sample_shape = model_input(net, dataset, dataset.train_x[:1]).shape[1:]
+        shape = sample_shape
+        for layer in net.layers:
+            shape = layer.output_shape(shape)
+        if shape[0] < dataset.n_classes:
+            raise ConfigError(
+                f"the model has {shape[0]} outputs but the dataset has "
+                f"{dataset.n_classes} classes"
+            )
         train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, "train"))
         with open(out / "epochs.jsonl", "w", encoding="utf-8") as epoch_log:
 
@@ -214,7 +214,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
 
     with _stage("report", wall):
-        flops = flops_estimate(net, model_input(net, dataset, dataset.test_x[:1]).shape[1:])
+        flops = flops_estimate(net, sample_shape)
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:

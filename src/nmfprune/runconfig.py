@@ -13,6 +13,7 @@ searches for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Union, get_args, get_type_hints
@@ -65,6 +66,13 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"not a boolean: {token!r}")
 
 
+def _parse_finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {token!r}")
+    return value
+
+
 def _parse_ints(token: str) -> tuple[int, ...]:
     return tuple(int(t) for t in token.replace(",", " ").split())
 
@@ -72,7 +80,7 @@ def _parse_ints(token: str) -> tuple[int, ...]:
 # How a value is read for each field type, and what the error says it must be.
 _READERS = {
     int: (int, "an integer"),
-    float: (float, "a number"),
+    float: (_parse_finite, "a finite number"),
     str: (str, "text"),
     Path: (Path, "a path"),
     bool: (_parse_bool, "a boolean"),

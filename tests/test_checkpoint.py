@@ -338,3 +338,27 @@ def test_undecodable_container_names_the_file(tmp_path, capsys, meta, name):
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_repeated_tensor_name_rejected(tmp_path, capsys):
+    # A CRC-valid checkpoint whose body ends in a second, all-zero copy of
+    # layer0_linear.weight.
+    path = tmp_path / "ck.bin"
+    net = trained_masked_net()
+    save_checkpoint(net, path)
+    raw = path.read_bytes()
+    body = bytearray(raw[8:-4])
+    (meta_len,) = struct.unpack_from("<Q", body, 0)
+    (count,) = struct.unpack_from("<Q", body, 8 + meta_len)
+    struct.pack_into("<Q", body, 8 + meta_len, count + 1)
+    name = b"layer0_linear.weight"
+    rows, cols = net.prunable_layers[0].weights.shape
+    body += struct.pack("<I", len(name)) + name + struct.pack("<QQ", rows, cols)
+    body += bytes(8 * rows * cols)
+    path.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: tensor 'layer0_linear.weight' is stored twice"
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

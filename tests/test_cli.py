@@ -50,6 +50,23 @@ def config_path(tmp_path):
     return path, out
 
 
+def missed_target_config(path, tmp_path):
+    """The run config with one probe in a bracket that cannot prune anywhere
+    near 95%."""
+    missed = tmp_path / "missed.cfg"
+    missed.write_text(path.read_text().replace(
+        "s_target = 0.7", "s_target = 0.95\nn_search = 1\ngamma_min = 0.01\ngamma_max = 0.02"
+    ))
+    return missed
+
+
+def miss_warning(search: dict) -> str:
+    return (
+        f"warning: sparsity target {search['target']:g} missed: the gamma search achieved "
+        f"{search['achieved']:.4f} after {search['iterations']} iterations"
+    )
+
+
 class TestRun:
     def test_run_succeeds(self, config_path, capsys):
         path, out = config_path
@@ -164,6 +181,21 @@ class TestRun:
         assert capsys.readouterr().err == "error: stage 'data' failed: bad data\n"
         status = json.loads((out / "status.json").read_text())
         assert status == {"status": "incomplete", "stage": "data", "error": "bad data"}
+
+    def test_classifier_narrower_than_the_classes_exits_1(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        narrow = tmp_path / "narrow.cfg"
+        narrow.write_text(path.read_text().replace("n_classes = 2", "n_classes = 5"))
+        assert main(["run", "--config", str(narrow), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'train' failed: the model has 2 outputs but the dataset has 5 classes\n"
+        )
+        status = json.loads((out / "status.json").read_text())
+        assert (status["status"], status["stage"]) == ("incomplete", "train")
+        # More outputs than classes is legal.
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(path.read_text().replace("linear 32 2", "linear 32 5"))
+        assert main(["run", "--config", str(wide), "--quiet"]) == 0
 
     def test_stage_failure_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -283,6 +315,19 @@ class TestTune:
         assert main(["tune", "--config", str(fixed)]) == 1
         assert main(["tune", "--config", str(fixed), "--target-sparsity", "0.6"]) == 0
 
+    def test_missed_target_warns_even_when_quiet(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        missed = missed_target_config(path, tmp_path)
+        assert main(["tune", "--config", str(missed), "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        trace = (out / "gamma_search.jsonl").read_text()
+        probes = [json.loads(line) for line in trace.splitlines()]
+        closest = min((p["achieved"] for p in probes), key=lambda s: abs(s - 0.95))
+        assert abs(closest - 0.95) > 0.005
+        search = {"target": 0.95, "achieved": closest, "iterations": 1}
+        assert captured.err == miss_warning(search) + "\n"
+
     def test_writes_the_same_trace_as_run(self, config_path, tmp_path):
         path, _ = config_path
         runs = {}
@@ -320,6 +365,21 @@ class TestSweep:
         for target in targets.split(","):
             report = json.loads((out / f"t{target}" / "report.json").read_text())
             assert report["gamma_search"]["target"] == float(target)
+
+    def test_each_missed_grid_point_warns(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        missed = missed_target_config(path, tmp_path)
+        assert main(
+            ["sweep", "--config", str(missed), "--targets", "0.95,0.97", "--quiet"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        searches = [
+            json.loads((out / f"t{target}" / "report.json").read_text())["gamma_search"]
+            for target in ("0.95", "0.97")
+        ]
+        assert [search["hit_target"] for search in searches] == [False, False]
+        assert captured.err.splitlines() == [miss_warning(search) for search in searches]
 
     def test_ks_needs_nmf_scorer(self, config_path, tmp_path, capsys):
         path, out = config_path

@@ -1,5 +1,6 @@
 """Threshold, mask, sparsity accounting, and gamma-search tests."""
 
+import logging
 import math
 
 import numpy as np
@@ -196,6 +197,20 @@ class TestTuneGamma:
         assert result.achieved in (0.0, 0.5, 1.0)
         assert abs(result.achieved - 0.75) == min(
             abs(s - 0.75) for s in {t.achieved for t in result.trace}
+        )
+
+    def test_a_miss_logs_one_warning_and_a_hit_none(self, caplog):
+        hit = {"l": ScoreMatrix("l", np.random.default_rng(3).random((64, 64)))}
+        missed = {"l": ScoreMatrix("l", np.full((8, 8), 2.0))}
+        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+            assert tune_gamma(hit, "std", GammaSearchConfig(s_target=0.8)).hit_target
+            assert caplog.records == []
+            result = tune_gamma(missed, "std", GammaSearchConfig(s_target=0.8))
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("nmfprune.masking", logging.WARNING)
+        assert record.getMessage() == (
+            "sparsity target 0.8 missed: the gamma search achieved 0.0000 "
+            f"after {result.iterations} iterations"
         )
 
     def test_config_validation(self):

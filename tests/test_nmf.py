@@ -152,7 +152,9 @@ BAD_MATRICES = {
 }
 ENTRY_POINTS = {
     "factorize": (lambda a: factorize(a, NmfConfig(k=1)), "w_abs"),
-    "score_layer": (lambda a: score_layer(a, NmfConfig(k=1), "layer0_linear"), "w_abs"),
+    "score_layer": (
+        lambda a: score_layer(a, NmfConfig(k=1), "layer0_linear"), "layer0_linear: w_abs"
+    ),
     "ScoreMatrix": (lambda a: ScoreMatrix("layer0_linear", a), "scores of 'layer0_linear'"),
 }
 

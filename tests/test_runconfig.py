@@ -45,6 +45,19 @@ lr = 0.1
 milestones = 5 8
 """
 
+# Edits of BASE that end in a non-finite number: (old text, new text).
+NON_FINITE = {
+    "gamma": (
+        "[gamma_search]\ns_target = 0.8\n\n[threshold]\ntype = std",
+        "[threshold]\ntype = std\ngamma = inf",
+    ),
+    "lr": ("lr = 0.1", "lr = inf"),
+    "weight_decay": ("lr = 0.1", "lr = 0.1\nweight_decay = inf"),
+    "gamma_max": ("s_target = 0.8", "s_target = 0.8\ngamma_max = inf"),
+    "epsilon": ("k = 6", "k = 6\nepsilon = inf"),
+    "lr_gamma": ("lr = 0.1", "lr = 0.1\nlr_gamma = nan"),
+}
+
 
 class TestParsing:
     def test_full_config(self):
@@ -194,6 +207,16 @@ class TestErrors:
         with pytest.raises(
             ConfigError, match=rf"^<config>:{lineno}: checkpoint_every must be >= 1, got {every}$"
         ):
+            parse_config(text)
+
+    @pytest.mark.parametrize("old, new", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_number_rejected_at_its_line(self, old, new):
+        text = BASE.replace(old, new)
+        line = new.splitlines()[-1]
+        lineno = text.splitlines().index(line) + 1
+        key = line.split(" = ")[0]
+        message = rf"^<config>:{lineno}: {key} must be a finite number$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):
