@@ -117,21 +117,22 @@ class GammaSearchResult:
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
-def _lower_median(a: np.ndarray) -> float:
-    """Median with the lower of the two middle elements for even counts:
-    deterministic and oracle-checkable, unlike the interpolating convention."""
-    flat = np.ravel(a)
-    k = (flat.size - 1) // 2
-    return float(np.partition(flat, k)[k])
-
-
 def _center_spread(scores: np.ndarray, t_type: str) -> tuple[float, float]:
     """The two statistics the ``t_type`` rule reads, and only those:
-    (mean, population std) or (lower median, unscaled MAD)."""
+    (mean, population std) or (lower median, unscaled MAD). The lower median
+    takes the lower of the two middle elements for even counts: deterministic
+    and oracle-checkable, unlike the interpolating convention. The MAD reuses
+    the median's partitioned copy, in place, so it costs one copy of the
+    scores, not two."""
     if t_type == "std":
         return float(scores.mean()), float(scores.std())
-    median = _lower_median(scores)
-    return median, _lower_median(np.abs(scores - median))
+    k = (scores.size - 1) // 2
+    part = np.partition(scores, k, axis=None)
+    median = float(part[k])
+    np.subtract(part, median, out=part)
+    np.abs(part, out=part)
+    part.partition(k)
+    return median, float(part[k])
 
 
 def layer_threshold(scores: ScoreMatrix, cfg: ThresholdConfig) -> float:

@@ -1,12 +1,20 @@
 """Small feedforward networks with maskable linear and conv layers.
 
-Backpropagation is written out by hand. Linear and conv layers multiply rows
-(the input, or its im2col unfolding) by one 2D weight view (out x fan_in),
-the same array used for scoring and masking. The first weighted layer
-computes no input gradient. Losses are softmax cross-entropy with mean
-reduction over the batch.
+Backpropagation is written out by hand. Linear and conv layers multiply by
+one 2D weight view (out x fan_in), the same array used for scoring and
+masking. The first weighted layer computes no input gradient. Losses are
+softmax cross-entropy with mean reduction over the batch.
 
-A training forward caches what backward needs (im2col rows, ReLU masks,
+A linear layer computes x @ W.T on (N, features) rows. Conv activations are
+stored batch-innermost, as (C, H, W, N) memory, and handed on as (N, C, H, W)
+views of it. A conv layer unfolds its input into a (C*kh*kw, out_h*out_w*N)
+patch matrix and computes W @ patches, so the unfolding, both gradient GEMMs,
+the bias gradient (a sum along contiguous rows) and the fold of the input
+gradient all run over N-long contiguous runs. ReLU keeps its input's layout,
+and Flatten's (N, C*H*W) reshape of it is a view too (C, H and W stay
+adjacent), so a linear layer after a conv reads its input column-major.
+
+A training forward caches what backward needs (im2col patches, ReLU masks,
 logits) and backward releases each cache as it uses it; an evaluation forward
 caches nothing. A Network instance is single-writer: forward/backward mutate
 per-layer caches and gradient buffers, so one instance must not be driven from
@@ -76,39 +84,43 @@ LAYER_KINDS: dict[str, type] = {
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (N, C, H, W) into (N*out_h*out_w, C*kh*kw) patch rows, returned
-    as the transpose of a channel-major array: the copy then runs along output
-    rows, not along the short kernel width."""
+    """Unfold an (N, C, H, W) batch, in any memory layout, into a contiguous
+    (C*kh*kw, out_h*out_w*N) patch matrix: rows in (channel, kernel row,
+    kernel column) order, columns in (output row, output column, sample)
+    order. The sample is the innermost axis, so the copy runs along N-long
+    rows, and a batch already stored as (C, H, W, N) is read in order."""
     n, c = x.shape[:2]
-    img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)]) if padding else x
-    windows = sliding_window_view(img, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_h, out_w = windows.shape[2:4]
-    cols_t = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
-    return cols_t.T
+    img = x.transpose(1, 2, 3, 0)
+    if padding:
+        img = np.pad(img, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
+    windows = sliding_window_view(img, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1:3]
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, out_h * out_w * n)
 
 
 def col2im(
-    cols_t: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
+    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
-    """Fold channel-major patch gradients (C*kh*kw, N*out_h*out_w), the
-    transpose of im2col's layout, back onto the (N, C, H, W) input,
-    accumulating where patches overlap. Returns a transposed view."""
+    """Fold patch gradients in im2col's layout (C*kh*kw, out_h*out_w*N) back
+    onto the (N, C, H, W) input, accumulating where patches overlap. The
+    image is built as (C, H, W, N), so each of the kh*kw strided adds runs
+    over N-long rows; the result is an (N, C, H, W) view of it."""
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    planes = cols_t.reshape(c, kh, kw, n, out_h, out_w)
-    img = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    planes = cols.reshape(c, kh, kw, out_h, out_w, n)
+    img = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            img[:, :, i:i_max:stride, j:j_max:stride] += planes[:, i, j]
-    return img[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+            img[:, i:i_max:stride, j:j_max:stride] += planes[:, i, j]
+    return img[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
 
 
 class _WeightedLayer:
-    """Weights (out x fan_in) times the rows of ``cols(x)``, plus a bias. The
-    defaults are the linear case; a conv layer unfolds its input into rows."""
+    """Weights (out x fan_in) and a bias, their gradient buffers, and the
+    mask that linear and conv layers share."""
 
     def __init__(self, layer_id, spec, prunable: bool, rng, fan_in: int, fan_out: int):
         self.layer_id = layer_id
@@ -121,40 +133,7 @@ class _WeightedLayer:
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None
         self.kept: np.ndarray | None = None  # flat indices of the mask's 1.0 entries
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple | None = None
-        self._out_shape: tuple | None = None
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        self._out_shape = (*x.shape[:1], *self.output_shape(x.shape[1:]))
-        self._x_shape = x.shape
-        cols = self.cols(x)
-        self._cols = cols if cache else None
-        out = cols @ self.weights.T
-        out += self.bias
-        return self.unflatten(out)
-
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Fill the parameter gradients and release the forward cache; return
-        the input gradient unless ``input_grad`` is false (the first weighted
-        layer has no use for it)."""
-        dout_flat = self.flatten(dout)
-        self.grad_weights = dout_flat.T @ self._cols
-        self._cols = None
-        self.grad_bias = dout_flat.sum(axis=0)
-        return self.input_grad(dout_flat) if input_grad else None
-
-    def cols(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def unflatten(self, out: np.ndarray) -> np.ndarray:
-        return out
-
-    def flatten(self, dout: np.ndarray) -> np.ndarray:
-        return dout
-
-    def input_grad(self, dout: np.ndarray) -> np.ndarray:
-        return dout @ self.weights
+        self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
         """Freeze a copy of ``bits`` as this layer's mask, and its kept flat
@@ -191,6 +170,25 @@ class _LinearLayer(_WeightedLayer):
             raise ValueError(f"{self.layer_id}: input shape {shape} does not fit {n} features")
         return (self.spec.out_features,)
 
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        self.output_shape(x.shape[1:])  # raises on an input that does not fit
+        self._cols = x if cache else None
+        out = x @ self.weights.T
+        out += self.bias
+        return out
+
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Fill the parameter gradients and release the forward cache; return
+        the input gradient unless ``input_grad`` is false (the first weighted
+        layer has no use for it)."""
+        self.grad_weights = dout.T @ self._cols
+        self._cols = None
+        self.grad_bias = dout.sum(axis=0)
+        return self.input_grad(dout) if input_grad else None
+
+    def input_grad(self, dout: np.ndarray) -> np.ndarray:
+        return dout @ self.weights
+
 
 class _ConvLayer(_WeightedLayer):
     kind = "conv"
@@ -198,6 +196,7 @@ class _ConvLayer(_WeightedLayer):
     def __init__(self, layer_id: str, spec: Conv2d, prunable: bool, rng: np.random.Generator):
         fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
         super().__init__(layer_id, spec, prunable, rng, fan_in, spec.out_channels)
+        self._x_shape: tuple | None = None
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         s = self.spec
@@ -212,23 +211,31 @@ class _ConvLayer(_WeightedLayer):
             raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
         return (self.spec.out_channels, *self.output_hw(shape[1], shape[2]))
 
-    def cols(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Return an (N, C_out, out_h, out_w) view of (C_out, out_h, out_w, N)
+        memory: the layout the next conv's im2col reads in order."""
         s = self.spec
-        return im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        _, out_h, out_w = self.output_shape(x.shape[1:])
+        self._x_shape = x.shape
+        cols = im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        self._cols = cols if cache else None
+        out = self.weights @ cols
+        out += self.bias[:, None]
+        return out.reshape(s.out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
 
-    def unflatten(self, out: np.ndarray) -> np.ndarray:
-        """(N*oh*ow, out_ch) rows as an (N, out_ch, oh, ow) view."""
-        n, c, h, w = self._out_shape
-        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    def flatten(self, dout: np.ndarray) -> np.ndarray:
-        return dout.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_channels)
-
-    def input_grad(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """As the linear layer's, over (C_out, out_h*out_w*N) gradient rows.
+        ``dout`` arrives in this layer's output layout (ReLU backward keeps
+        its forward input's layout), so flattening it is a view."""
         s = self.spec
-        # Channel-major (C*kh*kw, N*oh*ow), so col2im adds contiguous planes.
-        cols_t = self.weights.T @ dout.T
-        return col2im(cols_t, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        dout_t = dout.transpose(1, 2, 3, 0).reshape(s.out_channels, -1)
+        self.grad_weights = dout_t @ self._cols.T
+        self._cols = None
+        self.grad_bias = dout_t.sum(axis=1)
+        if not input_grad:
+            return None
+        cols = self.weights.T @ dout_t
+        return col2im(cols, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
 
 
 class _ReLULayer:

@@ -75,7 +75,7 @@ class ScoreMatrix:
         _check_matrix(self.scores, f"scores of {self.layer_id!r}")
 
 
-def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
+def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) -> NmfResult:
     """Factorize a non-negative matrix with multiplicative updates.
 
     Factors are initialized from a seeded uniform draw on (0, 1] scaled by
@@ -94,7 +94,8 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     The requested rank is clamped to min(k, rows, cols) when the matrix is
     smaller than k in either dimension. At the full rank min(rows, cols), the
     clamp included, the fit is exact up to rounding, so the reconstruction
-    error is rounding residue: that logs a warning on this module's logger.
+    error is rounding residue: that logs a warning on this module's logger,
+    which starts with ``layer_id`` when one is given.
     """
     _check_matrix(w_abs, "w_abs")
     if np.any(w_abs < 0):
@@ -104,8 +105,9 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig) -> NmfResult:
     k_eff = min(cfg.k, m, p)
     if k_eff == min(m, p):
         log.warning(
-            "rank %d (k = %d) is the full rank of a %dx%d matrix: the fit is exact up to "
-            "rounding and its scores are noise", k_eff, cfg.k, m, p,
+            "%srank %d (k = %d) is the full rank of a %dx%d matrix: the fit is exact up to "
+            "rounding and its scores are noise",
+            f"{layer_id}: " if layer_id else "", k_eff, cfg.k, m, p,
         )
 
     rng = np.random.default_rng(cfg.seed)
@@ -134,11 +136,11 @@ def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> Score
 
     Operates on |w| only (the result is invariant under sign flips of the
     weights) and never mutates ``w``. A weight matrix ``factorize`` rejects is
-    a ValueError that starts with ``layer_id``.
+    a ValueError, and a full-rank fit a warning, that starts with ``layer_id``.
     """
     w_abs = np.abs(w)
     try:
-        result = factorize(w_abs, cfg)
+        result = factorize(w_abs, cfg, layer_id)
     except ValueError as exc:
         raise ValueError(f"{layer_id}: {exc}") from None
     scores = np.abs(w_abs - result.f @ result.g)

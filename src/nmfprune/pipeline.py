@@ -6,13 +6,13 @@ scores come from the initial weights alone, the two share no state, and NumPy
 releases the interpreter lock in their heavy work, so they overlap on two
 cores. After both finish, the mask stage fixes the threshold scale gamma
 (searched against a sparsity target, or taken from the config), generates the
-final masks, and prunes. The train stage checks that the model has an output
-per class, masks each step's weight gradients and updates only the kept
-weights, so pruned weights stay exactly zero; the report stage counts,
-evaluates and saves. Each stage is timed on the thread that runs it, so
-``wall_times["data"]`` is the loader's own elapsed time and the five stage
-times can sum to more than the run. Artifacts land in the run's output
-directory:
+final masks, and prunes. The train stage checks that the model's layers fit
+the dataset's samples and that the model has an output per class, masks each
+step's weight gradients and updates only the kept weights, so pruned weights
+stay exactly zero; the report stage counts, evaluates and saves. Each stage
+is timed on the thread that runs it, so ``wall_times["data"]`` is the
+loader's own elapsed time and the five stage times can sum to more than the
+run. Artifacts land in the run's output directory:
 
     report.json        full run report
     gamma_search.jsonl one line per search probe
@@ -195,8 +195,11 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
     with _stage("train", wall):
         sample_shape = model_input(net, dataset, dataset.train_x[:1]).shape[1:]
         shape = sample_shape
-        for layer in net.layers:
-            shape = layer.output_shape(shape)
+        try:
+            for layer in net.layers:
+                shape = layer.output_shape(shape)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; the dataset's samples have shape {sample_shape}") from None
         if shape[0] < dataset.n_classes:
             raise ConfigError(
                 f"the model has {shape[0]} outputs but the dataset has "

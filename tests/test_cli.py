@@ -157,8 +157,8 @@ class TestRun:
         *warnings, error = capsys.readouterr().err.splitlines()
         # The score stage runs beside the data stage; k = 4 is the full rank of 32x2.
         assert warnings == [
-            "warning: rank 2 (k = 4) is the full rank of a 32x2 matrix: the fit is exact "
-            "up to rounding and its scores are noise"
+            "warning: layer0_linear: rank 2 (k = 4) is the full rank of a 32x2 matrix: the "
+            "fit is exact up to rounding and its scores are noise"
         ]
         assert error.startswith("error: stage 'data' failed: label '1e300' at row 41")
 
@@ -197,13 +197,33 @@ class TestRun:
         wide.write_text(path.read_text().replace("linear 32 2", "linear 32 5"))
         assert main(["run", "--config", str(wide), "--quiet"]) == 0
 
-    def test_stage_failure_exits_2(self, tmp_path, capsys):
+    def test_stage_failure_exits_2(self, config_path, capsys, monkeypatch):
+        from nmfprune import pipeline
+
+        def overflowing_training(*args, **kwargs):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        monkeypatch.setattr(pipeline, "run_training", overflowing_training)
+        path, out = config_path
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: stage 'train' failed: overflow encountered in matmul\n"
+        )
+        status = json.loads((out / "status.json").read_text())
+        assert (status["status"], status["stage"]) == ("incomplete", "train")
+
+    def test_feature_count_mismatch_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         bad = tmp_path / "bad.cfg"
-        # Dataset features do not match the model input: training stage fails.
+        # Dataset features do not match the model input: a config error.
         bad.write_text(CONFIG.format(out=out).replace("n_features = 16", "n_features = 12"))
-        assert main(["run", "--config", str(bad)]) == 2
-        assert "stage" in capsys.readouterr().err
+        assert main(["run", "--config", str(bad), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'train' failed: layer0_linear: input shape (12,) does not fit "
+            "16 features; the dataset's samples have shape (12,)\n"
+        )
+        status = json.loads((out / "status.json").read_text())
+        assert (status["status"], status["stage"]) == ("incomplete", "train")
 
     def test_sparsity_violation_exits_3(self, config_path, capsys, monkeypatch):
         import numpy as np
@@ -281,8 +301,8 @@ def test_full_rank_factorization_warns_even_when_quiet(config_path, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "warning: rank 16 (k = 16) is the full rank of a 32x16 matrix: the fit is exact "
-        "up to rounding and its scores are noise"
+        "warning: layer0_linear: rank 16 (k = 16) is the full rank of a 32x16 matrix: the "
+        "fit is exact up to rounding and its scores are noise"
     ]
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from nmfprune import masking
 from nmfprune.masking import ThresholdConfig, layer_threshold
 from nmfprune.nmf import ScoreMatrix
 from nmfprune.pipeline import score_magnitude
@@ -26,6 +27,15 @@ def stats_oracle(values):
     deviations = sorted(abs(x - median) for x in xs)
     mad = deviations[(n - 1) // 2]
     return mean, math.sqrt(var), median, mad
+
+
+def two_copy_median_mad(a):
+    """Lower median and MAD from two partitioned copies: the median's, then
+    |a - median|'s. ``_center_spread`` reuses one copy in place."""
+    flat = a.ravel()
+    k = (flat.size - 1) // 2
+    median = float(np.partition(flat, k)[k])
+    return median, float(np.partition(np.abs(flat - median), k)[k])
 
 
 def threshold(values, t_type, gamma):
@@ -66,6 +76,16 @@ class TestStats:
         rng = np.random.default_rng(5)
         for shape in [(1, 2), (2, 2), (3, 4), (8, 8)]:
             assert_matches_oracle(rng.normal(size=shape))
+
+    def test_in_place_mad_matches_two_copy_formula(self):
+        rng = np.random.default_rng(6)
+        cases = [rng.normal(size=shape) for shape in [(1, 1), (1, 2), (3, 5), (4, 6), (31, 17)]]
+        cases += [rng.integers(0, 4, size=shape).astype(np.float64) for shape in [(5, 7), (6, 8)]]
+        cases.append(rng.exponential(size=(6, 9)).T)  # a strided view
+        for a in cases:
+            before = a.copy()
+            assert masking._center_spread(a, "mad") == two_copy_median_mad(a), a.shape
+            assert np.array_equal(a, before)  # the caller's scores are left alone
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="scores of 'l' must have at least one row"):

@@ -78,24 +78,38 @@ def mlp_specs():
     return [Linear(4, 6), ReLU(), Linear(6, 3)]
 
 
+def patch_rows(cols, n):
+    """im2col's (C*kh*kw, out_h*out_w*N) matrix as the oracle's rows: one per
+    output position, in (sample, out_row, out_col) order."""
+    return cols.reshape(cols.shape[0], -1, n).transpose(2, 1, 0).reshape(-1, cols.shape[0])
+
+
+def batch_innermost(x):
+    """``x`` as an (N, C, H, W) view of (C, H, W, N) memory, the layout a conv
+    layer's output has."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 class TestIm2col:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(40)
         for c, (kh, kw), stride, padding in GEOMETRIES:
             x = rng.normal(size=(2, c, 5, 7))
-            got = im2col(x, kh, kw, stride, padding)
-            assert np.array_equal(got, im2col_oracle(x, kh, kw, stride, padding)), (
-                c, kh, kw, stride, padding,
-            )
+            expected = im2col_oracle(x, kh, kw, stride, padding)
+            for layout in (x, batch_innermost(x)):
+                got = im2col(layout, kh, kw, stride, padding)
+                assert np.array_equal(patch_rows(got, 2), expected), (
+                    c, kh, kw, stride, padding,
+                )
 
     def test_col2im_is_adjoint_of_im2col(self):
-        # <im2col(x), cols> == <x, col2im(cols^T)> for every geometry.
+        # <im2col(x), cols> == <x, col2im(cols)> for every geometry.
         rng = np.random.default_rng(41)
         for c, (kh, kw), stride, padding in GEOMETRIES:
             x = rng.normal(size=(2, c, 5, 7))
             unfolded = im2col(x, kh, kw, stride, padding)
             cols = rng.normal(size=unfolded.shape)
-            folded = col2im(np.ascontiguousarray(cols.T), x.shape, kh, kw, stride, padding)
+            folded = col2im(cols, x.shape, kh, kw, stride, padding)
             assert folded.shape == x.shape
             lhs = np.sum(unfolded * cols)
             rhs = np.sum(x * folded)
@@ -208,6 +222,31 @@ class TestForward:
             x = rng.normal(size=(2, spec.in_channels, hw, hw))
             want = direct_conv(x, conv.weights, conv.bias, spec)
             assert np.max(np.abs(conv.forward(x) - want)) <= 1e-10
+
+    def test_conv_forward_and_gradients_against_oracle_in_both_layouts(self):
+        # The trainer passes the first conv a C-contiguous batch; every later
+        # conv gets the previous conv's (N, C, H, W) view of batch-innermost memory.
+        specs = [Conv2d(2, 3, 3, 3, padding=1), Conv2d(3, 2, 2, 3, stride=2, padding=1)]
+        first, second = init_network(specs, seed=56).weighted_layers
+        rng = np.random.default_rng(57)
+        x = rng.normal(size=(2, 2, 5, 6))
+        first_out = first.forward(x, cache=False)
+        assert not first_out.flags.c_contiguous
+        for layer, spec, inp in [(first, specs[0], x), (second, specs[1], first_out)]:
+            layer.bias[:] = rng.normal(size=layer.bias.shape)
+            out = layer.forward(inp)
+            assert np.max(np.abs(out - direct_conv(inp, layer.weights, layer.bias, spec))) <= 1e-10
+            dout = rng.normal(size=out.shape)
+            layer.backward(dout, input_grad=False)
+            # The output is linear in the weights: d<out, dout>/dW[i] is the
+            # oracle's output for a unit weight at i, weighed by dout.
+            want = np.zeros_like(layer.weights)
+            for index in np.ndindex(*want.shape):
+                unit = np.zeros_like(layer.weights)
+                unit[index] = 1.0
+                want[index] = np.sum(direct_conv(inp, unit, np.zeros_like(layer.bias), spec) * dout)
+            assert np.max(np.abs(layer.grad_weights - want)) <= 1e-10
+            assert np.max(np.abs(layer.grad_bias - dout.sum(axis=(0, 2, 3)))) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         net = init_network(mlp_specs(), seed=0)

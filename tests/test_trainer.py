@@ -388,6 +388,63 @@ class TestRunTraining:
             assert metrics[-1].train_loss < metrics[0].train_loss
 
 
+def conv_relu_net(seed):
+    """conv, relu, conv (stride 2), relu, flatten, linear on 1x6x6 images."""
+    return init_network([
+        Conv2d(1, 3, 3, 3, padding=1), ReLU(), Conv2d(3, 4, 3, 3, stride=2, padding=1), ReLU(),
+        Flatten(), Linear(4 * 3 * 3, 3),
+    ], seed=seed)
+
+
+def all_ones_masked(net):
+    masks = {l.layer_id: Mask(l.layer_id, np.ones_like(l.weights)) for l in net.prunable_layers}
+    return convert_to_masked(net, masks)
+
+
+class TestAllOnesConvMasks:
+    """Training a conv net with all-ones masks is bit-identical to training
+    it unmasked."""
+
+    def test_masked_step_matches_plain_step(self):
+        cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(8, 1, 6, 6))
+        y = rng.integers(0, 3, 8)
+
+        net_plain = conv_relu_net(seed=61)
+        net_plain.forward(x)
+        net_plain.backward(y)
+        sgd_step(net_plain, OptimizerState.for_network(net_plain), 0.1, cfg)
+
+        net_masked = all_ones_masked(conv_relu_net(seed=61))
+        masked_train_step(net_masked, x, y, OptimizerState.for_network(net_masked), 0.1, cfg)
+
+        for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
+
+    def test_two_epoch_run_matches_unmasked_run(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(60, 36))
+        y = rng.integers(0, 3, 60)
+        data = Dataset(
+            train_x=x[:48], train_y=y[:48], test_x=x[48:], test_y=y[48:],
+            n_classes=3, image_shape=(1, 6, 6),
+        )
+        cfg = TrainConfig(
+            epochs=2, lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=16, seed=63
+        )
+        net_plain = conv_relu_net(seed=64)
+        plain = run_training(net_plain, data, cfg)
+        net_masked = all_ones_masked(conv_relu_net(seed=64))
+        masked = run_training(net_masked, data, cfg)
+
+        assert plain == masked
+        for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
+
+
 def small_conv_net(seed):
     return init_network([
         Conv2d(1, 8, 3, 3, padding=1), ReLU(), Conv2d(8, 16, 3, 3, stride=2, padding=1), ReLU(),
