@@ -46,6 +46,11 @@ class Linear:
         if self.in_features < 1 or self.out_features < 1:
             raise ValueError(f"Linear dimensions must be positive, got {self}")
 
+    def output_shape(self, shape: tuple) -> tuple:
+        if shape not in ((self.in_features,), (None,)):
+            raise ValueError(f"input shape {shape} does not fit {self.in_features} features")
+        return (self.out_features,)
+
 
 @dataclass(frozen=True)
 class Conv2d:
@@ -63,17 +68,32 @@ class Conv2d:
         if self.stride < 1 or self.padding < 0:
             raise ValueError(f"Conv2d stride/padding invalid: {self}")
 
+    def output_shape(self, shape: tuple) -> tuple:
+        if len(shape) != 3 or shape[0] != self.in_channels:
+            raise ValueError(f"input shape {shape} does not fit {self.in_channels}-channel images")
+        _, h, w = shape
+        if h is None:
+            return (self.out_channels, None, None)
+        out_h = (h + 2 * self.padding - self.kernel_h) // self.stride + 1
+        out_w = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
+        if out_h < 1 or out_w < 1:
+            raise ValueError(f"kernel does not fit a {h}x{w} input")
+        return (self.out_channels, out_h, out_w)
+
 
 @dataclass(frozen=True)
 class ReLU:
-    pass
+    def output_shape(self, shape: tuple) -> tuple:
+        return shape
 
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
+    def output_shape(self, shape: tuple) -> tuple:
+        return (None,) if None in shape else (math.prod(shape),)
 
 
+# A spec's output_shape maps one sample's shape to its output's; see output_shapes.
 LayerSpec = Union[Linear, Conv2d, ReLU, Flatten]
 
 # The layer kinds by the names config files and checkpoints give them. A
@@ -164,14 +184,8 @@ class _LinearLayer(_WeightedLayer):
     def __init__(self, layer_id: str, spec: Linear, prunable: bool, rng: np.random.Generator):
         super().__init__(layer_id, spec, prunable, rng, spec.in_features, spec.out_features)
 
-    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.spec.in_features
-        if shape != (n,):
-            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit {n} features")
-        return (self.spec.out_features,)
-
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        self.output_shape(x.shape[1:])  # raises on an input that does not fit
+        self.spec.output_shape(x.shape[1:])  # raises on an input that does not fit
         self._cols = x if cache else None
         out = x @ self.weights.T
         out += self.bias
@@ -199,23 +213,13 @@ class _ConvLayer(_WeightedLayer):
         self._x_shape: tuple | None = None
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
-        s = self.spec
-        out_h = (h + 2 * s.padding - s.kernel_h) // s.stride + 1
-        out_w = (w + 2 * s.padding - s.kernel_w) // s.stride + 1
-        if out_h < 1 or out_w < 1:
-            raise ValueError(f"{self.layer_id}: kernel does not fit a {h}x{w} input")
-        return out_h, out_w
-
-    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(shape) != 3 or shape[0] != self.spec.in_channels:
-            raise ValueError(f"{self.layer_id}: input shape {shape} does not fit")
-        return (self.spec.out_channels, *self.output_hw(shape[1], shape[2]))
+        return self.spec.output_shape((self.spec.in_channels, h, w))[1:]
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Return an (N, C_out, out_h, out_w) view of (C_out, out_h, out_w, N)
         memory: the layout the next conv's im2col reads in order."""
         s = self.spec
-        _, out_h, out_w = self.output_shape(x.shape[1:])
+        _, out_h, out_w = s.output_shape(x.shape[1:])
         self._x_shape = x.shape
         cols = im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
         self._cols = cols if cache else None
@@ -260,9 +264,6 @@ class _ReLULayer:
         grad *= active
         return grad
 
-    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        return shape
-
 
 class _FlattenLayer:
     kind = "flatten"
@@ -279,44 +280,34 @@ class _FlattenLayer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout.reshape(self._x_shape)
 
-    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        return (math.prod(shape),)
-
 
 _LAYER_CLASSES = {
     Linear: _LinearLayer, Conv2d: _ConvLayer, ReLU: _ReLULayer, Flatten: _FlattenLayer,
 }
 
 
-def _validate_chain(specs: list[LayerSpec]) -> None:
-    """Reject statically detectable shape breaks between consecutive layers.
-
-    Tracks whether the data flowing between layers is a feature vector or an
-    image stack; ReLU preserves either, Flatten turns images into vectors.
-    Spatial sizes depend on the input and are checked at forward time.
-    """
-    state: tuple[str, int | None] | None = None  # ("vec", features) or ("img", channels)
-    prev: LayerSpec | None = None
-    for spec in specs:
-        if isinstance(spec, (Linear, Conv2d)):
-            kind, unit, n_in, n_out = (
-                ("vec", "features", spec.in_features, spec.out_features)
-                if isinstance(spec, Linear)
-                else ("img", "channels", spec.in_channels, spec.out_channels)
-            )
-            if state is not None and state[0] != kind:
-                hint = " (flatten first)" if kind == "vec" else ""
-                raise ValueError(f"incompatible layer pair: {prev} -> {spec}{hint}")
-            if state is not None and state[1] not in (None, n_in):
-                raise ValueError(
-                    f"incompatible layer pair: {prev} -> {spec} "
-                    f"({state[1]} {unit} flow into in_{unit}={n_in})"
-                )
-            state = (kind, n_out)
-        elif isinstance(spec, Flatten) and (state is None or state[0] == "img"):
-            state = ("vec", None)
-        # ReLU preserves whatever state holds.
-        prev = spec
+def output_shapes(specs: list[LayerSpec], sample_shape: tuple | None = None) -> list[tuple]:
+    """Each layer's output shape for one sample of ``sample_shape`` (no batch
+    axis). Without a sample shape the walk starts from the one the first
+    weighted layer implies: (in_features,), or (in_channels, None, None) for
+    a conv, where None is a size not yet known. Raises a ValueError naming
+    the first layer, as ``layer<i>_<kind>``, whose input does not fit."""
+    if sample_shape is None:
+        first = next((s for s in specs if isinstance(s, (Linear, Conv2d))), None)
+        if first is None:
+            raise ValueError("network needs at least one weighted layer")
+        sample_shape = (
+            (first.in_features,) if isinstance(first, Linear) else (first.in_channels, None, None)
+        )
+    shapes = []
+    shape = tuple(sample_shape)
+    for i, spec in enumerate(specs):
+        try:
+            shape = spec.output_shape(shape)
+        except ValueError as exc:
+            raise ValueError(f"layer{i}_{_LAYER_CLASSES[type(spec)].kind}: {exc}") from None
+        shapes.append(shape)
+    return shapes
 
 
 class Network:
@@ -331,11 +322,6 @@ class Network:
         self._logits: np.ndarray | None = None
         self._batch_size: int | None = None
         self._cache_fresh = False
-
-    @property
-    def input_kind(self) -> str:
-        """"image" when the first weighted layer is a conv, else "vector"."""
-        return "image" if isinstance(self.weighted_layers[0], _ConvLayer) else "vector"
 
     @property
     def weighted_layers(self) -> list:
@@ -417,15 +403,16 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
     weighted_positions = [i for i, s in enumerate(specs) if isinstance(s, (Linear, Conv2d))]
     if not weighted_positions:
         raise ValueError("network needs at least one weighted layer")
-    _validate_chain(specs)
+    try:
+        output_shapes(specs)
+    except ValueError as exc:
+        raise ValueError(f"incompatible layer pair: {exc}") from None
 
     last_weighted = weighted_positions[-1]
     rng = np.random.default_rng(derive_seed(seed, "init"))
     layers: list = []
     for i, spec in enumerate(specs):
-        cls = _LAYER_CLASSES.get(type(spec))
-        if cls is None:
-            raise ValueError(f"unknown layer spec {spec!r}")
+        cls = _LAYER_CLASSES[type(spec)]
         layer_id = f"layer{i}_{cls.kind}"
         if issubclass(cls, _WeightedLayer):
             prunable = spec.prunable if spec.prunable is not None else i != last_weighted
@@ -479,15 +466,12 @@ def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
     layer without a mask contributes its dense cost. Bias additions and
     activations are not counted.
     """
-    shape = tuple(int(d) for d in input_shape)
     dense = 0
     sparse = 0
-    for layer in net.layers:
-        out = layer.output_shape(shape)
+    for layer, out in zip(net.layers, output_shapes(net.specs, input_shape)):
         if isinstance(layer, _WeightedLayer):
             positions = math.prod(out[1:])  # output pixels of a conv, 1 for a linear layer
             kept = layer.weights.size if layer.kept is None else layer.kept.size
             dense += 2 * layer.weights.size * positions
             sparse += 2 * kept * positions
-        shape = out
     return FlopsEstimate(dense_flops=dense, sparse_flops=sparse)

@@ -7,7 +7,7 @@ releases the interpreter lock in their heavy work, so they overlap on two
 cores. After both finish, the mask stage fixes the threshold scale gamma
 (searched against a sparsity target, or taken from the config), generates the
 final masks, and prunes. The train stage checks that the model's layers fit
-the dataset's samples and that the model has an output per class, masks each
+the dataset's samples and end in at least one score per class, masks each
 step's weight gradients and updates only the kept weights, so pruned weights
 stay exactly zero; the report stage counts, evaluates and saves. Each stage
 is timed on the thread that runs it, so ``wall_times["data"]`` is the
@@ -37,11 +37,13 @@ import numpy as np
 from .checkpoint import save_checkpoint, write_atomic
 from .datasets import load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
-from .network import Network, convert_to_masked, count_zero_weights, flops_estimate, init_network
+from .network import (
+    Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, output_shapes,
+)
 from .nmf import ScoreMatrix, score_layer
 from .runconfig import ConfigError, MagnitudeScorer, RunConfig, ScorerSpec
 from .seeds import derive_seed
-from .trainer import EpochMetrics, evaluate, model_input, run_training
+from .trainer import EpochMetrics, evaluate, run_training, sample_shape
 
 STAGES = ("data", "score", "mask", "train", "report")
 
@@ -101,6 +103,8 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
     """Score every prunable layer. Factorization seeds derive per layer from
     the root seed, so layers are independent but the whole set is
     reproducible."""
+    if not net.prunable_layers:
+        raise ConfigError("the model has no prunable layer; set prunable=true on one")
     scores: dict[str, ScoreMatrix] = {}
     for layer in net.prunable_layers:
         if isinstance(scorer, MagnitudeScorer):
@@ -193,16 +197,16 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         net = convert_to_masked(net, masks)
 
     with _stage("train", wall):
-        sample_shape = model_input(net, dataset, dataset.train_x[:1]).shape[1:]
-        shape = sample_shape
+        shape = sample_shape(net, dataset)
         try:
-            for layer in net.layers:
-                shape = layer.output_shape(shape)
+            logits = output_shapes(net.specs, shape)[-1]
         except ValueError as exc:
-            raise ConfigError(f"{exc}; the dataset's samples have shape {sample_shape}") from None
-        if shape[0] < dataset.n_classes:
+            raise ConfigError(f"{exc}; the dataset's samples have shape {shape}") from None
+        if len(logits) != 1:
+            raise ConfigError(f"the model ends in shape {logits}, not one score per class")
+        if logits[0] < dataset.n_classes:
             raise ConfigError(
-                f"the model has {shape[0]} outputs but the dataset has "
+                f"the model has {logits[0]} outputs but the dataset has "
                 f"{dataset.n_classes} classes"
             )
         train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, "train"))
@@ -217,11 +221,11 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
 
     with _stage("report", wall):
-        flops = flops_estimate(net, sample_shape)
+        flops = flops_estimate(net, shape)
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:
-            test_x = model_input(net, dataset, dataset.test_x)
+            test_x = dataset.test_x.reshape(-1, *shape)
             final_acc = evaluate(net, test_x, dataset.test_y, cfg.train.batch_size)
         report = RunReport(
             gamma_star=gamma_star,

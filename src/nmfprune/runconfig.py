@@ -3,7 +3,8 @@
 The format is line oriented with ``[section]`` headers. ``#`` starts a comment
 that runs to the end of the line, and blank lines are ignored. ``layer`` may
 repeat inside ``[model]``; all other keys appear at most once per section,
-and each ``name=value`` option at most once per layer.
+and each ``name=value`` option at most once per layer. The layers must fit
+one another, from the input shape the first weighted layer implies.
 A section's keys are the fields of the dataclass it builds, so the defaults
 are the dataclass defaults and a key that names no field is an error. Exactly
 one of a fixed ``gamma`` under ``[threshold]`` or a ``[gamma_search]``
@@ -20,7 +21,7 @@ from typing import Union, get_args, get_type_hints
 
 from .datasets import CsvSource, DatasetSpec, IdxSource, SyntheticBlobs
 from .masking import GammaSearchConfig, ThresholdConfig
-from .network import LAYER_KINDS, LayerSpec
+from .network import LAYER_KINDS, LayerSpec, output_shapes
 from .nmf import NmfConfig
 from .trainer import TrainConfig
 
@@ -220,8 +221,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key != "layer":
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [model]")
         model.append(_parse_layer(value, f"{source}:{lineno}"))
-    if not model:
-        raise ConfigError(f"{source}: [model] defines no layers")
+    try:
+        output_shapes(model)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: [model] {exc}") from None
 
     dataset_section = _Section("dataset", want("dataset"), source)
     dataset = dataset_section.build(

@@ -187,15 +187,13 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> flo
     return correct / len(x)
 
 
-def model_input(net: Network, dataset, x: np.ndarray) -> np.ndarray:
-    """Reshape flat features into image stacks when the network starts with a
-    conv layer."""
-    if net.input_kind == "image":
-        if dataset.image_shape is None:
-            raise ValueError("network expects image input but the dataset has no image shape")
-        c, h, w = dataset.image_shape
-        return x.reshape(len(x), c, h, w)
-    return x
+def sample_shape(net: Network, dataset) -> tuple[int, ...]:
+    """The shape ``net`` reads one sample of ``dataset`` in: the dataset's
+    image shape when the first weighted layer is a conv and the dataset has
+    one, else its flat features."""
+    if net.weighted_layers[0].kind == "conv" and dataset.image_shape is not None:
+        return dataset.image_shape
+    return dataset.train_x.shape[1:]
 
 
 def run_training(
@@ -210,8 +208,9 @@ def run_training(
     checkpoints).
     """
     state = OptimizerState.for_network(net)
-    train_x = model_input(net, dataset, dataset.train_x)
-    test_x = model_input(net, dataset, dataset.test_x)
+    shape = sample_shape(net, dataset)
+    train_x = dataset.train_x.reshape(-1, *shape)
+    test_x = dataset.test_x.reshape(-1, *shape)
     n = len(train_x)
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, overrides, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -225,6 +226,53 @@ class TestRun:
         status = json.loads((out / "status.json").read_text())
         assert (status["status"], status["stage"]) == ("incomplete", "train")
 
+    def test_conv_model_on_a_dataset_without_images_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.format(out=out).replace(
+            "layer = linear 16 32\nlayer = relu\n",
+            "layer = conv2d 1 2 3 3\nlayer = relu\nlayer = flatten\nlayer = linear 8 32\n",
+        ))
+        assert main(["run", "--config", str(bad), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: stage 'train' failed: layer0_conv: input shape (16,) does not fit "
+            "1-channel images; the dataset's samples have shape (16,)"
+        )
+        status = json.loads((out / "status.json").read_text())
+        assert (status["status"], status["stage"]) == ("incomplete", "train")
+
+    def test_model_ending_in_a_conv_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        n = 100
+        (tmp_path / "imgs").write_bytes(
+            struct.pack(">iiii", 0x00000803, n, 8, 8)
+            + rng.integers(0, 256, (n, 8, 8), dtype=np.uint8).tobytes()
+        )
+        (tmp_path / "lbls").write_bytes(
+            struct.pack(">ii", 0x00000801, n) + rng.integers(0, 2, n, dtype=np.uint8).tobytes()
+        )
+        out = tmp_path / "out"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            CONFIG.format(out=out)
+            .replace(
+                "layer = linear 16 32\nlayer = relu\nlayer = linear 32 2",
+                "layer = conv2d 1 2 3 3\nlayer = relu\nlayer = conv2d 2 2 3 3",
+            )
+            .replace(
+                "kind = synthetic-blobs\nn_samples = 400\nn_features = 16\n"
+                "n_classes = 2\nseed = 9",
+                f"kind = idx\nimages = {tmp_path / 'imgs'}\nlabels = {tmp_path / 'lbls'}",
+            )
+        )
+        assert main(["run", "--config", str(bad), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: stage 'train' failed: the model ends in shape (2, 4, 4), "
+            "not one score per class"
+        )
+        status = json.loads((out / "status.json").read_text())
+        assert (status["status"], status["stage"]) == ("incomplete", "train")
+
     def test_sparsity_violation_exits_3(self, config_path, capsys, monkeypatch):
         import numpy as np
 
@@ -304,6 +352,53 @@ def test_full_rank_factorization_warns_even_when_quiet(config_path, tmp_path, ca
         "warning: layer0_linear: rank 16 (k = 16) is the full rank of a 32x16 matrix: the "
         "fit is exact up to rounding and its scores are noise"
     ]
+
+
+@pytest.mark.parametrize("command", ["run", "score", "tune"])
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        (
+            "linear 16 8\nlayer = linear 9 2",
+            "layer1_linear: input shape (8,) does not fit 9 features",
+        ),
+        ("relu", "network needs at least one weighted layer"),
+    ],
+    ids=["incompatible-pair", "no-weighted-layer"],
+)
+def test_broken_layer_chain_exits_1_at_config_load(tmp_path, capsys, command, layers, message):
+    out = tmp_path / "out"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.format(out=out).replace(
+        "linear 16 32\nlayer = relu\nlayer = linear 32 2", layers
+    ))
+    assert main([command, "--config", str(bad), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: [model] {message}\n"
+    assert not out.exists()
+
+
+FIXED_GAMMA = [("[gamma_search]\ns_target = 0.7\n", ""), ("type = std", "type = std\ngamma = 1.0")]
+
+
+@pytest.mark.parametrize(
+    "command, edits",
+    [("run", []), ("run", FIXED_GAMMA), ("score", []), ("tune", [])],
+    ids=["run-search", "run-fixed-gamma", "score", "tune"],
+)
+def test_model_without_a_prunable_layer_exits_1(tmp_path, capsys, command, edits):
+    out = tmp_path / "out"
+    text = CONFIG.format(out=out).replace(
+        "linear 16 32\nlayer = relu\nlayer = linear 32 2", "linear 16 2"
+    )
+    for old, new in edits:
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main([command, "--config", str(bad), "--quiet"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "the model has no prunable layer; set prunable=true on one\n"
+    )
+    assert not (out / "scores.bin").exists()
 
 
 class TestScore:

@@ -9,6 +9,7 @@ import pytest
 import nmfprune.network as network
 from nmfprune.masking import Mask
 from nmfprune.network import (
+    LAYER_KINDS,
     Conv2d,
     Flatten,
     Linear,
@@ -19,6 +20,7 @@ from nmfprune.network import (
     flops_estimate,
     im2col,
     init_network,
+    output_shapes,
     softmax_cross_entropy,
 )
 
@@ -510,6 +512,36 @@ class TestConvertToMasked:
         masks["ghost"] = Mask("ghost", np.ones((1, 1)))
         with pytest.raises(ValueError, match="non-prunable or unknown"):
             convert_to_masked(net, masks)
+
+
+class TestOutputShapes:
+    def test_walk_matches_forward_for_every_kind(self):
+        # Each chain is walked from a sample shape and run layer by layer on a
+        # batch; together the chains cover every layer kind and every conv
+        # geometry in GEOMETRIES on a 5x7 input.
+        chains = [([ReLU(), Linear(4, 6), ReLU(), Linear(6, 3)], (4,))]
+        for c, (kh, kw), stride, padding in GEOMETRIES:
+            chains.append(([Conv2d(c, 2, kh, kw, stride, padding), ReLU(), Flatten()], (c, 5, 7)))
+        rng = np.random.default_rng(58)
+        for specs, sample in chains:
+            walked = output_shapes(specs, sample)
+            out = rng.normal(size=(2, *sample))
+            for layer, shape in zip(init_network(specs, seed=0).layers, walked, strict=True):
+                out = layer.forward(out)
+                assert out.shape == (2, *shape), (specs, layer.layer_id)
+            # The walk from the shape the specs imply agrees wherever it knows a size.
+            for implied, known in zip(output_shapes(specs), walked, strict=True):
+                assert len(implied) == len(known), specs
+                assert all(i in (None, k) for i, k in zip(implied, known)), specs
+        covered = {type(spec) for specs, _ in chains for spec in specs}
+        assert covered == set(LAYER_KINDS.values())
+
+    def test_first_misfit_is_named(self):
+        specs = [Conv2d(1, 2, 3, 3), ReLU(), Conv2d(2, 2, 3, 3), Flatten(), Linear(2, 2)]
+        with pytest.raises(ValueError, match=r"^layer2_conv: kernel does not fit a 2x2 input$"):
+            output_shapes(specs, (1, 4, 4))
+        with pytest.raises(ValueError, match=r"^layer4_linear: input shape \(8,\) does not fit"):
+            output_shapes(specs, (1, 6, 6))
 
 
 class TestFlopsEstimate:
