@@ -12,6 +12,10 @@ sparsity-invariant violation; a failed pipeline stage counts as its cause.
 Failures are one line on stderr, never a traceback. Library warnings (a
 factorization at full rank, a missed sparsity target) are printed as
 ``warning:`` lines on stderr, even with ``--quiet``.
+
+``score`` and ``tune`` never open the dataset, so they accept a model that
+cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
+scoring, from the sample shape the dataset declares.
 """
 
 from __future__ import annotations

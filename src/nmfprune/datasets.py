@@ -3,6 +3,15 @@
 Every source is reduced to float64 feature rows plus integer class labels,
 split 80/20 deterministically, and standardized per feature using statistics
 computed on the training split only.
+
+Each source declares its sample shape before any sample is read
+(``declared_shape``): the blobs spec, the IDX headers, the first CSV data
+row. ``load_dataset`` then draws the split permutation and writes every
+sample straight into its row of one (n, d) float64 array laid out
+[train | test]. The two splits are disjoint views of that array, and
+standardization runs in place on it; only the variance needs a temporary,
+taken over column blocks of ``_STAT_COLS`` or more columns, so a load holds
+one sample-sized array and no train-sized temporary.
 """
 
 from __future__ import annotations
@@ -19,6 +28,16 @@ from .seeds import derive_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# Blob noise is drawn this many rows at a time; the chunk and its centers are
+# the only temporaries beside the result.
+_DRAW_ROWS = 128
+# The train variance squares the centered rows in column blocks at least this
+# wide, so its temporary is n_train x (64 to 127) columns, not the whole
+# split. NumPy sums a block of two or more columns along axis 0 row by row,
+# as np.std sums the whole matrix, so the bits are the same; a 1-column block
+# is summed pairwise instead, and its bits differ.
+_STAT_COLS = 64
 
 
 class DatasetError(ValueError):
@@ -48,8 +67,21 @@ class IdxSource:
 DatasetSpec = Union[SyntheticBlobs, CsvSource, IdxSource]
 
 
+@dataclass(frozen=True)
+class DeclaredShape:
+    """The shape every sample of a source has, known before its samples are
+    read: the flat feature count, and (channels, height, width) for images."""
+
+    n_features: int
+    image_shape: tuple[int, int, int] | None = None
+
+
 @dataclass
 class Dataset:
+    """Standardized 80/20 splits. ``train_x`` and ``test_x`` are disjoint
+    views of one (n, d) float64 array, training rows first, and ``train_y``
+    and ``test_y`` of one int64 label array."""
+
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
@@ -62,28 +94,43 @@ class Dataset:
         return self.train_x.shape[1]
 
 
-def _blobs(spec: SyntheticBlobs) -> tuple[np.ndarray, np.ndarray]:
+def _split_order(n: int, split_seed: int) -> np.ndarray:
+    """The seeded split permutation: sample ``order[j]`` goes to row j, and
+    the first int(0.8 n) rows are the training split."""
+    n_train = int(n * 0.8)
+    if n_train < 1 or n - n_train < 1:
+        raise DatasetError(f"dataset of {n} samples is too small for an 80/20 split")
+    return np.random.default_rng(derive_seed(split_seed, "split")).permutation(n)
+
+
+def _blobs(spec: SyntheticBlobs, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Well-separated Gaussian clusters: centers uniform in [-10, 10]^d,
-    unit-variance noise."""
-    if spec.n_samples < 2 or spec.n_features < 1 or spec.n_classes < 2:
-        raise DatasetError(f"degenerate blob spec: {spec}")
+    unit-variance noise. Sample i is its class center plus row i of one noise
+    draw, written to its split row as it is drawn."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.uniform(-10.0, 10.0, (spec.n_classes, spec.n_features))
     y = rng.integers(0, spec.n_classes, spec.n_samples)
-    # Noise first, centers added in place a class at a time: no second
-    # sample-sized array, and the sums are the same as centers[y] + noise.
-    x = rng.normal(0.0, 1.0, (spec.n_samples, spec.n_features))
-    for c in range(spec.n_classes):
-        x[y == c] += centers[c]
-    return x, y.astype(np.int64)
+    order = _split_order(spec.n_samples, split_seed)
+    row = np.empty_like(order)
+    row[order] = np.arange(spec.n_samples)
+    x = np.empty((spec.n_samples, spec.n_features))
+    # Row chunks draw the stream one full draw would, and standard_normal is
+    # normal(0.0, 1.0) bit for bit.
+    for lo in range(0, spec.n_samples, _DRAW_ROWS):
+        hi = min(lo + _DRAW_ROWS, spec.n_samples)
+        chunk = rng.standard_normal((hi - lo, spec.n_features))
+        chunk += centers[y[lo:hi]]
+        x[row[lo:hi]] = chunk
+    return x, y[order]
 
 
-def _read_csv(spec: CsvSource) -> tuple[np.ndarray, np.ndarray]:
+def _csv_rows(spec: CsvSource):
+    """Yield (line number, cells) for each data row of the file. Blank lines,
+    ``#`` comments and a first line with a non-numeric cell (a header) are
+    skipped; a row without the label column is a DatasetError."""
     path = Path(spec.path)
     if not path.exists():
         raise DatasetError(f"csv file not found: {path}")
-    rows: list[list[float]] = []
-    labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -97,35 +144,43 @@ def _read_csv(spec: CsvSource) -> tuple[np.ndarray, np.ndarray]:
                     f"label column {spec.label_column} out of range on row {lineno} "
                     f"({len(cells)} columns)"
                 )
-            features: list[float] = []
-            label_val = 0
-            for col, cell in enumerate(cells):
-                try:
-                    value = float(cell)
-                except ValueError:
+            yield lineno, cells
+
+
+def _csv(spec: CsvSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for lineno, cells in _csv_rows(spec):
+        features: list[float] = []
+        label_val = 0
+        for col, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DatasetError(
+                    f"non-numeric cell {cell!r} at row {lineno}, column {col}"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetError(f"non-finite cell {cell!r} at row {lineno}, column {col}")
+            if col == spec.label_column:
+                if value != int(value) or value < 0:
                     raise DatasetError(
-                        f"non-numeric cell {cell!r} at row {lineno}, column {col}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DatasetError(f"non-finite cell {cell!r} at row {lineno}, column {col}")
-                if col == spec.label_column:
-                    if value != int(value) or value < 0:
-                        raise DatasetError(
-                            f"label {cell!r} at row {lineno} is not a non-negative integer"
-                        )
-                    if value >= 2**63:
-                        raise DatasetError(f"label {cell!r} at row {lineno} does not fit in int64")
-                    label_val = int(value)
-                else:
-                    features.append(value)
-            rows.append(features)
-            labels.append(label_val)
-    if not rows:
-        raise DatasetError(f"csv file {path} has no data rows")
+                        f"label {cell!r} at row {lineno} is not a non-negative integer"
+                    )
+                if value >= 2**63:
+                    raise DatasetError(f"label {cell!r} at row {lineno} does not fit in int64")
+                label_val = int(value)
+            else:
+                features.append(value)
+        rows.append(features)
+        labels.append(label_val)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DatasetError(f"csv rows have inconsistent column counts: {sorted(widths)}")
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    order = _split_order(len(rows), split_seed)
+    # The rows are put in split order as Python lists, so one array is built.
+    x = np.array([rows[i] for i in order.tolist()], dtype=np.float64)
+    return x, np.array(labels, dtype=np.int64)[order]
 
 
 def _looks_like_header(cells: list[str]) -> bool:
@@ -137,43 +192,95 @@ def _looks_like_header(cells: list[str]) -> bool:
     return False
 
 
-def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
+def _idx_header(path: Path, expected_magic: int) -> tuple[int, tuple[int, ...]]:
+    """The header length and dimensions of an IDX file, checked against the
+    expected magic and the file's size; the data bytes are not read."""
     if not path.exists():
         raise DatasetError(f"idx file not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 4:
-        raise DatasetError(f"idx file {path} truncated before magic")
-    (magic,) = struct.unpack(">i", raw[:4])
-    if magic != expected_magic:
-        raise DatasetError(
-            f"idx magic mismatch in {path}: expected 0x{expected_magic:08x}, "
-            f"got 0x{magic:08x}"
-        )
-    n_dims = magic & 0xFF  # low byte of the magic encodes the rank
-    header_len = 4 + 4 * n_dims
-    if len(raw) < header_len:
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+        if len(head) < 4:
+            raise DatasetError(f"idx file {path} truncated before magic")
+        (magic,) = struct.unpack(">i", head)
+        if magic != expected_magic:
+            raise DatasetError(
+                f"idx magic mismatch in {path}: expected 0x{expected_magic:08x}, "
+                f"got 0x{magic:08x}"
+            )
+        n_dims = magic & 0xFF  # low byte of the magic encodes the rank
+        raw_dims = fh.read(4 * n_dims)
+    if len(raw_dims) < 4 * n_dims:
         raise DatasetError(f"idx file {path} truncated in dimension header")
-    dims = struct.unpack(f">{n_dims}i", raw[4:header_len])
+    dims = struct.unpack(f">{n_dims}i", raw_dims)
     if min(dims) < 0:
         raise DatasetError(f"idx file {path} has a negative dimension in its header {dims}")
+    header_len = 4 + 4 * n_dims
     count = math.prod(dims)  # Python ints: a product past 2**63 cannot wrap to a match
-    if len(raw) != header_len + count:
-        raise DatasetError(
-            f"idx file {path} has {len(raw) - header_len} data bytes, expected {count}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=header_len).reshape(dims)
+    data_bytes = path.stat().st_size - header_len
+    if data_bytes != count:
+        raise DatasetError(f"idx file {path} has {data_bytes} data bytes, expected {count}")
+    return header_len, dims
 
 
-def _idx(spec: IdxSource) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    images = _read_idx(Path(spec.images_path), IDX_IMAGES_MAGIC)
-    labels = _read_idx(Path(spec.labels_path), IDX_LABELS_MAGIC)
-    if images.shape[0] != labels.shape[0]:
-        raise DatasetError(
-            f"idx image/label counts differ: {images.shape[0]} vs {labels.shape[0]}"
-        )
-    n, h, w = images.shape
-    x = images.reshape(n, h * w).astype(np.float64)
-    return x, labels.astype(np.int64), (1, h, w)
+def _idx_headers(spec: IdxSource) -> tuple[int, int, tuple[int, ...]]:
+    """The images' and labels' header lengths and the images' (n, h, w)."""
+    images_at, dims = _idx_header(Path(spec.images_path), IDX_IMAGES_MAGIC)
+    labels_at, (n_labels,) = _idx_header(Path(spec.labels_path), IDX_LABELS_MAGIC)
+    if dims[0] != n_labels:
+        raise DatasetError(f"idx image/label counts differ: {dims[0]} vs {n_labels}")
+    return images_at, labels_at, dims
+
+
+def _idx(spec: IdxSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    images_at, labels_at, (n, h, w) = _idx_headers(spec)
+    order = _split_order(n, split_seed)
+    images = np.fromfile(spec.images_path, dtype=np.uint8, offset=images_at).reshape(n, h * w)
+    labels = np.fromfile(spec.labels_path, dtype=np.uint8, offset=labels_at)
+    # Rows are gathered as uint8 and converted once: no float64 copy in file order.
+    return images[order].astype(np.float64), labels[order].astype(np.int64)
+
+
+def declared_shape(spec: DatasetSpec) -> DeclaredShape:
+    """The sample shape ``spec`` declares: from the blobs spec, the IDX
+    headers or the first CSV data row, reading no other sample. Raises the
+    DatasetError ``load_dataset`` would for a bad spec, header or first row."""
+    if isinstance(spec, SyntheticBlobs):
+        if spec.n_samples < 2 or spec.n_features < 1 or spec.n_classes < 2:
+            raise DatasetError(f"degenerate blob spec: {spec}")
+        shape = DeclaredShape(spec.n_features)
+    elif isinstance(spec, CsvSource):
+        first = next(_csv_rows(spec), None)
+        if first is None:
+            raise DatasetError(f"csv file {Path(spec.path)} has no data rows")
+        shape = DeclaredShape(len(first[1]) - 1)
+    elif isinstance(spec, IdxSource):
+        _, _, (_, h, w) = _idx_headers(spec)
+        shape = DeclaredShape(h * w, (1, h, w))
+    else:
+        raise DatasetError(f"unknown dataset spec {spec!r}")
+    if shape.n_features == 0:
+        raise DatasetError(f"{spec} has no feature columns")
+    return shape
+
+
+def _standardize(x: np.ndarray, n_train: int) -> None:
+    """Center and scale every column of ``x`` in place by the mean and
+    population std of its first ``n_train`` rows, with np.std's arithmetic;
+    a constant column is only centered. The centered training rows are
+    squared ``_STAT_COLS`` or more columns at a time, the last block taking
+    the remainder, and a matrix narrower than two blocks is one block."""
+    d = x.shape[1]
+    train = x[:n_train]
+    mean = train.mean(axis=0)
+    x -= mean
+    var = np.empty(d)
+    edges = [*range(0, d, _STAT_COLS)][: max(1, d // _STAT_COLS)] + [d]
+    for lo, hi in zip(edges, edges[1:]):
+        np.square(train[:, lo:hi]).sum(axis=0, out=var[lo:hi])
+    var /= n_train
+    std = np.sqrt(var)
+    std[std == 0.0] = 1.0
+    x /= std
 
 
 def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
@@ -183,31 +290,18 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
     always produces the same dataset. Feature mean and std come from the
     training split only; constant features are left unscaled.
     """
-    image_shape: tuple[int, int, int] | None = None
+    shape = declared_shape(spec)
     if isinstance(spec, SyntheticBlobs):
-        x, y = _blobs(spec)
+        x, y = _blobs(spec, split_seed)
     elif isinstance(spec, CsvSource):
-        x, y = _read_csv(spec)
-    elif isinstance(spec, IdxSource):
-        x, y, image_shape = _idx(spec)
+        x, y = _csv(spec, split_seed)
     else:
-        raise DatasetError(f"unknown dataset spec {spec!r}")
-    if x.shape[1] == 0:
-        raise DatasetError(f"{spec} has no feature columns")
+        x, y = _idx(spec, split_seed)
+    n_train = int(len(x) * 0.8)
+    train_y, test_y = y[:n_train], y[n_train:]
 
-    n = len(x)
-    n_train = int(n * 0.8)
-    if n_train < 1 or n - n_train < 1:
-        raise DatasetError(f"dataset of {n} samples is too small for an 80/20 split")
-    perm = np.random.default_rng(derive_seed(split_seed, "split")).permutation(n)
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
-
-    train_x, train_y = x[train_idx], y[train_idx]
-    test_x, test_y = x[test_idx], y[test_idx]
-    del x  # the split holds copies; standardize them in place
-
-    n_classes = int(max(train_y.max(), test_y.max())) + 1
-    if train_y.min() < 0 or test_y.min() < 0:
+    n_classes = int(y.max()) + 1
+    if y.min() < 0:
         raise DatasetError("labels must be non-negative integers")
     present = np.unique(train_y)  # all within [0, n_classes)
     if present.size < n_classes:
@@ -218,17 +312,12 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
             f"split, first {first.tolist()}"
         )
 
-    mean = train_x.mean(axis=0)
-    std = train_x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    for split in (train_x, test_x):
-        split -= mean
-        split /= std
+    _standardize(x, n_train)
     return Dataset(
-        train_x=train_x,
+        train_x=x[:n_train],
         train_y=train_y,
-        test_x=test_x,
+        test_x=x[n_train:],
         test_y=test_y,
         n_classes=n_classes,
-        image_shape=image_shape,
+        image_shape=shape.image_shape,
     )

@@ -118,8 +118,13 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
 
     eps = cfg.epsilon
     trace = np.empty(cfg.n_iter + 1)
-    trace[0] = np.sum(np.square(w_abs - f @ g))  # no residual lives on through the loop
-    w_sq = np.sum(np.square(w_abs))
+    # One m x p buffer holds F @ G, the residual and its square, then the
+    # square of W; none lives on through the loop.
+    buf = f @ g
+    np.subtract(w_abs, buf, out=buf)
+    trace[0] = np.sum(np.square(buf, out=buf))
+    w_sq = np.sum(np.square(w_abs, out=buf))
+    del buf
     ggt = g @ g.T
     for it in range(cfg.n_iter):
         f *= (w_abs @ g.T) / (f @ ggt + eps)
@@ -143,5 +148,7 @@ def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> Score
         result = factorize(w_abs, cfg, layer_id)
     except ValueError as exc:
         raise ValueError(f"{layer_id}: {exc}") from None
-    scores = np.abs(w_abs - result.f @ result.g)
+    scores = result.f @ result.g  # |W_abs - F @ G|, built in the product's buffer
+    np.subtract(w_abs, scores, out=scores)
+    np.abs(scores, out=scores)
     return ScoreMatrix(layer_id=layer_id, scores=scores)

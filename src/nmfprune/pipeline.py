@@ -1,18 +1,23 @@
 """End-to-end orchestration: score, tune, prune, train, report.
 
-The stages run in ``STAGES`` order, except that the data stage (load, split,
+The stages run in ``STAGES`` order, with two exceptions. First, the train
+stage's check that the model's layers fit the dataset's samples and end in
+one score per class runs before anything else, on the sample shape the
+dataset declares (its spec, IDX headers or first CSV row), so a model that
+cannot read its data fails as that stage before any scoring; only the class
+count waits for the loaded data. Second, the data stage (load, split,
 standardize) runs beside the score stage as a task on a one-worker executor:
 scores come from the initial weights alone, the two share no state, and NumPy
 releases the interpreter lock in their heavy work, so they overlap on two
 cores. After both finish, the mask stage fixes the threshold scale gamma
 (searched against a sparsity target, or taken from the config), generates the
-final masks, and prunes. The train stage checks that the model's layers fit
-the dataset's samples and end in at least one score per class, masks each
-step's weight gradients and updates only the kept weights, so pruned weights
-stay exactly zero; the report stage counts, evaluates and saves. Each stage
-is timed on the thread that runs it, so ``wall_times["data"]`` is the
-loader's own elapsed time and the five stage times can sum to more than the
-run. Artifacts land in the run's output directory:
+final masks, and prunes; the layers keep the only copy of the masks. The
+train stage masks each step's weight gradients and updates only the kept
+weights, so pruned weights stay exactly zero; the report stage counts,
+evaluates and saves. Each stage is timed on the thread that runs it, so
+``wall_times["data"]`` is the header read plus the loader's own elapsed time,
+and the five stage times can sum to more than the run. Artifacts land in the
+run's output directory:
 
     report.json        full run report
     gamma_search.jsonl one line per search probe
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint, write_atomic
-from .datasets import load_dataset
+from .datasets import declared_shape, load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
 from .network import (
     Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, output_shapes,
@@ -125,14 +130,14 @@ def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
 
 @contextmanager
 def _stage(name: str, wall: dict[str, float]):
-    """Time the block into ``wall[name]``; its failure is a StageError naming
-    the stage, with the original exception chained."""
+    """Add the block's time to ``wall[name]``; its failure is a StageError
+    naming the stage, with the original exception chained."""
     t0 = time.perf_counter()
     try:
         yield
     except Exception as exc:
         raise StageError(name, exc) from exc
-    wall[name] = time.perf_counter() - t0
+    wall[name] += time.perf_counter() - t0
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
@@ -158,8 +163,22 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
 
 def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
     """The stages of ``run_pipeline``; a failure is a StageError."""
-    # Every key exists up front, so the loader thread only replaces a value.
+    # Every key exists up front, so the loader thread only adds to a value.
     wall = dict.fromkeys(STAGES, 0.0)
+
+    # The train stage's shape check runs first, on the sample shape the
+    # dataset declares, so a model that cannot read its data fails before
+    # any scoring.
+    with _stage("data", wall):
+        declared = declared_shape(cfg.dataset)
+    with _stage("train", wall):
+        shape = sample_shape(cfg.model, declared)
+        try:
+            logits = output_shapes(cfg.model, shape)[-1]
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; the dataset's samples have shape {shape}") from None
+        if len(logits) != 1:
+            raise ConfigError(f"the model ends in shape {logits}, not one score per class")
 
     def load():
         with _stage("data", wall):
@@ -193,17 +212,12 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             write_gamma_trace(out, trace)
         else:
             gamma_star = cfg.threshold.gamma
-        masks = generate_all_masks(scores, cfg.threshold.t_type, gamma_star)
-        net = convert_to_masked(net, masks)
+        # The layers keep their own copies of the masks: the scores and
+        # masks are not held past this stage.
+        net = convert_to_masked(net, generate_all_masks(scores, cfg.threshold.t_type, gamma_star))
+        del scores
 
     with _stage("train", wall):
-        shape = sample_shape(net, dataset)
-        try:
-            logits = output_shapes(net.specs, shape)[-1]
-        except ValueError as exc:
-            raise ConfigError(f"{exc}; the dataset's samples have shape {shape}") from None
-        if len(logits) != 1:
-            raise ConfigError(f"the model ends in shape {logits}, not one score per class")
         if logits[0] < dataset.n_classes:
             raise ConfigError(
                 f"the model has {logits[0]} outputs but the dataset has "

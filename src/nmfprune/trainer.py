@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, count_zero_weights
+from .network import Conv2d, LayerSpec, Linear, Network, count_zero_weights
 from .seeds import derive_seed
 
 
@@ -187,13 +187,15 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> flo
     return correct / len(x)
 
 
-def sample_shape(net: Network, dataset) -> tuple[int, ...]:
-    """The shape ``net`` reads one sample of ``dataset`` in: the dataset's
-    image shape when the first weighted layer is a conv and the dataset has
-    one, else its flat features."""
-    if net.weighted_layers[0].kind == "conv" and dataset.image_shape is not None:
-        return dataset.image_shape
-    return dataset.train_x.shape[1:]
+def sample_shape(specs: list[LayerSpec], data) -> tuple[int, ...]:
+    """The shape a model of ``specs`` reads one sample of ``data`` in, where
+    ``data`` is a Dataset or the DeclaredShape of its source: the image shape
+    when the first weighted layer is a conv and the data has one, else its
+    flat features."""
+    first = next(s for s in specs if isinstance(s, (Linear, Conv2d)))
+    if isinstance(first, Conv2d) and data.image_shape is not None:
+        return data.image_shape
+    return (data.n_features,)
 
 
 def run_training(
@@ -208,7 +210,7 @@ def run_training(
     checkpoints).
     """
     state = OptimizerState.for_network(net)
-    shape = sample_shape(net, dataset)
+    shape = sample_shape(net.specs, dataset)
     train_x = dataset.train_x.reshape(-1, *shape)
     test_x = dataset.test_x.reshape(-1, *shape)
     n = len(train_x)

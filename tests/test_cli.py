@@ -401,6 +401,83 @@ def test_model_without_a_prunable_layer_exits_1(tmp_path, capsys, command, edits
     assert not (out / "scores.bin").exists()
 
 
+
+def write_image_pair(tmp_path, n=100, h=8, w=8):
+    """An IDX image/label pair of n random h x w images in two classes; the
+    [dataset] lines that name it."""
+    rng = np.random.default_rng(0)
+    (tmp_path / "imgs").write_bytes(
+        struct.pack(">iiii", 0x00000803, n, h, w)
+        + rng.integers(0, 256, (n, h, w), dtype=np.uint8).tobytes()
+    )
+    (tmp_path / "lbls").write_bytes(
+        struct.pack(">ii", 0x00000801, n) + rng.integers(0, 2, n, dtype=np.uint8).tobytes()
+    )
+    return f"kind = idx\nimages = {tmp_path / 'imgs'}\nlabels = {tmp_path / 'lbls'}"
+
+
+def write_csv(tmp_path):
+    """A 40-row CSV of three features and a label; the [dataset] lines."""
+    (tmp_path / "data.csv").write_text("1.0,2.0,3.0,0\n4.0,5.0,6.0,1\n" * 20)
+    return f"kind = csv\npath = {tmp_path / 'data.csv'}\nlabel_column = 3"
+
+
+BLOBS = "kind = synthetic-blobs\nn_samples = 400\nn_features = 16\nn_classes = 2\nseed = 9"
+MLP = "layer = linear 16 32\nlayer = relu\nlayer = linear 32 2"
+
+
+@pytest.mark.parametrize(
+    "model, dataset, message",
+    [
+        (
+            "layer = conv2d 1 2 3 3\nlayer = relu\nlayer = flatten\nlayer = linear 8 2",
+            lambda tmp_path: BLOBS,
+            "layer0_conv: input shape (16,) does not fit 1-channel images; "
+            "the dataset's samples have shape (16,)",
+        ),
+        (
+            MLP,
+            lambda tmp_path: BLOBS.replace("n_features = 16", "n_features = 12"),
+            "layer0_linear: input shape (12,) does not fit 16 features; "
+            "the dataset's samples have shape (12,)",
+        ),
+        (
+            "layer = conv2d 1 2 3 3\nlayer = relu\nlayer = conv2d 2 2 3 3",
+            write_image_pair,
+            "the model ends in shape (2, 4, 4), not one score per class",
+        ),
+        (
+            MLP,
+            write_csv,
+            "layer0_linear: input shape (3,) does not fit 16 features; "
+            "the dataset's samples have shape (3,)",
+        ),
+    ],
+    ids=["conv-on-blobs", "features-on-blobs", "ends-in-conv-on-idx", "features-on-csv"],
+)
+def test_model_that_cannot_read_its_data_exits_1_before_scoring(
+    tmp_path, capsys, monkeypatch, model, dataset, message
+):
+    from nmfprune import pipeline
+
+    factorized = []
+    score_layer = pipeline.score_layer
+
+    def record_and_score(w, cfg, layer_id):
+        factorized.append(layer_id)
+        return score_layer(w, cfg, layer_id)
+
+    monkeypatch.setattr(pipeline, "score_layer", record_and_score)
+    out = tmp_path / "out"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.format(out=out).replace(MLP, model).replace(BLOBS, dataset(tmp_path)))
+    assert main(["run", "--config", str(bad), "--quiet"]) == 1
+    assert factorized == []
+    assert capsys.readouterr().err == f"error: stage 'train' failed: {message}\n"
+    status = json.loads((out / "status.json").read_text())
+    assert (status["status"], status["stage"]) == ("incomplete", "train")
+    assert sorted(p.name for p in out.iterdir()) == ["status.json"]
+
 class TestScore:
     def test_dumps_score_tensors(self, config_path, capsys):
         path, out = config_path

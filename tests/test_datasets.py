@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from nmfprune.datasets import (
+    _DRAW_ROWS,
     CsvSource,
     DatasetError,
+    DeclaredShape,
     IdxSource,
     SyntheticBlobs,
+    declared_shape,
     load_dataset,
 )
 from nmfprune.seeds import derive_seed
@@ -241,13 +244,142 @@ class TestInPlaceBuild:
         x = images.reshape(50, 12).astype(np.float64)
         self.assert_bit_identical(ds, x, labels.astype(np.int64), 12)
 
+    # Column counts on both sides of the variance's 64-column blocks and of
+    # the one-block limit below 128 columns.
+    BLOCK_EDGES = [1, 63, 64, 65, 127, 128, 129, 785]
+
+    @pytest.mark.parametrize("d", BLOCK_EDGES)
+    def test_blobs_match_reference_at_block_edges(self, d):
+        spec = SyntheticBlobs(200, d, 3, seed=d)
+        x, y = blobs_reference(spec)
+        self.assert_bit_identical(load_dataset(spec, split_seed=5), x, y, 5)
+
+    @pytest.mark.parametrize("n", [_DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 2 * _DRAW_ROWS + 3])
+    def test_blobs_match_reference_around_the_draw_chunk(self, n):
+        spec = SyntheticBlobs(n, 9, 3, seed=n)
+        x, y = blobs_reference(spec)
+        self.assert_bit_identical(load_dataset(spec, split_seed=6), x, y, 6)
+
+    @pytest.mark.parametrize("d", BLOCK_EDGES)
+    def test_idx_matches_reference_at_block_edges(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        images = rng.integers(0, 256, (60, 1, d), dtype=np.uint8)
+        images[:, 0, 0] = 7  # a constant pixel stays unscaled
+        labels = (np.arange(60) % 3).astype(np.uint8)
+        write_idx_images(tmp_path / "imgs", images)
+        write_idx_labels(tmp_path / "lbls", labels)
+        ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), split_seed=7)
+        x = images.reshape(60, d).astype(np.float64)
+        self.assert_bit_identical(ds, x, labels.astype(np.int64), 7)
+
+    def test_splits_are_views_of_one_array(self):
+        ds = load_dataset(SyntheticBlobs(100, 4, 2, seed=1))
+        assert ds.train_x.base is not None and ds.train_x.base is ds.test_x.base
+        assert ds.train_y.base is not None and ds.train_y.base is ds.test_y.base
+        assert not np.shares_memory(ds.train_x, ds.test_x)
+
     def test_peak_memory_near_the_returned_arrays(self):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ds = load_dataset(SyntheticBlobs(5000, 784, 10))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        returned = sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
-        assert peak <= 2.2 * returned
+        ds, peak = traced_peak(lambda: load_dataset(SyntheticBlobs(5000, 784, 10)))
+        assert peak <= 1.15 * returned_bytes(ds)
+
+    def test_idx_peak_memory_near_the_file_and_the_returned_arrays(self, tmp_path):
+        rng = np.random.default_rng(13)
+        write_idx_images(tmp_path / "imgs", rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(2000) % 10).astype(np.uint8))
+        spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
+        file_bytes = sum((tmp_path / name).stat().st_size for name in ("imgs", "lbls"))
+        ds, peak = traced_peak(lambda: load_dataset(spec))
+        assert peak <= 2 * file_bytes + 1.15 * returned_bytes(ds)
+
+
+def blobs_reference(spec):
+    """A blob spec's samples and labels in draw order, with one full noise
+    draw from normal(0.0, 1.0)."""
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(-10.0, 10.0, (spec.n_classes, spec.n_features))
+    y = rng.integers(0, spec.n_classes, spec.n_samples)
+    return centers[y] + rng.normal(0.0, 1.0, (spec.n_samples, spec.n_features)), y
+
+
+def traced_peak(build):
+    """``build()``'s result and the peak bytes it allocated on top of what
+    was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def returned_bytes(ds):
+    return sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
+
+
+@pytest.mark.parametrize("draw", ["standard_normal", "normal"])
+def test_chunked_normal_draws_equal_one_draw(draw):
+    # Blob noise is drawn a chunk of rows at a time with standard_normal; the
+    # stream must be that of one normal(0.0, 1.0) draw of every row.
+    full = np.random.default_rng(3).normal(0.0, 1.0, (700, 7))
+    rng = np.random.default_rng(3)
+    rows = [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1, 700 - 3 * _DRAW_ROWS - 1]
+    if draw == "standard_normal":
+        chunks = [rng.standard_normal((r, 7)) for r in rows]
+    else:
+        chunks = [rng.normal(0.0, 1.0, (r, 7)) for r in rows]
+    assert np.concatenate(chunks).tobytes() == full.tobytes()
+
+
+class TestDeclaredShape:
+    def test_matches_the_loaded_dataset(self, tmp_path):
+        write_idx_images(tmp_path / "imgs", np.zeros((20, 3, 5), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(20) % 2).astype(np.uint8))
+        csv = tmp_path / "data.csv"
+        csv.write_text("a,b,label\n" + "1.0,2.0,0\n3.0,4.0,1\n" * 5)
+        for spec, shape in [
+            (SyntheticBlobs(50, 6, 2), DeclaredShape(6)),
+            (IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), DeclaredShape(15, (1, 3, 5))),
+            (CsvSource(str(csv), label_column=2), DeclaredShape(2)),
+        ]:
+            assert declared_shape(spec) == shape
+            ds = load_dataset(spec)
+            assert (ds.n_features, ds.image_shape) == (shape.n_features, shape.image_shape)
+
+    def test_reads_only_the_first_csv_row(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("# comment\n\n1.0,2.0,0\n3.0,oops,1\n")
+        assert declared_shape(CsvSource(str(p), label_column=2)) == DeclaredShape(2)
+        with pytest.raises(DatasetError, match=r"row 4, column 1"):
+            load_dataset(CsvSource(str(p), label_column=2))
+
+    def test_reads_no_idx_data(self, tmp_path, monkeypatch):
+        write_idx_images(tmp_path / "imgs", np.zeros((20, 3, 5), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(20) % 2).astype(np.uint8))
+
+        def no_data_reads(*args, **kwargs):
+            raise AssertionError("the IDX data was read")
+
+        monkeypatch.setattr(np, "fromfile", no_data_reads)
+        spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
+        assert declared_shape(spec) == DeclaredShape(15, (1, 3, 5))
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (SyntheticBlobs(1, 4, 2), "degenerate blob spec"),
+            (CsvSource("/nonexistent.csv", label_column=0), "not found"),
+            (IdxSource("/nonexistent-images", "/nonexistent-labels"), "not found"),
+        ],
+    )
+    def test_rejects_what_load_dataset_rejects(self, spec, match):
+        for call in (declared_shape, load_dataset):
+            with pytest.raises(DatasetError, match=match):
+                call(spec)
+
+    def test_empty_csv_rejected(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("# only a comment\n")
+        with pytest.raises(DatasetError, match="has no data rows"):
+            declared_shape(CsvSource(str(p), label_column=0))

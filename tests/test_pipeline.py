@@ -3,6 +3,8 @@
 import json
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +217,56 @@ class TestRunPipeline:
         assert len(loaders) == 1
         assert loaders[0] is not threading.current_thread()
         assert not loaders[0].is_alive()
+
+    def test_train_stage_starts_without_scores_or_mask_copies(self, tmp_path, monkeypatch):
+        # The layers hold their own masks, so the ScoreMatrix and Mask.bits
+        # arrays (2 MB here) must be gone when training starts; anything that
+        # keeps them sits beside the dataset for the whole train stage.
+        compute, generate, train = (
+            pipeline.compute_scores, pipeline.generate_all_masks, pipeline.run_training
+        )
+        made = []
+        at_train = {}
+
+        def compute_and_track(*args, **kwargs):
+            scores = compute(*args, **kwargs)
+            made.extend(weakref.ref(sm.scores) for sm in scores.values())
+            return scores
+
+        def generate_and_track(*args, **kwargs):
+            masks = generate(*args, **kwargs)
+            made.extend(weakref.ref(m.bits) for m in masks.values())
+            return masks
+
+        def measure_then_train(net, dataset, *args, **kwargs):
+            at_train["alive"] = [ref() is not None for ref in made]
+            at_train["traced"] = tracemalloc.get_traced_memory()[0]
+            arrays = [dataset.train_x, dataset.train_y, dataset.test_x, dataset.test_y]
+            for layer in net.weighted_layers:
+                arrays += [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+            at_train["needed"] = sum(a.nbytes for a in arrays)
+            return train(net, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_scores", compute_and_track)
+        monkeypatch.setattr(pipeline, "generate_all_masks", generate_and_track)
+        monkeypatch.setattr(pipeline, "run_training", measure_then_train)
+        cfg = base_config(
+            tmp_path,
+            model=[Linear(256, 512), ReLU(), Linear(512, 2)],
+            dataset=SyntheticBlobs(200, 256, 2, seed=5),
+            scorer=NmfConfig(k=4, n_iter=20),
+            train=TrainConfig(epochs=1, lr=0.1, batch_size=64),
+        )
+        run_pipeline(cfg)  # the modules NumPy imports on first use are not counted
+        made.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_pipeline(cfg)
+        finally:
+            tracemalloc.stop()
+        assert at_train["alive"] == [False, False]  # layer0's scores, then its mask
+        assert at_train["traced"] - base <= at_train["needed"] + 256 * 1024
 
     def test_report_records_the_search_outcome(self, tmp_path):
         searched = base_config(tmp_path)
