@@ -15,7 +15,9 @@ factorization at full rank, a missed sparsity target) are printed as
 
 ``score`` and ``tune`` never open the dataset, so they accept a model that
 cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
-scoring, from the sample shape the dataset declares.
+scoring, from the sample shape the dataset declares. Both drop the network
+once its scores exist, so the gamma search and the score dump hold the scores
+and no layer's weights.
 """
 
 from __future__ import annotations
@@ -134,8 +136,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_score(args) -> int:
     cfg = _load(args)
-    net = init_network(cfg.model, cfg.seed)
-    scores = compute_scores(net, cfg.scorer, cfg.seed)
+    scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.bin"
@@ -157,8 +158,7 @@ def _cmd_tune(args) -> int:
     cfg = _load(args)
     if cfg.gamma_search is None:
         raise ConfigError("tune needs a [gamma_search] section or --target-sparsity")
-    net = init_network(cfg.model, cfg.seed)
-    scores = compute_scores(net, cfg.scorer, cfg.seed)
+    scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
     result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

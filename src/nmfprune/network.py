@@ -14,6 +14,9 @@ gradient all run over N-long contiguous runs. ReLU keeps its input's layout,
 and Flatten's (N, C*H*W) reshape of it is a view too (C, H and W stay
 adjacent), so a linear layer after a conv reads its input column-major.
 
+A masked layer holds its mask as a read-only bool array (1 byte per weight,
+``writeable`` off) with the flat indices of its kept weights beside it.
+
 A training forward caches what backward needs (im2col patches, ReLU masks,
 logits) and backward releases each cache as it uses it; an evaluation forward
 caches nothing. A Network instance is single-writer: forward/backward mutate
@@ -151,30 +154,38 @@ class _WeightedLayer:
         self.bias = np.zeros(fan_out)
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
-        self.mask: np.ndarray | None = None
-        self.kept: np.ndarray | None = None  # flat indices of the mask's 1.0 entries
+        self.mask: np.ndarray | None = None  # read-only bool, True where kept
+        self.kept: np.ndarray | None = None  # flat indices of the mask's True entries
         self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
-        """Freeze a copy of ``bits`` as this layer's mask, and its kept flat
-        indices as ``kept``, and write +0.0 at its pruned positions. Returns
-        how many of those weights were non-zero before."""
+        """Freeze ``bits`` (0.0/1.0 floats, or bools) as this layer's mask, a
+        read-only bool copy, and its kept flat indices as ``kept``, and write
+        +0.0 at its pruned positions. Returns how many of those weights were
+        non-zero before."""
         if bits.shape != self.weights.shape:
             raise ValueError(
                 f"mask shape {bits.shape} does not match weights "
                 f"{self.weights.shape} for layer {self.layer_id!r}"
             )
-        mask = np.array(bits, dtype=np.float64)
-        pruned = mask == 0.0
-        if not np.all(pruned | (mask == 1.0)):
-            raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
+        if bits.dtype == bool:
+            mask = bits.copy()
+        else:
+            mask = bits != 0.0
+            # Only 1.0 and +0.0: a checkpoint writes the bool mask back as those.
+            if np.count_nonzero(bits == 1.0) != np.count_nonzero(mask) or np.signbit(bits).any():
+                raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
         kept = np.flatnonzero(mask)
         mask.flags.writeable = False
         kept.flags.writeable = False
         self.mask = mask
         self.kept = kept
-        live = int(np.count_nonzero(self.weights[pruned]))
-        self.weights[pruned] = 0.0
+        # (weights != 0.0) > mask, in one bool buffer freed before the ~mask one.
+        pruned_live = self.weights != 0.0
+        np.greater(pruned_live, mask, out=pruned_live)
+        live = int(np.count_nonzero(pruned_live))
+        del pruned_live
+        np.copyto(self.weights, 0.0, where=~mask)
         return live
 
 
@@ -423,8 +434,8 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
 
 
 def convert_to_masked(net: Network, masks: dict[str, Mask]) -> Network:
-    """Attach immutable masks to every prunable layer and write +0.0 at the
-    pruned weights (in place). Returns ``net``.
+    """Attach every prunable layer's mask as a read-only bool array and write
+    +0.0 at the pruned weights (in place). Returns ``net``.
 
     Every prunable layer must have a shape-matching mask; masks naming
     non-prunable or unknown layers are rejected.

@@ -7,6 +7,10 @@ updates them and scatters them back, so the pruned weights are never written:
 they enter training as +0.0 (see ``network.convert_to_masked``) and stay
 +0.0. A masked weight's momentum buffer holds its kept entries only. A
 post-step check enforces the zero count with no tolerance.
+
+A layer's mask is a read-only bool array. Gradient masking multiplies by it,
+and the check is the one bool compare ``(weights != 0.0) > mask``; no step
+compares the mask with a float.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def masked_train_step(
         layer.grad_weights *= layer.mask
     sgd_step(net, state, lr, cfg)
     for layer in net.masked_layers:
-        violations = np.flatnonzero((layer.mask == 0.0) & (layer.weights != 0.0))
+        violations = np.flatnonzero((layer.weights != 0.0) > layer.mask)
         if violations.size:
             raise SparsityViolationError(layer.layer_id, violations)
     correct = int((logits.argmax(axis=1) == np.asarray(y)).sum())

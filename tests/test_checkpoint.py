@@ -55,6 +55,12 @@ class TestContainer:
             assert np.array_equal(loaded[name], tensors[name])
             assert loaded[name].tobytes() == tensors[name].tobytes()
 
+    def test_bool_tensor_written_as_its_float64_bytes(self, tmp_path):
+        bits = np.random.default_rng(1).random((5, 7)) < 0.4
+        write_container(tmp_path / "bool.bin", {}, {"m": bits})
+        write_container(tmp_path / "float.bin", {}, {"m": bits.astype(np.float64)})
+        assert (tmp_path / "bool.bin").read_bytes() == (tmp_path / "float.bin").read_bytes()
+
     def test_magic_begins_file(self, tmp_path):
         path = tmp_path / "c.bin"
         write_container(path, {}, {})
@@ -200,6 +206,17 @@ class TestLoadedMasks:
         assert err.value.layer_id == layer.layer_id
         assert err.value.indices.tolist() == injected.tolist()
 
+    def test_negative_zero_mask_rejected(self, tmp_path):
+        # The layer keeps a bool mask, which saves back as +0.0, not -0.0.
+        path = tmp_path / "ck.bin"
+        save_checkpoint(trained_masked_net(seed=14), path)
+        meta, tensors = read_container(path)
+        mask = tensors["layer0_linear.mask"]
+        mask.flat[np.flatnonzero(mask == 0.0)[0]] = -0.0
+        write_container(path, meta, tensors)
+        with pytest.raises(CheckpointError, match="holds values other than 0.0 and 1.0"):
+            load_checkpoint(path)
+
 
 class TestAtomicWrites:
     def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -290,6 +307,9 @@ BAD_CHECKPOINTS = {
     "null-spec-field": lambda meta, t: _set(meta["specs"][0], "in_features", None),
     "unknown-spec-field": lambda meta, t: _set(meta["specs"][0], "dilation", 2),
     "fractional-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), 0.5),
+    "negative-zero-mask": lambda meta, t: _set(
+        t["layer0_linear.mask"], t["layer0_linear.mask"] == 0.0, -0.0
+    ),
     "bias-size-mismatch": lambda meta, t: _set(t, "layer0_linear.bias", np.zeros(3)),
     "mask-shape-mismatch": lambda meta, t: _set(t, "layer0_linear.mask", np.ones((6, 10))),
     "live-pruned-weight": lambda meta, t: _set(

@@ -2,12 +2,16 @@
 
 import json
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import nmfprune.cli as cli
 from nmfprune.checkpoint import read_container
 from nmfprune.cli import main
+from nmfprune.runconfig import load_config
 
 CONFIG = """
 [run]
@@ -477,6 +481,82 @@ def test_model_that_cannot_read_its_data_exits_1_before_scoring(
     status = json.loads((out / "status.json").read_text())
     assert (status["status"], status["stage"]) == ("incomplete", "train")
     assert sorted(p.name for p in out.iterdir()) == ["status.json"]
+
+# tune_wide's model: magnitude scores and the MAD rule, so the scores are |W|.
+WIDE_TUNE_CONFIG = """
+[run]
+seed = 5
+output = {out}
+
+[model]
+layer = linear 784 1000
+layer = relu
+layer = linear 1000 1000
+layer = relu
+layer = linear 1000 10
+
+[dataset]
+kind = synthetic-blobs
+n_samples = 100
+n_features = 784
+n_classes = 10
+
+[scorer]
+kind = magnitude
+
+[gamma_search]
+s_target = 0.9
+
+[threshold]
+type = mad
+
+[train]
+epochs = 1
+lr = 0.1
+"""
+
+
+@pytest.mark.parametrize("command, next_step", [("tune", "tune_gamma"), ("score", "write_container")])
+def test_no_weights_alive_once_scores_exist(config_path, monkeypatch, capsys, command, next_step):
+    path, _ = config_path
+    init, step = cli.init_network, getattr(cli, next_step)
+    weights = []
+    alive = []
+
+    def init_and_track(*args, **kwargs):
+        net = init(*args, **kwargs)
+        weights.extend(weakref.ref(layer.weights) for layer in net.weighted_layers)
+        return net
+
+    def check_then_step(*args, **kwargs):
+        alive.append([ref() is not None for ref in weights])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "init_network", init_and_track)
+    monkeypatch.setattr(cli, next_step, check_then_step)
+    assert main([command, "--config", str(path)]) == 0
+    assert alive == [[False, False]]
+
+
+def test_tune_peak_memory_is_the_weights_and_scores(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text(WIDE_TUNE_CONFIG.format(out=tmp_path / "out"))
+    cfg = load_config(path)
+    net = cli.init_network(cfg.model, cfg.seed)
+    weight_bytes = sum(l.weights.nbytes + l.bias.nbytes for l in net.weighted_layers)
+    score_bytes = sum(l.weights.nbytes for l in net.prunable_layers)
+    del net
+    assert main(["tune", "--config", str(path), "--quiet"]) == 0  # imports are not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["tune", "--config", str(path), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The weights are gone before the search copies a layer's scores.
+    assert peak <= 1.05 * (weight_bytes + score_bytes)
+
 
 class TestScore:
     def test_dumps_score_tensors(self, config_path, capsys):

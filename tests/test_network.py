@@ -2,6 +2,7 @@
 central finite differences, and conv against a direct nested-loop oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,56 @@ class TestConvertToMasked:
         convert_to_masked(net, masks)
         with pytest.raises(ValueError):
             net.masked_layers[0].mask[0, 0] = 0.0
+
+    @pytest.mark.parametrize("keep", [0.0, 0.3, 1.0])
+    def test_mask_is_a_read_only_bool_array_built_in_little_memory(self, keep):
+        net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=40)
+        layer = net.prunable_layers[0]
+        bits = (np.random.default_rng(41).random(layer.weights.shape) < keep).astype(float)
+        # Zeros of both signs, at kept and at pruned positions.
+        layer.weights[:, :50] = 0.0
+        layer.weights[:, 50:100] = -0.0
+        expected_live = int(np.count_nonzero(layer.weights[bits == 0.0]))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            live = layer.attach_mask(bits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert live == expected_live
+        assert layer.mask.dtype == bool
+        assert not layer.mask.flags.writeable
+        assert np.array_equal(layer.mask, bits == 1.0)
+        assert np.array_equal(layer.kept, np.flatnonzero(bits))
+        pruned = layer.weights[~layer.mask]
+        assert np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
+        # The mask itself, its kept indices and one bool temporary at a time.
+        assert peak <= 3 * bits.size + 8 * layer.kept.size
+
+    def test_bool_bits_attach_like_float_bits(self):
+        nets = [init_network(mlp_specs(), seed=42) for _ in range(2)]
+        bits = (np.random.default_rng(43).random((6, 4)) < 0.5).astype(float)
+        lives = [
+            nets[0].layers[0].attach_mask(bits),
+            nets[1].layers[0].attach_mask(bits.astype(bool)),
+        ]
+        a, b = nets[0].layers[0], nets[1].layers[0]
+        assert lives[0] == lives[1] > 0
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.kept.tobytes() == b.kept.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan, np.inf, 2.0])
+    def test_mask_value_that_cannot_save_back_rejected(self, value):
+        # A bool mask writes back 1.0 and +0.0 only, so -0.0 would not round-trip.
+        net = init_network(mlp_specs(), seed=44)
+        bits = np.ones((6, 4))
+        bits[0, 0] = 0.0
+        bits[2, 3] = value
+        with pytest.raises(ValueError, match="other than 0.0 and 1.0"):
+            net.layers[0].attach_mask(bits)
+        assert net.layers[0].mask is None
 
     def test_missing_mask_rejected(self):
         net = init_network(mlp_specs(), seed=25)
