@@ -34,6 +34,7 @@ from .network import LAYER_KINDS, Network, init_network
 
 MAGIC = b"ONGC"
 VERSION = 1
+_WRITE_BLOCK = 1 << 16  # values per converted chunk: 512 KiB as float64
 
 
 class CheckpointError(ValueError):
@@ -56,20 +57,24 @@ def write_atomic(path, chunks: Iterable) -> None:
 
 
 def _body_chunks(meta: dict, tensors: dict[str, np.ndarray]) -> Iterator:
-    """The container body in order; tensors are byte views of their arrays,
-    not copies."""
+    """The container body in order. A contiguous float64 tensor is written as
+    byte views of its array; any other (a bool mask) is converted to float64
+    one block of ``_WRITE_BLOCK`` values at a time."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     yield struct.pack("<Q", len(meta_bytes)) + meta_bytes
     yield struct.pack("<Q", len(tensors))
     for name, tensor in tensors.items():
-        arr = np.ascontiguousarray(tensor, dtype="<f8")
+        arr = np.asarray(tensor)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise CheckpointError(f"tensor {name!r} must be 1D or 2D, got shape {tensor.shape}")
         name_bytes = name.encode("utf-8")
         yield struct.pack("<I", len(name_bytes)) + name_bytes + struct.pack("<QQ", *arr.shape)
-        yield arr.reshape(-1).view(np.uint8)
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, _WRITE_BLOCK):
+            block = flat[start : start + _WRITE_BLOCK]
+            yield np.ascontiguousarray(block, dtype="<f8").view(np.uint8)
 
 
 def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:

@@ -159,7 +159,7 @@ class _WeightedLayer:
         self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
-        """Freeze ``bits`` (0.0/1.0 floats, or bools) as this layer's mask, a
+        """Freeze ``bits`` (0.0 and 1.0 values) as this layer's mask, a
         read-only bool copy, and its kept flat indices as ``kept``, and write
         +0.0 at its pruned positions. Returns how many of those weights were
         non-zero before."""
@@ -168,13 +168,10 @@ class _WeightedLayer:
                 f"mask shape {bits.shape} does not match weights "
                 f"{self.weights.shape} for layer {self.layer_id!r}"
             )
-        if bits.dtype == bool:
-            mask = bits.copy()
-        else:
-            mask = bits != 0.0
-            # Only 1.0 and +0.0: a checkpoint writes the bool mask back as those.
-            if np.count_nonzero(bits == 1.0) != np.count_nonzero(mask) or np.signbit(bits).any():
-                raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
+        mask = bits != 0.0
+        # Only 1.0 and +0.0: a checkpoint writes the bool mask back as those.
+        if np.count_nonzero(bits == 1.0) != np.count_nonzero(mask) or np.signbit(bits).any():
+            raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
         kept = np.flatnonzero(mask)
         mask.flags.writeable = False
         kept.flags.writeable = False

@@ -61,6 +61,20 @@ class TestContainer:
         write_container(tmp_path / "float.bin", {}, {"m": bits.astype(np.float64)})
         assert (tmp_path / "bool.bin").read_bytes() == (tmp_path / "float.bin").read_bytes()
 
+    @pytest.mark.parametrize("size", [
+        checkpoint._WRITE_BLOCK - 1, checkpoint._WRITE_BLOCK, 2 * checkpoint._WRITE_BLOCK + 3,
+    ])
+    def test_tensors_across_write_blocks_keep_their_float64_bytes(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        bits = rng.random(size) < 0.4
+        weights = rng.normal(size=(3, size)).T  # not C-contiguous
+        write_container(tmp_path / "c.bin", {}, {"m": bits, "w": weights})
+        write_container(tmp_path / "f.bin", {}, {"m": bits.astype(np.float64), "w": weights.copy()})
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "f.bin").read_bytes()
+        _, loaded = read_container(tmp_path / "c.bin")
+        assert loaded["m"].tobytes() == bits.astype("<f8").tobytes()
+        assert loaded["w"].tobytes() == np.ascontiguousarray(weights).tobytes()
+
     def test_magic_begins_file(self, tmp_path):
         path = tmp_path / "c.bin"
         write_container(path, {}, {})
@@ -279,6 +293,24 @@ class TestAtomicWrites:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * tensor_bytes
+
+    def test_save_converts_a_bool_mask_one_block_at_a_time(self, tmp_path):
+        net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=17)
+        rng = np.random.default_rng(18)
+        convert_to_masked(net, {
+            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.1).astype(float))
+            for l in net.prunable_layers
+        })
+        # The chunk being written and the next one are alive together.
+        bound = 2 * 8 * checkpoint._WRITE_BLOCK + 64 * 1024
+        assert 8 * net.layers[0].mask.size > bound  # a whole float64 copy would not fit
+        tracemalloc.start()
+        try:
+            save_checkpoint(net, tmp_path / "ck.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
