@@ -14,9 +14,9 @@ from nmfprune import (
     ThresholdConfig,
     compute_scores,
     generate_all_masks,
-    global_sparsity,
     init_network,
     layer_threshold,
+    sparsity_report,
     tune_gamma,
 )
 
@@ -30,7 +30,7 @@ print(f"scored {len(scores)} prunable layers, {total} weights\n")
 print("gamma     sparsity   per-layer thresholds")
 for gamma in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
     masks = generate_all_masks(scores, "std", gamma)
-    sp = global_sparsity(masks).global_sparsity
+    sp = sparsity_report(masks).global_sparsity
     taus = [layer_threshold(sm, ThresholdConfig("std", gamma)) for sm in scores.values()]
     print(f"{gamma:5.2f}    {sp:8.4f}   " + "  ".join(f"{t:.4f}" for t in taus))
 
@@ -52,7 +52,7 @@ print(
 # The same gamma* applies to every layer; each layer's own statistics set
 # its threshold, so layers prune by different amounts.
 masks = generate_all_masks(scores, "std", result.gamma_star)
-report = global_sparsity(masks)
+report = sparsity_report(masks)
 for lid, ls in report.per_layer.items():
     print(f"  {lid}: {ls.zeros}/{ls.total} pruned ({ls.sparsity:.1%})")
 print(f"  global: {report.global_sparsity:.1%}")

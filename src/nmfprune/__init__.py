@@ -14,13 +14,12 @@ from .masking import (
     GammaSearchResult,
     GammaTraceEntry,
     LayerSparsity,
-    Mask,
     SparsityReport,
     ThresholdConfig,
     generate_all_masks,
     generate_mask,
-    global_sparsity,
     layer_threshold,
+    sparsity_report,
     tune_gamma,
 )
 from .network import (

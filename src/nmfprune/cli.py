@@ -171,12 +171,12 @@ def _cmd_tune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    if args.ks and not isinstance(cfg.scorer, NmfConfig):
+    if args.ks is not None and not isinstance(cfg.scorer, NmfConfig):
         raise ConfigError("--ks sets the factorization rank and needs [scorer] kind = nmf")
     # Every flag value is checked before the first run starts.
     with _flag("--targets"):
         targets = _distinct(
-            [float(t) for t in args.targets.split(",")] if args.targets
+            [float(t) for t in args.targets.split(",")] if args.targets is not None
             else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
         )
         searches = [
@@ -184,7 +184,7 @@ def _cmd_sweep(args) -> int:
             for t in targets
         ]
     with _flag("--ks"):
-        ks = _distinct([int(k) for k in args.ks.split(",")] if args.ks else [None])
+        ks = _distinct([int(k) for k in args.ks.split(",")] if args.ks is not None else [None])
         scorers = [cfg.scorer if k is None else dataclasses.replace(cfg.scorer, k=k) for k in ks]
     base_out = Path(cfg.output_dir)
     for target, search in zip(targets, searches):

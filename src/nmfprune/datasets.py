@@ -51,6 +51,10 @@ class SyntheticBlobs:
     n_classes: int
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class CsvSource:

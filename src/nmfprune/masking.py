@@ -1,11 +1,12 @@
-"""Score thresholding, binary masks, and the global-sparsity gamma search.
+"""Score thresholding, bool masks, and the global-sparsity gamma search.
 
 Each layer gets its own threshold from its score statistics: mean + gamma*std
 ("std" mode, population std) or median + gamma*mad ("mad" mode, lower median,
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
 aggressively every layer prunes; a bisection search tunes it until the global
 fraction of pruned weights hits a target. Scores at or above the threshold are
-kept (ties survive).
+kept (ties survive). A mask is the bool array of that comparison, True
+where kept; it goes unchanged to ``network.convert_to_masked``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class ThresholdConfig:
         object.__setattr__(self, "t_type", _validate_t_type(self.t_type))
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-
-
-@dataclass
-class Mask:
-    """Binary keep/prune mask for one layer; entries are exactly 0.0 or 1.0."""
-
-    layer_id: str
-    bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,18 +134,18 @@ def layer_threshold(scores: ScoreMatrix, cfg: ThresholdConfig) -> float:
     return center + cfg.gamma * spread
 
 
-def generate_mask(scores: ScoreMatrix, threshold: float) -> Mask:
-    """Keep (1.0) every score >= threshold, prune (0.0) the rest."""
+def generate_mask(scores: ScoreMatrix, threshold: float) -> np.ndarray:
+    """The layer's bool mask: True (kept) where the score is >= threshold,
+    False (pruned) elsewhere."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    bits = (scores.scores >= threshold).astype(np.float64)
-    return Mask(layer_id=scores.layer_id, bits=bits)
+    return scores.scores >= threshold
 
 
 def generate_all_masks(
     all_scores: dict[str, ScoreMatrix], t_type: str, gamma: float
-) -> dict[str, Mask]:
-    """Final masks for every layer at one shared gamma."""
+) -> dict[str, np.ndarray]:
+    """Final bool masks for every layer at one shared gamma, by layer id."""
     cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
     return {
         layer_id: generate_mask(sm, layer_threshold(sm, cfg))
@@ -161,7 +154,8 @@ def generate_all_masks(
 
 
 def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
-    """Exact zero counts per named array and pooled across all of them."""
+    """Exact zero counts per named array and pooled across all of them. A
+    bool mask's pruned (False) entries count as zeros."""
     if not arrays:
         raise ValueError("cannot compute sparsity of an empty set of arrays")
     per_layer: dict[str, LayerSparsity] = {}
@@ -179,11 +173,6 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
         global_total=global_total,
         global_sparsity=global_zeros / global_total,
     )
-
-
-def global_sparsity(masks: dict[str, Mask]) -> SparsityReport:
-    """Exact zero counts of the masks per layer and pooled across all layers."""
-    return sparsity_report({layer_id: mask.bits for layer_id, mask in masks.items()})
 
 
 def _sparsity_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) -> float:

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .masking import Mask, SparsityReport, sparsity_report
+from .masking import SparsityReport, sparsity_report
 from .seeds import derive_seed
 
 
@@ -159,10 +159,11 @@ class _WeightedLayer:
         self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
-        """Freeze ``bits`` (0.0 and 1.0 values) as this layer's mask, a
-        read-only bool copy, and its kept flat indices as ``kept``, and write
-        +0.0 at its pruned positions. Returns how many of those weights were
-        non-zero before."""
+        """Freeze ``bits`` as this layer's mask, a read-only bool copy, and
+        its kept flat indices as ``kept``, and write +0.0 at its pruned
+        positions. ``bits`` is the bool mask of ``masking.generate_mask`` or a
+        checkpoint's 0.0/1.0 values; any other value is rejected. Returns how
+        many of the pruned weights were non-zero before."""
         if bits.shape != self.weights.shape:
             raise ValueError(
                 f"mask shape {bits.shape} does not match weights "
@@ -430,9 +431,10 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
     return Network(layers, specs, seed)
 
 
-def convert_to_masked(net: Network, masks: dict[str, Mask]) -> Network:
-    """Attach every prunable layer's mask as a read-only bool array and write
-    +0.0 at the pruned weights (in place). Returns ``net``.
+def convert_to_masked(net: Network, masks: dict[str, np.ndarray]) -> Network:
+    """Attach every prunable layer's mask (a bool array, or 0.0/1.0 values,
+    by layer id) as a read-only bool array and write +0.0 at the pruned
+    weights (in place). Returns ``net``.
 
     Every prunable layer must have a shape-matching mask; masks naming
     non-prunable or unknown layers are rejected.
@@ -445,7 +447,7 @@ def convert_to_masked(net: Network, masks: dict[str, Mask]) -> Network:
     if missing:
         raise ValueError(f"missing masks for prunable layers: {sorted(missing)}")
     for layer in net.prunable_layers:
-        layer.attach_mask(masks[layer.layer_id].bits)
+        layer.attach_mask(masks[layer.layer_id])
     net.invalidate_cache()
     return net
 

@@ -11,12 +11,12 @@ scores come from the initial weights alone, the two share no state, and NumPy
 releases the interpreter lock in their heavy work, so they overlap on two
 cores. After both finish, the mask stage fixes the threshold scale gamma
 (searched against a sparsity target, or taken from the config), generates the
-final masks, and prunes; the layers keep the only copy of the masks. The
-train stage masks each step's weight gradients and updates only the kept
-weights, so pruned weights stay exactly zero; the report stage counts,
-evaluates and saves. Each stage is timed on the thread that runs it, so
-``wall_times["data"]`` is the header read plus the loader's own elapsed time,
-and the five stage times can sum to more than the run. Artifacts land in the
+final bool masks, and prunes; the layers keep the only copy of the masks.
+The train stage updates only the kept weights, from their own gradients (the
+paper's gradient masking), so pruned weights stay exactly zero; the report
+stage counts, evaluates and saves. Each stage is timed on the thread that
+runs it, so ``wall_times["data"]`` is the header read plus the loader's own
+elapsed time, and the five stage times can sum to more than the run. Artifacts land in the
 run's output directory:
 
     report.json        full run report

@@ -1,16 +1,14 @@
 """SGD with momentum and weight decay, plus the sparsity-preserving loop.
 
-Every training step runs forward and backward, zeroes the masked gradient
-entries (the paper's gradient masking), then runs the optimizer step. For a
-masked weight the step gathers only the kept entries (``layer.kept``),
-updates them and scatters them back, so the pruned weights are never written:
-they enter training as +0.0 (see ``network.convert_to_masked``) and stay
-+0.0. A masked weight's momentum buffer holds its kept entries only. A
-post-step check enforces the zero count with no tolerance.
-
-A layer's mask is a read-only bool array. Gradient masking multiplies by it,
-and the check is the one bool compare ``(weights != 0.0) > mask``; no step
-compares the mask with a float.
+Every training step runs forward, backward, then the optimizer step. For a
+masked weight the step gathers only the kept entries (``layer.kept``) of the
+weight and of its gradient, updates them and scatters them back, so the
+pruned weights are never written and their gradients never enter an update:
+this kept-index step is the paper's gradient masking. Pruned weights enter
+training as +0.0 (see ``network.convert_to_masked``) and stay +0.0. A masked
+weight's momentum buffer holds its kept entries only. A post-step check
+enforces the zero count with no tolerance: the one bool compare
+``(weights != 0.0) > mask`` against the layer's read-only bool mask.
 """
 
 from __future__ import annotations
@@ -39,6 +37,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.lr_gamma > 0:
+            raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
@@ -109,7 +109,8 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
         param <- param - lr * buf
 
     A masked weight is updated at its kept indices only; its pruned entries
-    are not read or written.
+    are not read or written, and their gradients enter only the check that
+    every gradient entry is finite.
     """
     for layer in net.weighted_layers:
         if layer.grad_weights is None or layer.grad_bias is None:
@@ -152,16 +153,14 @@ def masked_train_step(
 ) -> StepResult:
     """One training step with strict mask enforcement.
 
-    Order is fixed: forward, backward, gradient masking per masked layer, then
-    the optimizer step, which writes kept weights only. Masking multiplies the
-    gradient by the mask, so a non-finite gradient at a pruned position
-    becomes NaN and still fails the step. Afterwards every masked position
-    must hold exactly 0.0 or the step fails hard.
+    Order is fixed: forward, backward, then the optimizer step, which updates
+    each masked weight at its kept indices only, from the gradient at those
+    indices. A non-finite gradient anywhere, at a pruned position too, fails
+    the step. Afterwards
+    every masked position must hold exactly 0.0 or the step fails hard.
     """
     logits = net.forward(x)
     loss = net.backward(y)
-    for layer in net.masked_layers:
-        layer.grad_weights *= layer.mask
     sgd_step(net, state, lr, cfg)
     for layer in net.masked_layers:
         violations = np.flatnonzero((layer.weights != 0.0) > layer.mask)

@@ -15,7 +15,7 @@ from nmfprune.masking import (
     GammaSearchConfig,
     ThresholdConfig,
     generate_all_masks,
-    global_sparsity,
+    sparsity_report,
     tune_gamma,
 )
 from nmfprune.network import (
@@ -129,12 +129,12 @@ def test_criterion_2_quantile_oracle_equivalence():
         zeros, total = oracle_counts(scores, t_type, result.gamma_star)
         assert result.achieved == zeros / total, f"{t_type}: oracle count mismatch"
         masks = generate_all_masks(scores, t_type, result.gamma_star)
-        assert global_sparsity(masks).global_zeros == zeros
+        assert sparsity_report(masks).global_zeros == zeros
 
     sweep = []
     for gamma in np.linspace(0.01, 10.0, 50):
         masks = generate_all_masks(scores, "std", float(gamma))
-        sweep.append(global_sparsity(masks).global_sparsity)
+        sweep.append(sparsity_report(masks).global_sparsity)
     monotone = all(b >= a for a, b in zip(sweep, sweep[1:]))
     assert monotone
     report(
@@ -176,18 +176,13 @@ def test_criterion_3_strict_sparsity_preservation(tmp_path):
 
 
 def test_criterion_4_masking_identity():
-    from nmfprune.masking import Mask
-
     specs = [Linear(16, 32), ReLU(), Linear(32, 16), ReLU(), Linear(16, 2)]
     train_cfg = TrainConfig(epochs=1, lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=64)
 
     def run(masked: bool) -> list[float]:
         net = init_network(specs, seed=21)
         if masked:
-            masks = {
-                l.layer_id: Mask(l.layer_id, np.ones_like(l.weights))
-                for l in net.prunable_layers
-            }
+            masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
             convert_to_masked(net, masks)
         state = OptimizerState.for_network(net)
         rng = np.random.default_rng(5)

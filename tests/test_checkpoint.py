@@ -18,7 +18,6 @@ from nmfprune.checkpoint import (
     write_container,
 )
 from nmfprune.cli import main
-from nmfprune.masking import Mask
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import (
     OptimizerState,
@@ -31,10 +30,7 @@ from nmfprune.trainer import (
 def trained_masked_net(seed=0):
     net = init_network([Linear(6, 10), ReLU(), Linear(10, 3)], seed=seed)
     rng = np.random.default_rng(seed + 1)
-    masks = {
-        l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.4).astype(float))
-        for l in net.prunable_layers
-    }
+    masks = {l.layer_id: rng.random(l.weights.shape) < 0.4 for l in net.prunable_layers}
     convert_to_masked(net, masks)
     cfg = TrainConfig(epochs=1, lr=0.1)
     state = OptimizerState.for_network(net)
@@ -279,7 +275,7 @@ class TestAtomicWrites:
         net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=17)
         rng = np.random.default_rng(18)
         convert_to_masked(net, {
-            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.1).astype(float))
+            l.layer_id: rng.random(l.weights.shape) < 0.1
             for l in net.prunable_layers
         })
         tensor_bytes = sum(
@@ -298,7 +294,7 @@ class TestAtomicWrites:
         net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=17)
         rng = np.random.default_rng(18)
         convert_to_masked(net, {
-            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.1).astype(float))
+            l.layer_id: rng.random(l.weights.shape) < 0.1
             for l in net.prunable_layers
         })
         # The chunk being written and the next one are alive together.

@@ -313,8 +313,13 @@ class TestRun:
         ["sweep", "--targets", "abc"],
         ["sweep", "--ks", "0"],
         ["sweep", "--ks", "x"],
+        ["sweep", "--targets", ""],
+        ["sweep", "--ks", ""],
     ],
-    ids=["run-target", "tune-target", "sweep-targets", "sweep-ks-zero", "sweep-ks-text"],
+    ids=[
+        "run-target", "tune-target", "sweep-targets", "sweep-ks-zero", "sweep-ks-text",
+        "sweep-targets-empty", "sweep-ks-empty",
+    ],
 )
 def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
     path, out = config_path
@@ -322,6 +327,25 @@ def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_classes = 2\nseed = 9", "n_classes = 2\nseed = -1", "seed must be >= 0, got -1"),
+        ("batch_size = 64", "batch_size = 64\nlr_gamma = -1", "lr_gamma must be > 0, got -1.0"),
+    ],
+    ids=["blobs-seed", "lr-gamma"],
+)
+def test_out_of_range_config_value_exits_1_at_its_key(tmp_path, capsys, old, new, message):
+    out = tmp_path / "out"
+    text = CONFIG.format(out=out).replace(old, new)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
     assert not out.exists()
 
 
@@ -661,6 +685,8 @@ class TestSweep:
             ["sweep", "--config", str(magnitude), "--targets", "0.8", "--ks", "2,9"]
         ) == 1
         assert "--ks" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(magnitude), "--targets", "0.8", "--ks", ""]) == 1
+        assert "needs [scorer] kind = nmf" in capsys.readouterr().err
         assert not out.exists()
         assert main(["sweep", "--config", str(magnitude), "--targets", "0.8", "--quiet"]) == 0
         assert (out / "t0.8" / "report.json").exists()

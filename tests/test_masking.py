@@ -9,14 +9,14 @@ import pytest
 from nmfprune import masking
 from nmfprune.masking import (
     GammaSearchConfig,
-    Mask,
     ThresholdConfig,
     generate_all_masks,
     generate_mask,
-    global_sparsity,
     layer_threshold,
+    sparsity_report,
     tune_gamma,
 )
+from nmfprune.network import Linear, ReLU, convert_to_masked, init_network
 from nmfprune.nmf import ScoreMatrix
 
 
@@ -72,24 +72,38 @@ class TestLayerThreshold:
 class TestGenerateMask:
     def test_threshold_below_min_keeps_all(self):
         mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 0.5)
-        assert np.array_equal(mask.bits, np.ones((2, 2)))
+        assert np.array_equal(mask, np.ones((2, 2), dtype=bool))
 
     def test_threshold_above_max_prunes_all(self):
         mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 5.0)
-        assert np.array_equal(mask.bits, np.zeros((2, 2)))
+        assert np.array_equal(mask, np.zeros((2, 2), dtype=bool))
 
     def test_tie_is_kept(self):
         mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 3.0)
-        assert np.array_equal(mask.bits, [[0.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(mask, [[False, False], [True, True]])
 
     def test_bits_are_exactly_zero_or_one(self):
         scores = sm(np.random.default_rng(0).random((6, 6)))
         mask = generate_mask(scores, 0.5)
-        assert set(np.unique(mask.bits)) <= {0.0, 1.0}
+        assert mask.dtype == np.bool_ and mask.shape == (6, 6)
 
     def test_deterministic(self):
         scores = sm(np.random.default_rng(1).random((5, 5)))
-        assert np.array_equal(generate_mask(scores, 0.3).bits, generate_mask(scores, 0.3).bits)
+        assert np.array_equal(generate_mask(scores, 0.3), generate_mask(scores, 0.3))
+
+    def test_bool_masks_attach_to_their_layers(self):
+        net = init_network([Linear(6, 5), ReLU(), Linear(5, 4), ReLU(), Linear(4, 2)], seed=3)
+        scores = {
+            l.layer_id: ScoreMatrix(l.layer_id, np.abs(l.weights)) for l in net.prunable_layers
+        }
+        masks = generate_all_masks(scores, "std", 0.5)
+        assert all(m.dtype == np.bool_ for m in masks.values())
+        convert_to_masked(net, masks)
+        for layer in net.prunable_layers:
+            mask = masks[layer.layer_id]
+            assert 0 < np.count_nonzero(mask) < mask.size
+            assert np.array_equal(layer.mask, mask)
+            assert np.array_equal(layer.weights != 0.0, mask)
 
     def test_non_finite_threshold_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -98,17 +112,17 @@ class TestGenerateMask:
 
 class TestGlobalSparsity:
     def test_single_layer(self):
-        report = global_sparsity({"a": Mask("a", np.array([[0.0, 0.0], [1.0, 1.0]]))})
+        report = sparsity_report({"a": np.array([[False, False], [True, True]])})
         assert report.global_sparsity == 0.5
         assert report.global_zeros == 2
         assert report.global_total == 4
 
     def test_weighted_pooling(self):
         masks = {
-            "small": Mask("small", np.concatenate([np.zeros(5), np.ones(5)]).reshape(1, 10)),
-            "large": Mask("large", np.concatenate([np.zeros(45), np.ones(45)]).reshape(9, 10)),
+            "small": (np.arange(10) >= 5).reshape(1, 10),
+            "large": (np.arange(90) >= 45).reshape(9, 10),
         }
-        report = global_sparsity(masks)
+        report = sparsity_report(masks)
         assert report.global_sparsity == 0.5
         assert report.per_layer["small"].zeros == 5
         assert report.per_layer["large"].zeros == 45
@@ -116,12 +130,11 @@ class TestGlobalSparsity:
     def test_matches_flat_scan_oracle(self):
         rng = np.random.default_rng(2)
         masks = {
-            f"l{i}": Mask(f"l{i}", (rng.random((rng.integers(2, 9), rng.integers(2, 9))) < 0.5).astype(float))
-            for i in range(5)
+            f"l{i}": rng.random((rng.integers(2, 9), rng.integers(2, 9))) < 0.5 for i in range(5)
         }
-        report = global_sparsity(masks)
-        zeros = sum(1 for m in masks.values() for v in m.bits.ravel() if v == 0.0)
-        total = sum(m.bits.size for m in masks.values())
+        report = sparsity_report(masks)
+        zeros = sum(1 for m in masks.values() for v in m.ravel() if not v)
+        total = sum(m.size for m in masks.values())
         assert report.global_zeros == zeros
         assert report.global_total == total
         assert report.global_sparsity == zeros / total
@@ -129,7 +142,7 @@ class TestGlobalSparsity:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            global_sparsity({})
+            sparsity_report({})
 
 
 class TestTuneGamma:
@@ -164,7 +177,7 @@ class TestTuneGamma:
         }
         result = tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.7))
         masks = generate_all_masks(scores, "mad", result.gamma_star)
-        report = global_sparsity(masks)
+        report = sparsity_report(masks)
         assert abs(report.global_sparsity - result.achieved) == 0.0
         # Layer thresholds differ through each layer's own statistics.
         cfg = ThresholdConfig("mad", result.gamma_star)
@@ -175,7 +188,7 @@ class TestTuneGamma:
         achieved = []
         for gamma in np.linspace(0.01, 10.0, 50):
             masks = generate_all_masks(scores, "std", float(gamma))
-            achieved.append(global_sparsity(masks).global_sparsity)
+            achieved.append(sparsity_report(masks).global_sparsity)
         assert all(b >= a for a, b in zip(achieved, achieved[1:]))
 
     def test_trace_records_probes_and_bracket(self):
@@ -261,4 +274,4 @@ def test_every_probe_matches_the_mask_path(t_type):
     assert len(result.trace) > 3
     for entry in result.trace:
         masks = generate_all_masks(scores, t_type, entry.gamma)
-        assert entry.achieved == global_sparsity(masks).global_sparsity
+        assert entry.achieved == sparsity_report(masks).global_sparsity

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nmfprune.network as network
-from nmfprune.masking import Mask
+from nmfprune.masking import sparsity_report
 from nmfprune.network import (
     LAYER_KINDS,
     Conv2d,
@@ -196,7 +196,7 @@ class TestForward:
         net_a = init_network(specs, seed=2)
         bits = np.ones((6, 4))
         bits[2, 1] = 0.0
-        masks = {"layer0_linear": Mask("layer0_linear", bits)}
+        masks = {"layer0_linear": bits}
         convert_to_masked(net_a, masks)
 
         net_b = init_network(specs, seed=2)
@@ -443,19 +443,14 @@ class TestConvertToMasked:
         x = np.random.default_rng(18).normal(size=(4, 4))
         net_a = init_network(specs, seed=19)
         baseline = net_a.forward(x).copy()
-        masks = {
-            l.layer_id: Mask(l.layer_id, np.ones_like(l.weights)) for l in net_a.prunable_layers
-        }
+        masks = {l.layer_id: np.ones_like(l.weights) for l in net_a.prunable_layers}
         convert_to_masked(net_a, masks)
         assert np.array_equal(net_a.forward(x), baseline)
 
     def test_masked_positions_exactly_zero(self):
         net = init_network(mlp_specs(), seed=20)
         rng = np.random.default_rng(21)
-        masks = {
-            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.6).astype(float))
-            for l in net.prunable_layers
-        }
+        masks = {l.layer_id: rng.random(l.weights.shape) < 0.6 for l in net.prunable_layers}
         convert_to_masked(net, masks)
         for layer in net.masked_layers:
             assert np.all(layer.weights * (1.0 - layer.mask) == 0.0)
@@ -467,18 +462,13 @@ class TestConvertToMasked:
         bits = np.ones((6, 4))
         bits[1, 1] = 0.5
         with pytest.raises(ValueError, match="other than 0.0 and 1.0"):
-            convert_to_masked(net, {"layer0_linear": Mask("layer0_linear", bits)})
+            convert_to_masked(net, {"layer0_linear": bits})
 
     def test_sparsity_matches_mask_report(self):
-        from nmfprune.masking import global_sparsity
-
         net = init_network([Linear(8, 16), ReLU(), Linear(16, 4)], seed=22)
         rng = np.random.default_rng(23)
-        masks = {
-            l.layer_id: Mask(l.layer_id, (rng.random(l.weights.shape) < 0.5).astype(float))
-            for l in net.prunable_layers
-        }
-        mask_report = global_sparsity(masks)
+        masks = {l.layer_id: rng.random(l.weights.shape) < 0.5 for l in net.prunable_layers}
+        mask_report = sparsity_report(masks)
         convert_to_masked(net, masks)
         weight_report = count_zero_weights(net)
         assert weight_report.global_zeros == mask_report.global_zeros
@@ -486,9 +476,7 @@ class TestConvertToMasked:
 
     def test_mask_buffer_immutable(self):
         net = init_network(mlp_specs(), seed=24)
-        masks = {
-            l.layer_id: Mask(l.layer_id, np.ones_like(l.weights)) for l in net.prunable_layers
-        }
+        masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
         convert_to_masked(net, masks)
         with pytest.raises(ValueError):
             net.masked_layers[0].mask[0, 0] = 0.0
@@ -552,15 +540,13 @@ class TestConvertToMasked:
         net = init_network(mlp_specs(), seed=26)
         with pytest.raises(ValueError, match="shape"):
             convert_to_masked(
-                net, {"layer0_linear": Mask("layer0_linear", np.ones((2, 2)))}
+                net, {"layer0_linear": np.ones((2, 2))}
             )
 
     def test_unknown_mask_rejected(self):
         net = init_network(mlp_specs(), seed=27)
-        masks = {
-            l.layer_id: Mask(l.layer_id, np.ones_like(l.weights)) for l in net.prunable_layers
-        }
-        masks["ghost"] = Mask("ghost", np.ones((1, 1)))
+        masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
+        masks["ghost"] = np.ones((1, 1))
         with pytest.raises(ValueError, match="non-prunable or unknown"):
             convert_to_masked(net, masks)
 
@@ -605,7 +591,7 @@ class TestFlopsEstimate:
         net = init_network([Linear(4, 3, prunable=True)], seed=0)
         bits = np.zeros((3, 4))
         bits.ravel()[:6] = 1.0
-        convert_to_masked(net, {"layer0_linear": Mask("layer0_linear", bits)})
+        convert_to_masked(net, {"layer0_linear": bits})
         est = flops_estimate(net, (4,))
         assert est.dense_flops == 24
         assert est.sparse_flops == 12

@@ -99,7 +99,7 @@ class TestRunPipeline:
             for l in masked_net.prunable_layers
         }
         masks = generate_all_masks(constant_scores, "std", gamma=1.5)
-        assert all(np.all(m.bits == 1.0) for m in masks.values())
+        assert all(np.all(m) for m in masks.values())
         convert_to_masked(masked_net, masks)
         masked_metrics = run_training(masked_net, dataset, train_cfg)
 
@@ -219,9 +219,10 @@ class TestRunPipeline:
         assert not loaders[0].is_alive()
 
     def test_train_stage_starts_without_scores_or_mask_copies(self, tmp_path, monkeypatch):
-        # The layers hold their own masks, so the ScoreMatrix and Mask.bits
-        # arrays (2 MB here) must be gone when training starts; anything that
-        # keeps them sits beside the dataset for the whole train stage.
+        # The layers hold their own masks, so the ScoreMatrix arrays (1 MB
+        # here) and the generated bool masks must be gone when training
+        # starts; anything that keeps them sits beside the dataset for the
+        # whole train stage.
         compute, generate, train = (
             pipeline.compute_scores, pipeline.generate_all_masks, pipeline.run_training
         )
@@ -235,7 +236,7 @@ class TestRunPipeline:
 
         def generate_and_track(*args, **kwargs):
             masks = generate(*args, **kwargs)
-            made.extend(weakref.ref(m.bits) for m in masks.values())
+            made.extend(weakref.ref(m) for m in masks.values())
             return masks
 
         def measure_then_train(net, dataset, *args, **kwargs):
@@ -391,10 +392,10 @@ class TestScoreMagnitude:
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.hit_target
         masks = generate_all_masks(scores, "std", result.gamma_star)
-        kept = int(np.count_nonzero(masks["l"].bits))
+        kept = int(np.count_nonzero(masks["l"]))
         # Sort-based oracle: the kept set must be exactly the top-|kept| by
         # magnitude (no ties in continuous draws).
         order = np.argsort(np.abs(w).ravel())[::-1]
-        top = np.zeros(w.size)
-        top[order[:kept]] = 1.0
-        assert np.array_equal(masks["l"].bits.ravel(), top)
+        top = np.zeros(w.size, dtype=bool)
+        top[order[:kept]] = True
+        assert np.array_equal(masks["l"].ravel(), top)
