@@ -233,8 +233,11 @@ def load_checkpoint(path) -> Network:
         mask = tensors.pop(f"{lid}.mask", None)
         if mask is None:
             continue
+        # Only 1.0 and +0.0: save_checkpoint writes a bool mask as those.
+        if np.count_nonzero(mask == 1.0) != np.count_nonzero(mask) or np.signbit(mask).any():
+            raise CheckpointError(f"{path}: mask of {lid!r} holds values other than 0.0 and 1.0")
         try:
-            live = layer.attach_mask(mask)
+            live = layer.attach_mask(mask == 1.0)
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
         if live:

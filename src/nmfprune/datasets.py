@@ -4,14 +4,15 @@ Every source is reduced to float64 feature rows plus integer class labels,
 split 80/20 deterministically, and standardized per feature using statistics
 computed on the training split only.
 
-Each source declares its sample shape before any sample is read
-(``declared_shape``): the blobs spec, the IDX headers, the first CSV data
-row. ``load_dataset`` then draws the split permutation and writes every
-sample straight into its row of one (n, d) float64 array laid out
-[train | test]. The two splits are disjoint views of that array, and
-standardization runs in place on it; only the variance needs a temporary,
-taken over column blocks of ``_STAT_COLS`` or more columns, so a load holds
-one sample-sized array and no train-sized temporary.
+Each source declares the shape of one sample before any sample is read
+(``declared_shape``): (d,) from the blobs spec or the first CSV data row,
+(1, h, w) from the IDX headers; the shape a model reads it in is
+``network.input_shape``'s rule. ``load_dataset`` then draws the split
+permutation and writes every sample straight into its row of one (n, d)
+float64 array laid out [train | test]. The two splits are disjoint views of
+that array, and standardization runs in place on it; only the variance needs
+a temporary, taken over column blocks of ``_STAT_COLS`` or more columns, so a
+load holds one sample-sized array and no train-sized temporary.
 """
 
 from __future__ import annotations
@@ -71,27 +72,19 @@ class IdxSource:
 DatasetSpec = Union[SyntheticBlobs, CsvSource, IdxSource]
 
 
-@dataclass(frozen=True)
-class DeclaredShape:
-    """The shape every sample of a source has, known before its samples are
-    read: the flat feature count, and (channels, height, width) for images."""
-
-    n_features: int
-    image_shape: tuple[int, int, int] | None = None
-
-
 @dataclass
 class Dataset:
     """Standardized 80/20 splits. ``train_x`` and ``test_x`` are disjoint
     views of one (n, d) float64 array, training rows first, and ``train_y``
-    and ``test_y`` of one int64 label array."""
+    and ``test_y`` of one int64 label array. ``sample_shape`` is one
+    sample's shape as its source declares it; a row holds its d values."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     n_classes: int
-    image_shape: tuple[int, int, int] | None = None
+    sample_shape: tuple[int, ...]
 
     @property
     def n_features(self) -> int:
@@ -133,22 +126,25 @@ def _csv_rows(spec: CsvSource):
     ``#`` comments and a first line with a non-numeric cell (a header) are
     skipped; a row without the label column is a DatasetError."""
     path = Path(spec.path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"csv file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if lineno == 1 and _looks_like_header(cells):
-                continue
-            if not 0 <= spec.label_column < len(cells):
-                raise DatasetError(
-                    f"label column {spec.label_column} out of range on row {lineno} "
-                    f"({len(cells)} columns)"
-                )
-            yield lineno, cells
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cells = line.split(",")
+                if lineno == 1 and _looks_like_header(cells):
+                    continue
+                if not 0 <= spec.label_column < len(cells):
+                    raise DatasetError(
+                        f"label column {spec.label_column} out of range on row {lineno} "
+                        f"({len(cells)} columns)"
+                    )
+                yield lineno, cells
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"csv file {path} is not UTF-8 text: {exc}") from None
 
 
 def _csv(spec: CsvSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +195,7 @@ def _looks_like_header(cells: list[str]) -> bool:
 def _idx_header(path: Path, expected_magic: int) -> tuple[int, tuple[int, ...]]:
     """The header length and dimensions of an IDX file, checked against the
     expected magic and the file's size; the data bytes are not read."""
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"idx file not found: {path}")
     with open(path, "rb") as fh:
         head = fh.read(4)
@@ -244,25 +240,26 @@ def _idx(spec: IdxSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     return images[order].astype(np.float64), labels[order].astype(np.int64)
 
 
-def declared_shape(spec: DatasetSpec) -> DeclaredShape:
-    """The sample shape ``spec`` declares: from the blobs spec, the IDX
-    headers or the first CSV data row, reading no other sample. Raises the
-    DatasetError ``load_dataset`` would for a bad spec, header or first row."""
+def declared_shape(spec: DatasetSpec) -> tuple[int, ...]:
+    """The shape of one sample of ``spec``: (d,) from the blobs spec or the
+    first CSV data row, (1, h, w) from the IDX headers, reading no other
+    sample. Raises the DatasetError ``load_dataset`` would for a bad spec,
+    header or first row."""
     if isinstance(spec, SyntheticBlobs):
         if spec.n_samples < 2 or spec.n_features < 1 or spec.n_classes < 2:
             raise DatasetError(f"degenerate blob spec: {spec}")
-        shape = DeclaredShape(spec.n_features)
+        shape = (spec.n_features,)
     elif isinstance(spec, CsvSource):
         first = next(_csv_rows(spec), None)
         if first is None:
             raise DatasetError(f"csv file {Path(spec.path)} has no data rows")
-        shape = DeclaredShape(len(first[1]) - 1)
+        shape = (len(first[1]) - 1,)
     elif isinstance(spec, IdxSource):
         _, _, (_, h, w) = _idx_headers(spec)
-        shape = DeclaredShape(h * w, (1, h, w))
+        shape = (1, h, w)
     else:
         raise DatasetError(f"unknown dataset spec {spec!r}")
-    if shape.n_features == 0:
+    if math.prod(shape) == 0:
         raise DatasetError(f"{spec} has no feature columns")
     return shape
 
@@ -323,5 +320,5 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
         test_x=x[n_train:],
         test_y=test_y,
         n_classes=n_classes,
-        image_shape=shape.image_shape,
+        sample_shape=shape,
     )

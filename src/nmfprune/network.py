@@ -159,20 +159,18 @@ class _WeightedLayer:
         self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
-        """Freeze ``bits`` as this layer's mask, a read-only bool copy, and
-        its kept flat indices as ``kept``, and write +0.0 at its pruned
-        positions. ``bits`` is the bool mask of ``masking.generate_mask`` or a
-        checkpoint's 0.0/1.0 values; any other value is rejected. Returns how
-        many of the pruned weights were non-zero before."""
+        """Freeze ``bits``, a bool array that is True where a weight is kept,
+        as this layer's mask (a read-only copy) and its kept flat indices as
+        ``kept``, and write +0.0 at its pruned positions. Any other dtype is
+        rejected. Returns how many of the pruned weights were non-zero before."""
+        if bits.dtype != np.bool_:
+            raise ValueError(f"mask of {self.layer_id!r} is {bits.dtype}, not a bool array")
         if bits.shape != self.weights.shape:
             raise ValueError(
                 f"mask shape {bits.shape} does not match weights "
                 f"{self.weights.shape} for layer {self.layer_id!r}"
             )
-        mask = bits != 0.0
-        # Only 1.0 and +0.0: a checkpoint writes the bool mask back as those.
-        if np.count_nonzero(bits == 1.0) != np.count_nonzero(mask) or np.signbit(bits).any():
-            raise ValueError(f"mask of {self.layer_id!r} holds values other than 0.0 and 1.0")
+        mask = bits.copy()
         kept = np.flatnonzero(mask)
         mask.flags.writeable = False
         kept.flags.writeable = False
@@ -295,21 +293,29 @@ _LAYER_CLASSES = {
 }
 
 
+def input_shape(specs: list[LayerSpec], data_shape: tuple | None = None) -> tuple:
+    """The shape (no batch axis) a model of ``specs`` reads one sample in: a
+    conv-first model reads a (channels, height, width) ``data_shape`` as it
+    is, any other model its flat features. Without data, the shape the first
+    weighted layer implies: (in_features,), or (in_channels, None, None) for
+    a conv, where None is a size not yet known."""
+    first = next((s for s in specs if isinstance(s, (Linear, Conv2d))), None)
+    if first is None:
+        raise ValueError("network needs at least one weighted layer")
+    conv = isinstance(first, Conv2d)
+    if data_shape is None:
+        return (first.in_channels, None, None) if conv else (first.in_features,)
+    if conv and len(data_shape) == 3:
+        return tuple(data_shape)
+    return (math.prod(data_shape),)
+
+
 def output_shapes(specs: list[LayerSpec], sample_shape: tuple | None = None) -> list[tuple]:
     """Each layer's output shape for one sample of ``sample_shape`` (no batch
-    axis). Without a sample shape the walk starts from the one the first
-    weighted layer implies: (in_features,), or (in_channels, None, None) for
-    a conv, where None is a size not yet known. Raises a ValueError naming
-    the first layer, as ``layer<i>_<kind>``, whose input does not fit."""
-    if sample_shape is None:
-        first = next((s for s in specs if isinstance(s, (Linear, Conv2d))), None)
-        if first is None:
-            raise ValueError("network needs at least one weighted layer")
-        sample_shape = (
-            (first.in_features,) if isinstance(first, Linear) else (first.in_channels, None, None)
-        )
+    axis), by default ``input_shape(specs)``. Raises a ValueError naming the
+    first layer, as ``layer<i>_<kind>``, whose input does not fit."""
     shapes = []
-    shape = tuple(sample_shape)
+    shape = input_shape(specs) if sample_shape is None else tuple(sample_shape)
     for i, spec in enumerate(specs):
         try:
             shape = spec.output_shape(shape)
@@ -328,9 +334,8 @@ class Network:
         self.seed = seed
         # Backward stops at the first weighted layer; nothing before it caches.
         self._first = next(i for i, l in enumerate(layers) if isinstance(l, _WeightedLayer))
+        # The last training forward's logits; None once they are stale.
         self._logits: np.ndarray | None = None
-        self._batch_size: int | None = None
-        self._cache_fresh = False
 
     @property
     def weighted_layers(self) -> list:
@@ -359,8 +364,6 @@ class Network:
         if out.ndim != 2:
             raise ValueError(f"network output must be 2D logits, got shape {out.shape}")
         self._logits = out if cache else None
-        self._batch_size = x.shape[0]
-        self._cache_fresh = cache
         return out
 
     def backward(self, labels: np.ndarray) -> float:
@@ -368,16 +371,15 @@ class Network:
         buffers and returns the batch loss. The first weighted layer computes
         no input gradient, and the layers before it run no backward. Each
         cache is released as it is used, so the cache is stale afterwards."""
-        if not self._cache_fresh:
+        if self._logits is None:
             raise RuntimeError("stale forward cache: call forward() after any weight update")
         labels = np.asarray(labels)
-        if labels.shape[0] != self._batch_size:
+        if labels.shape[0] != self._logits.shape[0]:
             raise ValueError(
                 f"labels length {labels.shape[0]} does not match cached batch "
-                f"of {self._batch_size}"
+                f"of {self._logits.shape[0]}"
             )
         logits, self._logits = self._logits, None
-        self._cache_fresh = False
         loss, grad = softmax_cross_entropy(logits, labels)
         for layer in reversed(self.layers[self._first + 1 :]):
             grad = layer.backward(grad)
@@ -385,7 +387,7 @@ class Network:
         return loss
 
     def invalidate_cache(self) -> None:
-        self._cache_fresh = False
+        self._logits = None
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -432,9 +434,9 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
 
 
 def convert_to_masked(net: Network, masks: dict[str, np.ndarray]) -> Network:
-    """Attach every prunable layer's mask (a bool array, or 0.0/1.0 values,
-    by layer id) as a read-only bool array and write +0.0 at the pruned
-    weights (in place). Returns ``net``.
+    """Attach every prunable layer's bool mask (True where kept, by layer id)
+    as a read-only copy and write +0.0 at the pruned weights (in place).
+    Returns ``net``.
 
     Every prunable layer must have a shape-matching mask; masks naming
     non-prunable or unknown layers are rejected.
@@ -467,10 +469,10 @@ class FlopsEstimate:
     sparse_flops: int
 
 
-def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
+def flops_estimate(net: Network, sample_shape: tuple[int, ...]) -> FlopsEstimate:
     """Forward-pass FLOPs for one sample at 2 ops per multiply-accumulate.
 
-    ``input_shape`` excludes the batch dimension: (features,) for vector
+    ``sample_shape`` excludes the batch dimension: (features,) for vector
     input, (channels, height, width) for images. The sparse figure counts
     only multiply-accumulates whose weight survives the layer's mask, so a
     layer without a mask contributes its dense cost. Bias additions and
@@ -478,7 +480,7 @@ def flops_estimate(net: Network, input_shape: tuple[int, ...]) -> FlopsEstimate:
     """
     dense = 0
     sparse = 0
-    for layer, out in zip(net.layers, output_shapes(net.specs, input_shape)):
+    for layer, out in zip(net.layers, output_shapes(net.specs, sample_shape)):
         if isinstance(layer, _WeightedLayer):
             positions = math.prod(out[1:])  # output pixels of a conv, 1 for a linear layer
             kept = layer.weights.size if layer.kept is None else layer.kept.size

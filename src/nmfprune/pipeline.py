@@ -3,9 +3,9 @@
 The stages run in ``STAGES`` order, with two exceptions. First, the train
 stage's check that the model's layers fit the dataset's samples and end in
 one score per class runs before anything else, on the sample shape the
-dataset declares (its spec, IDX headers or first CSV row), so a model that
-cannot read its data fails as that stage before any scoring; only the class
-count waits for the loaded data. Second, the data stage (load, split,
+dataset declares (its spec, IDX headers or first CSV row) as the model reads
+it (``network.input_shape``), so a model that cannot read its data fails as
+that stage before any scoring; only the class count waits for the loaded data. Second, the data stage (load, split,
 standardize) runs beside the score stage as a task on a one-worker executor:
 scores come from the initial weights alone, the two share no state, and NumPy
 releases the interpreter lock in their heavy work, so they overlap on two
@@ -43,12 +43,13 @@ from .checkpoint import save_checkpoint, write_atomic
 from .datasets import declared_shape, load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
 from .network import (
-    Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, output_shapes,
+    Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, input_shape,
+    output_shapes,
 )
 from .nmf import ScoreMatrix, score_layer
 from .runconfig import ConfigError, MagnitudeScorer, RunConfig, ScorerSpec
 from .seeds import derive_seed
-from .trainer import EpochMetrics, evaluate, run_training, sample_shape
+from .trainer import EpochMetrics, evaluate, run_training
 
 STAGES = ("data", "score", "mask", "train", "report")
 
@@ -172,7 +173,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
     with _stage("data", wall):
         declared = declared_shape(cfg.dataset)
     with _stage("train", wall):
-        shape = sample_shape(cfg.model, declared)
+        shape = input_shape(cfg.model, declared)
         try:
             logits = output_shapes(cfg.model, shape)[-1]
         except ValueError as exc:

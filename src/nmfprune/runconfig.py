@@ -270,6 +270,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config(text, source=str(path))

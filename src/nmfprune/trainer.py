@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Conv2d, LayerSpec, Linear, Network, count_zero_weights
+from .network import Network, count_zero_weights, input_shape
 from .seeds import derive_seed
 
 
@@ -49,6 +49,8 @@ class TrainConfig:
         object.__setattr__(self, "lr_milestones", ms)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError(f"lr_milestones must be strictly increasing, got {ms}")
+        if ms and ms[0] < 0:
+            raise ValueError(f"lr_milestones must be >= 0, got {ms}")
         if ms and ms[-1] >= self.epochs:
             raise ValueError(f"lr_milestones must be < epochs={self.epochs}, got {ms}")
 
@@ -190,17 +192,6 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> flo
     return correct / len(x)
 
 
-def sample_shape(specs: list[LayerSpec], data) -> tuple[int, ...]:
-    """The shape a model of ``specs`` reads one sample of ``data`` in, where
-    ``data`` is a Dataset or the DeclaredShape of its source: the image shape
-    when the first weighted layer is a conv and the data has one, else its
-    flat features."""
-    first = next(s for s in specs if isinstance(s, (Linear, Conv2d)))
-    if isinstance(first, Conv2d) and data.image_shape is not None:
-        return data.image_shape
-    return (data.n_features,)
-
-
 def run_training(
     net: Network, dataset, cfg: TrainConfig, on_epoch_end=None
 ) -> list[EpochMetrics]:
@@ -213,7 +204,7 @@ def run_training(
     checkpoints).
     """
     state = OptimizerState.for_network(net)
-    shape = sample_shape(net.specs, dataset)
+    shape = input_shape(net.specs, dataset.sample_shape)
     train_x = dataset.train_x.reshape(-1, *shape)
     test_x = dataset.test_x.reshape(-1, *shape)
     n = len(train_x)

@@ -182,7 +182,7 @@ def test_criterion_4_masking_identity():
     def run(masked: bool) -> list[float]:
         net = init_network(specs, seed=21)
         if masked:
-            masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
+            masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net.prunable_layers}
             convert_to_masked(net, masks)
         state = OptimizerState.for_network(net)
         rng = np.random.default_rng(5)

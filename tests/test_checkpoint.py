@@ -338,6 +338,9 @@ BAD_CHECKPOINTS = {
     "negative-zero-mask": lambda meta, t: _set(
         t["layer0_linear.mask"], t["layer0_linear.mask"] == 0.0, -0.0
     ),
+    "nan-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), np.nan),
+    "inf-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), np.inf),
+    "two-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), 2.0),
     "bias-size-mismatch": lambda meta, t: _set(t, "layer0_linear.bias", np.zeros(3)),
     "mask-shape-mismatch": lambda meta, t: _set(t, "layer0_linear.mask", np.ones((6, 10))),
     "live-pruned-weight": lambda meta, t: _set(

@@ -335,8 +335,12 @@ def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
     [
         ("n_classes = 2\nseed = 9", "n_classes = 2\nseed = -1", "seed must be >= 0, got -1"),
         ("batch_size = 64", "batch_size = 64\nlr_gamma = -1", "lr_gamma must be > 0, got -1.0"),
+        (
+            "batch_size = 64", "batch_size = 64\nmilestones = -5",
+            "lr_milestones must be >= 0, got (-5,)",
+        ),
     ],
-    ids=["blobs-seed", "lr-gamma"],
+    ids=["blobs-seed", "lr-gamma", "negative-milestone"],
 )
 def test_out_of_range_config_value_exits_1_at_its_key(tmp_path, capsys, old, new, message):
     out = tmp_path / "out"
@@ -505,6 +509,48 @@ def test_model_that_cannot_read_its_data_exits_1_before_scoring(
     status = json.loads((out / "status.json").read_text())
     assert (status["status"], status["stage"]) == ("incomplete", "train")
     assert sorted(p.name for p in out.iterdir()) == ["status.json"]
+
+
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "target, content, message",
+    [
+        (
+            "config", b"[run]\nse\xffd = 3\n",
+            "config file {bad} is not UTF-8 text: " + DECODE_ERROR.format(8),
+        ),
+        ("config", None, "config file not found: {bad}"),
+        (
+            "csv", b"1.0,2.0,0\n\xff,1.0,1\n",
+            "stage 'data' failed: csv file {bad} is not UTF-8 text: " + DECODE_ERROR.format(10),
+        ),
+        ("csv", None, "stage 'data' failed: csv file not found: {bad}"),
+        ("idx", None, "stage 'data' failed: idx file not found: {bad}"),
+    ],
+    ids=[
+        "config-not-utf8", "config-is-a-directory", "csv-not-utf8", "csv-is-a-directory",
+        "idx-images-is-a-directory",
+    ],
+)
+def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, target, content, message):
+    # A directory, or bytes that are not UTF-8, where a file is read.
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    dataset = {
+        "config": BLOBS,
+        "csv": f"kind = csv\npath = {bad}\nlabel_column = 2",
+        "idx": write_image_pair(tmp_path).replace(str(tmp_path / "imgs"), str(bad)),
+    }[target]
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG.format(out=tmp_path / "out").replace(BLOBS, dataset))
+    argv = ["run", "--config", str(bad if target == "config" else config), "--quiet"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
 
 # tune_wide's model: magnitude scores and the MAD rule, so the scores are |W|.
 WIDE_TUNE_CONFIG = """

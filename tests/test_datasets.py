@@ -1,5 +1,6 @@
 """Dataset loading: determinism, normalization, and format error contracts."""
 
+import math
 import struct
 import tracemalloc
 
@@ -10,7 +11,6 @@ from nmfprune.datasets import (
     _DRAW_ROWS,
     CsvSource,
     DatasetError,
-    DeclaredShape,
     IdxSource,
     SyntheticBlobs,
     declared_shape,
@@ -151,7 +151,7 @@ class TestIdx:
         write_idx_images(tmp_path / "imgs", images)
         write_idx_labels(tmp_path / "lbls", labels)
         ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
-        assert ds.image_shape == (1, 4, 4)
+        assert ds.sample_shape == (1, 4, 4)
         assert ds.n_features == 16
         assert len(ds.train_x) == 40
 
@@ -339,18 +339,19 @@ class TestDeclaredShape:
         csv = tmp_path / "data.csv"
         csv.write_text("a,b,label\n" + "1.0,2.0,0\n3.0,4.0,1\n" * 5)
         for spec, shape in [
-            (SyntheticBlobs(50, 6, 2), DeclaredShape(6)),
-            (IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), DeclaredShape(15, (1, 3, 5))),
-            (CsvSource(str(csv), label_column=2), DeclaredShape(2)),
+            (SyntheticBlobs(50, 6, 2), (6,)),
+            (IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), (1, 3, 5)),
+            (CsvSource(str(csv), label_column=2), (2,)),
         ]:
             assert declared_shape(spec) == shape
             ds = load_dataset(spec)
-            assert (ds.n_features, ds.image_shape) == (shape.n_features, shape.image_shape)
+            assert ds.sample_shape == shape
+            assert ds.n_features == math.prod(shape)
 
     def test_reads_only_the_first_csv_row(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("# comment\n\n1.0,2.0,0\n3.0,oops,1\n")
-        assert declared_shape(CsvSource(str(p), label_column=2)) == DeclaredShape(2)
+        assert declared_shape(CsvSource(str(p), label_column=2)) == (2,)
         with pytest.raises(DatasetError, match=r"row 4, column 1"):
             load_dataset(CsvSource(str(p), label_column=2))
 
@@ -363,7 +364,7 @@ class TestDeclaredShape:
 
         monkeypatch.setattr(np, "fromfile", no_data_reads)
         spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
-        assert declared_shape(spec) == DeclaredShape(15, (1, 3, 5))
+        assert declared_shape(spec) == (1, 3, 5)
 
     @pytest.mark.parametrize(
         "spec, match",

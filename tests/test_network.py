@@ -21,6 +21,7 @@ from nmfprune.network import (
     flops_estimate,
     im2col,
     init_network,
+    input_shape,
     output_shapes,
     softmax_cross_entropy,
 )
@@ -194,8 +195,8 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(5, 4))
 
         net_a = init_network(specs, seed=2)
-        bits = np.ones((6, 4))
-        bits[2, 1] = 0.0
+        bits = np.ones((6, 4), dtype=bool)
+        bits[2, 1] = False
         masks = {"layer0_linear": bits}
         convert_to_masked(net_a, masks)
 
@@ -399,6 +400,17 @@ class TestBackward:
         with pytest.raises(ValueError, match="labels"):
             net.backward(np.array([0, 1]))
 
+    def test_label_count_mismatch_keeps_the_cache(self):
+        # The count is checked against the cached logits before they are released.
+        x, y = np.ones((3, 4)), np.array([0, 1, 2])
+        net = init_network(mlp_specs(), seed=17)
+        net.forward(x)
+        with pytest.raises(ValueError, match=r"^labels length 2 does not match cached batch of 3$"):
+            net.backward(y[:2])
+        fresh = init_network(mlp_specs(), seed=17)
+        fresh.forward(x)
+        assert net.backward(y) == fresh.backward(y)
+
 
 def cached(net):
     """Layer ids that still hold a forward cache."""
@@ -443,7 +455,7 @@ class TestConvertToMasked:
         x = np.random.default_rng(18).normal(size=(4, 4))
         net_a = init_network(specs, seed=19)
         baseline = net_a.forward(x).copy()
-        masks = {l.layer_id: np.ones_like(l.weights) for l in net_a.prunable_layers}
+        masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net_a.prunable_layers}
         convert_to_masked(net_a, masks)
         assert np.array_equal(net_a.forward(x), baseline)
 
@@ -457,12 +469,16 @@ class TestConvertToMasked:
             # +0.0, not the -0.0 a multiply by the mask leaves at negative weights.
             assert not np.any(np.signbit(layer.weights[layer.mask == 0.0]))
 
-    def test_non_binary_mask_rejected(self):
+    def test_non_bool_mask_rejected(self):
+        # Even a mask of only 0.0 and 1.0: that encoding is the checkpoint's.
         net = init_network(mlp_specs(), seed=28)
-        bits = np.ones((6, 4))
-        bits[1, 1] = 0.5
-        with pytest.raises(ValueError, match="other than 0.0 and 1.0"):
-            convert_to_masked(net, {"layer0_linear": bits})
+        bits = np.ones((6, 4), dtype=bool)
+        bits[1, 1] = False
+        for dtype in (np.float64, np.int64, np.uint8):
+            with pytest.raises(ValueError, match=f"^mask of 'layer0_linear' is {dtype.__name__}"):
+                convert_to_masked(net, {"layer0_linear": bits.astype(dtype)})
+        assert net.layers[0].mask is None
+        assert np.count_nonzero(net.layers[0].weights) == bits.size
 
     def test_sparsity_matches_mask_report(self):
         net = init_network([Linear(8, 16), ReLU(), Linear(16, 4)], seed=22)
@@ -476,7 +492,7 @@ class TestConvertToMasked:
 
     def test_mask_buffer_immutable(self):
         net = init_network(mlp_specs(), seed=24)
-        masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
+        masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net.prunable_layers}
         convert_to_masked(net, masks)
         with pytest.raises(ValueError):
             net.masked_layers[0].mask[0, 0] = 0.0
@@ -485,11 +501,11 @@ class TestConvertToMasked:
     def test_mask_is_a_read_only_bool_array_built_in_little_memory(self, keep):
         net = init_network([Linear(784, 300), ReLU(), Linear(300, 10)], seed=40)
         layer = net.prunable_layers[0]
-        bits = (np.random.default_rng(41).random(layer.weights.shape) < keep).astype(float)
+        bits = np.random.default_rng(41).random(layer.weights.shape) < keep
         # Zeros of both signs, at kept and at pruned positions.
         layer.weights[:, :50] = 0.0
         layer.weights[:, 50:100] = -0.0
-        expected_live = int(np.count_nonzero(layer.weights[bits == 0.0]))
+        expected_live = int(np.count_nonzero(layer.weights[~bits]))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -500,36 +516,12 @@ class TestConvertToMasked:
         assert live == expected_live
         assert layer.mask.dtype == bool
         assert not layer.mask.flags.writeable
-        assert np.array_equal(layer.mask, bits == 1.0)
+        assert np.array_equal(layer.mask, bits)
         assert np.array_equal(layer.kept, np.flatnonzero(bits))
         pruned = layer.weights[~layer.mask]
         assert np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
         # The mask itself, its kept indices and one bool temporary at a time.
         assert peak <= 3 * bits.size + 8 * layer.kept.size
-
-    def test_bool_bits_attach_like_float_bits(self):
-        nets = [init_network(mlp_specs(), seed=42) for _ in range(2)]
-        bits = (np.random.default_rng(43).random((6, 4)) < 0.5).astype(float)
-        lives = [
-            nets[0].layers[0].attach_mask(bits),
-            nets[1].layers[0].attach_mask(bits.astype(bool)),
-        ]
-        a, b = nets[0].layers[0], nets[1].layers[0]
-        assert lives[0] == lives[1] > 0
-        assert a.mask.tobytes() == b.mask.tobytes()
-        assert a.kept.tobytes() == b.kept.tobytes()
-        assert a.weights.tobytes() == b.weights.tobytes()
-
-    @pytest.mark.parametrize("value", [-0.0, np.nan, np.inf, 2.0])
-    def test_mask_value_that_cannot_save_back_rejected(self, value):
-        # A bool mask writes back 1.0 and +0.0 only, so -0.0 would not round-trip.
-        net = init_network(mlp_specs(), seed=44)
-        bits = np.ones((6, 4))
-        bits[0, 0] = 0.0
-        bits[2, 3] = value
-        with pytest.raises(ValueError, match="other than 0.0 and 1.0"):
-            net.layers[0].attach_mask(bits)
-        assert net.layers[0].mask is None
 
     def test_missing_mask_rejected(self):
         net = init_network(mlp_specs(), seed=25)
@@ -540,15 +532,44 @@ class TestConvertToMasked:
         net = init_network(mlp_specs(), seed=26)
         with pytest.raises(ValueError, match="shape"):
             convert_to_masked(
-                net, {"layer0_linear": np.ones((2, 2))}
+                net, {"layer0_linear": np.ones((2, 2), dtype=bool)}
             )
 
     def test_unknown_mask_rejected(self):
         net = init_network(mlp_specs(), seed=27)
-        masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
-        masks["ghost"] = np.ones((1, 1))
+        masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net.prunable_layers}
+        masks["ghost"] = np.ones((1, 1), dtype=bool)
         with pytest.raises(ValueError, match="non-prunable or unknown"):
             convert_to_masked(net, masks)
+
+
+IMAGE_MODEL = [ReLU(), Conv2d(1, 2, 3, 3), Flatten(), Linear(6, 2)]
+
+
+@pytest.mark.parametrize(
+    "specs, data_shape, expected",
+    [
+        ([ReLU(), Linear(15, 2)], (15,), (15,)),
+        ([ReLU(), Linear(15, 2)], (1, 3, 5), (15,)),
+        (IMAGE_MODEL, (15,), (15,)),
+        (IMAGE_MODEL, (1, 3, 5), (1, 3, 5)),
+        ([ReLU(), Linear(15, 2)], None, (15,)),
+        (IMAGE_MODEL, None, (1, None, None)),
+        ([ReLU(), Flatten()], (1, 3, 5), ValueError),
+        ([ReLU(), Flatten()], None, ValueError),
+    ],
+    ids=[
+        "linear-on-rows", "linear-on-images", "conv-on-rows", "conv-on-images",
+        "linear-no-data", "conv-no-data", "unweighted-on-images", "unweighted-no-data",
+    ],
+)
+def test_input_shape(specs, data_shape, expected):
+    # A conv-first model reads a sample's image as it is, any other its flat features.
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="^network needs at least one weighted layer$"):
+            input_shape(specs, data_shape)
+    else:
+        assert input_shape(specs, data_shape) == expected
 
 
 class TestOutputShapes:
@@ -589,8 +610,8 @@ class TestFlopsEstimate:
 
     def test_half_density_mask_halves_sparse_flops(self):
         net = init_network([Linear(4, 3, prunable=True)], seed=0)
-        bits = np.zeros((3, 4))
-        bits.ravel()[:6] = 1.0
+        bits = np.zeros((3, 4), dtype=bool)
+        bits.ravel()[:6] = True
         convert_to_masked(net, {"layer0_linear": bits})
         est = flops_estimate(net, (4,))
         assert est.dense_flops == 24

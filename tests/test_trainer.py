@@ -28,7 +28,7 @@ def small_dataset(seed=0, n=200, features=4, classes=3):
     return Dataset(
         train_x=x[:split], train_y=y[:split],
         test_x=x[split:], test_y=y[split:],
-        n_classes=classes,
+        n_classes=classes, sample_shape=(features,),
     )
 
 
@@ -147,7 +147,7 @@ class TestSgdStep:
 class TestMaskedTrainStep:
     def test_fully_masked_layer_stays_zero(self):
         net = make_net()
-        masks = {l.layer_id: np.zeros_like(l.weights) for l in net.prunable_layers}
+        masks = {l.layer_id: np.zeros_like(l.weights, dtype=bool) for l in net.prunable_layers}
         convert_to_masked(net, masks)
         cfg = TrainConfig(epochs=1, lr=0.1)
         state = OptimizerState.for_network(net)
@@ -171,7 +171,7 @@ class TestMaskedTrainStep:
         sgd_step(net_plain, state_plain, 0.1, cfg)
 
         net_masked = make_net(seed=3)
-        masks = {l.layer_id: np.ones_like(l.weights) for l in net_masked.prunable_layers}
+        masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net_masked.prunable_layers}
         convert_to_masked(net_masked, masks)
         state_masked = OptimizerState.for_network(net_masked)
         masked_train_step(net_masked, x, y, state_masked, 0.1, cfg)
@@ -345,7 +345,7 @@ class TestRunTraining:
         plain = run_training(net_plain, data, cfg)
 
         net_masked = make_net(seed=24)
-        masks = {l.layer_id: np.ones_like(l.weights) for l in net_masked.prunable_layers}
+        masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net_masked.prunable_layers}
         convert_to_masked(net_masked, masks)
         masked = run_training(net_masked, data, cfg)
 
@@ -372,7 +372,7 @@ def conv_relu_net(seed):
 
 
 def all_ones_masked(net):
-    masks = {l.layer_id: np.ones_like(l.weights) for l in net.prunable_layers}
+    masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net.prunable_layers}
     return convert_to_masked(net, masks)
 
 
@@ -404,7 +404,7 @@ class TestAllOnesConvMasks:
         y = rng.integers(0, 3, 60)
         data = Dataset(
             train_x=x[:48], train_y=y[:48], test_x=x[48:], test_y=y[48:],
-            n_classes=3, image_shape=(1, 6, 6),
+            n_classes=3, sample_shape=(1, 6, 6),
         )
         cfg = TrainConfig(
             epochs=2, lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=16, seed=63
