@@ -46,7 +46,10 @@ rng = np.random.default_rng(0)
 drift = 0
 for step in range(300):
     idx = rng.integers(0, len(dataset.train_x), 128)
-    masked_train_step(net, dataset.train_x[idx], dataset.train_y[idx], state, 0.1, cfg)
+    # standardized() returns float64 rows (blobs, CSV) as stored and
+    # standardizes uint8 rows (IDX pixels) as they are read.
+    x = dataset.standardized(dataset.train_x[idx])
+    masked_train_step(net, x, dataset.train_y[idx], state, 0.1, cfg)
     if count_zero_weights(net).global_zeros != start.global_zeros:
         drift += 1
 print(f"steps with any zero-count drift: {drift} / 300 (must be 0)")

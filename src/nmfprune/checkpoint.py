@@ -112,7 +112,10 @@ class _Reader:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
+    file = Path(path)
+    if not file.is_file():
+        raise CheckpointError(f"checkpoint file not found: {path}")
+    raw = file.read_bytes()
     if len(raw) < 12:
         raise CheckpointError(f"truncated container {path}")
     if raw[:4] != MAGIC:

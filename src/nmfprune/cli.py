@@ -34,7 +34,9 @@ from .datasets import DatasetError
 from .masking import GammaSearchConfig, tune_gamma
 from .network import count_zero_weights, init_network
 from .nmf import NmfConfig
-from .pipeline import StageError, compute_scores, run_pipeline, write_gamma_trace
+from .pipeline import (
+    StageError, compute_scores, make_output_dir, run_pipeline, write_gamma_trace,
+)
 from .runconfig import ConfigError, RunConfig, load_config
 from .trainer import SparsityViolationError
 
@@ -136,9 +138,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_score(args) -> int:
     cfg = _load(args)
+    out = make_output_dir(cfg.output_dir)
     scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.bin"
     write_container(
         path, {"kind": "scores", "seed": cfg.seed},
@@ -158,10 +159,9 @@ def _cmd_tune(args) -> int:
     cfg = _load(args)
     if cfg.gamma_search is None:
         raise ConfigError("tune needs a [gamma_search] section or --target-sparsity")
+    out = make_output_dir(cfg.output_dir)
     scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
     result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_gamma_trace(out, result.trace)
     _say(args, f"gamma* = {result.gamma_star:.6g}")
     _say(args, f"achieved sparsity = {result.achieved:.4f} (target {cfg.gamma_search.s_target})")

@@ -1,7 +1,7 @@
 """Dataset sources: synthetic Gaussian blobs, CSV tables, and IDX images.
 
-Every source is reduced to float64 feature rows plus integer class labels,
-split 80/20 deterministically, and standardized per feature using statistics
+Every source is reduced to feature rows plus integer class labels, split
+80/20 deterministically, and standardized per feature using statistics
 computed on the training split only.
 
 Each source declares the shape of one sample before any sample is read
@@ -9,10 +9,15 @@ Each source declares the shape of one sample before any sample is read
 (1, h, w) from the IDX headers; the shape a model reads it in is
 ``network.input_shape``'s rule. ``load_dataset`` then draws the split
 permutation and writes every sample straight into its row of one (n, d)
-float64 array laid out [train | test]. The two splits are disjoint views of
-that array, and standardization runs in place on it; only the variance needs
-a temporary, taken over column blocks of ``_STAT_COLS`` or more columns, so a
-load holds one sample-sized array and no train-sized temporary.
+array laid out [train | test], whose two splits are disjoint views. The rows
+keep their source's dtype: blobs and CSV rows are float64 and are
+standardized in place, and IDX rows stay uint8, the bytes of the file, with
+the training split's mean and std kept beside them. Readers get float64 rows
+through ``Dataset.standardized``, which standardizes integer rows as they are
+read and returns float64 rows as they are; either way a row's values are the
+same bits. The statistics need one temporary, the centered training rows
+squared over column blocks of ``_STAT_COLS`` or more columns, so a load holds
+one sample-sized array and no train-sized temporary.
 """
 
 from __future__ import annotations
@@ -74,10 +79,15 @@ DatasetSpec = Union[SyntheticBlobs, CsvSource, IdxSource]
 
 @dataclass
 class Dataset:
-    """Standardized 80/20 splits. ``train_x`` and ``test_x`` are disjoint
-    views of one (n, d) float64 array, training rows first, and ``train_y``
-    and ``test_y`` of one int64 label array. ``sample_shape`` is one
-    sample's shape as its source declares it; a row holds its d values."""
+    """80/20 splits. ``train_x`` and ``test_x`` are disjoint views of one
+    (n, d) array, training rows first, and ``train_y`` and ``test_y`` of one
+    int64 label array. ``sample_shape`` is one sample's shape as its source
+    declares it; a row holds its d values.
+
+    Float64 rows are standardized already, and ``mean`` and ``std`` are
+    None. Integer rows (IDX pixels) are stored as read, and ``mean`` and
+    ``std`` are the training split's per-feature statistics, which
+    ``standardized`` applies to the rows it is given."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -85,10 +95,22 @@ class Dataset:
     test_y: np.ndarray
     n_classes: int
     sample_shape: tuple[int, ...]
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
 
     @property
     def n_features(self) -> int:
         return self.train_x.shape[1]
+
+    def standardized(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` of this dataset's splits (``train_x[idx]``, a slice of
+        ``test_x``) as standardized float64 rows: float64 rows as they are,
+        integer rows centered and scaled into a new array."""
+        if rows.dtype == np.float64:
+            return rows
+        out = rows - self.mean
+        out /= self.std
+        return out
 
 
 def _split_order(n: int, split_seed: int) -> np.ndarray:
@@ -236,8 +258,7 @@ def _idx(spec: IdxSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     order = _split_order(n, split_seed)
     images = np.fromfile(spec.images_path, dtype=np.uint8, offset=images_at).reshape(n, h * w)
     labels = np.fromfile(spec.labels_path, dtype=np.uint8, offset=labels_at)
-    # Rows are gathered as uint8 and converted once: no float64 copy in file order.
-    return images[order].astype(np.float64), labels[order].astype(np.int64)
+    return images[order], labels[order].astype(np.int64)
 
 
 def declared_shape(spec: DatasetSpec) -> tuple[int, ...]:
@@ -264,24 +285,27 @@ def declared_shape(spec: DatasetSpec) -> tuple[int, ...]:
     return shape
 
 
-def _standardize(x: np.ndarray, n_train: int) -> None:
-    """Center and scale every column of ``x`` in place by the mean and
-    population std of its first ``n_train`` rows, with np.std's arithmetic;
-    a constant column is only centered. The centered training rows are
-    squared ``_STAT_COLS`` or more columns at a time, the last block taking
-    the remainder, and a matrix narrower than two blocks is one block."""
-    d = x.shape[1]
-    train = x[:n_train]
+def _train_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-feature mean and population std of ``train``, with np.std's
+    arithmetic on its float64 values; a constant feature gets std 1.0. The
+    centered rows are squared ``_STAT_COLS`` or more columns at a time, the
+    last block taking the remainder, and a matrix narrower than two blocks
+    is one block. Integer rows have exact column sums, so their mean is the
+    mean of their float64 values, bit for bit."""
+    n, d = train.shape
     mean = train.mean(axis=0)
-    x -= mean
     var = np.empty(d)
     edges = [*range(0, d, _STAT_COLS)][: max(1, d // _STAT_COLS)] + [d]
     for lo, hi in zip(edges, edges[1:]):
-        np.square(train[:, lo:hi]).sum(axis=0, out=var[lo:hi])
-    var /= n_train
+        block = train[:, lo:hi].astype(np.float64)
+        block -= mean[lo:hi]
+        np.square(block, out=block)
+        block.sum(axis=0, out=var[lo:hi])
+        del block  # freed before the next block is made
+    var /= n
     std = np.sqrt(var)
     std[std == 0.0] = 1.0
-    x /= std
+    return mean, std
 
 
 def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
@@ -289,7 +313,9 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
 
     The split permutation is seeded, so the same (spec, split_seed) pair
     always produces the same dataset. Feature mean and std come from the
-    training split only; constant features are left unscaled.
+    training split only; constant features are left unscaled. Float64 rows
+    are standardized in place; integer rows are kept as read, with the
+    statistics stored for ``Dataset.standardized``.
     """
     shape = declared_shape(spec)
     if isinstance(spec, SyntheticBlobs):
@@ -313,7 +339,11 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
             f"split, first {first.tolist()}"
         )
 
-    _standardize(x, n_train)
+    mean, std = _train_stats(x[:n_train])
+    if x.dtype == np.float64:
+        x -= mean
+        x /= std
+        mean = std = None
     return Dataset(
         train_x=x[:n_train],
         train_y=train_y,
@@ -321,4 +351,6 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
         test_y=test_y,
         n_classes=n_classes,
         sample_shape=shape,
+        mean=mean,
+        std=std,
     )

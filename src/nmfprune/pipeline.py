@@ -5,19 +5,22 @@ stage's check that the model's layers fit the dataset's samples and end in
 one score per class runs before anything else, on the sample shape the
 dataset declares (its spec, IDX headers or first CSV row) as the model reads
 it (``network.input_shape``), so a model that cannot read its data fails as
-that stage before any scoring; only the class count waits for the loaded data. Second, the data stage (load, split,
-standardize) runs beside the score stage as a task on a one-worker executor:
-scores come from the initial weights alone, the two share no state, and NumPy
-releases the interpreter lock in their heavy work, so they overlap on two
-cores. After both finish, the mask stage fixes the threshold scale gamma
-(searched against a sparsity target, or taken from the config), generates the
-final bool masks, and prunes; the layers keep the only copy of the masks.
-The train stage updates only the kept weights, from their own gradients (the
-paper's gradient masking), so pruned weights stay exactly zero; the report
-stage counts, evaluates and saves. Each stage is timed on the thread that
+that stage before any scoring; only the class count waits for the loaded
+data. Second, the data stage (load, split, and the training split's
+statistics; see ``datasets``) runs beside the score stage as a task on a
+one-worker executor: scores come from the initial weights alone, the two
+share no state, and NumPy releases the interpreter lock in their heavy work,
+so they overlap on two cores. After both finish, the mask stage fixes the
+threshold scale gamma (searched against a sparsity target, or taken from the
+config), generates the final bool masks, and prunes; the layers keep the only
+copy of the masks. The train stage updates only the kept weights, from their
+own gradients (the paper's gradient masking), so pruned weights stay exactly
+zero; the report stage counts, evaluates and saves. Training and evaluation,
+the zero-epoch evaluation too, read standardized rows a batch at a time
+through ``Dataset.standardized``. Each stage is timed on the thread that
 runs it, so ``wall_times["data"]`` is the header read plus the loader's own
-elapsed time, and the five stage times can sum to more than the run. Artifacts land in the
-run's output directory:
+elapsed time, and the five stage times can sum to more than the run.
+Artifacts land in the run's output directory:
 
     report.json        full run report
     gamma_search.jsonl one line per search probe
@@ -129,6 +132,17 @@ def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
     write_atomic(out / "gamma_search.jsonl", [lines.encode()])
 
 
+def make_output_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents if missing. A
+    path that is a file, or lies under one, is a ConfigError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {out} cannot be made: a file is in its way") from None
+    return out
+
+
 @contextmanager
 def _stage(name: str, wall: dict[str, float]):
     """Add the block's time to ``wall[name]``; its failure is a StageError
@@ -144,13 +158,13 @@ def _stage(name: str, wall: dict[str, float]):
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Execute all stages of a run; see the module docstring for outputs.
 
-    Any stage failure writes an incomplete-status marker and raises a
+    An output directory that cannot be made is a ConfigError before any
+    stage runs (``make_output_dir``). Any stage failure writes an incomplete-status marker and raises a
     StageError naming the stage, with the original exception chained. When
     the data and score stages both fail, the data stage is the one named, as
     it comes first.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(cfg.output_dir)
     try:
         report = _run_stages(cfg, out)
     except StageError as err:
@@ -240,8 +254,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:
-            test_x = dataset.test_x.reshape(-1, *shape)
-            final_acc = evaluate(net, test_x, dataset.test_y, cfg.train.batch_size)
+            final_acc = evaluate(net, dataset, cfg.train.batch_size)
         report = RunReport(
             gamma_star=gamma_star,
             sparsity_report=count_zero_weights(net),

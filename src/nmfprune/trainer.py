@@ -9,6 +9,10 @@ training as +0.0 (see ``network.convert_to_masked``) and stay +0.0. A masked
 weight's momentum buffer holds its kept entries only. A post-step check
 enforces the zero count with no tolerance: the one bool compare
 ``(weights != 0.0) > mask`` against the layer's read-only bool mask.
+
+The loop and ``evaluate`` read their batches through the dataset's
+``standardized`` method, so a split stored as integers (IDX pixels) is
+standardized one batch at a time and never held as a float64 copy.
 """
 
 from __future__ import annotations
@@ -181,13 +185,17 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr * cfg.lr_gamma**decays
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
-    """Top-1 accuracy on a split. The forward keeps no activation cache, and
+def evaluate(net: Network, dataset, batch_size: int) -> float:
+    """Top-1 accuracy on the dataset's test split, read in batches through
+    ``dataset.standardized``. The forward keeps no activation cache, and
     callers pass the training batch size, so evaluation never needs more
     memory than one training step."""
+    shape = input_shape(net.specs, dataset.sample_shape)
+    x, y = dataset.test_x, dataset.test_y
     correct = 0
     for start in range(0, len(x), batch_size):
-        logits = net.forward(x[start : start + batch_size], cache=False)
+        batch = dataset.standardized(x[start : start + batch_size]).reshape(-1, *shape)
+        logits = net.forward(batch, cache=False)
         correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
     return correct / len(x)
 
@@ -197,17 +205,16 @@ def run_training(
 ) -> list[EpochMetrics]:
     """Train for cfg.epochs with seeded per-epoch shuffling.
 
-    Returns one metrics record per epoch; the sparsity figures are recounted
-    from the live weights every epoch, so any drift would show up here even
-    if the per-step assertion were disabled. ``on_epoch_end(epoch, net,
-    metrics)``, when given, runs after each epoch (log appending, periodic
-    checkpoints).
+    Each batch is read through ``dataset.standardized`` and reshaped to the
+    model's input shape (``network.input_shape``). Returns one metrics
+    record per epoch; the sparsity figures are recounted from the live
+    weights every epoch, so any drift would show up here even if the
+    per-step assertion were disabled. ``on_epoch_end(epoch, net, metrics)``,
+    when given, runs after each epoch (log appending, periodic checkpoints).
     """
     state = OptimizerState.for_network(net)
     shape = input_shape(net.specs, dataset.sample_shape)
-    train_x = dataset.train_x.reshape(-1, *shape)
-    test_x = dataset.test_x.reshape(-1, *shape)
-    n = len(train_x)
+    n = len(dataset.train_x)
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -217,7 +224,8 @@ def run_training(
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            result = masked_train_step(net, train_x[idx], dataset.train_y[idx], state, lr, cfg)
+            x = dataset.standardized(dataset.train_x[idx]).reshape(-1, *shape)
+            result = masked_train_step(net, x, dataset.train_y[idx], state, lr, cfg)
             loss_sum += result.loss * result.count
             correct += result.correct
         report = count_zero_weights(net)
@@ -225,7 +233,7 @@ def run_training(
             epoch=epoch,
             train_loss=loss_sum / n,
             train_accuracy=correct / n,
-            test_accuracy=evaluate(net, test_x, dataset.test_y, cfg.batch_size),
+            test_accuracy=evaluate(net, dataset, cfg.batch_size),
             achieved_sparsity=report.global_sparsity,
             zero_count=report.global_zeros,
         )

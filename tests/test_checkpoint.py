@@ -391,6 +391,18 @@ def test_undecodable_container_names_the_file(tmp_path, capsys, meta, name):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_checkpoint_path_names_it(tmp_path, capsys, kind):
+    path = tmp_path / "ck.bin"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(CheckpointError, match=f"^checkpoint file not found: {path}$"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: checkpoint file not found: {path}\n"
+
+
 def test_repeated_tensor_name_rejected(tmp_path, capsys):
     # A CRC-valid checkpoint whose body ends in a second, all-zero copy of
     # layer0_linear.weight.

@@ -330,6 +330,32 @@ def test_bad_flag_value_exits_1_before_any_run(config_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "score", "tune"])
+@pytest.mark.parametrize("named_by", ["flag", "config", "flag-under-a-file"])
+def test_output_that_is_a_file_exits_1_before_scoring(
+    config_path, tmp_path, capsys, monkeypatch, command, named_by
+):
+    from nmfprune import pipeline
+
+    path, _ = config_path
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if named_by == "flag-under-a-file" else taken
+    flags = ["--output", str(out)]
+    if named_by == "config":
+        path.write_text(CONFIG.format(out=taken))
+        flags = []
+    started = []
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "init_network", lambda *a: started.append("init_network"))
+    assert main([command, "--config", str(path), *flags, "--quiet"]) == 1
+    assert started == []
+    assert capsys.readouterr().err == (
+        f"error: output directory {out} cannot be made: a file is in its way\n"
+    )
+    assert taken.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nmfprune import trainer
 from nmfprune.datasets import (
     _DRAW_ROWS,
     CsvSource,
@@ -16,6 +17,7 @@ from nmfprune.datasets import (
     declared_shape,
     load_dataset,
 )
+from nmfprune.network import Conv2d, Flatten, Linear, ReLU, init_network
 from nmfprune.seeds import derive_seed
 
 
@@ -154,6 +156,7 @@ class TestIdx:
         assert ds.sample_shape == (1, 4, 4)
         assert ds.n_features == 16
         assert len(ds.train_x) == 40
+        assert ds.train_x.dtype == ds.test_x.dtype == np.uint8
 
     def test_magic_mismatch_names_expected(self, tmp_path):
         bad = tmp_path / "bad"
@@ -210,7 +213,8 @@ def reference_split(x, y, split_seed):
 
 class TestInPlaceBuild:
     def assert_bit_identical(self, ds, x, y, split_seed):
-        got = (ds.train_x, ds.train_y, ds.test_x, ds.test_y)
+        # Float64 rows are read as stored, integer rows standardized as read.
+        got = (ds.standardized(ds.train_x), ds.train_y, ds.standardized(ds.test_x), ds.test_y)
         for a, b in zip(got, reference_split(x, y, split_seed)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
@@ -272,24 +276,80 @@ class TestInPlaceBuild:
         x = images.reshape(60, d).astype(np.float64)
         self.assert_bit_identical(ds, x, labels.astype(np.int64), 7)
 
-    def test_splits_are_views_of_one_array(self):
-        ds = load_dataset(SyntheticBlobs(100, 4, 2, seed=1))
-        assert ds.train_x.base is not None and ds.train_x.base is ds.test_x.base
-        assert ds.train_y.base is not None and ds.train_y.base is ds.test_y.base
-        assert not np.shares_memory(ds.train_x, ds.test_x)
+    def test_splits_are_views_of_one_array(self, tmp_path):
+        write_idx_images(tmp_path / "imgs", np.zeros((20, 3, 5), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(20) % 2).astype(np.uint8))
+        for spec in (
+            SyntheticBlobs(100, 4, 2, seed=1),
+            IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")),
+        ):
+            ds = load_dataset(spec)
+            assert ds.train_x.base is not None and ds.train_x.base is ds.test_x.base
+            assert ds.train_y.base is not None and ds.train_y.base is ds.test_y.base
+            assert not np.shares_memory(ds.train_x, ds.test_x)
 
     def test_peak_memory_near_the_returned_arrays(self):
         ds, peak = traced_peak(lambda: load_dataset(SyntheticBlobs(5000, 784, 10)))
         assert peak <= 1.15 * returned_bytes(ds)
 
     def test_idx_peak_memory_near_the_file_and_the_returned_arrays(self, tmp_path):
+        # The pixels stay uint8: the file is read once, gathered once into
+        # split order, and the statistics square one column block at a time.
         rng = np.random.default_rng(13)
         write_idx_images(tmp_path / "imgs", rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8))
         write_idx_labels(tmp_path / "lbls", (np.arange(2000) % 10).astype(np.uint8))
         spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
         file_bytes = sum((tmp_path / name).stat().st_size for name in ("imgs", "lbls"))
         ds, peak = traced_peak(lambda: load_dataset(spec))
-        assert peak <= 2 * file_bytes + 1.15 * returned_bytes(ds)
+        assert ds.train_x.dtype == ds.test_x.dtype == np.uint8
+        assert peak <= 2.5 * file_bytes
+
+
+class TestBatchReads:
+    def test_training_and_evaluation_batches_equal_the_reference_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(17)
+        images = rng.integers(0, 256, (50, 6, 6), dtype=np.uint8)
+        images[:, 2, 3] = 9  # a constant pixel
+        labels = (np.arange(50) % 3).astype(np.uint8)
+        write_idx_images(tmp_path / "imgs", images)
+        write_idx_labels(tmp_path / "lbls", labels)
+        ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")), split_seed=4)
+        ref_train, _, ref_test, _ = reference_split(
+            images.reshape(50, 36).astype(np.float64), labels.astype(np.int64), 4
+        )
+
+        stepped, evaluated = [], []
+        step = trainer.masked_train_step
+
+        def record_step(net, x, *args):
+            stepped.append(x.copy())
+            return step(net, x, *args)
+
+        net = init_network([Conv2d(1, 2, 3, 3), ReLU(), Flatten(), Linear(32, 3)], seed=1)
+        forward = net.forward
+
+        def record_forward(x, cache=True):
+            if not cache:
+                evaluated.append(x.copy())
+            return forward(x, cache=cache)
+
+        monkeypatch.setattr(trainer, "masked_train_step", record_step)
+        net.forward = record_forward
+        cfg = trainer.TrainConfig(epochs=2, lr=0.05, batch_size=16, seed=5)
+        trainer.run_training(net, ds, cfg)
+
+        expected_steps, expected_evaluations = [], []
+        for epoch in range(cfg.epochs):
+            perm = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(40)
+            expected_steps += [ref_train[perm[s : s + 16]] for s in range(0, 40, 16)]
+            expected_evaluations.append(ref_test)  # 10 test rows: one batch
+        for got, rows in zip(
+            (stepped, evaluated), (expected_steps, expected_evaluations), strict=True
+        ):
+            assert len(got) == len(rows)
+            for batch, expected in zip(got, rows):
+                assert batch.dtype == np.float64 and batch.shape == (len(expected), 1, 6, 6)
+                assert batch.tobytes() == expected.tobytes()
 
 
 def blobs_reference(spec):

@@ -427,6 +427,15 @@ def small_conv_net(seed):
     ], seed=seed)
 
 
+def as_test_split(x, y):
+    """A dataset whose test split is all of the (N, 1, 14, 14) images ``x``."""
+    flat = x.reshape(len(x), -1)
+    return Dataset(
+        train_x=flat[:0], train_y=y[:0], test_x=flat, test_y=y,
+        n_classes=10, sample_shape=x.shape[1:],
+    )
+
+
 class TestEvaluate:
     def test_accuracy_independent_of_batch_size(self):
         net = small_conv_net(seed=29)
@@ -436,7 +445,7 @@ class TestEvaluate:
         expected = np.mean(net.forward(x).argmax(axis=1) == y)
         assert 0.0 < expected < 1.0
         for batch_size in (1, 7, 64):
-            assert evaluate(net, x, y, batch_size) == expected
+            assert evaluate(net, as_test_split(x, y), batch_size) == expected
         with pytest.raises(RuntimeError, match="stale"):
             net.backward(y[-6:])  # evaluation left no cache behind
 
@@ -446,6 +455,13 @@ class TestEvaluate:
         rng = np.random.default_rng(32)
         x = rng.normal(size=(200, 1, 14, 14))
         y = rng.integers(0, 10, 200)
+        data = as_test_split(x, y)
+        # The same split stored as uint8 pixels, standardized a batch at a time.
+        pixels = rng.integers(0, 256, (200, 196), dtype=np.uint8)
+        stored = Dataset(
+            train_x=pixels[:0], train_y=y[:0], test_x=pixels, test_y=y, n_classes=10,
+            sample_shape=(1, 14, 14), mean=pixels.mean(axis=0), std=pixels.std(axis=0),
+        )
         cfg = TrainConfig(epochs=1, lr=0.01, batch_size=batch)
         state = OptimizerState.for_network(net)
         tracemalloc.start()
@@ -460,7 +476,9 @@ class TestEvaluate:
             # The first step also allocates the gradient buffers; measure the second.
             masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg)
             step = peak(lambda: masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg))
-            evaluation = peak(lambda: evaluate(net, x, y, batch))
+            evaluation = peak(lambda: evaluate(net, data, batch))
+            from_pixels = peak(lambda: evaluate(net, stored, batch))
         finally:
             tracemalloc.stop()
         assert evaluation <= step
+        assert from_pixels <= step
