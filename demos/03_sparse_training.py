@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Train a pruned model without losing a single zero.
 
-After one-shot pruning, every step masks the gradients (pruned weights get no
-update) and re-masks the weights right before the optimizer step (momentum
-and weight decay cannot resurrect them). The zero count is therefore constant
-for the entire run, which this script verifies the hard way.
+After one-shot pruning, every optimizer step updates a pruned layer at its
+kept indices only: a pruned weight is never read or written, so neither its
+gradient nor momentum nor weight decay can resurrect it. The zero count is
+therefore constant for the entire run, which this script verifies the hard
+way.
 """
 
 import numpy as np

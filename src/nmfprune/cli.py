@@ -15,15 +15,18 @@ factorization at full rank, a missed sparsity target) are printed as
 
 ``score`` and ``tune`` never open the dataset, so they accept a model that
 cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
-scoring, from the sample shape the dataset declares. Both drop the network
-once its scores exist, so the gamma search and the score dump hold the scores
-and no layer's weights.
+scoring, from the sample shape the dataset declares. Both score into the
+weights' own buffers (``compute_scores(..., in_place=True)``) and drop the
+network once its scores exist, so the process holds one copy of the model:
+the only weight buffers left alive are magnitude scores themselves, and the
+gamma search and the score dump hold the scores and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 from contextlib import contextmanager
@@ -53,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, not at import, and reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nmfprune", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,7 +143,9 @@ def _cmd_run(args) -> int:
 def _cmd_score(args) -> int:
     cfg = _load(args)
     out = make_output_dir(cfg.output_dir)
-    scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
+    scores = compute_scores(
+        init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed, in_place=True
+    )
     path = out / "scores.bin"
     write_container(
         path, {"kind": "scores", "seed": cfg.seed},
@@ -160,7 +166,9 @@ def _cmd_tune(args) -> int:
     if cfg.gamma_search is None:
         raise ConfigError("tune needs a [gamma_search] section or --target-sparsity")
     out = make_output_dir(cfg.output_dir)
-    scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
+    scores = compute_scores(
+        init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed, in_place=True
+    )
     result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
     write_gamma_trace(out, result.trace)
     _say(args, f"gamma* = {result.gamma_star:.6g}")

@@ -15,9 +15,10 @@ standardized in place, and IDX rows stay uint8, the bytes of the file, with
 the training split's mean and std kept beside them. Readers get float64 rows
 through ``Dataset.standardized``, which standardizes integer rows as they are
 read and returns float64 rows as they are; either way a row's values are the
-same bits. The statistics need one temporary, the centered training rows
-squared over column blocks of ``_STAT_COLS`` or more columns, so a load holds
-one sample-sized array and no train-sized temporary.
+same bits. The statistics need one temporary, a block of centered training
+rows squared (``_STAT_BYTES``), so a load holds one sample-sized array and no
+train-sized temporary. IDX rows are gathered from a read-only map of the
+file, so the pixels are held once.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ IDX_LABELS_MAGIC = 0x00000801
 # Blob noise is drawn this many rows at a time; the chunk and its centers are
 # the only temporaries beside the result.
 _DRAW_ROWS = 128
-# The train variance squares the centered rows in column blocks at least this
-# wide, so its temporary is n_train x (64 to 127) columns, not the whole
-# split. NumPy sums a block of two or more columns along axis 0 row by row,
-# as np.std sums the whole matrix, so the bits are the same; a 1-column block
-# is summed pairwise instead, and its bits differ.
-_STAT_COLS = 64
+# The train variance squares the centered rows a block of rows at a time,
+# about this many bytes of float64, so its temporary does not grow with the
+# split. Each block's column sums carry over as the next block's first row:
+# NumPy sums two or more columns along axis 0 row by row, as np.std sums the
+# whole matrix, so the bits are the same. A single column is summed pairwise
+# instead, so it is squared in one piece.
+_STAT_BYTES = 1 << 17
 
 
 class DatasetError(ValueError):
@@ -256,7 +258,14 @@ def _idx_headers(spec: IdxSource) -> tuple[int, int, tuple[int, ...]]:
 def _idx(spec: IdxSource, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     images_at, labels_at, (n, h, w) = _idx_headers(spec)
     order = _split_order(n, split_seed)
-    images = np.fromfile(spec.images_path, dtype=np.uint8, offset=images_at).reshape(n, h * w)
+    # The rows are gathered from a read-only map of the file, so the pixels
+    # are held once, in split order; the map closes when ``images`` goes.
+    try:
+        images = np.memmap(
+            spec.images_path, dtype=np.uint8, mode="r", offset=images_at, shape=(n, h * w)
+        )
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"idx file {Path(spec.images_path)} cannot be mapped: {exc}") from None
     labels = np.fromfile(spec.labels_path, dtype=np.uint8, offset=labels_at)
     return images[order], labels[order].astype(np.int64)
 
@@ -288,20 +297,23 @@ def declared_shape(spec: DatasetSpec) -> tuple[int, ...]:
 def _train_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-feature mean and population std of ``train``, with np.std's
     arithmetic on its float64 values; a constant feature gets std 1.0. The
-    centered rows are squared ``_STAT_COLS`` or more columns at a time, the
-    last block taking the remainder, and a matrix narrower than two blocks
-    is one block. Integer rows have exact column sums, so their mean is the
-    mean of their float64 values, bit for bit."""
+    centered rows are squared in blocks of ``_STAT_BYTES`` (see there).
+    Integer rows have exact column sums, so their mean is the mean of their
+    float64 values, bit for bit."""
     n, d = train.shape
     mean = train.mean(axis=0)
-    var = np.empty(d)
-    edges = [*range(0, d, _STAT_COLS)][: max(1, d // _STAT_COLS)] + [d]
-    for lo, hi in zip(edges, edges[1:]):
-        block = train[:, lo:hi].astype(np.float64)
-        block -= mean[lo:hi]
-        np.square(block, out=block)
-        block.sum(axis=0, out=var[lo:hi])
-        del block  # freed before the next block is made
+    if d == 1:
+        var = np.square(train - mean).sum(axis=0)
+    else:
+        rows = max(1, _STAT_BYTES // (8 * d))
+        block = np.zeros((min(rows, n) + 1, d))  # row 0: the sums so far
+        for lo in range(0, n, rows):
+            part = block[: min(rows, n - lo) + 1]
+            part[1:] = train[lo : lo + rows]
+            part[1:] -= mean
+            np.square(part[1:], out=part[1:])
+            block[0] = part.sum(axis=0)
+        var = block[0]
     var /= n
     std = np.sqrt(var)
     std[std == 0.0] = 1.0

@@ -136,14 +136,18 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     return NmfResult(f=f, g=g, objective_trace=trace, k_eff=k_eff)
 
 
-def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> ScoreMatrix:
+def score_layer(
+    w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer", *, in_place: bool = False
+) -> ScoreMatrix:
     """Score a layer's weights by absolute reconstruction error.
 
     Operates on |w| only (the result is invariant under sign flips of the
-    weights) and never mutates ``w``. A weight matrix ``factorize`` rejects is
-    a ValueError, and a full-rank fit a warning, that starts with ``layer_id``.
+    weights). ``w`` is left as it is, unless ``in_place`` asks to factorize
+    |w| in ``w``'s own buffer instead of a copy; the scores are a new array
+    either way. A weight matrix ``factorize`` rejects is a ValueError, and a
+    full-rank fit a warning, that starts with ``layer_id``.
     """
-    w_abs = np.abs(w)
+    w_abs = np.abs(w, out=w if in_place else None)
     try:
         result = factorize(w_abs, cfg, layer_id)
     except ValueError as exc:

@@ -103,26 +103,41 @@ class RunReport:
         }
 
 
-def score_magnitude(w: np.ndarray, layer_id: str = "layer") -> ScoreMatrix:
-    """Baseline scores: importance is the absolute weight value."""
-    return ScoreMatrix(layer_id=layer_id, scores=np.abs(w))
+def score_magnitude(
+    w: np.ndarray, layer_id: str = "layer", *, out: np.ndarray | None = None
+) -> ScoreMatrix:
+    """Baseline scores: importance is the absolute weight value, written to
+    ``out`` (which may be ``w`` itself) or to a new array."""
+    return ScoreMatrix(layer_id=layer_id, scores=np.abs(w, out=out))
 
 
-def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str, ScoreMatrix]:
+def compute_scores(
+    net: Network, scorer: ScorerSpec, root_seed: int, *, in_place: bool = False
+) -> dict[str, ScoreMatrix]:
     """Score every prunable layer. Factorization seeds derive per layer from
     the root seed, so layers are independent but the whole set is
-    reproducible."""
+    reproducible.
+
+    With ``in_place``, each prunable layer's weights buffer is overwritten
+    with |W| and the network must not be used again: magnitude scores are
+    that buffer, and NMF factorizes it instead of a copy. The scores are the
+    same either way; only a caller that drops the network may ask for it.
+    """
     if not net.prunable_layers:
         raise ConfigError("the model has no prunable layer; set prunable=true on one")
     scores: dict[str, ScoreMatrix] = {}
     for layer in net.prunable_layers:
         if isinstance(scorer, MagnitudeScorer):
-            scores[layer.layer_id] = score_magnitude(layer.weights, layer.layer_id)
+            scores[layer.layer_id] = score_magnitude(
+                layer.weights, layer.layer_id, out=layer.weights if in_place else None
+            )
         else:
             cfg = dataclasses.replace(
                 scorer, seed=derive_seed(root_seed, "nmf", layer.layer_id)
             )
-            scores[layer.layer_id] = score_layer(layer.weights, cfg, layer.layer_id)
+            scores[layer.layer_id] = score_layer(
+                layer.weights, cfg, layer.layer_id, in_place=in_place
+            )
     return scores
 
 

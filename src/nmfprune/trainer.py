@@ -140,12 +140,15 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
             if kept is None:
                 p, g = param, grad
             else:
-                p, g = np.take(param, kept), np.take(grad, kept)
+                flat = param.reshape(-1)  # the kept entries are written back through it
+                if not np.shares_memory(flat, param):
+                    raise RuntimeError(f"{key} is not contiguous: its update would land in a copy")
+                p, g = np.take(flat, kept), np.take(grad, kept)
             buf *= cfg.momentum
             buf += g + cfg.weight_decay * p
             p -= lr * buf
             if kept is not None:
-                np.put(param, kept, p)
+                flat[kept] = p
     net.invalidate_cache()
 
 

@@ -1,5 +1,7 @@
 """Command-line interface tests: subcommands, overrides, exit codes."""
 
+import contextlib
+import io
 import json
 import struct
 import tracemalloc
@@ -612,9 +614,20 @@ lr = 0.1
 """
 
 
+MAGNITUDE = "kind = magnitude"
+NMF = "kind = nmf\nk = 4"
+
+
 @pytest.mark.parametrize("command, next_step", [("tune", "tune_gamma"), ("score", "write_container")])
-def test_no_weights_alive_once_scores_exist(config_path, monkeypatch, capsys, command, next_step):
+def test_no_weights_alive_once_scores_exist(
+    config_path, tmp_path, monkeypatch, capsys, command, next_step
+):
+    # Scoring writes |W| into the prunable layers' own buffers and the
+    # network is dropped, so a weight buffer still alive is a score array:
+    # the magnitude scores themselves, and nothing for NMF.
     path, _ = config_path
+    magnitude = tmp_path / "magnitude.cfg"
+    magnitude.write_text(path.read_text().replace(NMF, MAGNITUDE))
     init, step = cli.init_network, getattr(cli, next_step)
     weights = []
     alive = []
@@ -625,13 +638,19 @@ def test_no_weights_alive_once_scores_exist(config_path, monkeypatch, capsys, co
         return net
 
     def check_then_step(*args, **kwargs):
-        alive.append([ref() is not None for ref in weights])
+        scores = args[0] if next_step == "tune_gamma" else args[2]
+        arrays = [getattr(s, "scores", s) for s in scores.values()]
+        live = [ref() for ref in weights if ref() is not None]
+        alive.append([any(w is a for a in arrays) for w in live])
         return step(*args, **kwargs)
 
     monkeypatch.setattr(cli, "init_network", init_and_track)
     monkeypatch.setattr(cli, next_step, check_then_step)
-    assert main([command, "--config", str(path)]) == 0
-    assert alive == [[False, False]]
+    for config in (path, magnitude):
+        weights.clear()
+        assert main([command, "--config", str(config)]) == 0
+    # NMF: no weight buffer is alive; magnitude: the prunable layer's only.
+    assert alive == [[], [True]]
 
 
 def test_tune_peak_memory_is_the_weights_and_scores(tmp_path, capsys):
@@ -640,7 +659,7 @@ def test_tune_peak_memory_is_the_weights_and_scores(tmp_path, capsys):
     cfg = load_config(path)
     net = cli.init_network(cfg.model, cfg.seed)
     weight_bytes = sum(l.weights.nbytes + l.bias.nbytes for l in net.weighted_layers)
-    score_bytes = sum(l.weights.nbytes for l in net.prunable_layers)
+    largest_bytes = max(l.weights.nbytes for l in net.prunable_layers)
     del net
     assert main(["tune", "--config", str(path), "--quiet"]) == 0  # imports are not counted
     tracemalloc.start()
@@ -650,8 +669,59 @@ def test_tune_peak_memory_is_the_weights_and_scores(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # The weights are gone before the search copies a layer's scores.
-    assert peak <= 1.05 * (weight_bytes + score_bytes)
+    # The scores are the weights' own buffers, and the rest of the weights
+    # are gone before the search copies one layer's scores.
+    assert peak <= 1.05 * (weight_bytes + largest_bytes)
+
+
+@pytest.mark.parametrize("scorer", [MAGNITUDE, NMF], ids=["magnitude", "nmf"])
+def test_scoring_in_place_gives_the_library_outputs(config_path, tmp_path, monkeypatch, scorer):
+    # The library default leaves the weights untouched; tune and score
+    # overwrite them. Both must write the same bytes.
+    path, _ = config_path
+    config = tmp_path / "scorer.cfg"
+    config.write_text(path.read_text().replace(NMF, scorer))
+
+    def outputs(out):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["tune", "--config", str(config), "--output", str(out / "tune")]) == 0
+            assert main(["score", "--config", str(config), "--output", str(out / "score")]) == 0
+        return (
+            stdout.getvalue().replace(str(out), "<out>"),
+            (out / "tune" / "gamma_search.jsonl").read_bytes(),
+            (out / "score" / "scores.bin").read_bytes(),
+        )
+
+    consumed = outputs(tmp_path / "in_place")
+    compute_scores = cli.compute_scores
+
+    def library_scores(net, scorer, root_seed, **kwargs):
+        before = [l.weights.copy() for l in net.weighted_layers]
+        scores = compute_scores(net, scorer, root_seed)
+        assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
+        return scores
+
+    monkeypatch.setattr(cli, "compute_scores", library_scores)
+    assert outputs(tmp_path / "library") == consumed
+
+
+def test_two_calls_build_one_parser(config_path, monkeypatch, capsys):
+    path, _ = config_path
+    built = []
+    init = cli._Parser.__init__
+
+    def record_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", record_init)
+    cli._build_parser.cache_clear()
+    counts = []
+    for command in ("score", "tune"):
+        assert main([command, "--config", str(path), "--quiet"]) == 0
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 class TestScore:

@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ import pytest
 from nmfprune import trainer
 from nmfprune.datasets import (
     _DRAW_ROWS,
+    _STAT_BYTES,
     CsvSource,
     DatasetError,
     IdxSource,
     SyntheticBlobs,
     declared_shape,
+    _train_stats,
     load_dataset,
 )
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, init_network
@@ -248,8 +251,8 @@ class TestInPlaceBuild:
         x = images.reshape(50, 12).astype(np.float64)
         self.assert_bit_identical(ds, x, labels.astype(np.int64), 12)
 
-    # Column counts on both sides of the variance's 64-column blocks and of
-    # the one-block limit below 128 columns.
+    # Column counts from the lone column, squared in one piece, to widths
+    # whose row blocks split the 160 training rows into one to eight blocks.
     BLOCK_EDGES = [1, 63, 64, 65, 127, 128, 129, 785]
 
     @pytest.mark.parametrize("d", BLOCK_EDGES)
@@ -293,16 +296,41 @@ class TestInPlaceBuild:
         assert peak <= 1.15 * returned_bytes(ds)
 
     def test_idx_peak_memory_near_the_file_and_the_returned_arrays(self, tmp_path):
-        # The pixels stay uint8: the file is read once, gathered once into
-        # split order, and the statistics square one column block at a time.
+        # The pixels stay uint8 and are held once: gathered into split order
+        # from a map of the file, with the statistics squaring one block of
+        # rows at a time.
         rng = np.random.default_rng(13)
         write_idx_images(tmp_path / "imgs", rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8))
         write_idx_labels(tmp_path / "lbls", (np.arange(2000) % 10).astype(np.uint8))
         spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
         file_bytes = sum((tmp_path / name).stat().st_size for name in ("imgs", "lbls"))
+        load_dataset(spec)  # imports are not counted
         ds, peak = traced_peak(lambda: load_dataset(spec))
         assert ds.train_x.dtype == ds.test_x.dtype == np.uint8
-        assert peak <= 2.5 * file_bytes
+        assert peak <= 1.2 * file_bytes
+
+    def test_idx_rows_keep_no_file_open(self, tmp_path):
+        write_idx_images(tmp_path / "imgs", np.zeros((20, 3, 5), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(20) % 2).astype(np.uint8))
+        ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
+        base = ds.train_x.base
+        assert type(ds.train_x) is type(base) is np.ndarray
+        assert base.flags.owndata or type(base.base) is np.ndarray
+        maps = Path("/proc/self/maps")
+        if maps.exists():  # the mapping is closed, not left to a later collection
+            assert str(tmp_path / "imgs") not in maps.read_text()
+
+    def test_unmappable_images_rejected(self, tmp_path, monkeypatch):
+        write_idx_images(tmp_path / "imgs", np.zeros((20, 3, 5), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lbls", (np.arange(20) % 2).astype(np.uint8))
+
+        def refuse(*args, **kwargs):
+            raise OSError(19, "No such device")
+
+        monkeypatch.setattr(np, "memmap", refuse)
+        with pytest.raises(DatasetError, match="cannot be mapped: .*No such device") as err:
+            load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
+        assert str(tmp_path / "imgs") in str(err.value)
 
 
 class TestBatchReads:
@@ -378,6 +406,20 @@ def returned_bytes(ds):
     return sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("d", [1, 2, 127])
+def test_train_stats_equal_np_std_around_the_row_block(d, dtype):
+    # Each block's column sums carry over as the next block's first row, so
+    # the sums run row by row across block edges, as np.std's do.
+    rows = _STAT_BYTES // (8 * d)
+    rng = np.random.default_rng(d)
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        train = rng.integers(0, 256, (n, d)).astype(dtype)
+        mean, std = _train_stats(train)
+        assert mean.tobytes() == train.astype(np.float64).mean(axis=0).tobytes()
+        assert std.tobytes() == train.astype(np.float64).std(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("draw", ["standard_normal", "normal"])
 def test_chunked_normal_draws_equal_one_draw(draw):
     # Blob noise is drawn a chunk of rows at a time with standard_normal; the
@@ -423,6 +465,7 @@ class TestDeclaredShape:
             raise AssertionError("the IDX data was read")
 
         monkeypatch.setattr(np, "fromfile", no_data_reads)
+        monkeypatch.setattr(np, "memmap", no_data_reads)
         spec = IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls"))
         assert declared_shape(spec) == (1, 3, 5)
 

@@ -111,6 +111,14 @@ class TestScoreLayer:
         score_layer(w, NmfConfig(k=2, seed=0))
         assert np.array_equal(w, before)
 
+    def test_in_place_factorizes_the_weights_buffer(self):
+        w = np.random.default_rng(12).normal(size=(6, 5))
+        w_abs = np.abs(w)
+        expected = score_layer(w, NmfConfig(k=2, seed=0)).scores
+        sm = score_layer(w, NmfConfig(k=2, seed=0), in_place=True)
+        assert np.array_equal(sm.scores, expected)
+        assert np.array_equal(w, w_abs) and not np.shares_memory(sm.scores, w)
+
     def test_scores_nonnegative_and_finite(self):
         w = np.random.default_rng(13).normal(size=(12, 8))
         sm = score_layer(w, NmfConfig(k=3, seed=1))

@@ -12,10 +12,12 @@ import pytest
 from nmfprune.checkpoint import load_checkpoint
 from nmfprune.datasets import DatasetError, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
-from nmfprune.network import Linear, ReLU, count_zero_weights
+from nmfprune.network import Linear, ReLU, count_zero_weights, init_network
 from nmfprune.nmf import NmfConfig
 from nmfprune import pipeline
-from nmfprune.pipeline import STAGES, StageError, run_pipeline, score_magnitude
+from nmfprune.pipeline import (
+    STAGES, StageError, compute_scores, run_pipeline, score_magnitude,
+)
 from nmfprune.runconfig import MagnitudeScorer, RunConfig
 from nmfprune.trainer import TrainConfig
 
@@ -383,6 +385,11 @@ class TestScoreMagnitude:
         sm = score_magnitude(w)
         assert np.array_equal(np.argsort(sm.scores.ravel()), np.argsort(np.abs(w).ravel()))
 
+    def test_out_is_the_score_array(self):
+        w = np.array([[-2.0, 1.0]])
+        sm = score_magnitude(w, out=w)
+        assert sm.scores is w and np.array_equal(w, [[2.0, 1.0]])
+
     def test_tuned_target_keeps_top_magnitudes(self):
         from nmfprune.masking import generate_all_masks, tune_gamma
 
@@ -399,3 +406,26 @@ class TestScoreMagnitude:
         top = np.zeros(w.size, dtype=bool)
         top[order[:kept]] = True
         assert np.array_equal(masks["l"].ravel(), top)
+
+
+@pytest.mark.parametrize("scorer", [MagnitudeScorer(), NmfConfig(k=3)], ids=["magnitude", "nmf"])
+class TestComputeScoresInPlace:
+    MODEL = [Linear(12, 20), ReLU(), Linear(20, 8, prunable=True), ReLU(), Linear(8, 2)]
+
+    def test_default_leaves_the_weights_untouched(self, scorer):
+        net = init_network(self.MODEL, 4)
+        before = [layer.weights.copy() for layer in net.weighted_layers]
+        compute_scores(net, scorer, 4)
+        assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
+
+    def test_same_scores_written_into_the_weights(self, scorer):
+        expected = compute_scores(init_network(self.MODEL, 4), scorer, 4)
+        net = init_network(self.MODEL, 4)
+        abs_weights = [np.abs(layer.weights) for layer in net.prunable_layers]
+        scores = compute_scores(net, scorer, 4, in_place=True)
+        assert list(scores) == list(expected)
+        for layer, w_abs in zip(net.prunable_layers, abs_weights):
+            sm = scores[layer.layer_id]
+            assert np.array_equal(sm.scores, expected[layer.layer_id].scores)
+            assert np.array_equal(layer.weights, w_abs)
+            assert (sm.scores is layer.weights) == isinstance(scorer, MagnitudeScorer)

@@ -115,6 +115,16 @@ class TestSgdStep:
         assert pruned.size and np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
         assert np.all(layer.weights[layer.mask == 1.0] != 0.0)
 
+    def test_non_contiguous_masked_weight_rejected_not_updated_in_a_copy(self):
+        net = make_net(seed=36)
+        convert_to_masked(net, random_masks(net, keep=0.4, seed=37))
+        state = OptimizerState.for_network(net)
+        layer = net.masked_layers[0]
+        layer.weights = np.asfortranarray(layer.weights)
+        set_grads(net, 1.0)
+        with pytest.raises(RuntimeError, match=f"{layer.layer_id}.weight is not contiguous"):
+            sgd_step(net, state, 0.1, TrainConfig(epochs=1, lr=0.1))
+
     def test_masked_buffer_holds_kept_entries_only(self):
         net = make_net(seed=38)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=39))
