@@ -25,17 +25,17 @@ drops = np.diff(trace)
 print(f"largest single-update increase (should be <= 0): {drops.max():.2e}")
 
 # Step 2: the score of each weight is its absolute reconstruction error.
-scores = score_layer(layer.weights, cfg, layer.layer_id).scores
+scores = score_layer(layer.weights, cfg, layer.layer_id)
 print(f"score range: [{scores.min():.2e}, {scores.max():.2e}]")
 print(f"score mean:  {scores.mean():.4f}")
 
 # Scores depend on |W| only: flipping every sign changes nothing.
-flipped = score_layer(-layer.weights, cfg, layer.layer_id).scores
+flipped = score_layer(-layer.weights, cfg, layer.layer_id)
 print(f"sign-flip invariant: {np.array_equal(scores, flipped)}")
 
 # A rank-1 weight matrix is perfectly explained by a rank-1 factorization,
 # so its scores collapse to ~zero: nothing stands out, nothing is special.
 u = np.random.default_rng(2).uniform(0.5, 1.0, (64, 1))
 v = np.random.default_rng(3).uniform(0.5, 1.0, (1, 32))
-rank1_scores = score_layer(u @ v, NmfConfig(k=1, seed=4)).scores
+rank1_scores = score_layer(u @ v, NmfConfig(k=1, seed=4))
 print(f"rank-1 layer max score: {rank1_scores.max():.2e} (everything is redundant)")

@@ -22,7 +22,7 @@ from nmfprune import (
 
 net = init_network([Linear(64, 128), ReLU(), Linear(128, 64), ReLU(), Linear(64, 10)], seed=3)
 scores = compute_scores(net, NmfConfig(k=6), root_seed=3)
-total = sum(sm.scores.size for sm in scores.values())
+total = sum(s.size for s in scores.values())
 print(f"scored {len(scores)} prunable layers, {total} weights\n")
 
 # Sparsity grows monotonically with gamma: higher gamma, higher thresholds,
@@ -31,7 +31,7 @@ print("gamma     sparsity   per-layer thresholds")
 for gamma in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
     masks = generate_all_masks(scores, "std", gamma)
     sp = sparsity_report(masks).global_sparsity
-    taus = [layer_threshold(sm, ThresholdConfig("std", gamma)) for sm in scores.values()]
+    taus = [layer_threshold(s, ThresholdConfig("std", gamma)) for s in scores.values()]
     print(f"{gamma:5.2f}    {sp:8.4f}   " + "  ".join(f"{t:.4f}" for t in taus))
 
 # The search automates that: ask for 80% and it bisects gamma until the

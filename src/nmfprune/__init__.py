@@ -35,9 +35,9 @@ from .network import (
     init_network,
     softmax_cross_entropy,
 )
-from .nmf import NmfConfig, NmfResult, ScoreMatrix, factorize, score_layer
-from .pipeline import RunReport, StageError, compute_scores, run_pipeline, score_magnitude
-from .runconfig import ConfigError, MagnitudeScorer, RunConfig, load_config, parse_config
+from .nmf import MagnitudeScorer, NmfConfig, NmfResult, factorize, score_layer, score_magnitude
+from .pipeline import RunReport, StageError, compute_scores, run_pipeline
+from .runconfig import ConfigError, RunConfig, load_config, parse_config
 from .seeds import derive_seed
 from .trainer import (
     EpochMetrics,

@@ -140,23 +140,21 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _scores_of(cfg: RunConfig) -> tuple[Path, dict]:
+    """Make the output directory, then score the config's initial network
+    into its own weight buffers; the network is dropped on return."""
+    out = make_output_dir(cfg.output_dir)
+    net = init_network(cfg.model, cfg.seed)
+    return out, compute_scores(net, cfg.scorer, cfg.seed, in_place=True)
+
+
 def _cmd_score(args) -> int:
     cfg = _load(args)
-    out = make_output_dir(cfg.output_dir)
-    scores = compute_scores(
-        init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed, in_place=True
-    )
+    out, scores = _scores_of(cfg)
     path = out / "scores.bin"
-    write_container(
-        path, {"kind": "scores", "seed": cfg.seed},
-        {lid: sm.scores for lid, sm in scores.items()},
-    )
-    for lid, sm in scores.items():
-        _say(
-            args,
-            f"{lid}: shape {sm.scores.shape[0]}x{sm.scores.shape[1]} "
-            f"min {sm.scores.min():.3e} max {sm.scores.max():.3e}",
-        )
+    write_container(path, {"kind": "scores", "seed": cfg.seed}, scores)
+    for lid, s in scores.items():
+        _say(args, f"{lid}: shape {s.shape[0]}x{s.shape[1]} min {s.min():.3e} max {s.max():.3e}")
     _say(args, f"scores written to {path}")
     return EXIT_OK
 
@@ -165,10 +163,7 @@ def _cmd_tune(args) -> int:
     cfg = _load(args)
     if cfg.gamma_search is None:
         raise ConfigError("tune needs a [gamma_search] section or --target-sparsity")
-    out = make_output_dir(cfg.output_dir)
-    scores = compute_scores(
-        init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed, in_place=True
-    )
+    out, scores = _scores_of(cfg)
     result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
     write_gamma_trace(out, result.trace)
     _say(args, f"gamma* = {result.gamma_star:.6g}")

@@ -5,7 +5,8 @@ Each layer gets its own threshold from its score statistics: mean + gamma*std
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
 aggressively every layer prunes; a bisection search tunes it until the global
 fraction of pruned weights hits a target. Scores at or above the threshold are
-kept (ties survive). A mask is the bool array of that comparison, True
+kept (ties survive). Scores are the scorers' float64 arrays, each checked once
+per call that reads it. A mask is the bool array of that comparison, True
 where kept; it goes unchanged to ``network.convert_to_masked``.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nmf import ScoreMatrix
+from .nmf import _check_matrix
 
 log = logging.getLogger(__name__)
 
@@ -128,28 +129,40 @@ def _center_spread(scores: np.ndarray, t_type: str) -> tuple[float, float]:
     return median, float(part[k])
 
 
-def layer_threshold(scores: ScoreMatrix, cfg: ThresholdConfig) -> float:
-    """Pruning threshold for one layer from its own score statistics."""
-    center, spread = _center_spread(scores.scores, cfg.t_type)
+def _threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
+    center, spread = _center_spread(scores, cfg.t_type)
     return center + cfg.gamma * spread
 
 
-def generate_mask(scores: ScoreMatrix, threshold: float) -> np.ndarray:
+def _checked(all_scores: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``all_scores``, after one check of each array, named by its layer id."""
+    for layer_id, scores in all_scores.items():
+        _check_matrix(scores, f"scores of {layer_id!r}")
+    return all_scores
+
+
+def layer_threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
+    """Pruning threshold for one layer from its own score statistics."""
+    _check_matrix(scores, "scores")
+    return _threshold(scores, cfg)
+
+
+def generate_mask(scores: np.ndarray, threshold: float) -> np.ndarray:
     """The layer's bool mask: True (kept) where the score is >= threshold,
     False (pruned) elsewhere."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    return scores.scores >= threshold
+    return scores >= threshold
 
 
 def generate_all_masks(
-    all_scores: dict[str, ScoreMatrix], t_type: str, gamma: float
+    all_scores: dict[str, np.ndarray], t_type: str, gamma: float
 ) -> dict[str, np.ndarray]:
     """Final bool masks for every layer at one shared gamma, by layer id."""
     cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
     return {
-        layer_id: generate_mask(sm, layer_threshold(sm, cfg))
-        for layer_id, sm in all_scores.items()
+        layer_id: generate_mask(scores, _threshold(scores, cfg))
+        for layer_id, scores in _checked(all_scores).items()
     }
 
 
@@ -183,7 +196,7 @@ def _sparsity_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) ->
 
 
 def tune_gamma(
-    all_scores: dict[str, ScoreMatrix], t_type: str, cfg: GammaSearchConfig
+    all_scores: dict[str, np.ndarray], t_type: str, cfg: GammaSearchConfig
 ) -> GammaSearchResult:
     """Bisect gamma on [gamma_min, gamma_max] to hit the sparsity target.
 
@@ -204,7 +217,7 @@ def tune_gamma(
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
-    layers = [(sm.scores, *_center_spread(sm.scores, t)) for sm in all_scores.values()]
+    layers = [(s, *_center_spread(s, t)) for s in _checked(all_scores).values()]
 
     lo = cfg.gamma_min
     hi = cfg.gamma_max

@@ -1,11 +1,13 @@
-"""Non-negative matrix factorization and reconstruction-error weight scores.
+"""The two weight scorers: reconstruction error of a non-negative matrix
+factorization, and the magnitude baseline.
 
 A layer's absolute weight matrix is factorized as W_abs ~= F @ G with F, G
 non-negative, minimizing the squared Frobenius reconstruction error via
 Lee-Seung multiplicative updates. Each weight is then scored by how badly the
 low-rank reconstruction approximates it: score = |W_abs - F @ G|. Weights the
 factorization cannot explain carry information the dominant components miss,
-so high score means keep.
+so high score means keep. The magnitude baseline scores a weight by |w|.
+Both scorers return a float64 array shaped like the weights.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ log = logging.getLogger(__name__)
 
 def _check_matrix(a: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``a`` is a finite,
-    non-empty 2D float64 array. Only ``factorize`` and ``ScoreMatrix`` call
-    it: nothing downstream of them checks a matrix again."""
+    non-empty 2D float64 array. Only ``factorize`` and masking's reads of
+    score arrays call it: nothing else checks a matrix."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError(f"{name} must be a 2D array, got {getattr(a, 'shape', type(a))}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -54,6 +56,11 @@ class NmfConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
+@dataclass(frozen=True)
+class MagnitudeScorer:
+    """Baseline scorer: a weight's importance is its absolute value."""
+
+
 @dataclass
 class NmfResult:
     """Factor pair plus the objective recorded before and after each update."""
@@ -62,17 +69,6 @@ class NmfResult:
     g: np.ndarray  # k_eff x p, non-negative
     objective_trace: np.ndarray  # length n_iter + 1
     k_eff: int
-
-
-@dataclass
-class ScoreMatrix:
-    """Per-element importance scores for one layer's flattened weights."""
-
-    layer_id: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        _check_matrix(self.scores, f"scores of {self.layer_id!r}")
 
 
 def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) -> NmfResult:
@@ -138,7 +134,7 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
 
 def score_layer(
     w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer", *, in_place: bool = False
-) -> ScoreMatrix:
+) -> np.ndarray:
     """Score a layer's weights by absolute reconstruction error.
 
     Operates on |w| only (the result is invariant under sign flips of the
@@ -155,4 +151,10 @@ def score_layer(
     scores = result.f @ result.g  # |W_abs - F @ G|, built in the product's buffer
     np.subtract(w_abs, scores, out=scores)
     np.abs(scores, out=scores)
-    return ScoreMatrix(layer_id=layer_id, scores=scores)
+    return scores
+
+
+def score_magnitude(w: np.ndarray, *, in_place: bool = False) -> np.ndarray:
+    """Baseline scores: importance is the absolute weight value, written to
+    a new array, or over ``w`` itself when ``in_place`` asks for it."""
+    return np.abs(w, out=w if in_place else None)

@@ -49,8 +49,8 @@ from .network import (
     Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, input_shape,
     output_shapes,
 )
-from .nmf import ScoreMatrix, score_layer
-from .runconfig import ConfigError, MagnitudeScorer, RunConfig, ScorerSpec
+from .nmf import MagnitudeScorer, score_layer, score_magnitude
+from .runconfig import ConfigError, RunConfig, ScorerSpec
 from .seeds import derive_seed
 from .trainer import EpochMetrics, evaluate, run_training
 
@@ -103,20 +103,12 @@ class RunReport:
         }
 
 
-def score_magnitude(
-    w: np.ndarray, layer_id: str = "layer", *, out: np.ndarray | None = None
-) -> ScoreMatrix:
-    """Baseline scores: importance is the absolute weight value, written to
-    ``out`` (which may be ``w`` itself) or to a new array."""
-    return ScoreMatrix(layer_id=layer_id, scores=np.abs(w, out=out))
-
-
 def compute_scores(
     net: Network, scorer: ScorerSpec, root_seed: int, *, in_place: bool = False
-) -> dict[str, ScoreMatrix]:
-    """Score every prunable layer. Factorization seeds derive per layer from
-    the root seed, so layers are independent but the whole set is
-    reproducible.
+) -> dict[str, np.ndarray]:
+    """Score every prunable layer: one float64 array per layer id, shaped
+    like its weights. Factorization seeds derive per layer from the root
+    seed, so layers are independent but the whole set is reproducible.
 
     With ``in_place``, each prunable layer's weights buffer is overwritten
     with |W| and the network must not be used again: magnitude scores are
@@ -125,19 +117,14 @@ def compute_scores(
     """
     if not net.prunable_layers:
         raise ConfigError("the model has no prunable layer; set prunable=true on one")
-    scores: dict[str, ScoreMatrix] = {}
+    scores: dict[str, np.ndarray] = {}
     for layer in net.prunable_layers:
+        lid = layer.layer_id
         if isinstance(scorer, MagnitudeScorer):
-            scores[layer.layer_id] = score_magnitude(
-                layer.weights, layer.layer_id, out=layer.weights if in_place else None
-            )
+            scores[lid] = score_magnitude(layer.weights, in_place=in_place)
         else:
-            cfg = dataclasses.replace(
-                scorer, seed=derive_seed(root_seed, "nmf", layer.layer_id)
-            )
-            scores[layer.layer_id] = score_layer(
-                layer.weights, cfg, layer.layer_id, in_place=in_place
-            )
+            cfg = dataclasses.replace(scorer, seed=derive_seed(root_seed, "nmf", lid))
+            scores[lid] = score_layer(layer.weights, cfg, lid, in_place=in_place)
     return scores
 
 

@@ -22,17 +22,12 @@ from typing import Union, get_args, get_type_hints
 from .datasets import CsvSource, DatasetSpec, IdxSource, SyntheticBlobs
 from .masking import GammaSearchConfig, ThresholdConfig
 from .network import LAYER_KINDS, LayerSpec, output_shapes
-from .nmf import NmfConfig
+from .nmf import MagnitudeScorer, NmfConfig
 from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MagnitudeScorer:
-    """Baseline scorer: a weight's importance is its absolute value."""
 
 
 ScorerSpec = Union[NmfConfig, MagnitudeScorer]

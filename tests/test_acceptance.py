@@ -28,8 +28,8 @@ from nmfprune.network import (
     init_network,
     softmax_cross_entropy,
 )
-from nmfprune.nmf import NmfConfig, ScoreMatrix, factorize
-from nmfprune.pipeline import compute_scores, run_pipeline, score_magnitude
+from nmfprune.nmf import NmfConfig, factorize, score_magnitude
+from nmfprune.pipeline import compute_scores, run_pipeline
 from nmfprune.runconfig import RunConfig
 from nmfprune.seeds import derive_seed
 from nmfprune.trainer import (
@@ -50,15 +50,13 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def mlp_scores(seed: int) -> dict[str, ScoreMatrix]:
+def mlp_scores(seed: int) -> dict[str, np.ndarray]:
     """Continuous random weights of a 3-layer MLP, widths >= 64, scored by
     magnitude so every global sparsity in (0, 1) is reachable."""
     net = init_network(
         [Linear(128, 256), ReLU(), Linear(256, 256), ReLU(), Linear(256, 128)], seed=seed
     )
-    return {
-        l.layer_id: score_magnitude(l.weights, l.layer_id) for l in net.weighted_layers
-    }
+    return {l.layer_id: score_magnitude(l.weights) for l in net.weighted_layers}
 
 
 def search_config(target: float) -> GammaSearchConfig:
@@ -72,8 +70,8 @@ def oracle_counts(all_scores, t_type, gamma):
     """Sort-based per-layer threshold oracle, independent of the library's
     statistics and counting code paths."""
     zeros = total = 0
-    for sm in all_scores.values():
-        xs = sorted(sm.scores.ravel().tolist())
+    for scores in all_scores.values():
+        xs = sorted(scores.ravel().tolist())
         n = len(xs)
         mean = math.fsum(xs) / n
         std = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / n)

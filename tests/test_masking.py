@@ -17,11 +17,10 @@ from nmfprune.masking import (
     tune_gamma,
 )
 from nmfprune.network import Linear, ReLU, convert_to_masked, init_network
-from nmfprune.nmf import ScoreMatrix
 
 
-def sm(values, layer_id="l"):
-    return ScoreMatrix(layer_id, np.array(values, dtype=np.float64))
+def f64(values):
+    return np.array(values, dtype=np.float64)
 
 
 def quantile_oracle_sparsity(score_sets, t_type, gamma):
@@ -43,21 +42,21 @@ def quantile_oracle_sparsity(score_sets, t_type, gamma):
 
 class TestLayerThreshold:
     def test_constant_scores_collapse_to_constant(self):
-        scores = sm([[4.0, 4.0], [4.0, 4.0]])
+        scores = f64([[4.0, 4.0], [4.0, 4.0]])
         for gamma in (0.0, 1.0, 7.5):
             assert layer_threshold(scores, ThresholdConfig("std", gamma)) == 4.0
 
     def test_std_hand_computed(self):
-        scores = sm([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        scores = f64([[1.0, 2.0, 3.0, 4.0, 5.0]])
         tau = layer_threshold(scores, ThresholdConfig("std", 1.0))
         assert tau == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_mad_hand_computed(self):
-        scores = sm([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        scores = f64([[1.0, 2.0, 3.0, 4.0, 5.0]])
         assert layer_threshold(scores, ThresholdConfig("mad", 2.0)) == 5.0
 
     def test_t_type_case_insensitive(self):
-        scores = sm([[1.0, 2.0, 3.0]])
+        scores = f64([[1.0, 2.0, 3.0]])
         assert layer_threshold(scores, ThresholdConfig("STD", 0.0)) == 2.0
 
     def test_unknown_t_type_rejected(self):
@@ -71,31 +70,29 @@ class TestLayerThreshold:
 
 class TestGenerateMask:
     def test_threshold_below_min_keeps_all(self):
-        mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 0.5)
+        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 0.5)
         assert np.array_equal(mask, np.ones((2, 2), dtype=bool))
 
     def test_threshold_above_max_prunes_all(self):
-        mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 5.0)
+        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 5.0)
         assert np.array_equal(mask, np.zeros((2, 2), dtype=bool))
 
     def test_tie_is_kept(self):
-        mask = generate_mask(sm([[1.0, 2.0], [3.0, 4.0]]), 3.0)
+        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 3.0)
         assert np.array_equal(mask, [[False, False], [True, True]])
 
     def test_bits_are_exactly_zero_or_one(self):
-        scores = sm(np.random.default_rng(0).random((6, 6)))
+        scores = f64(np.random.default_rng(0).random((6, 6)))
         mask = generate_mask(scores, 0.5)
         assert mask.dtype == np.bool_ and mask.shape == (6, 6)
 
     def test_deterministic(self):
-        scores = sm(np.random.default_rng(1).random((5, 5)))
+        scores = f64(np.random.default_rng(1).random((5, 5)))
         assert np.array_equal(generate_mask(scores, 0.3), generate_mask(scores, 0.3))
 
     def test_bool_masks_attach_to_their_layers(self):
         net = init_network([Linear(6, 5), ReLU(), Linear(5, 4), ReLU(), Linear(4, 2)], seed=3)
-        scores = {
-            l.layer_id: ScoreMatrix(l.layer_id, np.abs(l.weights)) for l in net.prunable_layers
-        }
+        scores = {l.layer_id: np.abs(l.weights) for l in net.prunable_layers}
         masks = generate_all_masks(scores, "std", 0.5)
         assert all(m.dtype == np.bool_ for m in masks.values())
         convert_to_masked(net, masks)
@@ -107,7 +104,7 @@ class TestGenerateMask:
 
     def test_non_finite_threshold_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            generate_mask(sm([[1.0]]), float("nan"))
+            generate_mask(f64([[1.0]]), float("nan"))
 
 
 class TestGlobalSparsity:
@@ -147,22 +144,17 @@ class TestGlobalSparsity:
 
 class TestTuneGamma:
     def test_random_scores_hit_target(self):
-        scores = {"l": ScoreMatrix("l", np.random.default_rng(3).random((64, 64)))}
+        scores = {"l": np.random.default_rng(3).random((64, 64))}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.hit_target
         assert abs(result.achieved - 0.8) <= 0.005
         assert result.iterations <= 30
         # Same thresholds => same masks: the sort-based oracle agrees exactly.
-        zeros, total = quantile_oracle_sparsity(
-            [scores["l"].scores], "std", result.gamma_star
-        )
+        zeros, total = quantile_oracle_sparsity([scores["l"]], "std", result.gamma_star)
         assert result.achieved == zeros / total
 
     def test_constant_scores_return_guess_with_warning(self):
-        scores = {
-            "a": ScoreMatrix("a", np.full((8, 8), 2.0)),
-            "b": ScoreMatrix("b", np.full((4, 4), 0.5)),
-        }
+        scores = {"a": np.full((8, 8), 2.0), "b": np.full((4, 4), 0.5)}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8, gamma_guess=1.0))
         assert result.gamma_star == 1.0
         assert result.achieved == 0.0
@@ -171,10 +163,7 @@ class TestTuneGamma:
 
     def test_gamma_shared_thresholds_per_layer(self):
         rng = np.random.default_rng(4)
-        scores = {
-            "a": ScoreMatrix("a", rng.random((32, 32))),
-            "b": ScoreMatrix("b", rng.random((32, 32)) * 10.0),
-        }
+        scores = {"a": rng.random((32, 32)), "b": rng.random((32, 32)) * 10.0}
         result = tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.7))
         masks = generate_all_masks(scores, "mad", result.gamma_star)
         report = sparsity_report(masks)
@@ -184,7 +173,7 @@ class TestTuneGamma:
         assert layer_threshold(scores["a"], cfg) != layer_threshold(scores["b"], cfg)
 
     def test_sweep_monotone_in_gamma(self):
-        scores = {"l": ScoreMatrix("l", np.random.default_rng(5).random((48, 48)))}
+        scores = {"l": np.random.default_rng(5).random((48, 48))}
         achieved = []
         for gamma in np.linspace(0.01, 10.0, 50):
             masks = generate_all_masks(scores, "std", float(gamma))
@@ -192,7 +181,7 @@ class TestTuneGamma:
         assert all(b >= a for a, b in zip(achieved, achieved[1:]))
 
     def test_trace_records_probes_and_bracket(self):
-        scores = {"l": ScoreMatrix("l", np.random.default_rng(6).random((64, 64)))}
+        scores = {"l": np.random.default_rng(6).random((64, 64))}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.9))
         assert result.trace[0].iteration == 0
         assert result.trace[0].gamma == 1.0  # the initial guess evaluation
@@ -204,7 +193,7 @@ class TestTuneGamma:
     def test_unreachable_target_returns_best_so_far(self):
         # Two distinct score values: achievable sparsities are only {0, 0.5, ~1}.
         bits = np.concatenate([np.full(32, 1.0), np.full(32, 2.0)]).reshape(8, 8)
-        scores = {"l": ScoreMatrix("l", bits)}
+        scores = {"l": bits}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.75))
         assert not result.hit_target
         assert result.achieved in (0.0, 0.5, 1.0)
@@ -213,8 +202,8 @@ class TestTuneGamma:
         )
 
     def test_a_miss_logs_one_warning_and_a_hit_none(self, caplog):
-        hit = {"l": ScoreMatrix("l", np.random.default_rng(3).random((64, 64)))}
-        missed = {"l": ScoreMatrix("l", np.full((8, 8), 2.0))}
+        hit = {"l": np.random.default_rng(3).random((64, 64))}
+        missed = {"l": np.full((8, 8), 2.0)}
         with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
             assert tune_gamma(hit, "std", GammaSearchConfig(s_target=0.8)).hit_target
             assert caplog.records == []
@@ -253,12 +242,12 @@ class TestTuneGamma:
 
         monkeypatch.setattr(masking, "_center_spread", counting_center_spread)
         rng = np.random.default_rng(8)
-        scores = {lid: ScoreMatrix(lid, rng.random((24, 16))) for lid in ("a", "b", "c")}
+        scores = {lid: rng.random((24, 16)) for lid in ("a", "b", "c")}
         for t_type in ("std", "mad"):
             calls.clear()
             result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.6))
             assert len(result.trace) > 1
-            assert sorted(calls) == sorted(id(sm.scores) for sm in scores.values())
+            assert sorted(calls) == sorted(id(s) for s in scores.values())
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])
@@ -266,12 +255,30 @@ def test_every_probe_matches_the_mask_path(t_type):
     # The search's per-probe count and the final masks cannot drift apart.
     rng = np.random.default_rng(9)
     scores = {
-        "a": ScoreMatrix("a", rng.random((40, 30))),
-        "b": ScoreMatrix("b", rng.exponential(3.0, (20, 50))),
-        "c": ScoreMatrix("c", rng.normal(size=(16, 16)) ** 2),
+        "a": rng.random((40, 30)),
+        "b": rng.exponential(3.0, (20, 50)),
+        "c": rng.normal(size=(16, 16)) ** 2,
     }
     result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4))
     assert len(result.trace) > 3
     for entry in result.trace:
         masks = generate_all_masks(scores, t_type, entry.gamma)
         assert entry.achieved == sparsity_report(masks).global_sparsity
+
+
+def test_each_score_array_checked_once_per_call(monkeypatch):
+    checked = []
+    check = masking._check_matrix
+
+    def counting_check(a, name):
+        checked.append(name)
+        check(a, name)
+
+    monkeypatch.setattr(masking, "_check_matrix", counting_check)
+    rng = np.random.default_rng(10)
+    scores = {"a": rng.random((12, 10)), "b": rng.random((6, 9))}
+    tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.5))
+    assert checked == ["scores of 'a'", "scores of 'b'"]
+    checked.clear()
+    generate_all_masks(scores, "std", 1.0)
+    assert checked == ["scores of 'a'", "scores of 'b'"]

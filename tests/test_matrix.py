@@ -1,4 +1,4 @@
-"""Score-matrix statistics and checks against independent sort oracles.
+"""Score statistics and checks against independent sort oracles.
 
 The threshold rules read a center and a spread of a layer's scores: mean and
 population std, or lower median and unscaled MAD. They are tested through
@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 from nmfprune import masking
-from nmfprune.masking import ThresholdConfig, layer_threshold
-from nmfprune.nmf import ScoreMatrix
-from nmfprune.pipeline import score_magnitude
+from nmfprune.masking import (
+    GammaSearchConfig, ThresholdConfig, generate_all_masks, layer_threshold, tune_gamma,
+)
+from nmfprune.network import Linear, ReLU, init_network
+from nmfprune.nmf import MagnitudeScorer, score_magnitude
+from nmfprune.pipeline import compute_scores
+
+# The two entry points that read a dict of layer scores, each on one layer.
+READERS = {
+    "tune_gamma": lambda scores: tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.5)),
+    "generate_all_masks": lambda scores: generate_all_masks(scores, "std", 1.0),
+}
 
 
 def stats_oracle(values):
@@ -39,7 +48,7 @@ def two_copy_median_mad(a):
 
 
 def threshold(values, t_type, gamma):
-    scores = ScoreMatrix("l", np.asarray(values, dtype=np.float64))
+    scores = np.asarray(values, dtype=np.float64)
     return layer_threshold(scores, ThresholdConfig(t_type, gamma))
 
 
@@ -88,16 +97,39 @@ class TestStats:
             assert np.array_equal(a, before)  # the caller's scores are left alone
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="scores of 'l' must have at least one row"):
-            ScoreMatrix("l", np.zeros((0, 3)))
+        for read in READERS.values():
+            with pytest.raises(ValueError, match="scores of 'l' must have at least one row"):
+                read({"l": np.zeros((0, 3))})
+        with pytest.raises(ValueError, match="^scores must have at least one row"):
+            layer_threshold(np.zeros((0, 3)), ThresholdConfig("mad"))
 
 
 class TestValidation:
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="^scores of 'layer0_linear' contains NaN or Inf$"):
-            ScoreMatrix("layer0_linear", np.array([[1.0, float("nan")]]))
+        for read in READERS.values():
+            with pytest.raises(
+                ValueError, match="^scores of 'layer0_linear' contains NaN or Inf$"
+            ):
+                read({"layer0_linear": np.array([[1.0, float("nan")]])})
+        with pytest.raises(ValueError, match="^scores contains NaN or Inf$"):
+            layer_threshold(np.array([[1.0, float("nan")]]), ThresholdConfig("std"))
 
     def test_inf_rejected(self):
-        # The magnitude scorer's scores are checked where they are built, too.
-        with pytest.raises(ValueError, match="^scores of 'layer2_linear' contains NaN or Inf$"):
-            score_magnitude(np.array([[-np.inf, 1.0]]), "layer2_linear")
+        # The magnitude scorer builds no check; masking rejects what it reads.
+        scores = {"layer2_linear": score_magnitude(np.array([[-np.inf, 1.0]]))}
+        for read in READERS.values():
+            with pytest.raises(
+                ValueError, match="^scores of 'layer2_linear' contains NaN or Inf$"
+            ):
+                read(scores)
+
+    def test_nan_weight_scored_by_magnitude_rejected_by_the_search(self):
+        net = init_network([Linear(4, 3), ReLU(), Linear(3, 2)], seed=0)
+        layer = net.prunable_layers[0]
+        layer.weights[1, 2] = np.nan
+        scores = compute_scores(net, MagnitudeScorer(), root_seed=0)
+        assert np.isnan(scores[layer.layer_id][1, 2])
+        with pytest.raises(
+            ValueError, match=f"^scores of '{layer.layer_id}' contains NaN or Inf$"
+        ):
+            tune_gamma(scores, "std", GammaSearchConfig(s_target=0.5))

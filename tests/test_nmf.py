@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from nmfprune.nmf import NmfConfig, ScoreMatrix, factorize, score_layer
+from nmfprune.masking import GammaSearchConfig, generate_all_masks, tune_gamma
+from nmfprune.nmf import NmfConfig, factorize, score_layer
 
 
 def rank_one_matrix(rng, m, p):
@@ -93,17 +94,17 @@ class TestScoreLayer:
         rng = np.random.default_rng(10)
         w = rank_one_matrix(rng, 25, 15)
         signs = np.where(rng.random((25, 15)) < 0.5, -1.0, 1.0)
-        sm = score_layer(w * signs, NmfConfig(k=1, seed=2), "l")
-        assert sm.scores.max() <= 1e-3 * np.abs(w).max()
+        scores = score_layer(w * signs, NmfConfig(k=1, seed=2), "l")
+        assert scores.max() <= 1e-3 * np.abs(w).max()
 
     def test_zero_weights_zero_scores(self):
-        sm = score_layer(np.zeros((3, 4)), NmfConfig(k=1, seed=0), "l")
-        assert np.array_equal(sm.scores, np.zeros((3, 4)))
+        scores = score_layer(np.zeros((3, 4)), NmfConfig(k=1, seed=0), "l")
+        assert np.array_equal(scores, np.zeros((3, 4)))
 
     def test_sign_flip_invariance(self):
         w = np.random.default_rng(11).normal(size=(7, 9))
         cfg = NmfConfig(k=2, seed=9)
-        assert np.array_equal(score_layer(w, cfg).scores, score_layer(-w, cfg).scores)
+        assert np.array_equal(score_layer(w, cfg), score_layer(-w, cfg))
 
     def test_input_not_mutated(self):
         w = np.random.default_rng(12).normal(size=(5, 5))
@@ -114,17 +115,18 @@ class TestScoreLayer:
     def test_in_place_factorizes_the_weights_buffer(self):
         w = np.random.default_rng(12).normal(size=(6, 5))
         w_abs = np.abs(w)
-        expected = score_layer(w, NmfConfig(k=2, seed=0)).scores
-        sm = score_layer(w, NmfConfig(k=2, seed=0), in_place=True)
-        assert np.array_equal(sm.scores, expected)
-        assert np.array_equal(w, w_abs) and not np.shares_memory(sm.scores, w)
+        expected = score_layer(w, NmfConfig(k=2, seed=0))
+        scores = score_layer(w, NmfConfig(k=2, seed=0), in_place=True)
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(w, w_abs) and not np.shares_memory(scores, w)
 
     def test_scores_nonnegative_and_finite(self):
         w = np.random.default_rng(13).normal(size=(12, 8))
-        sm = score_layer(w, NmfConfig(k=3, seed=1))
-        assert np.all(sm.scores >= 0)
-        assert np.all(np.isfinite(sm.scores))
-        assert sm.scores.shape == w.shape
+        scores = score_layer(w, NmfConfig(k=3, seed=1))
+        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+        assert np.all(scores >= 0)
+        assert np.all(np.isfinite(scores))
+        assert scores.shape == w.shape
 
 
 class TestObjectiveTrace:
@@ -150,7 +152,8 @@ class TestMonotonicityProperty:
 
 
 # Inputs every entry point rejects with a ValueError that names its argument
-# or layer; past these checks no code checks the matrix again.
+# or layer: factorization checks the weights it factorizes, and masking each
+# layer's scores as it reads them.
 BAD_MATRICES = {
     "nan": np.array([[1.0, np.nan]]),
     "inf": np.array([[np.inf, 1.0]]),
@@ -163,7 +166,14 @@ ENTRY_POINTS = {
     "score_layer": (
         lambda a: score_layer(a, NmfConfig(k=1), "layer0_linear"), "layer0_linear: w_abs"
     ),
-    "ScoreMatrix": (lambda a: ScoreMatrix("layer0_linear", a), "scores of 'layer0_linear'"),
+    "tune_gamma": (
+        lambda a: tune_gamma({"layer0_linear": a}, "std", GammaSearchConfig(s_target=0.5)),
+        "scores of 'layer0_linear'",
+    ),
+    "generate_all_masks": (
+        lambda a: generate_all_masks({"layer0_linear": a}, "std", 1.0),
+        "scores of 'layer0_linear'",
+    ),
 }
 
 

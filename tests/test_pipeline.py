@@ -13,12 +13,10 @@ from nmfprune.checkpoint import load_checkpoint
 from nmfprune.datasets import DatasetError, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Linear, ReLU, count_zero_weights, init_network
-from nmfprune.nmf import NmfConfig
+from nmfprune.nmf import MagnitudeScorer, NmfConfig, score_magnitude
 from nmfprune import pipeline
-from nmfprune.pipeline import (
-    STAGES, StageError, compute_scores, run_pipeline, score_magnitude,
-)
-from nmfprune.runconfig import MagnitudeScorer, RunConfig
+from nmfprune.pipeline import STAGES, StageError, compute_scores, run_pipeline
+from nmfprune.runconfig import RunConfig
 from nmfprune.trainer import TrainConfig
 
 
@@ -86,7 +84,6 @@ class TestRunPipeline:
         from nmfprune.datasets import load_dataset
         from nmfprune.masking import generate_all_masks
         from nmfprune.network import convert_to_masked, init_network
-        from nmfprune.nmf import ScoreMatrix
         from nmfprune.seeds import derive_seed
         from nmfprune.trainer import run_training
 
@@ -97,8 +94,7 @@ class TestRunPipeline:
 
         masked_net = init_network(specs, seed)
         constant_scores = {
-            l.layer_id: ScoreMatrix(l.layer_id, np.full_like(l.weights, 0.5))
-            for l in masked_net.prunable_layers
+            l.layer_id: np.full_like(l.weights, 0.5) for l in masked_net.prunable_layers
         }
         masks = generate_all_masks(constant_scores, "std", gamma=1.5)
         assert all(np.all(m) for m in masks.values())
@@ -221,7 +217,7 @@ class TestRunPipeline:
         assert not loaders[0].is_alive()
 
     def test_train_stage_starts_without_scores_or_mask_copies(self, tmp_path, monkeypatch):
-        # The layers hold their own masks, so the ScoreMatrix arrays (1 MB
+        # The layers hold their own masks, so the score arrays (1 MB
         # here) and the generated bool masks must be gone when training
         # starts; anything that keeps them sits beside the dataset for the
         # whole train stage.
@@ -233,7 +229,7 @@ class TestRunPipeline:
 
         def compute_and_track(*args, **kwargs):
             scores = compute(*args, **kwargs)
-            made.extend(weakref.ref(sm.scores) for sm in scores.values())
+            made.extend(weakref.ref(s) for s in scores.values())
             return scores
 
         def generate_and_track(*args, **kwargs):
@@ -377,25 +373,26 @@ class TestRunPipeline:
 
 class TestScoreMagnitude:
     def test_absolute_values(self):
-        sm = score_magnitude(np.array([[-2.0, 1.0]]))
-        assert np.array_equal(sm.scores, [[2.0, 1.0]])
+        scores = score_magnitude(np.array([[-2.0, 1.0]]))
+        assert scores.dtype == np.float64 and np.array_equal(scores, [[2.0, 1.0]])
 
     def test_order_matches_magnitude_order(self):
         w = np.random.default_rng(0).normal(size=(5, 5))
-        sm = score_magnitude(w)
-        assert np.array_equal(np.argsort(sm.scores.ravel()), np.argsort(np.abs(w).ravel()))
+        scores = score_magnitude(w)
+        assert np.array_equal(np.argsort(scores.ravel()), np.argsort(np.abs(w).ravel()))
+        assert not np.shares_memory(scores, w)
 
     def test_out_is_the_score_array(self):
         w = np.array([[-2.0, 1.0]])
-        sm = score_magnitude(w, out=w)
-        assert sm.scores is w and np.array_equal(w, [[2.0, 1.0]])
+        scores = score_magnitude(w, in_place=True)
+        assert scores is w and np.array_equal(w, [[2.0, 1.0]])
 
     def test_tuned_target_keeps_top_magnitudes(self):
         from nmfprune.masking import generate_all_masks, tune_gamma
 
         rng = np.random.default_rng(1)
         w = rng.normal(size=(64, 64))
-        scores = {"l": score_magnitude(w, "l")}
+        scores = {"l": score_magnitude(w)}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.hit_target
         masks = generate_all_masks(scores, "std", result.gamma_star)
@@ -415,8 +412,11 @@ class TestComputeScoresInPlace:
     def test_default_leaves_the_weights_untouched(self, scorer):
         net = init_network(self.MODEL, 4)
         before = [layer.weights.copy() for layer in net.weighted_layers]
-        compute_scores(net, scorer, 4)
+        scores = compute_scores(net, scorer, 4)
         assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
+        assert not any(
+            np.shares_memory(scores[l.layer_id], l.weights) for l in net.prunable_layers
+        )
 
     def test_same_scores_written_into_the_weights(self, scorer):
         expected = compute_scores(init_network(self.MODEL, 4), scorer, 4)
@@ -425,7 +425,11 @@ class TestComputeScoresInPlace:
         scores = compute_scores(net, scorer, 4, in_place=True)
         assert list(scores) == list(expected)
         for layer, w_abs in zip(net.prunable_layers, abs_weights):
-            sm = scores[layer.layer_id]
-            assert np.array_equal(sm.scores, expected[layer.layer_id].scores)
+            s = scores[layer.layer_id]
+            assert isinstance(s, np.ndarray) and s.dtype == np.float64
+            assert np.array_equal(s, expected[layer.layer_id])
             assert np.array_equal(layer.weights, w_abs)
-            assert (sm.scores is layer.weights) == isinstance(scorer, MagnitudeScorer)
+            if isinstance(scorer, MagnitudeScorer):
+                assert s is layer.weights
+            else:  # NMF scores are a new array; the weights buffer held |W|
+                assert not np.shares_memory(s, layer.weights)
