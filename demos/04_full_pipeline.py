@@ -60,16 +60,16 @@ cfg = load_config(config_path)
 report = run_pipeline(cfg)
 
 print(f"gamma*            : {report.gamma_star:.5f}")
-print(f"achieved sparsity : {report.sparsity_report.global_sparsity:.4f}")
+print(f"achieved sparsity : {report.sparsity.global_sparsity:.4f}")
 print(f"final test acc    : {report.final_test_accuracy:.4f}")
-print(f"flops dense/sparse: {report.flops_dense} / {report.flops_sparse}")
+print(f"flops dense/sparse: {report.flops.dense} / {report.flops.sparse}")
 print("wall times        : " + ", ".join(f"{k} {v:.2f}s" for k, v in report.wall_times.items()))
 
 # Everything in the report is recomputable from the emitted artifacts.
 out = cfg.output_dir
 reloaded = count_zero_weights(load_checkpoint(out / "checkpoint.bin"))
 print(f"\ncheckpoint recount matches report: "
-      f"{reloaded.global_zeros == report.sparsity_report.global_zeros}")
+      f"{reloaded.global_zeros == report.sparsity.global_zeros}")
 
 status = json.loads((out / "status.json").read_text())
 print(f"status: {status['status']}")

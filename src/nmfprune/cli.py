@@ -131,11 +131,11 @@ def _cmd_run(args) -> int:
     _say(args, f"gamma* = {report.gamma_star:.6g}")
     _say(
         args,
-        f"achieved sparsity = {report.sparsity_report.global_sparsity:.4f} "
-        f"({report.sparsity_report.global_zeros}/{report.sparsity_report.global_total})",
+        f"achieved sparsity = {report.sparsity.global_sparsity:.4f} "
+        f"({report.sparsity.global_zeros}/{report.sparsity.global_total})",
     )
     _say(args, f"final test accuracy = {report.final_test_accuracy:.4f}")
-    _say(args, f"flops dense/sparse = {report.flops_dense}/{report.flops_sparse}")
+    _say(args, f"flops dense/sparse = {report.flops.dense}/{report.flops.sparse}")
     _say(args, f"outputs in {cfg.output_dir}")
     return EXIT_OK
 
@@ -201,7 +201,7 @@ def _cmd_sweep(args) -> int:
             _say(
                 args,
                 f"target {target!r}" + (f" k={k}" if k is not None else "") +
-                f": achieved {report.sparsity_report.global_sparsity:.4f}, "
+                f": achieved {report.sparsity.global_sparsity:.4f}, "
                 f"accuracy {report.final_test_accuracy:.4f}",
             )
     return EXIT_OK

@@ -115,12 +115,19 @@ class Dataset:
         return out
 
 
-def _split_order(n: int, split_seed: int) -> np.ndarray:
-    """The seeded split permutation: sample ``order[j]`` goes to row j, and
-    the first int(0.8 n) rows are the training split."""
+def _n_train(n: int) -> int:
+    """The size of the training split of ``n`` samples, int(0.8 n); a
+    DatasetError when either split would be empty."""
     n_train = int(n * 0.8)
     if n_train < 1 or n - n_train < 1:
         raise DatasetError(f"dataset of {n} samples is too small for an 80/20 split")
+    return n_train
+
+
+def _split_order(n: int, split_seed: int) -> np.ndarray:
+    """The seeded split permutation: sample ``order[j]`` goes to row j, and
+    the first ``_n_train(n)`` rows are the training split."""
+    _n_train(n)
     return np.random.default_rng(derive_seed(split_seed, "split")).permutation(n)
 
 
@@ -336,19 +343,22 @@ def load_dataset(spec: DatasetSpec, split_seed: int = 0) -> Dataset:
         x, y = _csv(spec, split_seed)
     else:
         x, y = _idx(spec, split_seed)
-    n_train = int(len(x) * 0.8)
+    n_train = _n_train(len(x))
     train_y, test_y = y[:n_train], y[n_train:]
 
     n_classes = int(y.max()) + 1
     if y.min() < 0:
         raise DatasetError("labels must be non-negative integers")
-    present = np.unique(train_y)  # all within [0, n_classes)
-    if present.size < n_classes:
-        # Five absent labels lie among the first present.size + 5 candidates.
-        first = np.setdiff1d(np.arange(min(n_classes, present.size + 5)), present)[:5]
+    # A set, not np.unique (whose first call imports numpy.ma) or a count per
+    # label (which grows with the largest label).
+    present = set(train_y.tolist())  # all within [0, n_classes)
+    if len(present) < n_classes:
+        # Five absent labels lie among the first len(present) + 5 candidates.
+        candidates = range(min(n_classes, len(present) + 5))
+        first = [c for c in candidates if c not in present][:5]
         raise DatasetError(
-            f"{n_classes - present.size} of {n_classes} classes absent from the training "
-            f"split, first {first.tolist()}"
+            f"{n_classes - len(present)} of {n_classes} classes absent from the training "
+            f"split, first {first}"
         )
 
     mean, std = _train_stats(x[:n_train])

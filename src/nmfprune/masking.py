@@ -85,10 +85,11 @@ class LayerSparsity:
 class SparsityReport:
     """Per-layer and pooled zero-weight accounting."""
 
-    per_layer: dict[str, LayerSparsity]
+    # Field order is the key order of report.json's "sparsity" block.
     global_zeros: int
     global_total: int
     global_sparsity: float
+    per_layer: dict[str, LayerSparsity]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ two threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -465,8 +465,12 @@ def count_zero_weights(net: Network) -> SparsityReport:
 
 @dataclass(frozen=True)
 class FlopsEstimate:
-    dense_flops: int
-    sparse_flops: int
+    # Field order is the key order of report.json's "flops" block.
+    dense: int
+    sparse: int
+    convention: str = field(
+        default="2 ops per multiply-accumulate, forward pass, one sample", init=False
+    )
 
 
 def flops_estimate(net: Network, sample_shape: tuple[int, ...]) -> FlopsEstimate:
@@ -486,4 +490,4 @@ def flops_estimate(net: Network, sample_shape: tuple[int, ...]) -> FlopsEstimate
             kept = layer.weights.size if layer.kept is None else layer.kept.size
             dense += 2 * layer.weights.size * positions
             sparse += 2 * kept * positions
-    return FlopsEstimate(dense_flops=dense, sparse_flops=sparse)
+    return FlopsEstimate(dense=dense, sparse=sparse)

@@ -46,8 +46,8 @@ from .checkpoint import save_checkpoint, write_atomic
 from .datasets import declared_shape, load_dataset
 from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
 from .network import (
-    Network, convert_to_masked, count_zero_weights, flops_estimate, init_network, input_shape,
-    output_shapes,
+    FlopsEstimate, Network, convert_to_masked, count_zero_weights, flops_estimate, init_network,
+    input_shape, output_shapes,
 )
 from .nmf import MagnitudeScorer, score_layer, score_magnitude
 from .runconfig import ConfigError, RunConfig, ScorerSpec
@@ -67,40 +67,16 @@ class StageError(RuntimeError):
 
 @dataclass
 class RunReport:
+    # report.json is dataclasses.asdict of this record: field order is its key order.
     gamma_star: float
-    sparsity_report: SparsityReport
+    # target, achieved, hit_target and iterations of the search; None for a fixed gamma
+    gamma_search: dict | None
+    sparsity: SparsityReport
     gamma_trace: list[GammaTraceEntry]
     epoch_metrics: list[EpochMetrics]
-    flops_dense: int
-    flops_sparse: int
+    flops: FlopsEstimate
     final_test_accuracy: float
-    # target, achieved, hit_target and iterations of the search; None for a fixed gamma
-    gamma_search: dict | None = None
     wall_times: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_star": self.gamma_star,
-            "gamma_search": self.gamma_search,
-            "sparsity": {
-                "global_zeros": self.sparsity_report.global_zeros,
-                "global_total": self.sparsity_report.global_total,
-                "global_sparsity": self.sparsity_report.global_sparsity,
-                "per_layer": {
-                    lid: {"zeros": ls.zeros, "total": ls.total, "sparsity": ls.sparsity}
-                    for lid, ls in self.sparsity_report.per_layer.items()
-                },
-            },
-            "gamma_trace": [dataclasses.asdict(t) for t in self.gamma_trace],
-            "epoch_metrics": [dataclasses.asdict(m) for m in self.epoch_metrics],
-            "flops": {
-                "dense": self.flops_dense,
-                "sparse": self.flops_sparse,
-                "convention": "2 ops per multiply-accumulate, forward pass, one sample",
-            },
-            "final_test_accuracy": self.final_test_accuracy,
-            "wall_times": self.wall_times,
-        }
 
 
 def compute_scores(
@@ -171,11 +147,16 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         report = _run_stages(cfg, out)
     except StageError as err:
         status = {"status": "incomplete", "stage": err.stage, "error": str(err.__cause__)}
-        write_atomic(out / "status.json", [(json.dumps(status) + "\n").encode()])
+        _write_json(out / "status.json", status)
         raise
-    write_atomic(out / "report.json", [(json.dumps(report.to_dict(), indent=2) + "\n").encode()])
-    write_atomic(out / "status.json", [(json.dumps({"status": "complete"}) + "\n").encode()])
+    _write_json(out / "report.json", dataclasses.asdict(report), indent=2)
+    _write_json(out / "status.json", {"status": "complete"})
     return report
+
+
+def _write_json(path: Path, doc: dict, indent: int | None = None) -> None:
+    """Write ``doc`` to ``path`` atomically as one JSON document and a newline."""
+    write_atomic(path, [(json.dumps(doc, indent=indent) + "\n").encode()])
 
 
 def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
@@ -252,20 +233,18 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
 
     with _stage("report", wall):
-        flops = flops_estimate(net, shape)
         if metrics:
             final_acc = metrics[-1].test_accuracy
         else:
             final_acc = evaluate(net, dataset, cfg.train.batch_size)
         report = RunReport(
             gamma_star=gamma_star,
-            sparsity_report=count_zero_weights(net),
+            gamma_search=search,
+            sparsity=count_zero_weights(net),
             gamma_trace=trace,
             epoch_metrics=metrics,
-            flops_dense=flops.dense_flops,
-            flops_sparse=flops.sparse_flops,
+            flops=flops_estimate(net, shape),
             final_test_accuracy=final_acc,
-            gamma_search=search,
         )
         save_checkpoint(net, out / "checkpoint.bin")
 

@@ -276,7 +276,7 @@ def test_criterion_6_gradient_correctness():
 def test_criterion_7_learning_under_sparsity(tmp_path):
     cfg = blobs_run_config(tmp_path, target=0.8, epochs=40)
     sparse_report = run_pipeline(cfg)
-    assert abs(sparse_report.sparsity_report.global_sparsity - 0.8) <= 0.005
+    assert abs(sparse_report.sparsity.global_sparsity - 0.8) <= 0.005
 
     dense_net = init_network(cfg.model, cfg.seed)
     dataset = load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
@@ -309,9 +309,9 @@ def test_criterion_8_round_trip_and_reporting_integrity(tmp_path):
     assert path.read_bytes() == resaved.read_bytes(), "save/load/save is not bit-exact"
 
     recount = count_zero_weights(loaded)
-    assert run_report.sparsity_report.global_zeros == recount.global_zeros
-    assert run_report.sparsity_report.global_sparsity == recount.global_sparsity
-    for lid, ls in run_report.sparsity_report.per_layer.items():
+    assert run_report.sparsity.global_zeros == recount.global_zeros
+    assert run_report.sparsity.global_sparsity == recount.global_sparsity
+    for lid, ls in run_report.sparsity.per_layer.items():
         assert ls.zeros == recount.per_layer[lid].zeros
     assert run_report.epoch_metrics[-1].zero_count == recount.global_zeros
     report(

@@ -13,6 +13,7 @@ from nmfprune.network import (
     LAYER_KINDS,
     Conv2d,
     Flatten,
+    FlopsEstimate,
     Linear,
     ReLU,
     col2im,
@@ -606,7 +607,7 @@ class TestFlopsEstimate:
     def test_linear_mac_convention(self):
         net = init_network([Linear(4, 3)], seed=0)
         est = flops_estimate(net, (4,))
-        assert est.dense_flops == 24  # 2 * 3 * 4
+        assert est.dense == 24  # 2 * 3 * 4
 
     def test_half_density_mask_halves_sparse_flops(self):
         net = init_network([Linear(4, 3, prunable=True)], seed=0)
@@ -614,8 +615,8 @@ class TestFlopsEstimate:
         bits.ravel()[:6] = True
         convert_to_masked(net, {"layer0_linear": bits})
         est = flops_estimate(net, (4,))
-        assert est.dense_flops == 24
-        assert est.sparse_flops == 12
+        assert est.dense == 24
+        assert est.sparse == 12
 
     def test_multi_layer_sum_matches_per_layer(self):
         net = init_network(
@@ -624,10 +625,16 @@ class TestFlopsEstimate:
         est = flops_estimate(net, (1, 4, 4))
         conv_flops = 2 * (4 * 9) * 16  # kernel MACs at each of 4x4 positions
         linear_flops = 2 * 64 * 5
-        assert est.dense_flops == conv_flops + linear_flops
-        assert est.sparse_flops == est.dense_flops  # no masks attached
+        assert est.dense == conv_flops + linear_flops
+        assert est.sparse == est.dense  # no masks attached
 
     def test_bad_input_shape_rejected(self):
         net = init_network([Linear(4, 3)], seed=0)
         with pytest.raises(ValueError, match="does not fit"):
             flops_estimate(net, (5,))
+
+    def test_convention_is_fixed_by_the_counting_rule(self):
+        est = flops_estimate(init_network([Linear(4, 3)], seed=0), (4,))
+        assert est.convention == "2 ops per multiply-accumulate, forward pass, one sample"
+        with pytest.raises(TypeError):
+            FlopsEstimate(24, 24, convention="1 op per MAC")

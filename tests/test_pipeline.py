@@ -38,17 +38,17 @@ def base_config(tmp_path, **overrides) -> RunConfig:
 class TestRunPipeline:
     def test_targets_sparsity_and_holds_it(self, tmp_path):
         report = run_pipeline(base_config(tmp_path))
-        assert abs(report.sparsity_report.global_sparsity - 0.8) <= 0.005
+        assert abs(report.sparsity.global_sparsity - 0.8) <= 0.005
         assert len({m.zero_count for m in report.epoch_metrics}) == 1
-        assert report.epoch_metrics[0].achieved_sparsity == report.sparsity_report.global_sparsity
+        assert report.epoch_metrics[0].achieved_sparsity == report.sparsity.global_sparsity
 
     def test_report_matches_checkpoint_recount(self, tmp_path):
         cfg = base_config(tmp_path)
         report = run_pipeline(cfg)
         reloaded = count_zero_weights(load_checkpoint(cfg.output_dir / "checkpoint.bin"))
-        assert report.sparsity_report.global_zeros == reloaded.global_zeros
-        assert report.sparsity_report.global_sparsity == reloaded.global_sparsity
-        for lid, ls in report.sparsity_report.per_layer.items():
+        assert report.sparsity.global_zeros == reloaded.global_zeros
+        assert report.sparsity.global_sparsity == reloaded.global_sparsity
+        for lid, ls in report.sparsity.per_layer.items():
             assert ls.zeros == reloaded.per_layer[lid].zeros
 
     def test_deterministic_reruns(self, tmp_path):
@@ -57,7 +57,7 @@ class TestRunPipeline:
         assert a.gamma_star == b.gamma_star
         assert a.epoch_metrics == b.epoch_metrics
         assert a.final_test_accuracy == b.final_test_accuracy
-        assert a.flops_sparse == b.flops_sparse
+        assert a.flops.sparse == b.flops.sparse
 
     def test_magnitude_full_prune_stays_dead(self, tmp_path):
         # A fixed threshold gamma far above any score prunes every prunable
@@ -70,7 +70,7 @@ class TestRunPipeline:
             train=TrainConfig(epochs=2, lr=0.1, batch_size=64),
         )
         report = run_pipeline(cfg)
-        assert report.sparsity_report.global_sparsity == 1.0
+        assert report.sparsity.global_sparsity == 1.0
         assert all(m.achieved_sparsity == 1.0 for m in report.epoch_metrics)
         # Fixed-gamma mode never invokes the search.
         assert report.gamma_star == 1e9
@@ -156,7 +156,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "compute_scores", compute_and_signal)
         cfg = base_config(tmp_path, train=TrainConfig(epochs=1, lr=0.1, batch_size=64))
         report = run_pipeline(cfg)
-        assert abs(report.sparsity_report.global_sparsity - 0.8) <= 0.005
+        assert abs(report.sparsity.global_sparsity - 0.8) <= 0.005
         assert tuple(report.wall_times) == STAGES
         assert all(t > 0 for t in report.wall_times.values())
         # The data stage is timed on the loader's thread, not until the join.
@@ -284,6 +284,43 @@ class TestRunPipeline:
         run_pipeline(fixed)
         assert json.loads((fixed.output_dir / "report.json").read_text())["gamma_search"] is None
 
+    def test_report_layout_keeps_its_key_order(self, tmp_path):
+        top = [
+            "gamma_star", "gamma_search", "sparsity", "gamma_trace", "epoch_metrics", "flops",
+            "final_test_accuracy", "wall_times",
+        ]
+        searched = base_config(tmp_path, train=TrainConfig(epochs=1, lr=0.1, batch_size=64))
+        run_pipeline(searched)
+        text = (searched.output_dir / "report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert list(report) == top
+        assert list(report["sparsity"]) == [
+            "global_zeros", "global_total", "global_sparsity", "per_layer",
+        ]
+        assert list(report["sparsity"]["per_layer"]["layer0_linear"]) == ["zeros", "total", "sparsity"]
+        assert list(report["flops"]) == ["dense", "sparse", "convention"]
+        assert report["flops"]["convention"] == "2 ops per multiply-accumulate, forward pass, one sample"
+        assert list(report["gamma_search"]) == ["target", "achieved", "hit_target", "iterations"]
+        assert list(report["gamma_trace"][0]) == [
+            "iteration", "gamma", "achieved", "gamma_low", "gamma_high",
+        ]
+        assert list(report["epoch_metrics"][0]) == [
+            "epoch", "train_loss", "train_accuracy", "test_accuracy", "achieved_sparsity",
+            "zero_count",
+        ]
+        assert list(report["wall_times"]) == list(STAGES)
+
+        fixed = base_config(
+            tmp_path, gamma_search=None, output_dir=tmp_path / "fixed",
+            train=TrainConfig(epochs=0, lr=0.1, batch_size=64),
+        )
+        run_pipeline(fixed)
+        report = json.loads((fixed.output_dir / "report.json").read_text())
+        assert list(report) == top
+        assert report["gamma_search"] is None
+        assert report["gamma_trace"] == report["epoch_metrics"] == []
+
     def test_outputs_written(self, tmp_path):
         cfg = base_config(tmp_path)
         run_pipeline(cfg)
@@ -352,12 +389,12 @@ class TestRunPipeline:
             train=TrainConfig(epochs=5, lr=0.05, batch_size=32),
         )
         report = run_pipeline(cfg)
-        assert abs(report.sparsity_report.global_sparsity - 0.7) <= 0.005
+        assert abs(report.sparsity.global_sparsity - 0.7) <= 0.005
         assert report.final_test_accuracy >= 0.9
         # Conv: 2 * (8*9 MACs) * 36 positions, then the 288x2 classifier.
-        assert report.flops_dense == 2 * 72 * 36 + 2 * 288 * 2
+        assert report.flops.dense == 2 * 72 * 36 + 2 * 288 * 2
         reloaded = count_zero_weights(load_checkpoint(cfg.output_dir / "checkpoint.bin"))
-        assert reloaded.global_zeros == report.sparsity_report.global_zeros
+        assert reloaded.global_zeros == report.sparsity.global_zeros
 
     def test_gamma_trace_is_loggable(self, tmp_path):
         cfg = base_config(tmp_path)
