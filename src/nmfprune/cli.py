@@ -18,8 +18,11 @@ cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
 scoring, from the sample shape the dataset declares. Both score into the
 weights' own buffers (``compute_scores(..., in_place=True)``) and drop the
 network once its scores exist, so the process holds one copy of the model:
-the only weight buffers left alive are magnitude scores themselves, and the
-gamma search and the score dump hold the scores and nothing else.
+the only weight buffers left alive are magnitude scores themselves. The score
+dump holds the scores and nothing else. ``tune`` sorts each layer's scores in
+their own buffers (``tune_gamma(..., in_place=True)``), since it drops them
+after the search, so it holds the scores and one search's O(1) statistics;
+with the ``std`` rule, ``np.std``'s temporary of one layer comes on top.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def _cmd_tune(args) -> int:
     if cfg.gamma_search is None:
         raise ConfigError("tune needs a [gamma_search] section or --target-sparsity")
     out, scores = _scores_of(cfg)
-    result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
+    result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search, in_place=True)
     write_gamma_trace(out, result.trace)
     _say(args, f"gamma* = {result.gamma_star:.6g}")
     _say(args, f"achieved sparsity = {result.achieved:.4f} (target {cfg.gamma_search.s_target})")

@@ -4,10 +4,12 @@ Each layer gets its own threshold from its score statistics: mean + gamma*std
 ("std" mode, population std) or median + gamma*mad ("mad" mode, lower median,
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
 aggressively every layer prunes; a bisection search tunes it until the global
-fraction of pruned weights hits a target. Scores at or above the threshold are
-kept (ties survive). Scores are the scorers' float64 arrays, each checked once
-per call that reads it. A mask is the bool array of that comparison, True
-where kept; it goes unchanged to ``network.convert_to_masked``.
+fraction of pruned weights hits a target. The search sorts each layer's scores
+once, so a probe is one binary search per layer. Scores at or above the
+threshold are kept (ties survive). Scores are the scorers' float64 arrays,
+each checked once per call that reads it. A mask is the bool array of that
+comparison, True where kept; it goes unchanged to
+``network.convert_to_masked``.
 """
 
 from __future__ import annotations
@@ -112,26 +114,63 @@ class GammaSearchResult:
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
-def _center_spread(scores: np.ndarray, t_type: str) -> tuple[float, float]:
-    """The two statistics the ``t_type`` rule reads, and only those:
-    (mean, population std) or (lower median, unscaled MAD). The lower median
-    takes the lower of the two middle elements for even counts: deterministic
-    and oracle-checkable, unlike the interpolating convention. The MAD reuses
-    the median's partitioned copy, in place, so it costs one copy of the
-    scores, not two."""
+def _sorted_stats(
+    scores: np.ndarray, t_type: str, in_place: bool = False
+) -> tuple[np.ndarray, float, float]:
+    """A layer's scores as one ascending flat array, and the two statistics
+    the ``t_type`` rule reads: (mean, population std) or (lower median,
+    unscaled MAD).
+
+    The mean and std are taken on ``scores`` as given, before the sort, since
+    sorting reorders NumPy's pairwise sums. The lower median takes the lower
+    of the two middle elements for even counts: deterministic and
+    oracle-checkable, unlike the interpolating convention. With ``in_place``
+    a contiguous ``scores`` is sorted in its own buffer, so its positions are
+    lost; otherwise a sorted copy is made.
+    """
     if t_type == "std":
-        return float(scores.mean()), float(scores.std())
-    k = (scores.size - 1) // 2
-    part = np.partition(scores, k, axis=None)
-    median = float(part[k])
-    np.subtract(part, median, out=part)
-    np.abs(part, out=part)
-    part.partition(k)
-    return median, float(part[k])
+        center, spread = float(scores.mean()), float(scores.std())
+    flat = scores.ravel("K") if in_place else scores.flatten()
+    flat.sort()
+    if t_type == "mad":
+        center, spread = _median_mad(flat)
+    return flat, center, spread
+
+
+def _median_mad(s: np.ndarray) -> tuple[float, float]:
+    """Lower median and unscaled MAD of the ascending array ``s``.
+
+    With ``k = (n - 1) // 2`` and ``m = s[k]``, the deviations |s - m| are two
+    ascending runs, ``m - s[k - i]`` and ``s[k + 1 + j] - m``; IEEE
+    subtraction is sign-symmetric, so both are bit for bit |s - m|. The MAD
+    is their (k+1)-th smallest value, found by bisecting on how many of them
+    come from the first run, in scalar arithmetic with no n-sized buffer.
+    """
+    k = (s.size - 1) // 2
+    m = float(s[k])
+    n_low, n_high = k + 1, s.size - k - 1
+
+    def low(i):  # i-th smallest deviation at or below the median
+        return m - float(s[k - i])
+
+    def high(j):  # j-th smallest deviation above it
+        return float(s[k + 1 + j]) - m
+
+    # Take i from the low run and k + 1 - i from the high run; the smallest
+    # i whose next high value is no larger than its next low value is right.
+    lo, hi = max(0, n_low - n_high), n_low
+    while lo < hi:
+        i = (lo + hi) // 2
+        if high(k - i) > low(i):
+            lo = i + 1
+        else:
+            hi = i
+    i, j = lo, k + 1 - lo
+    return m, max(low(i - 1) if i else 0.0, high(j - 1) if j else 0.0)
 
 
 def _threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
-    center, spread = _center_spread(scores, cfg.t_type)
+    _, center, spread = _sorted_stats(scores, cfg.t_type)
     return center + cfg.gamma * spread
 
 
@@ -191,13 +230,17 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
 
 def _sparsity_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) -> float:
     """Global sparsity if masks were generated at ``gamma`` (masks not kept),
-    from each layer's scores and their precomputed center and spread."""
-    zeros = sum(int(np.count_nonzero(s < center + gamma * spread)) for s, center, spread in layers)
+    from each layer's sorted scores and their precomputed center and spread:
+    a layer's count of scores below its threshold is one binary search."""
+    zeros = sum(
+        int(np.searchsorted(s, center + gamma * spread, "left")) for s, center, spread in layers
+    )
     return zeros / sum(s.size for s, _, _ in layers)
 
 
 def tune_gamma(
-    all_scores: dict[str, np.ndarray], t_type: str, cfg: GammaSearchConfig
+    all_scores: dict[str, np.ndarray], t_type: str, cfg: GammaSearchConfig, *,
+    in_place: bool = False,
 ) -> GammaSearchResult:
     """Bisect gamma on [gamma_min, gamma_max] to hit the sparsity target.
 
@@ -212,13 +255,16 @@ def tune_gamma(
     never improves on it hands it back.
 
     Each layer's center and spread do not depend on gamma, so they are
-    computed once per search; a probe only counts the scores below each
-    threshold.
+    computed once per search, beside one ascending copy of its scores; a
+    probe counts the scores below each threshold by binary search. With
+    ``in_place=True`` each contiguous score array is sorted in its own buffer
+    instead of a copy, losing its positions: for a caller that drops the
+    scores after the search.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
-    layers = [(s, *_center_spread(s, t)) for s in _checked(all_scores).values()]
+    layers = [_sorted_stats(s, t, in_place) for s in _checked(all_scores).values()]
 
     lo = cfg.gamma_min
     hi = cfg.gamma_max

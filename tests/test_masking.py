@@ -234,13 +234,13 @@ class TestTuneGamma:
     def test_stats_computed_once_per_layer_per_search(self, monkeypatch):
         calls = []
 
-        center_spread = masking._center_spread
+        sorted_stats = masking._sorted_stats
 
-        def counting_center_spread(a, t_type):
+        def counting_sorted_stats(a, t_type, in_place=False):
             calls.append(id(a))
-            return center_spread(a, t_type)
+            return sorted_stats(a, t_type, in_place)
 
-        monkeypatch.setattr(masking, "_center_spread", counting_center_spread)
+        monkeypatch.setattr(masking, "_sorted_stats", counting_sorted_stats)
         rng = np.random.default_rng(8)
         scores = {lid: rng.random((24, 16)) for lid in ("a", "b", "c")}
         for t_type in ("std", "mad"):
@@ -248,6 +248,31 @@ class TestTuneGamma:
             result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.6))
             assert len(result.trace) > 1
             assert sorted(calls) == sorted(id(s) for s in scores.values())
+
+
+@pytest.mark.parametrize("t_type", ["std", "mad"])
+def test_in_place_search_matches_the_copying_one(t_type):
+    # Sorting in the scores' own buffers changes nothing the search reports;
+    # it leaves the arrays sorted, while the default leaves them untouched.
+    rng = np.random.default_rng(12)
+    scores = {
+        "a": rng.random((40, 30)),
+        "b": rng.integers(0, 9, (20, 50)).astype(np.float64),
+        "c": rng.exponential(3.0, (16, 16)),
+    }
+    before = {lid: s.copy() for lid, s in scores.items()}
+    cfg = GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4)
+    copying = tune_gamma(scores, t_type, cfg)
+    for lid, s in scores.items():
+        assert np.array_equal(s, before[lid])
+    in_place = tune_gamma(scores, t_type, cfg, in_place=True)
+    assert len(copying.trace) > 3
+    assert (in_place.gamma_star, in_place.achieved, in_place.hit_target, in_place.iterations) == (
+        copying.gamma_star, copying.achieved, copying.hit_target, copying.iterations,
+    )
+    assert in_place.trace == copying.trace
+    for lid, s in scores.items():
+        assert np.array_equal(s.ravel(), np.sort(before[lid], axis=None))
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])

@@ -40,7 +40,7 @@ def stats_oracle(values):
 
 def two_copy_median_mad(a):
     """Lower median and MAD from two partitioned copies: the median's, then
-    |a - median|'s. ``_center_spread`` reuses one copy in place."""
+    |a - median|'s. ``_sorted_stats`` selects both from one sorted run."""
     flat = a.ravel()
     k = (flat.size - 1) // 2
     median = float(np.partition(flat, k)[k])
@@ -93,8 +93,37 @@ class TestStats:
         cases.append(rng.exponential(size=(6, 9)).T)  # a strided view
         for a in cases:
             before = a.copy()
-            assert masking._center_spread(a, "mad") == two_copy_median_mad(a), a.shape
+            flat, *median_mad = masking._sorted_stats(a, "mad")
+            assert tuple(median_mad) == two_copy_median_mad(a), a.shape
+            assert np.array_equal(flat, np.sort(a, axis=None))
             assert np.array_equal(a, before)  # the caller's scores are left alone
+            own = a.copy()
+            flat, *median_mad = masking._sorted_stats(own, "mad", in_place=True)
+            assert tuple(median_mad) == two_copy_median_mad(a), a.shape
+            assert np.shares_memory(flat, own)
+            assert np.array_equal(own.ravel(), np.sort(a, axis=None))
+
+    def test_stats_match_the_oracles_on_random_arrays(self):
+        # MAD: exactly the two-copy partition values, ties and strides
+        # included. std: the unsorted array's own mean and std, bit for bit.
+        rng = np.random.default_rng(11)
+        draws = [
+            lambda n: rng.normal(size=n),
+            lambda n: rng.integers(-3, 4, size=n).astype(np.float64),
+            lambda n: rng.exponential(size=n),
+            lambda n: rng.normal(size=(n, 3))[:, 1],  # a strided view
+        ]
+        for trial in range(2400):
+            a = draws[trial % len(draws)](int(rng.integers(1, 41)))
+            expected = {
+                "mad": two_copy_median_mad(a), "std": (float(a.mean()), float(a.std())),
+            }
+            for t_type, stats in expected.items():
+                for in_place in (False, True):
+                    own = a.copy() if in_place else a
+                    flat, *got = masking._sorted_stats(own, t_type, in_place=in_place)
+                    assert tuple(got) == stats, (t_type, in_place, a)
+                    assert np.array_equal(flat, np.sort(a))
 
     def test_empty_rejected(self):
         for read in READERS.values():
