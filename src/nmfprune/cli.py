@@ -19,10 +19,12 @@ scoring, from the sample shape the dataset declares. Both score into the
 weights' own buffers (``compute_scores(..., in_place=True)``) and drop the
 network once its scores exist, so the process holds one copy of the model:
 the only weight buffers left alive are magnitude scores themselves. The score
-dump holds the scores and nothing else. ``tune`` sorts each layer's scores in
-their own buffers (``tune_gamma(..., in_place=True)``), since it drops them
-after the search, so it holds the scores and one search's O(1) statistics;
-with the ``std`` rule, ``np.std``'s temporary of one layer comes on top.
+dump holds the scores and nothing else. ``tune`` drops the scores after the
+search, so under the ``mad`` rule the search sorts each layer's scores in
+their own buffers (``tune_gamma(..., in_place=True)``) and holds the scores
+and O(1) statistics per layer; under the ``std`` rule nothing is sorted, and
+``np.std``'s temporary of one layer and a probe's bool array of one layer
+come on top.
 """
 
 from __future__ import annotations

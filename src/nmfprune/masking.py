@@ -4,8 +4,10 @@ Each layer gets its own threshold from its score statistics: mean + gamma*std
 ("std" mode, population std) or median + gamma*mad ("mad" mode, lower median,
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
 aggressively every layer prunes; a bisection search tunes it until the global
-fraction of pruned weights hits a target. The search sorts each layer's scores
-once, so a probe is one binary search per layer. Scores at or above the
+fraction of pruned weights hits a target. Under the MAD rule the search sorts
+each layer's scores once, for the median, so a probe is one binary search per
+layer; under the std rule a probe is one compare per layer, since sorting
+would cost more than the handful of probes it saves. Scores at or above the
 threshold are kept (ties survive). Scores are the scorers' float64 arrays,
 each checked once per call that reads it. A mask is the bool array of that
 comparison, True where kept; it goes unchanged to
@@ -114,27 +116,25 @@ class GammaSearchResult:
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
-def _sorted_stats(
+def _layer_stats(
     scores: np.ndarray, t_type: str, in_place: bool = False
 ) -> tuple[np.ndarray, float, float]:
-    """A layer's scores as one ascending flat array, and the two statistics
-    the ``t_type`` rule reads: (mean, population std) or (lower median,
-    unscaled MAD).
+    """What the search and the masks read of one layer under the ``t_type``
+    rule: the scores to count, and the rule's center and spread.
 
-    The mean and std are taken on ``scores`` as given, before the sort, since
-    sorting reorders NumPy's pairwise sums. The lower median takes the lower
-    of the two middle elements for even counts: deterministic and
-    oracle-checkable, unlike the interpolating convention. With ``in_place``
-    a contiguous ``scores`` is sorted in its own buffer, so its positions are
-    lost; otherwise a sorted copy is made.
+    The std rule reads no order: it returns ``scores`` as given, with their
+    mean and population std. The MAD rule returns the scores as one ascending
+    flat array, with their lower median and unscaled MAD; the lower median
+    takes the lower of the two middle elements for even counts: deterministic
+    and oracle-checkable, unlike the interpolating convention. With
+    ``in_place`` the MAD rule sorts a contiguous ``scores`` in its own buffer,
+    so its positions are lost; otherwise it sorts a copy.
     """
     if t_type == "std":
-        center, spread = float(scores.mean()), float(scores.std())
+        return scores, float(scores.mean()), float(scores.std())
     flat = scores.ravel("K") if in_place else scores.flatten()
     flat.sort()
-    if t_type == "mad":
-        center, spread = _median_mad(flat)
-    return flat, center, spread
+    return flat, *_median_mad(flat)
 
 
 def _median_mad(s: np.ndarray) -> tuple[float, float]:
@@ -170,7 +170,7 @@ def _median_mad(s: np.ndarray) -> tuple[float, float]:
 
 
 def _threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
-    _, center, spread = _sorted_stats(scores, cfg.t_type)
+    _, center, spread = _layer_stats(scores, cfg.t_type)
     return center + cfg.gamma * spread
 
 
@@ -228,13 +228,17 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
     )
 
 
-def _sparsity_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) -> float:
+def _sparsity_at(
+    layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float
+) -> float:
     """Global sparsity if masks were generated at ``gamma`` (masks not kept),
-    from each layer's sorted scores and their precomputed center and spread:
-    a layer's count of scores below its threshold is one binary search."""
-    zeros = sum(
-        int(np.searchsorted(s, center + gamma * spread, "left")) for s, center, spread in layers
-    )
+    from each layer's ``_layer_stats``: the MAD rule's scores are sorted, so
+    a layer's count of scores below its threshold is one binary search; the
+    std rule's are counted by one compare."""
+    if t_type == "mad":
+        zeros = sum(int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers)
+    else:
+        zeros = sum(int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers)
     return zeros / sum(s.size for s, _, _ in layers)
 
 
@@ -255,21 +259,23 @@ def tune_gamma(
     never improves on it hands it back.
 
     Each layer's center and spread do not depend on gamma, so they are
-    computed once per search, beside one ascending copy of its scores; a
-    probe counts the scores below each threshold by binary search. With
-    ``in_place=True`` each contiguous score array is sorted in its own buffer
-    instead of a copy, losing its positions: for a caller that drops the
-    scores after the search.
+    computed once per search. The MAD rule's median needs the scores sorted,
+    so it holds one ascending copy of each layer's scores for the search and
+    a probe counts the scores below each threshold by binary search; the std
+    rule counts the scores as given. With ``in_place=True`` the MAD rule
+    sorts each contiguous score array in its own buffer instead of a copy,
+    losing its positions: for a caller that drops the scores after the
+    search.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
-    layers = [_sorted_stats(s, t, in_place) for s in _checked(all_scores).values()]
+    layers = [_layer_stats(s, t, in_place) for s in _checked(all_scores).values()]
 
     lo = cfg.gamma_min
     hi = cfg.gamma_max
     gamma_best = cfg.gamma_guess
-    s_closest = _sparsity_at(layers, cfg.gamma_guess)
+    s_closest = _sparsity_at(layers, t, cfg.gamma_guess)
     trace = [GammaTraceEntry(0, cfg.gamma_guess, s_closest, lo, hi)]
 
     iterations = 0
@@ -278,7 +284,7 @@ def tune_gamma(
         gamma = (lo + hi) / 2.0
         if gamma < _GAMMA_FLOOR:
             gamma = _GAMMA_FLOOR
-        achieved = _sparsity_at(layers, gamma)
+        achieved = _sparsity_at(layers, t, gamma)
         trace.append(GammaTraceEntry(it, gamma, achieved, lo, hi))
         if abs(achieved - cfg.s_target) < abs(s_closest - cfg.s_target):
             s_closest = achieved

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,13 +235,13 @@ class TestTuneGamma:
     def test_stats_computed_once_per_layer_per_search(self, monkeypatch):
         calls = []
 
-        sorted_stats = masking._sorted_stats
+        layer_stats = masking._layer_stats
 
-        def counting_sorted_stats(a, t_type, in_place=False):
+        def counting_layer_stats(a, t_type, in_place=False):
             calls.append(id(a))
-            return sorted_stats(a, t_type, in_place)
+            return layer_stats(a, t_type, in_place)
 
-        monkeypatch.setattr(masking, "_sorted_stats", counting_sorted_stats)
+        monkeypatch.setattr(masking, "_layer_stats", counting_layer_stats)
         rng = np.random.default_rng(8)
         scores = {lid: rng.random((24, 16)) for lid in ("a", "b", "c")}
         for t_type in ("std", "mad"):
@@ -253,7 +254,8 @@ class TestTuneGamma:
 @pytest.mark.parametrize("t_type", ["std", "mad"])
 def test_in_place_search_matches_the_copying_one(t_type):
     # Sorting in the scores' own buffers changes nothing the search reports;
-    # it leaves the arrays sorted, while the default leaves them untouched.
+    # under MAD it leaves the arrays sorted, while the default leaves them
+    # untouched. The std rule sorts nothing.
     rng = np.random.default_rng(12)
     scores = {
         "a": rng.random((40, 30)),
@@ -272,7 +274,35 @@ def test_in_place_search_matches_the_copying_one(t_type):
     )
     assert in_place.trace == copying.trace
     for lid, s in scores.items():
-        assert np.array_equal(s.ravel(), np.sort(before[lid], axis=None))
+        if t_type == "mad":
+            assert np.array_equal(s.ravel(), np.sort(before[lid], axis=None))
+        else:
+            assert np.array_equal(s, before[lid])
+
+
+@pytest.mark.parametrize("t_type", ["std", "mad"])
+def test_copying_search_peak_memory(t_type):
+    # The default MAD search keeps every layer's sorted copy for its probes:
+    # one more copy of the scores, and no other layer-sized buffer. The std
+    # search copies nothing; np.std's temporary and a probe's bool array of
+    # the largest layer are its peak.
+    rng = np.random.default_rng(13)
+    shapes = [(512, 256), (512, 512), (10, 512)]
+    scores = {f"layer{i}": np.abs(rng.standard_normal(s)) for i, s in enumerate(shapes)}
+    bound = {
+        "mad": 1.05 * sum(s.nbytes for s in scores.values()),
+        "std": 1.2 * max(s.nbytes for s in scores.values()),
+    }
+    cfg = GammaSearchConfig(s_target=0.8)
+    tune_gamma(scores, t_type, cfg)  # the first call's imports are not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tune_gamma(scores, t_type, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound[t_type]
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])

@@ -40,7 +40,7 @@ def stats_oracle(values):
 
 def two_copy_median_mad(a):
     """Lower median and MAD from two partitioned copies: the median's, then
-    |a - median|'s. ``_sorted_stats`` selects both from one sorted run."""
+    |a - median|'s. ``_layer_stats`` selects both from one sorted run."""
     flat = a.ravel()
     k = (flat.size - 1) // 2
     median = float(np.partition(flat, k)[k])
@@ -93,19 +93,20 @@ class TestStats:
         cases.append(rng.exponential(size=(6, 9)).T)  # a strided view
         for a in cases:
             before = a.copy()
-            flat, *median_mad = masking._sorted_stats(a, "mad")
+            flat, *median_mad = masking._layer_stats(a, "mad")
             assert tuple(median_mad) == two_copy_median_mad(a), a.shape
             assert np.array_equal(flat, np.sort(a, axis=None))
             assert np.array_equal(a, before)  # the caller's scores are left alone
             own = a.copy()
-            flat, *median_mad = masking._sorted_stats(own, "mad", in_place=True)
+            flat, *median_mad = masking._layer_stats(own, "mad", in_place=True)
             assert tuple(median_mad) == two_copy_median_mad(a), a.shape
             assert np.shares_memory(flat, own)
             assert np.array_equal(own.ravel(), np.sort(a, axis=None))
 
     def test_stats_match_the_oracles_on_random_arrays(self):
         # MAD: exactly the two-copy partition values, ties and strides
-        # included. std: the unsorted array's own mean and std, bit for bit.
+        # included, beside the sorted scores. std: the unsorted array's own
+        # mean and std, bit for bit, beside the array itself.
         rng = np.random.default_rng(11)
         draws = [
             lambda n: rng.normal(size=n),
@@ -121,9 +122,12 @@ class TestStats:
             for t_type, stats in expected.items():
                 for in_place in (False, True):
                     own = a.copy() if in_place else a
-                    flat, *got = masking._sorted_stats(own, t_type, in_place=in_place)
+                    counted, *got = masking._layer_stats(own, t_type, in_place=in_place)
                     assert tuple(got) == stats, (t_type, in_place, a)
-                    assert np.array_equal(flat, np.sort(a))
+                    if t_type == "mad":
+                        assert np.array_equal(counted, np.sort(a))
+                    else:
+                        assert counted is own
 
     def test_empty_rejected(self):
         for read in READERS.values():

@@ -3,7 +3,6 @@
 Run from the repository root, once on each tree to compare:
 
     python3 tools/output_digests.py --seeds 1 2 3 > digests.json
-    python3 tools/output_digests.py --workload tune_wide --seeds 1
 
 For each workload and seed, ``perfbench.workloads.make_workload`` writes the
 inputs into a fresh temporary directory and one pass runs, with one BLAS
@@ -63,13 +62,11 @@ def workload_digests(name: str, seed: int) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    names = WORKLOADS if args.workload == "all" else (args.workload,)
     digests = {
         f"{name}/{seed}/{key}": digest
-        for name in names
+        for name in WORKLOADS
         for seed in args.seeds
         for key, digest in workload_digests(name, seed).items()
     }
