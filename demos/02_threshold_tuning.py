@@ -11,11 +11,10 @@ from nmfprune import (
     Linear,
     NmfConfig,
     ReLU,
-    ThresholdConfig,
     compute_scores,
     generate_all_masks,
     init_network,
-    layer_threshold,
+    layer_thresholds,
     sparsity_report,
     tune_gamma,
 )
@@ -29,10 +28,10 @@ print(f"scored {len(scores)} prunable layers, {total} weights\n")
 # fewer survivors. Sweep it to see the response curve.
 print("gamma     sparsity   per-layer thresholds")
 for gamma in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
-    masks = generate_all_masks(scores, "std", gamma)
-    sp = sparsity_report(masks).global_sparsity
-    taus = [layer_threshold(s, ThresholdConfig("std", gamma)) for s in scores.values()]
-    print(f"{gamma:5.2f}    {sp:8.4f}   " + "  ".join(f"{t:.4f}" for t in taus))
+    thresholds = layer_thresholds(scores, "std", gamma)
+    sp = sparsity_report(generate_all_masks(scores, thresholds)).global_sparsity
+    taus = "  ".join(f"{t.tau:.4f}" for t in thresholds.values())
+    print(f"{gamma:5.2f}    {sp:8.4f}   {taus}")
 
 # The search automates that: ask for 80% and it bisects gamma until the
 # achieved sparsity lands within +/- 0.5%.
@@ -50,8 +49,9 @@ print(
 )
 
 # The same gamma* applies to every layer; each layer's own statistics set
-# its threshold, so layers prune by different amounts.
-masks = generate_all_masks(scores, "std", result.gamma_star)
+# its threshold, so layers prune by different amounts. The search hands
+# those thresholds to the masks.
+masks = generate_all_masks(scores, result.thresholds)
 report = sparsity_report(masks)
 for lid, ls in report.per_layer.items():
     print(f"  {lid}: {ls.zeros}/{ls.total} pruned ({ls.sparsity:.1%})")

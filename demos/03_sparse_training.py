@@ -35,7 +35,7 @@ net = init_network([Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2
 # One-shot pruning at 80% global sparsity.
 scores = compute_scores(net, NmfConfig(k=6), root_seed=9)
 result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
-convert_to_masked(net, generate_all_masks(scores, "std", result.gamma_star))
+convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 start = count_zero_weights(net)
 print(f"pruned to {start.global_sparsity:.2%} ({start.global_zeros} zeros), gamma* = {result.gamma_star:.4f}")
 
@@ -58,7 +58,7 @@ print(f"steps with any zero-count drift: {drift} / 300 (must be 0)")
 # The epoch-level loop reports the same thing per epoch; train a fresh copy
 # of the pruned model from scratch so the loss curve is visible.
 net = init_network([Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2)], seed=9)
-convert_to_masked(net, generate_all_masks(scores, "std", result.gamma_star))
+convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 metrics = run_training(
     net, dataset, TrainConfig(epochs=10, lr=0.1, batch_size=128, seed=4)
 )

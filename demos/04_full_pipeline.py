@@ -3,7 +3,7 @@
 
 Writes a config, executes score -> tune -> prune -> train, then shows the
 report and verifies it against the emitted checkpoint. The equivalent shell
-commands are printed at the end.
+commands are printed at the end; the working directory is removed on exit.
 """
 
 import json
@@ -51,31 +51,33 @@ batch_size = 128
 milestones = 15 25
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="nmfprune-demo-"))
-config_path = workdir / "run.cfg"
-config_path.write_text(CONFIG.format(out=workdir / "out"))
-print(f"config written to {config_path}\n")
+with tempfile.TemporaryDirectory(prefix="nmfprune-demo-") as tmp:
+    workdir = Path(tmp)
+    config_path = workdir / "run.cfg"
+    config_path.write_text(CONFIG.format(out=workdir / "out"))
+    print(f"config written to {config_path}\n")
 
-cfg = load_config(config_path)
-report = run_pipeline(cfg)
+    cfg = load_config(config_path)
+    report = run_pipeline(cfg)
 
-print(f"gamma*            : {report.gamma_star:.5f}")
-print(f"achieved sparsity : {report.sparsity.global_sparsity:.4f}")
-print(f"final test acc    : {report.final_test_accuracy:.4f}")
-print(f"flops dense/sparse: {report.flops.dense} / {report.flops.sparse}")
-print("wall times        : " + ", ".join(f"{k} {v:.2f}s" for k, v in report.wall_times.items()))
+    print(f"gamma*            : {report.gamma_star:.5f}")
+    print(f"achieved sparsity : {report.sparsity.global_sparsity:.4f}")
+    print(f"final test acc    : {report.final_test_accuracy:.4f}")
+    print(f"flops dense/sparse: {report.flops.dense} / {report.flops.sparse}")
+    walls = ", ".join(f"{k} {v:.2f}s" for k, v in report.wall_times.items())
+    print(f"wall times        : {walls}")
 
-# Everything in the report is recomputable from the emitted artifacts.
-out = cfg.output_dir
-reloaded = count_zero_weights(load_checkpoint(out / "checkpoint.bin"))
-print(f"\ncheckpoint recount matches report: "
-      f"{reloaded.global_zeros == report.sparsity.global_zeros}")
+    # Everything in the report is recomputable from the emitted artifacts.
+    out = cfg.output_dir
+    reloaded = count_zero_weights(load_checkpoint(out / "checkpoint.bin"))
+    print(f"\ncheckpoint recount matches report: "
+          f"{reloaded.global_zeros == report.sparsity.global_zeros}")
 
-status = json.loads((out / "status.json").read_text())
-print(f"status: {status['status']}")
-print("artifacts:", ", ".join(sorted(p.name for p in out.iterdir())))
+    status = json.loads((out / "status.json").read_text())
+    print(f"status: {status['status']}")
+    print("artifacts:", ", ".join(sorted(p.name for p in out.iterdir())))
 
-print(f"""
+    print(f"""
 same thing from the shell:
   nmfprune run     --config {config_path}
   nmfprune score   --config {config_path}

@@ -14,11 +14,11 @@ from .masking import (
     GammaSearchResult,
     GammaTraceEntry,
     LayerSparsity,
+    LayerThreshold,
     SparsityReport,
     ThresholdConfig,
     generate_all_masks,
-    generate_mask,
-    layer_threshold,
+    layer_thresholds,
     sparsity_report,
     tune_gamma,
 )

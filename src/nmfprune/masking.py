@@ -7,16 +7,19 @@ aggressively every layer prunes; a bisection search tunes it until the global
 fraction of pruned weights hits a target. Under the MAD rule the search sorts
 each layer's scores once, for the median, so a probe is one binary search per
 layer; under the std rule a probe is one compare per layer, since sorting
-would cost more than the handful of probes it saves. Scores at or above the
-threshold are kept (ties survive). Scores are the scorers' float64 arrays,
-each checked once per call that reads it. A mask is the bool array of that
-comparison, True where kept; it goes unchanged to
+would cost more than the handful of probes it saves. Statistics are computed
+once per layer per run: the search hands each layer's ``LayerThreshold``
+(center, spread, tau) at gamma* to the masks, as ``layer_thresholds`` does at
+a fixed gamma. Scores at or above tau are kept (ties survive). Scores are the
+scorers' float64 arrays, each checked once per call that reads it. A mask is
+the bool array of that comparison, True where kept; it goes unchanged to
 ``network.convert_to_masked``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +50,8 @@ class ThresholdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "t_type", _validate_t_type(self.t_type))
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,30 @@ class GammaTraceEntry:
     gamma_high: float
 
 
+@dataclass(frozen=True)
+class LayerThreshold:
+    """One layer's rule at a gamma: its score center and spread, and the
+    threshold ``tau = center + gamma * spread`` its mask keeps from."""
+
+    center: float
+    spread: float
+    tau: float
+
+    @classmethod
+    def at(cls, layer_id: str, center: float, spread: float, gamma: float) -> LayerThreshold:
+        tau = center + gamma * spread
+        if not math.isfinite(tau):
+            raise ValueError(f"threshold of {layer_id!r} must be finite, got {tau}")
+        return cls(center, spread, tau)
+
+
 @dataclass
 class GammaSearchResult:
     gamma_star: float
     achieved: float
     hit_target: bool  # False means best-so-far was returned outside tolerance
     iterations: int
+    thresholds: dict[str, LayerThreshold]  # each layer's, at gamma_star
     trace: list[GammaTraceEntry] = field(default_factory=list)
 
 
@@ -169,11 +190,6 @@ def _median_mad(s: np.ndarray) -> tuple[float, float]:
     return m, max(low(i - 1) if i else 0.0, high(j - 1) if j else 0.0)
 
 
-def _threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
-    _, center, spread = _layer_stats(scores, cfg.t_type)
-    return center + cfg.gamma * spread
-
-
 def _checked(all_scores: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """``all_scores``, after one check of each array, named by its layer id."""
     for layer_id, scores in all_scores.items():
@@ -181,27 +197,25 @@ def _checked(all_scores: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return all_scores
 
 
-def layer_threshold(scores: np.ndarray, cfg: ThresholdConfig) -> float:
-    """Pruning threshold for one layer from its own score statistics."""
-    _check_matrix(scores, "scores")
-    return _threshold(scores, cfg)
-
-
-def generate_mask(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """The layer's bool mask: True (kept) where the score is >= threshold,
-    False (pruned) elsewhere."""
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    return scores >= threshold
+def layer_thresholds(
+    all_scores: dict[str, np.ndarray], t_type: str, gamma: float
+) -> dict[str, LayerThreshold]:
+    """Every layer's threshold at one fixed gamma, by layer id, from one
+    statistics pass per layer; under MAD one layer's sorted copy at a time."""
+    cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
+    return {
+        layer_id: LayerThreshold.at(layer_id, *_layer_stats(scores, cfg.t_type)[1:], cfg.gamma)
+        for layer_id, scores in _checked(all_scores).items()
+    }
 
 
 def generate_all_masks(
-    all_scores: dict[str, np.ndarray], t_type: str, gamma: float
+    all_scores: dict[str, np.ndarray], thresholds: dict[str, LayerThreshold]
 ) -> dict[str, np.ndarray]:
-    """Final bool masks for every layer at one shared gamma, by layer id."""
-    cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
+    """Final bool masks for every layer, by layer id: True (kept) where the
+    score is >= the layer's tau, False (pruned) elsewhere."""
     return {
-        layer_id: generate_mask(scores, _threshold(scores, cfg))
+        layer_id: scores >= thresholds[layer_id].tau
         for layer_id, scores in _checked(all_scores).items()
     }
 
@@ -262,10 +276,11 @@ def tune_gamma(
     computed once per search. The MAD rule's median needs the scores sorted,
     so it holds one ascending copy of each layer's scores for the search and
     a probe counts the scores below each threshold by binary search; the std
-    rule counts the scores as given. With ``in_place=True`` the MAD rule
-    sorts each contiguous score array in its own buffer instead of a copy,
-    losing its positions: for a caller that drops the scores after the
-    search.
+    rule counts the scores as given. The result holds each layer's
+    ``LayerThreshold`` at gamma*, for ``generate_all_masks``. With
+    ``in_place=True`` the MAD rule sorts each contiguous score array in its
+    own buffer instead of a copy, losing its positions: for a caller that
+    drops the scores after the search.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
@@ -290,13 +305,8 @@ def tune_gamma(
             s_closest = achieved
             gamma_best = gamma
         if abs(achieved - cfg.s_target) <= cfg.epsilon_sparsity:
-            return GammaSearchResult(
-                gamma_star=gamma,
-                achieved=achieved,
-                hit_target=True,
-                iterations=it,
-                trace=trace,
-            )
+            gamma_best, s_closest = gamma, achieved  # the first hit is returned
+            break
         if achieved < cfg.s_target:
             lo = gamma  # too little pruning: push thresholds up
         else:
@@ -313,5 +323,9 @@ def tune_gamma(
         achieved=s_closest,
         hit_target=hit,
         iterations=iterations,
+        thresholds={
+            lid: LayerThreshold.at(lid, c, sp, gamma_best)
+            for lid, (_, c, sp) in zip(all_scores, layers)
+        },
         trace=trace,
     )

@@ -44,7 +44,9 @@ import numpy as np
 
 from .checkpoint import save_checkpoint, write_atomic
 from .datasets import declared_shape, load_dataset
-from .masking import GammaTraceEntry, SparsityReport, generate_all_masks, tune_gamma
+from .masking import (
+    GammaTraceEntry, SparsityReport, generate_all_masks, layer_thresholds, tune_gamma,
+)
 from .network import (
     FlopsEstimate, Network, convert_to_masked, count_zero_weights, flops_estimate, init_network,
     input_shape, output_shapes,
@@ -200,6 +202,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         if cfg.gamma_search is not None:
             result = tune_gamma(scores, cfg.threshold.t_type, cfg.gamma_search)
             gamma_star = result.gamma_star
+            thresholds = result.thresholds
             trace = result.trace
             search = {
                 "target": cfg.gamma_search.s_target,
@@ -210,9 +213,10 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             write_gamma_trace(out, trace)
         else:
             gamma_star = cfg.threshold.gamma
+            thresholds = layer_thresholds(scores, cfg.threshold.t_type, gamma_star)
         # The layers keep their own copies of the masks: the scores and
         # masks are not held past this stage.
-        net = convert_to_masked(net, generate_all_masks(scores, cfg.threshold.t_type, gamma_star))
+        net = convert_to_masked(net, generate_all_masks(scores, thresholds))
         del scores
 
     with _stage("train", wall):

@@ -15,6 +15,7 @@ from nmfprune.masking import (
     GammaSearchConfig,
     ThresholdConfig,
     generate_all_masks,
+    layer_thresholds,
     sparsity_report,
     tune_gamma,
 )
@@ -126,12 +127,12 @@ def test_criterion_2_quantile_oracle_equivalence():
         result = tune_gamma(scores, t_type, search_config(0.8))
         zeros, total = oracle_counts(scores, t_type, result.gamma_star)
         assert result.achieved == zeros / total, f"{t_type}: oracle count mismatch"
-        masks = generate_all_masks(scores, t_type, result.gamma_star)
+        masks = generate_all_masks(scores, result.thresholds)
         assert sparsity_report(masks).global_zeros == zeros
 
     sweep = []
     for gamma in np.linspace(0.01, 10.0, 50):
-        masks = generate_all_masks(scores, "std", float(gamma))
+        masks = generate_all_masks(scores, layer_thresholds(scores, "std", float(gamma)))
         sweep.append(sparsity_report(masks).global_sparsity)
     monotone = all(b >= a for a, b in zip(sweep, sweep[1:]))
     assert monotone
@@ -150,7 +151,7 @@ def test_criterion_3_strict_sparsity_preservation(tmp_path):
     net = init_network(cfg.model, cfg.seed)
     scores = compute_scores(net, cfg.scorer, cfg.seed)
     result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
-    convert_to_masked(net, generate_all_masks(scores, "std", result.gamma_star))
+    convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 
     baseline = count_zero_weights(net).global_zeros
     train_cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=128)

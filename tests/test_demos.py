@@ -13,10 +13,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
+    # A demo's temporary files go under its own TMPDIR, which it must leave
+    # empty.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), TMPDIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), TMPDIR=str(tmpdir))
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmpdir.iterdir()) == []

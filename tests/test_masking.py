@@ -10,10 +10,10 @@ import pytest
 from nmfprune import masking
 from nmfprune.masking import (
     GammaSearchConfig,
+    LayerThreshold,
     ThresholdConfig,
     generate_all_masks,
-    generate_mask,
-    layer_threshold,
+    layer_thresholds,
     sparsity_report,
     tune_gamma,
 )
@@ -41,60 +41,84 @@ def quantile_oracle_sparsity(score_sets, t_type, gamma):
     return zeros, total
 
 
+def tau(scores, t_type, gamma):
+    """The one layer's tau that ``layer_thresholds`` hands to the masks."""
+    return layer_thresholds({"l": scores}, t_type, gamma)["l"].tau
+
+
+def masks_at(scores, threshold):
+    """The bool mask ``generate_all_masks`` makes of one layer whose tau is
+    ``threshold``."""
+    return generate_all_masks({"l": scores}, {"l": LayerThreshold(0.0, 0.0, threshold)})["l"]
+
+
 class TestLayerThreshold:
     def test_constant_scores_collapse_to_constant(self):
         scores = f64([[4.0, 4.0], [4.0, 4.0]])
         for gamma in (0.0, 1.0, 7.5):
-            assert layer_threshold(scores, ThresholdConfig("std", gamma)) == 4.0
+            assert tau(scores, "std", gamma) == 4.0
 
     def test_std_hand_computed(self):
         scores = f64([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        tau = layer_threshold(scores, ThresholdConfig("std", 1.0))
-        assert tau == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-12)
+        [(lid, threshold)] = layer_thresholds({"a": scores}, "std", 1.0).items()
+        assert lid == "a"
+        assert (threshold.center, threshold.spread) == (3.0, math.sqrt(2.0))
+        assert threshold.tau == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_mad_hand_computed(self):
         scores = f64([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        assert layer_threshold(scores, ThresholdConfig("mad", 2.0)) == 5.0
+        assert layer_thresholds({"a": scores}, "mad", 2.0) == {"a": LayerThreshold(3.0, 1.0, 5.0)}
 
     def test_t_type_case_insensitive(self):
         scores = f64([[1.0, 2.0, 3.0]])
-        assert layer_threshold(scores, ThresholdConfig("STD", 0.0)) == 2.0
+        assert tau(scores, "STD", 0.0) == 2.0
 
     def test_unknown_t_type_rejected(self):
         with pytest.raises(ValueError, match="unknown threshold type"):
             ThresholdConfig("mean", 1.0)
+        with pytest.raises(ValueError, match="unknown threshold type"):
+            layer_thresholds({"a": f64([[1.0]])}, "mean", 1.0)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             ThresholdConfig("std", -0.1)
+        with pytest.raises(ValueError, match="gamma"):
+            layer_thresholds({"a": f64([[1.0]])}, "std", -0.1)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite and >= 0"):
+            ThresholdConfig("std", gamma)
+        with pytest.raises(ValueError, match="^gamma must be finite and >= 0"):
+            layer_thresholds({"a": f64([[1.0, 2.0]])}, "mad", gamma)
 
 
 class TestGenerateMask:
     def test_threshold_below_min_keeps_all(self):
-        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 0.5)
+        mask = masks_at(f64([[1.0, 2.0], [3.0, 4.0]]), 0.5)
         assert np.array_equal(mask, np.ones((2, 2), dtype=bool))
 
     def test_threshold_above_max_prunes_all(self):
-        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 5.0)
+        mask = masks_at(f64([[1.0, 2.0], [3.0, 4.0]]), 5.0)
         assert np.array_equal(mask, np.zeros((2, 2), dtype=bool))
 
     def test_tie_is_kept(self):
-        mask = generate_mask(f64([[1.0, 2.0], [3.0, 4.0]]), 3.0)
+        mask = masks_at(f64([[1.0, 2.0], [3.0, 4.0]]), 3.0)
         assert np.array_equal(mask, [[False, False], [True, True]])
 
     def test_bits_are_exactly_zero_or_one(self):
         scores = f64(np.random.default_rng(0).random((6, 6)))
-        mask = generate_mask(scores, 0.5)
+        mask = masks_at(scores, 0.5)
         assert mask.dtype == np.bool_ and mask.shape == (6, 6)
 
     def test_deterministic(self):
         scores = f64(np.random.default_rng(1).random((5, 5)))
-        assert np.array_equal(generate_mask(scores, 0.3), generate_mask(scores, 0.3))
+        assert np.array_equal(masks_at(scores, 0.3), masks_at(scores, 0.3))
 
     def test_bool_masks_attach_to_their_layers(self):
         net = init_network([Linear(6, 5), ReLU(), Linear(5, 4), ReLU(), Linear(4, 2)], seed=3)
         scores = {l.layer_id: np.abs(l.weights) for l in net.prunable_layers}
-        masks = generate_all_masks(scores, "std", 0.5)
+        masks = generate_all_masks(scores, layer_thresholds(scores, "std", 0.5))
         assert all(m.dtype == np.bool_ for m in masks.values())
         convert_to_masked(net, masks)
         for layer in net.prunable_layers:
@@ -104,8 +128,10 @@ class TestGenerateMask:
             assert np.array_equal(layer.weights != 0.0, mask)
 
     def test_non_finite_threshold_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            generate_mask(f64([[1.0]]), float("nan"))
+        # A finite gamma whose tau overflows: 10 + 1e308 * 10 is inf. The
+        # one place a tau is built rejects it, naming the layer.
+        with pytest.raises(ValueError, match="^threshold of 'a' must be finite, got inf$"):
+            layer_thresholds({"a": f64([[0.0, 20.0]])}, "std", 1e308)
 
 
 class TestGlobalSparsity:
@@ -166,18 +192,17 @@ class TestTuneGamma:
         rng = np.random.default_rng(4)
         scores = {"a": rng.random((32, 32)), "b": rng.random((32, 32)) * 10.0}
         result = tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.7))
-        masks = generate_all_masks(scores, "mad", result.gamma_star)
+        masks = generate_all_masks(scores, result.thresholds)
         report = sparsity_report(masks)
         assert abs(report.global_sparsity - result.achieved) == 0.0
         # Layer thresholds differ through each layer's own statistics.
-        cfg = ThresholdConfig("mad", result.gamma_star)
-        assert layer_threshold(scores["a"], cfg) != layer_threshold(scores["b"], cfg)
+        assert result.thresholds["a"].tau != result.thresholds["b"].tau
 
     def test_sweep_monotone_in_gamma(self):
         scores = {"l": np.random.default_rng(5).random((48, 48))}
         achieved = []
         for gamma in np.linspace(0.01, 10.0, 50):
-            masks = generate_all_masks(scores, "std", float(gamma))
+            masks = generate_all_masks(scores, layer_thresholds(scores, "std", float(gamma)))
             achieved.append(sparsity_report(masks).global_sparsity)
         assert all(b >= a for a, b in zip(achieved, achieved[1:]))
 
@@ -316,8 +341,9 @@ def test_every_probe_matches_the_mask_path(t_type):
     }
     result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4))
     assert len(result.trace) > 3
+    assert result.thresholds == layer_thresholds(scores, t_type, result.gamma_star)
     for entry in result.trace:
-        masks = generate_all_masks(scores, t_type, entry.gamma)
+        masks = generate_all_masks(scores, layer_thresholds(scores, t_type, entry.gamma))
         assert entry.achieved == sparsity_report(masks).global_sparsity
 
 
@@ -335,5 +361,8 @@ def test_each_score_array_checked_once_per_call(monkeypatch):
     tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.5))
     assert checked == ["scores of 'a'", "scores of 'b'"]
     checked.clear()
-    generate_all_masks(scores, "std", 1.0)
+    thresholds = layer_thresholds(scores, "std", 1.0)
+    assert checked == ["scores of 'a'", "scores of 'b'"]
+    checked.clear()
+    generate_all_masks(scores, thresholds)
     assert checked == ["scores of 'a'", "scores of 'b'"]

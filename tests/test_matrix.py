@@ -1,9 +1,9 @@
 """Score statistics and checks against independent sort oracles.
 
 The threshold rules read a center and a spread of a layer's scores: mean and
-population std, or lower median and unscaled MAD. They are tested through
-``layer_threshold``: at gamma = 0 it returns the center, at gamma = 1 the
-center plus the spread.
+population std, or lower median and unscaled MAD. They are tested as the
+``center`` and ``spread`` of the ``LayerThreshold`` that ``layer_thresholds``
+hands to the masks.
 """
 
 import math
@@ -13,16 +13,19 @@ import pytest
 
 from nmfprune import masking
 from nmfprune.masking import (
-    GammaSearchConfig, ThresholdConfig, generate_all_masks, layer_threshold, tune_gamma,
+    GammaSearchConfig, LayerThreshold, generate_all_masks, layer_thresholds, tune_gamma,
 )
 from nmfprune.network import Linear, ReLU, init_network
 from nmfprune.nmf import MagnitudeScorer, score_magnitude
 from nmfprune.pipeline import compute_scores
 
-# The two entry points that read a dict of layer scores, each on one layer.
+# The three entry points that read a dict of layer scores, each on one layer.
 READERS = {
     "tune_gamma": lambda scores: tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.5)),
-    "generate_all_masks": lambda scores: generate_all_masks(scores, "std", 1.0),
+    "layer_thresholds": lambda scores: layer_thresholds(scores, "std", 1.0),
+    "generate_all_masks": lambda scores: generate_all_masks(
+        scores, dict.fromkeys(scores, LayerThreshold(0.0, 0.0, 1.0))
+    ),
 }
 
 
@@ -47,36 +50,38 @@ def two_copy_median_mad(a):
     return median, float(np.partition(np.abs(flat - median), k)[k])
 
 
-def threshold(values, t_type, gamma):
+def center_spread(values, t_type):
+    """The (center, spread) of one layer's ``LayerThreshold``."""
     scores = np.asarray(values, dtype=np.float64)
-    return layer_threshold(scores, ThresholdConfig(t_type, gamma))
+    threshold = layer_thresholds({"l": scores}, t_type, 1.0)["l"]
+    assert threshold.tau == threshold.center + threshold.spread
+    return threshold.center, threshold.spread
 
 
 def assert_matches_oracle(a):
     mean, std, median, mad = stats_oracle(a.ravel())
-    assert abs(threshold(a, "std", 0.0) - mean) <= 1e-12
-    assert abs(threshold(a, "std", 1.0) - (mean + std)) <= 1e-12
-    assert threshold(a, "mad", 0.0) == median
-    assert threshold(a, "mad", 1.0) == median + 1.0 * mad
+    center, spread = center_spread(a, "std")
+    assert abs(center - mean) <= 1e-12
+    assert abs(spread - std) <= 1e-12
+    assert center_spread(a, "mad") == (median, mad)
 
 
 class TestStats:
     def test_constant_matrix(self):
         for t_type in ("std", "mad"):
-            for gamma in (0.0, 1.0):
-                assert threshold([[1.0, 1.0], [1.0, 1.0]], t_type, gamma) == 1.0
+            assert center_spread([[1.0, 1.0], [1.0, 1.0]], t_type) == (1.0, 0.0)
 
     def test_hand_computed_odd_length(self):
         a = [[1.0, 2.0, 3.0, 4.0, 5.0]]
-        assert threshold(a, "std", 0.0) == 3.0
+        center, spread = center_spread(a, "std")
+        assert center == 3.0
         # Population std sqrt(2), not the sample std sqrt(2.5).
-        assert threshold(a, "std", 1.0) == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-15)
-        assert threshold(a, "mad", 0.0) == 3.0
+        assert spread == pytest.approx(math.sqrt(2.0), abs=1e-15)
         # Unscaled MAD 1, not 1.4826 (the normal-consistency factor).
-        assert threshold(a, "mad", 1.0) == 4.0
+        assert center_spread(a, "mad") == (3.0, 1.0)
 
     def test_lower_median_for_even_counts(self):
-        assert threshold([[1.0, 2.0, 3.0, 4.0]], "mad", 0.0) == 2.0
+        assert center_spread([[1.0, 2.0, 3.0, 4.0]], "mad")[0] == 2.0
 
     def test_matches_sort_oracle(self):
         assert_matches_oracle(np.random.default_rng(4).normal(size=(5, 10)))
@@ -133,8 +138,6 @@ class TestStats:
         for read in READERS.values():
             with pytest.raises(ValueError, match="scores of 'l' must have at least one row"):
                 read({"l": np.zeros((0, 3))})
-        with pytest.raises(ValueError, match="^scores must have at least one row"):
-            layer_threshold(np.zeros((0, 3)), ThresholdConfig("mad"))
 
 
 class TestValidation:
@@ -144,8 +147,6 @@ class TestValidation:
                 ValueError, match="^scores of 'layer0_linear' contains NaN or Inf$"
             ):
                 read({"layer0_linear": np.array([[1.0, float("nan")]])})
-        with pytest.raises(ValueError, match="^scores contains NaN or Inf$"):
-            layer_threshold(np.array([[1.0, float("nan")]]), ThresholdConfig("std"))
 
     def test_inf_rejected(self):
         # The magnitude scorer builds no check; masking rejects what it reads.

@@ -5,7 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from nmfprune.masking import GammaSearchConfig, generate_all_masks, tune_gamma
+from nmfprune.masking import (
+    GammaSearchConfig, LayerThreshold, generate_all_masks, layer_thresholds, tune_gamma,
+)
 from nmfprune.nmf import NmfConfig, factorize, score_layer
 
 
@@ -170,8 +172,14 @@ ENTRY_POINTS = {
         lambda a: tune_gamma({"layer0_linear": a}, "std", GammaSearchConfig(s_target=0.5)),
         "scores of 'layer0_linear'",
     ),
+    "layer_thresholds": (
+        lambda a: layer_thresholds({"layer0_linear": a}, "std", 1.0),
+        "scores of 'layer0_linear'",
+    ),
     "generate_all_masks": (
-        lambda a: generate_all_masks({"layer0_linear": a}, "std", 1.0),
+        lambda a: generate_all_masks(
+            {"layer0_linear": a}, {"layer0_linear": LayerThreshold(0.0, 0.0, 1.0)}
+        ),
         "scores of 'layer0_linear'",
     ),
 }

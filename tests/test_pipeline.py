@@ -14,7 +14,7 @@ from nmfprune.datasets import DatasetError, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Linear, ReLU, count_zero_weights, init_network
 from nmfprune.nmf import MagnitudeScorer, NmfConfig, score_magnitude
-from nmfprune import pipeline
+from nmfprune import masking, pipeline
 from nmfprune.pipeline import STAGES, StageError, compute_scores, run_pipeline
 from nmfprune.runconfig import RunConfig
 from nmfprune.trainer import TrainConfig
@@ -82,7 +82,7 @@ class TestRunPipeline:
         # and the >= rule keeps everything: fixed-gamma masking degenerates to
         # all-ones masks. Such a run must match a dense control exactly.
         from nmfprune.datasets import load_dataset
-        from nmfprune.masking import generate_all_masks
+        from nmfprune.masking import generate_all_masks, layer_thresholds
         from nmfprune.network import convert_to_masked, init_network
         from nmfprune.seeds import derive_seed
         from nmfprune.trainer import run_training
@@ -96,7 +96,9 @@ class TestRunPipeline:
         constant_scores = {
             l.layer_id: np.full_like(l.weights, 0.5) for l in masked_net.prunable_layers
         }
-        masks = generate_all_masks(constant_scores, "std", gamma=1.5)
+        masks = generate_all_masks(
+            constant_scores, layer_thresholds(constant_scores, "std", gamma=1.5)
+        )
         assert all(np.all(m) for m in masks.values())
         convert_to_masked(masked_net, masks)
         masked_metrics = run_training(masked_net, dataset, train_cfg)
@@ -408,6 +410,32 @@ class TestRunPipeline:
         )
 
 
+@pytest.mark.parametrize("search", [True, False], ids=["search", "fixed"])
+@pytest.mark.parametrize("t_type", ["std", "mad"])
+def test_mask_stage_reads_each_layers_statistics_once(tmp_path, monkeypatch, t_type, search):
+    # The search hands its thresholds to the masks, and a fixed gamma makes
+    # them in one pass: each prunable layer's center and spread are computed
+    # exactly once per run, under both rules.
+    calls = []
+    layer_stats = masking._layer_stats
+
+    def counting_layer_stats(a, *args, **kwargs):
+        calls.append(id(a))
+        return layer_stats(a, *args, **kwargs)
+
+    monkeypatch.setattr(masking, "_layer_stats", counting_layer_stats)
+    cfg = base_config(
+        tmp_path,
+        scorer=MagnitudeScorer(),
+        threshold=ThresholdConfig(t_type, 1.0),
+        gamma_search=GammaSearchConfig(s_target=0.8) if search else None,
+        train=TrainConfig(epochs=1, lr=0.1, batch_size=64),
+    )
+    report = run_pipeline(cfg)
+    assert (len(report.gamma_trace) > 1) == search
+    assert len(calls) == len(set(calls)) == len(report.sparsity.per_layer) == 2
+
+
 class TestScoreMagnitude:
     def test_absolute_values(self):
         scores = score_magnitude(np.array([[-2.0, 1.0]]))
@@ -432,7 +460,7 @@ class TestScoreMagnitude:
         scores = {"l": score_magnitude(w)}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.hit_target
-        masks = generate_all_masks(scores, "std", result.gamma_star)
+        masks = generate_all_masks(scores, result.thresholds)
         kept = int(np.count_nonzero(masks["l"]))
         # Sort-based oracle: the kept set must be exactly the top-|kept| by
         # magnitude (no ties in continuous draws).
