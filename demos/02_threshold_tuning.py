@@ -3,7 +3,7 @@
 
 Each layer prunes below its own threshold, mean + gamma*std or
 median + gamma*mad. One shared gamma controls all layers; a bisection search
-finds the gamma whose masks hit a requested global sparsity.
+finds the gamma whose masks prune exactly the requested share of weights.
 """
 
 from nmfprune import (
@@ -33,19 +33,20 @@ for gamma in (0.1, 0.5, 1.0, 1.5, 2.0, 3.0):
     taus = "  ".join(f"{t.tau:.4f}" for t in thresholds.values())
     print(f"{gamma:5.2f}    {sp:8.4f}   {taus}")
 
-# The search automates that: ask for 80% and it bisects gamma until the
-# achieved sparsity lands within +/- 0.5%.
-print("\nsearching for 80% global sparsity (std thresholds):")
+# The search automates that: ask for 80% and it probes gamma = 0, then
+# bisects between 0 and the gamma that lifts every threshold to its layer's
+# largest score, until exactly round(0.8 * total) weights are pruned.
+print(f"\nsearching for 80% global sparsity, {round(0.8 * total)} weights (std thresholds):")
 result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.80))
 for probe in result.trace:
-    tag = "guess" if probe.iteration == 0 else f"it {probe.iteration:2d}"
+    tag = "gamma 0" if probe.iteration == 0 else f"it {probe.iteration:2d}"
     print(
         f"  {tag}: gamma={probe.gamma:.5f} achieved={probe.achieved:.4f} "
         f"bracket=[{probe.gamma_low:.4f}, {probe.gamma_high:.4f}]"
     )
 print(
     f"gamma* = {result.gamma_star:.5f}, achieved = {result.achieved:.4f}, "
-    f"within tolerance = {result.hit_target}"
+    f"pruned = {round(result.achieved * total)}, within tolerance = {result.hit_target}"
 )
 
 # The same gamma* applies to every layer; each layer's own statistics set

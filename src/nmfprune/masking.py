@@ -3,16 +3,18 @@
 Each layer gets its own threshold from its score statistics: mean + gamma*std
 ("std" mode, population std) or median + gamma*mad ("mad" mode, lower median,
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
-aggressively every layer prunes; a bisection search tunes it until the global
-fraction of pruned weights hits a target. Under the MAD rule the search sorts
-each layer's scores once, for the median, so a probe is one binary search per
-layer; under the std rule a probe is one compare per layer, since sorting
-would cost more than the handful of probes it saves. Statistics are computed
-once per layer per run: the search hands each layer's ``LayerThreshold``
-(center, spread, tau) at gamma* to the masks, as ``layer_thresholds`` does at
-a fixed gamma. Scores at or above tau are kept (ties survive). Scores are the
-scorers' float64 arrays, each checked once per call that reads it. A mask is
-the bool array of that comparison, True where kept; it goes unchanged to
+aggressively every layer prunes; a bisection search on a bracket taken from
+the scores tunes it until the global count of pruned weights is exactly
+``round(s_target * N)``, or as close as ties at the threshold allow. Under the
+MAD rule the search sorts each layer's scores once, for the median, so a probe
+is one binary search per layer; under the std rule a probe is one compare per
+layer, since sorting would cost about as much as the search's probes and hold
+a copy of the scores. Statistics are computed once per layer per run: the
+search hands each layer's ``LayerThreshold`` (center, spread, tau) at gamma*
+to the masks, as ``layer_thresholds`` does at a fixed gamma. Scores at or
+above tau are kept (ties survive). Scores are the scorers' float64 arrays,
+each checked once per call that reads it. A mask is the bool array of that
+comparison, True where kept; it goes unchanged to
 ``network.convert_to_masked``.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .nmf import _check_matrix
 log = logging.getLogger(__name__)
 
 T_TYPES = ("std", "mad")
-
-# Floor applied to a probed gamma inside the search, never to user config.
-_GAMMA_FLOOR = 1e-6
 
 
 def _validate_t_type(t_type: str) -> str:
@@ -56,29 +55,16 @@ class ThresholdConfig:
 
 @dataclass(frozen=True)
 class GammaSearchConfig:
-    """Parameters of the bisection search for the global-sparsity target."""
+    """The global-sparsity target, and how far from it a search still hits."""
 
     s_target: float
     epsilon_sparsity: float = 0.005
-    n_search: int = 30
-    gamma_min: float = 0.01
-    gamma_max: float = 10.0
-    gamma_guess: float = 1.0
-    epsilon_gamma_conv: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.s_target < 1.0:
             raise ValueError(f"s_target must be in (0, 1), got {self.s_target}")
         if not 0.0 < self.epsilon_sparsity < 1.0:
             raise ValueError(f"epsilon_sparsity must be in (0, 1), got {self.epsilon_sparsity}")
-        if self.n_search < 1:
-            raise ValueError(f"n_search must be >= 1, got {self.n_search}")
-        if not self.gamma_min < self.gamma_max:
-            raise ValueError(
-                f"gamma_min must be < gamma_max, got [{self.gamma_min}, {self.gamma_max}]"
-            )
-        if not self.gamma_guess >= 0:
-            raise ValueError(f"gamma_guess must be >= 0, got {self.gamma_guess}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +87,7 @@ class SparsityReport:
 
 @dataclass(frozen=True)
 class GammaTraceEntry:
-    """One probe of the search: iteration 0 is the initial-guess evaluation."""
+    """One probe of the search: iteration 0 is the gamma = 0 probe."""
 
     iteration: int
     gamma: float
@@ -131,7 +117,7 @@ class LayerThreshold:
 class GammaSearchResult:
     gamma_star: float
     achieved: float
-    hit_target: bool  # False means best-so-far was returned outside tolerance
+    hit_target: bool  # False: the closest probe lies outside epsilon_sparsity
     iterations: int
     thresholds: dict[str, LayerThreshold]  # each layer's, at gamma_star
     trace: list[GammaTraceEntry] = field(default_factory=list)
@@ -242,35 +228,36 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
     )
 
 
-def _sparsity_at(
-    layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float
-) -> float:
-    """Global sparsity if masks were generated at ``gamma`` (masks not kept),
-    from each layer's ``_layer_stats``: the MAD rule's scores are sorted, so
-    a layer's count of scores below its threshold is one binary search; the
-    std rule's are counted by one compare."""
+def _zeros_at(layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float) -> int:
+    """Global count of the scores masks at ``gamma`` would prune (masks not
+    kept), from each layer's ``_layer_stats``: the MAD rule's scores are
+    sorted, so a layer's count of scores below its threshold is one binary
+    search; the std rule's are counted by one compare."""
     if t_type == "mad":
-        zeros = sum(int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers)
-    else:
-        zeros = sum(int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers)
-    return zeros / sum(s.size for s, _, _ in layers)
+        return sum(int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers)
+    return sum(int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers)
 
 
 def tune_gamma(
     all_scores: dict[str, np.ndarray], t_type: str, cfg: GammaSearchConfig, *,
     in_place: bool = False,
 ) -> GammaSearchResult:
-    """Bisect gamma on [gamma_min, gamma_max] to hit the sparsity target.
+    """Bisect gamma to prune exactly ``K = round(s_target * N)`` of the N scores.
 
-    Each iteration probes the bracket midpoint (floored at 1e-6), measures the
-    global sparsity it would achieve, and narrows the bracket: too little
-    pruning raises the lower edge, too much lowers the upper edge. Returns as
-    soon as a probe lands within ``epsilon_sparsity`` of the target, or stops
-    early when the bracket's relative width drops below
-    ``epsilon_gamma_conv``. If no probe reaches tolerance, the closest gamma
-    seen is returned with ``hit_target=False`` and a warning on this module's
-    logger; the best-so-far slot starts at ``gamma_guess``, so a search that
-    never improves on it hands it back.
+    Probe 0 is gamma = 0, the least pruning gamma >= 0 allows; if it already
+    prunes at least K, gamma 0 is returned without a bisection. Otherwise the
+    search bisects [0, gamma_hi], where gamma_hi = max over layers of
+    (max - center) / spread puts every threshold at or above its layer's
+    largest score (a layer with zero spread has a threshold that gamma cannot
+    move, and is left out). Too little pruning raises the lower edge, too
+    much lowers the upper edge. It stops when a probe prunes exactly K, or
+    when the edges are adjacent floats: a tie group at the threshold that
+    straddles K, or a target beyond gamma_hi's reach. The probe whose count
+    is closest to K is returned; if it is not the last probe it is recorded
+    once more as the closing trace entry, so gamma* is always the trace's
+    last entry. ``hit_target`` says whether it lies within
+    ``epsilon_sparsity`` of the target; if not, a warning goes to this
+    module's logger.
 
     Each layer's center and spread do not depend on gamma, so they are
     computed once per search. The MAD rule's median needs the scores sorted,
@@ -286,45 +273,42 @@ def tune_gamma(
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
     layers = [_layer_stats(s, t, in_place) for s in _checked(all_scores).values()]
+    n = sum(s.size for s, _, _ in layers)
+    k = round(cfg.s_target * n)
 
-    lo = cfg.gamma_min
-    hi = cfg.gamma_max
-    gamma_best = cfg.gamma_guess
-    s_closest = _sparsity_at(layers, t, cfg.gamma_guess)
-    trace = [GammaTraceEntry(0, cfg.gamma_guess, s_closest, lo, hi)]
+    lo, hi = 0.0, max(
+        ((float(s[-1] if t == "mad" else s.max()) - c) / sp for s, c, sp in layers if sp > 0),
+        default=0.0,
+    )
+    zeros = _zeros_at(layers, t, lo)
+    trace = [GammaTraceEntry(0, lo, zeros / n, lo, hi)]
+    best, best_zeros = trace[0], zeros
+    if zeros < k:  # gamma = 0 prunes too little: bisect
+        while lo < (gamma := (lo + hi) / 2.0) < hi:
+            zeros = _zeros_at(layers, t, gamma)
+            trace.append(GammaTraceEntry(len(trace), gamma, zeros / n, lo, hi))
+            if abs(zeros - k) < abs(best_zeros - k):
+                best, best_zeros = trace[-1], zeros
+            if zeros == k:
+                break
+            if zeros < k:
+                lo = gamma  # too little pruning: push thresholds up
+            else:
+                hi = gamma  # too much pruning: pull thresholds down
+    if best is not trace[-1]:
+        trace.append(replace(best, iteration=len(trace)))
 
-    iterations = 0
-    for it in range(1, cfg.n_search + 1):
-        iterations = it
-        gamma = (lo + hi) / 2.0
-        if gamma < _GAMMA_FLOOR:
-            gamma = _GAMMA_FLOOR
-        achieved = _sparsity_at(layers, t, gamma)
-        trace.append(GammaTraceEntry(it, gamma, achieved, lo, hi))
-        if abs(achieved - cfg.s_target) < abs(s_closest - cfg.s_target):
-            s_closest = achieved
-            gamma_best = gamma
-        if abs(achieved - cfg.s_target) <= cfg.epsilon_sparsity:
-            gamma_best, s_closest = gamma, achieved  # the first hit is returned
-            break
-        if achieved < cfg.s_target:
-            lo = gamma  # too little pruning: push thresholds up
-        else:
-            hi = gamma  # too much pruning: pull thresholds down
-        if (hi - lo) / ((hi + lo) / 2.0 + 1e-9) < cfg.epsilon_gamma_conv:
-            break
-
-    hit = abs(s_closest - cfg.s_target) <= cfg.epsilon_sparsity
+    hit = abs(best.achieved - cfg.s_target) <= cfg.epsilon_sparsity
     if not hit:
         missed = "sparsity target %g missed: the gamma search achieved %.4f after %d iterations"
-        log.warning(missed, cfg.s_target, s_closest, iterations)
+        log.warning(missed, cfg.s_target, best.achieved, len(trace) - 1)
     return GammaSearchResult(
-        gamma_star=gamma_best,
-        achieved=s_closest,
+        gamma_star=best.gamma,
+        achieved=best.achieved,
         hit_target=hit,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         thresholds={
-            lid: LayerThreshold.at(lid, c, sp, gamma_best)
+            lid: LayerThreshold.at(lid, c, sp, best.gamma)
             for lid, (_, c, sp) in zip(all_scores, layers)
         },
         trace=trace,

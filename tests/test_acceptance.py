@@ -60,13 +60,6 @@ def mlp_scores(seed: int) -> dict[str, np.ndarray]:
     return {l.layer_id: score_magnitude(l.weights) for l in net.weighted_layers}
 
 
-def search_config(target: float) -> GammaSearchConfig:
-    # gamma_min at the search's own probe floor keeps low targets reachable:
-    # an std threshold can never drop below mean + gamma_min * std, and the
-    # fraction of scores under the mean already sits near 0.5.
-    return GammaSearchConfig(s_target=target, gamma_min=1e-6)
-
-
 def oracle_counts(all_scores, t_type, gamma):
     """Sort-based per-layer threshold oracle, independent of the library's
     statistics and counting code paths."""
@@ -107,11 +100,12 @@ def test_criterion_1_sparsity_targeting():
     for t_type in ("std", "mad"):
         for target in (0.50, 0.80, 0.90, 0.95):
             start = time.perf_counter()
-            result = tune_gamma(scores, t_type, search_config(target))
+            result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
             elapsed = time.perf_counter() - start
             gap = abs(result.achieved - target)
             worst = max(worst, gap)
-            assert result.iterations <= 30, f"{t_type}/{target}: {result.iterations} iterations"
+            # The exact-count search takes 13-23 iterations on these scores.
+            assert result.iterations <= 25, f"{t_type}/{target}: {result.iterations} iterations"
             assert gap <= 0.005, f"{t_type}/{target}: achieved {result.achieved:.4f}"
             assert elapsed < 5.0, f"{t_type}/{target}: took {elapsed:.2f}s"
     report(
@@ -124,7 +118,7 @@ def test_criterion_1_sparsity_targeting():
 def test_criterion_2_quantile_oracle_equivalence():
     scores = mlp_scores(seed=42)
     for t_type in ("std", "mad"):
-        result = tune_gamma(scores, t_type, search_config(0.8))
+        result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.8))
         zeros, total = oracle_counts(scores, t_type, result.gamma_star)
         assert result.achieved == zeros / total, f"{t_type}: oracle count mismatch"
         masks = generate_all_masks(scores, result.thresholds)

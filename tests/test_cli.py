@@ -58,12 +58,10 @@ def config_path(tmp_path):
 
 
 def missed_target_config(path, tmp_path):
-    """The run config with one probe in a bracket that cannot prune anywhere
-    near 95%."""
+    """The run config with a 5% target, which the std rule cannot reach: its
+    gamma = 0 probe already prunes about half of the weights."""
     missed = tmp_path / "missed.cfg"
-    missed.write_text(path.read_text().replace(
-        "s_target = 0.7", "s_target = 0.95\nn_search = 1\ngamma_min = 0.01\ngamma_max = 0.02"
-    ))
+    missed.write_text(path.read_text().replace("s_target = 0.7", "s_target = 0.05"))
     return missed
 
 
@@ -121,21 +119,17 @@ class TestRun:
 
     def test_missed_target_warns_even_when_quiet(self, config_path, tmp_path, capsys):
         path, out = config_path
-        # One probe in a bracket that cannot prune anywhere near 95%.
-        missed = tmp_path / "missed.cfg"
-        missed.write_text(path.read_text().replace(
-            "s_target = 0.7", "s_target = 0.95\nn_search = 1\ngamma_min = 0.01\ngamma_max = 0.02"
-        ))
+        missed = missed_target_config(path, tmp_path)
         assert main(["run", "--config", str(missed), "--quiet"]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("warning: sparsity target 0.95 missed")
+        assert lines[0].startswith("warning: sparsity target 0.05 missed")
         search = json.loads((out / "report.json").read_text())["gamma_search"]
         assert search["hit_target"] is False
-        assert search["iterations"] == 1
-        assert lines[0].endswith(f"achieved {search['achieved']:.4f} after 1 iterations")
+        assert search["iterations"] == 0
+        assert lines[0].endswith(f"achieved {search['achieved']:.4f} after 0 iterations")
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -188,6 +182,17 @@ class TestRun:
         assert capsys.readouterr().err == "error: stage 'data' failed: bad data\n"
         status = json.loads((out / "status.json").read_text())
         assert status == {"status": "incomplete", "stage": "data", "error": "bad data"}
+
+    def test_deleted_search_key_exits_1(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        old = tmp_path / "old.cfg"
+        old.write_text(path.read_text().replace("s_target = 0.7", "s_target = 0.7\nn_search = 30"))
+        assert main(["run", "--config", str(old)]) == 1
+        lineno = old.read_text().splitlines().index("n_search = 30") + 1
+        assert capsys.readouterr().err == (
+            f"error: {old}:{lineno}: unknown key 'n_search' in [gamma_search]\n"
+        )
+        assert not out.exists()
 
     def test_classifier_narrower_than_the_classes_exits_1(self, config_path, tmp_path, capsys):
         path, out = config_path
@@ -781,9 +786,9 @@ class TestTune:
         assert captured.out == ""
         trace = (out / "gamma_search.jsonl").read_text()
         probes = [json.loads(line) for line in trace.splitlines()]
-        closest = min((p["achieved"] for p in probes), key=lambda s: abs(s - 0.95))
-        assert abs(closest - 0.95) > 0.005
-        search = {"target": 0.95, "achieved": closest, "iterations": 1}
+        closest = min((p["achieved"] for p in probes), key=lambda s: abs(s - 0.05))
+        assert abs(closest - 0.05) > 0.005
+        search = {"target": 0.05, "achieved": closest, "iterations": 0}
         assert captured.err == miss_warning(search) + "\n"
 
     def test_writes_the_same_trace_as_run(self, config_path, tmp_path):
@@ -828,13 +833,13 @@ class TestSweep:
         path, out = config_path
         missed = missed_target_config(path, tmp_path)
         assert main(
-            ["sweep", "--config", str(missed), "--targets", "0.95,0.97", "--quiet"]
+            ["sweep", "--config", str(missed), "--targets", "0.05,0.1", "--quiet"]
         ) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
         searches = [
             json.loads((out / f"t{target}" / "report.json").read_text())["gamma_search"]
-            for target in ("0.95", "0.97")
+            for target in ("0.05", "0.1")
         ]
         assert [search["hit_target"] for search in searches] == [False, False]
         assert captured.err.splitlines() == [miss_warning(search) for search in searches]

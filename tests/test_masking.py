@@ -18,6 +18,8 @@ from nmfprune.masking import (
     tune_gamma,
 )
 from nmfprune.network import Linear, ReLU, convert_to_masked, init_network
+from nmfprune.nmf import MagnitudeScorer, NmfConfig
+from nmfprune.pipeline import compute_scores
 
 
 def f64(values):
@@ -180,13 +182,20 @@ class TestTuneGamma:
         zeros, total = quantile_oracle_sparsity([scores["l"]], "std", result.gamma_star)
         assert result.achieved == zeros / total
 
-    def test_constant_scores_return_guess_with_warning(self):
+    def test_all_zero_spread_returns_gamma_zero_with_warning(self, caplog):
+        # No layer's threshold moves with gamma, so there is nothing to
+        # bisect: one probe, and no division by a zero spread (filterwarnings
+        # = error would turn numpy's RuntimeWarning into a failure).
         scores = {"a": np.full((8, 8), 2.0), "b": np.full((4, 4), 0.5)}
-        result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8, gamma_guess=1.0))
-        assert result.gamma_star == 1.0
+        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+            result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
+        assert result.gamma_star == 0.0
         assert result.achieved == 0.0
         assert not result.hit_target
-        assert all(t.achieved == 0.0 for t in result.trace)
+        assert len(result.trace) == 1
+        assert result.iterations == 0
+        [record] = caplog.records
+        assert record.getMessage().endswith("after 0 iterations")
 
     def test_gamma_shared_thresholds_per_layer(self):
         rng = np.random.default_rng(4)
@@ -210,11 +219,14 @@ class TestTuneGamma:
         scores = {"l": np.random.default_rng(6).random((64, 64))}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.9))
         assert result.trace[0].iteration == 0
-        assert result.trace[0].gamma == 1.0  # the initial guess evaluation
+        assert result.trace[0].gamma == 0.0  # the gamma = 0 probe
         mids = result.trace[1:]
         assert [t.iteration for t in mids] == list(range(1, len(mids) + 1))
         for t in mids:
             assert t.gamma_low < t.gamma < t.gamma_high
+        assert result.trace[-1].gamma == result.gamma_star
+        assert result.trace[-1].achieved == result.achieved
+        assert result.iterations == len(result.trace) - 1
 
     def test_unreachable_target_returns_best_so_far(self):
         # Two distinct score values: achievable sparsities are only {0, 0.5, ~1}.
@@ -245,13 +257,7 @@ class TestTuneGamma:
         with pytest.raises(ValueError):
             GammaSearchConfig(s_target=1.5)
         with pytest.raises(ValueError):
-            GammaSearchConfig(s_target=0.5, gamma_min=5.0, gamma_max=1.0)
-        with pytest.raises(ValueError):
-            GammaSearchConfig(s_target=0.5, n_search=0)
-        with pytest.raises(ValueError):
             GammaSearchConfig(s_target=0.5, epsilon_sparsity=0.0)
-        with pytest.raises(ValueError, match="gamma_guess must be >= 0"):
-            GammaSearchConfig(s_target=0.5, gamma_guess=-0.5)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no score"):
@@ -274,6 +280,88 @@ class TestTuneGamma:
             result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.6))
             assert len(result.trace) > 1
             assert sorted(calls) == sorted(id(s) for s in scores.values())
+
+
+def zeros_of(scores, result):
+    """The global zero count of the masks made at the search's thresholds."""
+    return sparsity_report(generate_all_masks(scores, result.thresholds)).global_zeros
+
+
+@pytest.fixture(scope="module")
+def mlp_score_sets():
+    """Magnitude and NMF (k=10) scores of a 784-300-100-10 MLP, seeds 1-3."""
+    model = [Linear(784, 300), ReLU(), Linear(300, 100), ReLU(), Linear(100, 10)]
+    scorers = {"magnitude": MagnitudeScorer(), "nmf": NmfConfig(k=10)}
+    return {
+        (name, seed): compute_scores(init_network(model, seed), scorer, seed)
+        for name, scorer in scorers.items()
+        for seed in (1, 2, 3)
+    }
+
+
+class TestExactCount:
+    @pytest.mark.parametrize("t_type", ["std", "mad"])
+    @pytest.mark.parametrize("scorer", ["magnitude", "nmf"])
+    def test_continuous_scores_prune_exactly_the_target_count(
+        self, mlp_score_sets, scorer, t_type
+    ):
+        for seed in (1, 2, 3):
+            scores = mlp_score_sets[scorer, seed]
+            n = sum(s.size for s in scores.values())
+            for target in (0.8, 0.9, 0.98, 0.99):
+                result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
+                zeros = zeros_of(scores, result)
+                assert zeros == round(target * n), f"seed {seed}, target {target}"
+                assert result.achieved == zeros / n
+                assert result.hit_target
+
+    def test_target_below_gamma_zero_returns_it_after_one_probe(self, caplog):
+        # Exponential scores' mean sits above their median: under the std
+        # rule gamma = 0 already prunes about 1 - 1/e of them.
+        scores = {"l": np.random.default_rng(14).exponential(1.0, (64, 64))}
+        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+            result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.5))
+        assert result.gamma_star == 0.0
+        assert len(result.trace) == 1
+        assert result.iterations == 0
+        assert result.achieved == result.trace[0].achieved > 0.6
+        assert not result.hit_target
+        [record] = caplog.records
+        assert record.getMessage().endswith("after 0 iterations")
+
+    @pytest.mark.parametrize("t_type", ["std", "mad"])
+    def test_zero_spread_layer_beside_a_normal_one_hits_the_count(self, t_type, caplog):
+        scores = {"flat": np.full((8, 8), 2.0), "l": np.random.default_rng(15).random((64, 64))}
+        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+            result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.8))
+        assert zeros_of(scores, result) == round(0.8 * (64 + 64 * 64))
+        assert result.hit_target
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("t_type", ["std", "mad"])
+    def test_tie_groups_bound_the_miss(self, t_type):
+        # Quantized scores: no threshold can split a group of equal scores,
+        # so the count can miss K by at most the tie group beside tau. The
+        # bisection then runs until its edges are adjacent floats: 57-60
+        # probes here, and at most 63 for these shapes over seeds 16-39.
+        rng = np.random.default_rng(16)
+        scores = {
+            "a": rng.integers(0, 12, (48, 40)).astype(np.float64),
+            "b": np.round(rng.exponential(2.0, (30, 50))),
+        }
+        n = sum(s.size for s in scores.values())
+        for target in (0.6, 0.75, 0.9, 0.97):
+            result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
+            assert result.trace[0].achieved < target  # reachable: gamma = 0 prunes less
+            groups = []
+            for lid, s in scores.items():
+                tau = result.thresholds[lid].tau
+                if (s >= tau).any():
+                    groups.append(np.count_nonzero(s == s[s >= tau].min()))
+                if (s < tau).any():
+                    groups.append(np.count_nonzero(s == s[s < tau].max()))
+            assert abs(zeros_of(scores, result) - round(target * n)) <= max(groups)
+            assert len(result.trace) <= 64
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])

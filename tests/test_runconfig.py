@@ -53,7 +53,7 @@ NON_FINITE = {
     ),
     "lr": ("lr = 0.1", "lr = inf"),
     "weight_decay": ("lr = 0.1", "lr = 0.1\nweight_decay = inf"),
-    "gamma_max": ("s_target = 0.8", "s_target = 0.8\ngamma_max = inf"),
+    "epsilon_sparsity": ("s_target = 0.8", "s_target = 0.8\nepsilon_sparsity = inf"),
     "epsilon": ("k = 6", "k = 6\nepsilon = inf"),
     "lr_gamma": ("lr = 0.1", "lr = 0.1\nlr_gamma = nan"),
 }
@@ -70,7 +70,7 @@ class TestParsing:
         assert cfg.threshold.t_type == "std"
         assert cfg.gamma_search is not None
         assert cfg.gamma_search.s_target == 0.8
-        assert cfg.gamma_search.n_search == 30
+        assert cfg.gamma_search.epsilon_sparsity == 0.005
         assert cfg.train.epochs == 10
         assert cfg.train.lr_milestones == (5, 8)
 
@@ -162,12 +162,21 @@ class TestErrors:
             ("[run]", "checkpoint_evry = 2"),
             ("[model]", "layers = relu"),
             ("[threshold]", "t_type = mad"),
+            # The gamma search works these out from the scores; a config that
+            # still sets one fails by name.
+            ("[gamma_search]", "n_search = 30"),
+            ("[gamma_search]", "gamma_min = 0.01"),
+            ("[gamma_search]", "gamma_max = 10.0"),
+            ("[gamma_search]", "gamma_guess = 1.0"),
+            ("[gamma_search]", "epsilon_gamma_conv = 0.0001"),
         ],
     )
     def test_unknown_key_rejected_at_its_line(self, section, line):
         text = BASE.replace(section, f"{section}\n{line}")
         lineno = text.splitlines().index(line) + 1
-        with pytest.raises(ConfigError, match=rf"^<config>:{lineno}: unknown key"):
+        key = line.split(" = ")[0]
+        message = rf"^<config>:{lineno}: unknown key '{key}' in \{section[:-1]}\]$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
     @pytest.mark.parametrize(
@@ -233,10 +242,12 @@ class TestErrors:
         with pytest.raises(ConfigError, match="lr must be"):
             parse_config(text)
 
-    def test_negative_gamma_guess_rejected_at_its_line(self):
-        text = BASE.replace("s_target = 0.8", "s_target = 0.8\ngamma_guess = -1")
-        lineno = text.splitlines().index("gamma_guess = -1") + 1
-        with pytest.raises(ConfigError, match=rf"^<config>:{lineno}: gamma_guess must be >= 0"):
+    def test_zero_epsilon_sparsity_rejected_at_its_line(self):
+        text = BASE.replace("s_target = 0.8", "s_target = 0.8\nepsilon_sparsity = 0")
+        lineno = text.splitlines().index("epsilon_sparsity = 0") + 1
+        with pytest.raises(
+            ConfigError, match=rf"^<config>:{lineno}: epsilon_sparsity must be in \(0, 1\)"
+        ):
             parse_config(text)
 
     def test_missing_file(self, tmp_path):
