@@ -5,17 +5,18 @@ Each layer gets its own threshold from its score statistics: mean + gamma*std
 unscaled MAD). One shared scaling factor ``gamma`` therefore controls how
 aggressively every layer prunes; a bisection search on a bracket taken from
 the scores tunes it until the global count of pruned weights is exactly
-``round(s_target * N)``, or as close as ties at the threshold allow. Under the
-MAD rule the search sorts each layer's scores once, for the median, so a probe
-is one binary search per layer; under the std rule a probe is one compare per
-layer, since sorting would cost about as much as the search's probes and hold
-a copy of the scores. Statistics are computed once per layer per run: the
-search hands each layer's ``LayerThreshold`` (center, spread, tau) at gamma*
-to the masks, as ``layer_thresholds`` does at a fixed gamma. Scores at or
-above tau are kept (ties survive). Scores are the scorers' float64 arrays,
-each checked once per call that reads it. A mask is the bool array of that
-comparison, True where kept; it goes unchanged to
-``network.convert_to_masked``.
+``round(s_target * N)``, or as close as ties at the threshold allow: on tied
+scores it stops as soon as no gamma inside its bracket can prune a count that
+neither edge prunes. Under the MAD rule the search sorts each layer's scores
+once, for the median, so a probe is one binary search per layer; under the
+std rule a probe is one compare per layer, since sorting would cost about as
+much as the search's probes and hold a copy of the scores. Statistics are
+computed once per layer per run: the search hands each layer's
+``LayerThreshold`` (center, spread, tau) at gamma* to the masks, as
+``layer_thresholds`` does at a fixed gamma. Scores at or above tau are kept
+(ties survive). Scores are the scorers' float64 arrays, each checked once per
+call that reads it. A mask is the bool array of that comparison, True where
+kept; it goes unchanged to ``network.convert_to_masked``.
 """
 
 from __future__ import annotations
@@ -228,14 +229,47 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
     )
 
 
-def _zeros_at(layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float) -> int:
-    """Global count of the scores masks at ``gamma`` would prune (masks not
-    kept), from each layer's ``_layer_stats``: the MAD rule's scores are
-    sorted, so a layer's count of scores below its threshold is one binary
-    search; the std rule's are counted by one compare."""
+def _zeros_at(
+    layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float
+) -> list[int]:
+    """Each layer's count of the scores masks at ``gamma`` would prune (masks
+    not kept), from its ``_layer_stats``: the MAD rule's scores are sorted,
+    so a layer's count of scores below its threshold is one binary search;
+    the std rule's are counted by one compare."""
     if t_type == "mad":
-        return sum(int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers)
-    return sum(int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers)
+        return [int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers]
+    return [int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers]
+
+
+def _no_new_count(
+    layers: list[tuple[np.ndarray, float, float]], t_type: str, lo: float, hi: float,
+    lo_counts: list[int], hi_counts: list[int],
+) -> bool:
+    """Whether every gamma in ``(lo, hi)`` prunes what ``lo`` or ``hi``
+    prunes, from each layer's counts at the two edges. It does when every
+    layer whose count differs between them has a single score value from
+    its threshold at ``lo`` up to its threshold at ``hi``, and all those
+    thresholds pass their values at one gamma. Each layer's count only grows
+    with gamma, so it takes its two edge counts and no other; a gamma where
+    some of these layers have passed and others not would make a new count.
+    The gamma where ``center + gamma * spread`` passes a value is found to
+    the float by bisection, in the arithmetic a probe uses."""
+    passes = set()
+    for (s, c, sp), a, b in zip(layers, lo_counts, hi_counts):
+        if a == b:
+            continue
+        between = s[a:b] if t_type == "mad" else s[(c + lo * sp <= s) & (s < c + hi * sp)]
+        value = float(between.min())
+        if between.max() != value:
+            return False
+        g_lo, g_hi = lo, hi
+        while g_lo < (g := (g_lo + g_hi) / 2.0) < g_hi:
+            if c + g * sp > value:
+                g_hi = g
+            else:
+                g_lo = g
+        passes.add(g_hi)
+    return len(passes) == 1
 
 
 def tune_gamma(
@@ -250,12 +284,17 @@ def tune_gamma(
     (max - center) / spread puts every threshold at or above its layer's
     largest score (a layer with zero spread has a threshold that gamma cannot
     move, and is left out). Too little pruning raises the lower edge, too
-    much lowers the upper edge. It stops when a probe prunes exactly K, or
-    when the edges are adjacent floats: a tie group at the threshold that
-    straddles K, or a target beyond gamma_hi's reach. The probe whose count
-    is closest to K is returned; if it is not the last probe it is recorded
-    once more as the closing trace entry, so gamma* is always the trace's
-    last entry. ``hit_target`` says whether it lies within
+    much lowers the upper edge. It stops when a probe prunes exactly K; when
+    every gamma between the edges would prune what one of them prunes (a tie
+    group at the threshold that straddles K), so that no later probe could
+    come closer; or when the edges are adjacent floats (a target beyond
+    gamma_hi's reach). The tie check (``_no_new_count``) runs only after a
+    probe repeats an edge's per-layer counts; on continuous scores it then
+    ends at the first layer with two distinct scores between the edges, for
+    about the cost of a probe. The probe whose count is closest to K is
+    returned; if it is not the last probe it is recorded once more as
+    the closing trace entry, so gamma* is always the trace's last entry.
+    ``hit_target`` says whether it lies within
     ``epsilon_sparsity`` of the target; if not, a warning goes to this
     module's logger.
 
@@ -280,21 +319,29 @@ def tune_gamma(
         ((float(s[-1] if t == "mad" else s.max()) - c) / sp for s, c, sp in layers if sp > 0),
         default=0.0,
     )
-    zeros = _zeros_at(layers, t, lo)
+    counts = _zeros_at(layers, t, lo)
+    zeros = sum(counts)
     trace = [GammaTraceEntry(0, lo, zeros / n, lo, hi)]
     best, best_zeros = trace[0], zeros
+    lo_counts, hi_counts = counts, None  # per layer at each edge; gamma_hi is not probed
     if zeros < k:  # gamma = 0 prunes too little: bisect
         while lo < (gamma := (lo + hi) / 2.0) < hi:
-            zeros = _zeros_at(layers, t, gamma)
+            counts = _zeros_at(layers, t, gamma)
+            zeros = sum(counts)
             trace.append(GammaTraceEntry(len(trace), gamma, zeros / n, lo, hi))
             if abs(zeros - k) < abs(best_zeros - k):
                 best, best_zeros = trace[-1], zeros
             if zeros == k:
                 break
+            repeated = counts in (lo_counts, hi_counts)
             if zeros < k:
-                lo = gamma  # too little pruning: push thresholds up
+                lo, lo_counts = gamma, counts  # too little pruning: push thresholds up
             else:
-                hi = gamma  # too much pruning: pull thresholds down
+                hi, hi_counts = gamma, counts  # too much pruning: pull thresholds down
+            if repeated and hi_counts is not None and _no_new_count(
+                layers, t, lo, hi, lo_counts, hi_counts
+            ):
+                break
     if best is not trace[-1]:
         trace.append(replace(best, iteration=len(trace)))
 

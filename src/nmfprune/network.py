@@ -17,11 +17,17 @@ adjacent), so a linear layer after a conv reads its input column-major.
 A masked layer holds its mask as a read-only bool array (1 byte per weight,
 ``writeable`` off) with the flat indices of its kept weights beside it.
 
-A training forward caches what backward needs (im2col patches, ReLU masks,
-logits) and backward releases each cache as it uses it; an evaluation forward
-caches nothing. A Network instance is single-writer: forward/backward mutate
-per-layer caches and gradient buffers, so one instance must not be driven from
-two threads.
+im2col copies each kernel offset's window straight into the one patch
+matrix, and col2im adds each offset's in-bounds window into an unpadded image,
+so neither holds a padded copy.
+
+A training forward caches what backward needs (layer inputs, im2col patches,
+ReLU masks, logits) and backward releases each cache as it uses it; an
+evaluation forward caches nothing. A conv caches its patches, except the
+network's first weighted layer: it caches its input, the batch the caller
+holds through the step anyway, and backward unfolds it again. A Network
+instance is single-writer: forward/backward mutate per-layer caches and
+gradient buffers, so one instance must not be driven from two threads.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .masking import SparsityReport, sparsity_report
 from .seeds import derive_seed
@@ -106,19 +111,44 @@ LAYER_KINDS: dict[str, type] = {
 }
 
 
+def _in_bounds(k: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
+    """Along one axis, for kernel offset ``k``: the outputs ``o`` whose input
+    index ``o*stride + k - padding`` lies inside ``[0, size)``, as a slice of
+    the outputs and the matching strided slice of the input. Both are empty
+    when the offset reads padding only."""
+    lo = max(0, -((k - padding) // stride))  # ceil((padding - k) / stride)
+    hi = max(lo, min(out, (size - 1 + padding - k) // stride + 1))
+    first = lo * stride + k - padding
+    return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Unfold an (N, C, H, W) batch, in any memory layout, into a contiguous
     (C*kh*kw, out_h*out_w*N) patch matrix: rows in (channel, kernel row,
     kernel column) order, columns in (output row, output column, sample)
-    order. The sample is the innermost axis, so the copy runs along N-long
-    rows, and a batch already stored as (C, H, W, N) is read in order."""
-    n, c = x.shape[:2]
-    img = x.transpose(1, 2, 3, 0)
-    if padding:
-        img = np.pad(img, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
-    windows = sliding_window_view(img, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out_h, out_w = windows.shape[1:3]
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, out_h * out_w * n)
+    order. Each kernel offset's strided window of the input is copied
+    straight into its rows of the one output buffer, and only the border
+    strips that fall in the padding are zero-filled: no padded copy of the
+    input is made. The sample is the innermost axis, so the copies run along
+    N-long rows. A batch already stored as (C, H, W, N), as a conv's output
+    is, is read in place; any other layout is first copied to it once, which
+    is faster than gathering each window across the layout."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    img = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+    cols = np.empty((c, kh, kw, out_h, out_w, n), dtype=x.dtype)
+    for i in range(kh):
+        rows_out, rows_in = _in_bounds(i, h, out_h, stride, padding)
+        for j in range(kw):
+            cols_out, cols_in = _in_bounds(j, w, out_w, stride, padding)
+            plane = cols[:, i, j]
+            plane[:, : rows_out.start] = 0.0
+            plane[:, rows_out.stop :] = 0.0
+            plane[:, rows_out, : cols_out.start] = 0.0
+            plane[:, rows_out, cols_out.stop :] = 0.0
+            plane[:, rows_out, cols_out] = img[:, rows_in, cols_in]
+    return cols.reshape(c * kh * kw, out_h * out_w * n)
 
 
 def col2im(
@@ -126,19 +156,21 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch gradients in im2col's layout (C*kh*kw, out_h*out_w*N) back
     onto the (N, C, H, W) input, accumulating where patches overlap. The
-    image is built as (C, H, W, N), so each of the kh*kw strided adds runs
-    over N-long rows; the result is an (N, C, H, W) view of it."""
+    image is built unpadded as (C, H, W, N): each of the kh*kw kernel
+    offsets adds its in-bounds window, in (kernel row, kernel column) order,
+    so every element receives its adds in that order, and each strided add
+    runs over N-long rows. The result is an (N, C, H, W) view of it."""
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
     planes = cols.reshape(c, kh, kw, out_h, out_w, n)
-    img = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+    img = np.zeros((c, h, w, n))
     for i in range(kh):
-        i_max = i + stride * out_h
+        rows_out, rows_in = _in_bounds(i, h, out_h, stride, padding)
         for j in range(kw):
-            j_max = j + stride * out_w
-            img[:, i:i_max:stride, j:j_max:stride] += planes[:, i, j]
-    return img[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+            cols_out, cols_in = _in_bounds(j, w, out_w, stride, padding)
+            img[:, rows_in, cols_in] += planes[:, i, j, rows_out, cols_out]
+    return img.transpose(3, 0, 1, 2)
 
 
 class _WeightedLayer:
@@ -156,7 +188,7 @@ class _WeightedLayer:
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None  # read-only bool, True where kept
         self.kept: np.ndarray | None = None  # flat indices of the mask's True entries
-        self._cols: np.ndarray | None = None  # the input rows (or patches) backward reads
+        self._cols: np.ndarray | None = None  # the input (or a conv's patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
         """Freeze ``bits``, a bool array that is True where a weight is kept,
@@ -218,18 +250,31 @@ class _ConvLayer(_WeightedLayer):
         fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
         super().__init__(layer_id, spec, prunable, rng, fan_in, spec.out_channels)
         self._x_shape: tuple | None = None
+        # Set by Network on its first weighted layer, whose input is the batch
+        # the caller holds through the step anyway: the training forward then
+        # caches that batch, not its kh*kw times larger patch matrix, and
+        # backward unfolds it again (im2col is a pure copy, so the patches
+        # and the weight gradient have the same bits).
+        self.cache_input = False
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         return self.spec.output_shape((self.spec.in_channels, h, w))[1:]
 
+    def _unfold(self, x: np.ndarray) -> np.ndarray:
+        s = self.spec
+        return im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
+
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Return an (N, C_out, out_h, out_w) view of (C_out, out_h, out_w, N)
-        memory: the layout the next conv's im2col reads in order."""
+        memory: the layout the next conv's im2col reads in order. A training
+        forward caches the patches, or the input itself under
+        ``cache_input``; the caller must not write that input before
+        backward."""
         s = self.spec
         _, out_h, out_w = s.output_shape(x.shape[1:])
         self._x_shape = x.shape
-        cols = im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
-        self._cols = cols if cache else None
+        cols = self._unfold(x)
+        self._cols = (x if self.cache_input else cols) if cache else None
         out = self.weights @ cols
         out += self.bias[:, None]
         return out.reshape(s.out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
@@ -240,13 +285,15 @@ class _ConvLayer(_WeightedLayer):
         its forward input's layout), so flattening it is a view."""
         s = self.spec
         dout_t = dout.transpose(1, 2, 3, 0).reshape(s.out_channels, -1)
-        self.grad_weights = dout_t @ self._cols.T
+        cols = self._unfold(self._cols) if self.cache_input else self._cols
         self._cols = None
+        self.grad_weights = dout_t @ cols.T
+        del cols  # released before the patch gradient is made
         self.grad_bias = dout_t.sum(axis=1)
         if not input_grad:
             return None
-        cols = self.weights.T @ dout_t
-        return col2im(cols, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        dcols = self.weights.T @ dout_t
+        return col2im(dcols, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
 
 
 class _ReLULayer:
@@ -334,6 +381,8 @@ class Network:
         self.seed = seed
         # Backward stops at the first weighted layer; nothing before it caches.
         self._first = next(i for i, l in enumerate(layers) if isinstance(l, _WeightedLayer))
+        if isinstance(layers[self._first], _ConvLayer):
+            layers[self._first].cache_input = True
         # The last training forward's logits; None once they are stale.
         self._logits: np.ndarray | None = None
 

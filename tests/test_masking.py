@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,13 +343,11 @@ class TestExactCount:
     def test_tie_groups_bound_the_miss(self, t_type):
         # Quantized scores: no threshold can split a group of equal scores,
         # so the count can miss K by at most the tie group beside tau. The
-        # bisection then runs until its edges are adjacent floats: 57-60
-        # probes here, and at most 63 for these shapes over seeds 16-39.
-        rng = np.random.default_rng(16)
-        scores = {
-            "a": rng.integers(0, 12, (48, 40)).astype(np.float64),
-            "b": np.round(rng.exponential(2.0, (30, 50))),
-        }
+        # search stops once every gamma between its edges counts as one of
+        # them: 8-10 trace entries here, and 4-11 for these shapes over seeds
+        # 16-39, where bisecting until the edges are adjacent floats took
+        # 57-60 probes here and up to 63.
+        scores = quantized_scores(16)
         n = sum(s.size for s in scores.values())
         for target in (0.6, 0.75, 0.9, 0.97):
             result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
@@ -361,7 +360,42 @@ class TestExactCount:
                 if (s < tau).any():
                     groups.append(np.count_nonzero(s == s[s < tau].max()))
             assert abs(zeros_of(scores, result) - round(target * n)) <= max(groups)
-            assert len(result.trace) <= 64
+            assert len(result.trace) <= 12
+
+    @pytest.mark.parametrize("t_type", ["std", "mad"])
+    def test_early_stop_changes_no_result(self, t_type, monkeypatch):
+        # The same searches bisected until their edges are adjacent floats
+        # return the same gamma*, count and thresholds; the stopped trace is
+        # the full one cut short, plus the closing entry.
+        shortened = 0
+        for seed in range(16, 24):
+            scores = quantized_scores(seed)
+            for target in (0.6, 0.75, 0.9, 0.97):
+                cfg = GammaSearchConfig(s_target=target)
+                stopped = tune_gamma(scores, t_type, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(masking, "_no_new_count", lambda *args: False)
+                    full = tune_gamma(scores, t_type, cfg)
+                shortened += len(stopped.trace) < len(full.trace)
+                assert (stopped.gamma_star, stopped.achieved, stopped.hit_target) == (
+                    full.gamma_star, full.achieved, full.hit_target,
+                )
+                assert stopped.thresholds == full.thresholds
+                probes = len(stopped.trace) - 1
+                assert stopped.trace[:probes] == full.trace[:probes]
+                assert replace(stopped.trace[-1], iteration=0) == replace(
+                    full.trace[-1], iteration=0
+                )
+        assert shortened >= 30  # of 32; a search that prunes exactly K stops there
+
+
+def quantized_scores(seed):
+    """Two layers of integer-valued scores, with large groups of equal scores."""
+    rng = np.random.default_rng(seed)
+    return {
+        "a": rng.integers(0, 12, (48, 40)).astype(np.float64),
+        "b": np.round(rng.exponential(2.0, (30, 50))),
+    }
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])

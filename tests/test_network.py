@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import nmfprune.network as network
 from nmfprune.masking import sparsity_report
@@ -65,7 +66,46 @@ def im2col_oracle(x, kh, kw, stride, padding):
 
 
 # Channels, kernel (kh, kw), stride, padding; inputs are 5x7 (non-square).
-GEOMETRIES = list(itertools.product((1, 3), ((1, 1), (2, 3), (3, 3)), (1, 2, 3), (0, 1, 2)))
+# Stride 4 exceeds every kernel, and padding 3 reaches past every kernel, so
+# some kernel offsets read padding only.
+GEOMETRIES = list(
+    itertools.product((1, 3), ((1, 1), (2, 3), (3, 3)), (1, 2, 3, 4), (0, 1, 2, 3))
+)
+
+
+def padded_im2col(x, kh, kw, stride, padding):
+    """Reference unfolding through a padded copy and a window view: the
+    earlier implementation, which the copy-per-offset one must match bit for bit."""
+    n, c = x.shape[:2]
+    img = x.transpose(1, 2, 3, 0)
+    if padding:
+        img = np.pad(img, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
+    windows = sliding_window_view(img, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1:3]
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, out_h * out_w * n)
+
+
+def padded_col2im(cols, x_shape, kh, kw, stride, padding):
+    """Reference fold into a padded image, cropped at the end: the earlier
+    implementation, which the unpadded one must match bit for bit."""
+    n, c, h, w = x_shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    planes = cols.reshape(c, kh, kw, out_h, out_w, n)
+    img = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+    for i in range(kh):
+        for j in range(kw):
+            img[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
+                planes[:, i, j]
+            )
+    return img[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+
+
+def signed_zeros(rng, shape):
+    """Normal values with about a tenth of them -0.0, whose sign a copy keeps."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
 
 
 def numeric_grad(net, x, y, param, index, h=1e-5):
@@ -106,6 +146,57 @@ class TestIm2col:
                 assert np.array_equal(patch_rows(got, 2), expected), (
                     c, kh, kw, stride, padding,
                 )
+
+    def test_bit_identical_to_the_padded_unfolding_in_both_layouts(self):
+        rng = np.random.default_rng(59)
+        for c, (kh, kw), stride, padding in GEOMETRIES:
+            x = signed_zeros(rng, (3, c, 5, 7))
+            for layout in (x, batch_innermost(x)):
+                got = im2col(layout, kh, kw, stride, padding)
+                want = padded_im2col(layout, kh, kw, stride, padding)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (c, kh, kw, stride, padding)
+
+    def test_col2im_bit_identical_to_the_padded_fold(self):
+        # Every input element receives the same adds, in the same order.
+        rng = np.random.default_rng(60)
+        for c, (kh, kw), stride, padding in GEOMETRIES:
+            x_shape = (3, c, 5, 7)
+            rows = padded_im2col(np.zeros(x_shape), kh, kw, stride, padding).shape
+            cols = signed_zeros(rng, rows)
+            got = col2im(cols, x_shape, kh, kw, stride, padding)
+            want = padded_col2im(cols, x_shape, kh, kw, stride, padding)
+            assert got.shape == want.shape == x_shape
+            assert got.transpose(1, 2, 3, 0).flags.c_contiguous  # unpadded (C, H, W, N)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), (
+                c, kh, kw, stride, padding,
+            )
+
+    def test_unfold_and_fold_allocate_no_padded_copy(self):
+        # im2col allocates its patch matrix, plus one (C, H, W, N) copy of an
+        # input in another layout; col2im its unpadded image, plus NumPy's
+        # ufunc buffers for the strided adds (three operands of bufsize
+        # elements). A padded copy of the 14x14 image would add 31%.
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(64, 8, 14, 14))
+        stored = batch_innermost(x)
+        geometry = (3, 3, 2, 1)
+        cols = im2col(x, *geometry)
+        buffers = 3 * np.getbufsize() * x.itemsize
+        for name, call, bound in [
+            ("im2col", lambda: im2col(stored, *geometry), cols.nbytes),
+            ("im2col N-first", lambda: im2col(x, *geometry), cols.nbytes + x.nbytes),
+            ("col2im", lambda: col2im(cols, x.shape, *geometry), x.nbytes + buffers),
+        ]:
+            call()  # a first call's one-off allocations are not counted
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + 4096, (name, peak, bound)
 
     def test_col2im_is_adjoint_of_im2col(self):
         # <im2col(x), cols> == <x, col2im(cols)> for every geometry.
@@ -443,6 +534,32 @@ class TestActivationCache:
         assert cached(net) == []  # the earlier training forward's cache went too
         with pytest.raises(RuntimeError, match="stale"):
             net.backward(np.arange(6) % 3)
+
+    def test_first_conv_caches_its_batch_and_unfolds_it_again(self):
+        # The first weighted layer keeps the batch the caller holds anyway,
+        # not its kh*kw times larger patch matrix; later convs keep patches.
+        # im2col is a pure copy, so every gradient has the bits it has when
+        # the first conv caches patches too.
+        specs = [
+            Conv2d(2, 3, 3, 3, padding=1), ReLU(), Conv2d(3, 4, 2, 3, stride=2, padding=1),
+            ReLU(), Flatten(), Linear(48, 2),
+        ]
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(5, 2, 5, 7))
+        y = rng.integers(0, 2, 5)
+        net, reference = init_network(specs, seed=63), init_network(specs, seed=63)
+        reference.layers[0].cache_input = False
+        net.forward(x)
+        reference.forward(x)
+        first, second = net.layers[0], net.layers[2]
+        assert first._cols is x and first._cols.nbytes <= x.nbytes
+        assert reference.layers[0]._cols.nbytes == 9 * x.nbytes
+        assert not second.cache_input and second._cols.shape == (3 * 2 * 3, 4 * 3 * 5)
+        assert net.backward(y) == reference.backward(y)
+        for layer, ref in zip(net.weighted_layers, reference.weighted_layers, strict=True):
+            assert layer.grad_weights.tobytes() == ref.grad_weights.tobytes(), layer.layer_id
+            assert layer.grad_bias.tobytes() == ref.grad_bias.tobytes(), layer.layer_id
+        assert cached(net) == []
 
     def test_layers_before_the_first_weighted_layer_cache_nothing(self):
         net = init_network([ReLU(), Linear(4, 3), ReLU(), Linear(3, 2)], seed=54)

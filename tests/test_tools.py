@@ -1,10 +1,12 @@
-"""Smoke test of tools/output_digests.py at one seed."""
+"""Smoke tests of the tools: output_digests.py and layer_peaks.py at one seed."""
 
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -37,3 +39,26 @@ def test_output_digests_hash_what_each_workload_writes_and_prints(tmp_path):
     # to one and this process does not, so the runs are checked by key only.
     run_keys = {f"{name}/1/out/{file}" for name in ("mlp_nmf", "conv_idx") for file in RUN_OUTPUTS}
     assert set(digests) == run_keys | set(expected)
+
+
+def test_layer_peaks_prints_every_layer_of_one_training_pass():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_peaks.py"), "--workload", "conv_idx"],
+        capture_output=True, text=True, check=True,
+    )
+    header, *lines = done.stdout.splitlines()
+    assert header.split() == [
+        "layer", "phase", "calls", "peak", "MiB", "entry", "MiB", "own", "MiB",
+    ]
+    rows = {}
+    for line in lines:
+        layer_id, phase, calls, peak, entry, own = line.split()
+        rows[layer_id, phase] = int(calls), float(peak), float(entry), float(own)
+    layers = ["layer0_conv", "layer1_relu", "layer2_conv", "layer3_relu", "layer4_flatten",
+              "layer5_linear"]
+    assert set(rows) == {(l, p) for l in layers for p in ("train", "eval", "backward")}
+    # 1,600 training images in batches of 64 for two epochs: 50 steps.
+    assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
+    for calls, peak, entry, own in rows.values():
+        assert 0 <= entry <= peak
+        assert own == pytest.approx(peak - entry, abs=2e-3)

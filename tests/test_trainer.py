@@ -492,3 +492,33 @@ class TestEvaluate:
             tracemalloc.stop()
         assert evaluation <= step
         assert from_pixels <= step
+
+    def test_step_peak_is_the_second_conv_working_set(self):
+        # The most a step must hold at once is the second conv's working set:
+        # in forward its input, the first ReLU's mask, its patch matrix and
+        # its output; in backward the mask, its output gradient, the patch
+        # gradient and the image that gradient folds into. Both come to the
+        # same bytes. The first conv caches the batch (held by the caller,
+        # so not counted), not its patches, and no padded copy is made.
+        n = 64
+        net = small_conv_net(seed=33)
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(n, 1, 14, 14))
+        y = rng.integers(0, 10, n)
+        cfg = TrainConfig(epochs=1, lr=0.01, batch_size=n)
+        state = OptimizerState.for_network(net)
+        image = 8 * 14 * 14 * n * 8  # the first conv's output, float64
+        mask = 8 * 14 * 14 * n  # the first ReLU's bool mask
+        patches = 8 * 3 * 3 * 7 * 7 * n * 8  # the second conv's patch matrix (or its gradient)
+        output = 16 * 7 * 7 * n * 8  # the second conv's output (or its gradient)
+        working_set = image + mask + patches + output
+        # The first step also allocates the gradient buffers; measure the second.
+        masked_train_step(net, x, y, state, 0.01, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            masked_train_step(net, x, y, state, 0.01, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * working_set
