@@ -20,11 +20,10 @@ weights' own buffers (``compute_scores(..., in_place=True)``) and drop the
 network once its scores exist, so the process holds one copy of the model:
 the only weight buffers left alive are magnitude scores themselves. The score
 dump holds the scores and nothing else. ``tune`` drops the scores after the
-search, so under the ``mad`` rule the search sorts each layer's scores in
-their own buffers (``tune_gamma(..., in_place=True)``) and holds the scores
-and O(1) statistics per layer; under the ``std`` rule nothing is sorted, and
-``np.std``'s temporary of one layer and a probe's bool array of one layer
-come on top.
+search, so the search sorts each layer's scores in their own buffers
+(``tune_gamma(..., in_place=True)``) and holds the scores and O(1)
+statistics per layer; under the ``std`` rule ``np.std``'s temporary of one
+layer comes on top.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def _load(args) -> RunConfig:
         cfg.output_dir = Path(args.output)
     if args.target_sparsity is not None:
         with _flag("--target-sparsity"):
-            base = cfg.gamma_search or GammaSearchConfig(s_target=args.target_sparsity)
-            cfg.gamma_search = dataclasses.replace(base, s_target=args.target_sparsity)
+            cfg.gamma_search = GammaSearchConfig(s_target=args.target_sparsity)
     return cfg
 
 
@@ -179,18 +177,17 @@ def _cmd_tune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
+    if args.targets is None and cfg.gamma_search is None:
+        raise ConfigError("sweep needs --targets, --target-sparsity or a [gamma_search] section")
     if args.ks is not None and not isinstance(cfg.scorer, NmfConfig):
         raise ConfigError("--ks sets the factorization rank and needs [scorer] kind = nmf")
     # Every flag value is checked before the first run starts.
     with _flag("--targets"):
         targets = _distinct(
             [float(t) for t in args.targets.split(",")] if args.targets is not None
-            else [cfg.gamma_search.s_target if cfg.gamma_search else 0.8]
+            else [cfg.gamma_search.s_target]
         )
-        searches = [
-            dataclasses.replace(cfg.gamma_search or GammaSearchConfig(s_target=t), s_target=t)
-            for t in targets
-        ]
+        searches = [GammaSearchConfig(s_target=t) for t in targets]
     with _flag("--ks"):
         ks = _distinct([int(k) for k in args.ks.split(",")] if args.ks is not None else [None])
         scorers = [cfg.scorer if k is None else dataclasses.replace(cfg.scorer, k=k) for k in ks]
@@ -216,10 +213,11 @@ def _cmd_inspect(args) -> int:
     net = load_checkpoint(args.checkpoint)
     report = count_zero_weights(net)
     for lid, ls in report.per_layer.items():
-        print(f"{lid}: {ls.zeros}/{ls.total} zeros (sparsity {ls.sparsity:.4f})")
-    print(
+        _say(args, f"{lid}: {ls.zeros}/{ls.total} zeros (sparsity {ls.sparsity:.4f})")
+    _say(
+        args,
         f"global: {report.global_zeros}/{report.global_total} zeros "
-        f"(sparsity {report.global_sparsity:.4f})"
+        f"(sparsity {report.global_sparsity:.4f})",
     )
     return EXIT_OK
 

@@ -7,11 +7,10 @@ aggressively every layer prunes; a bisection search on a bracket taken from
 the scores tunes it until the global count of pruned weights is exactly
 ``round(s_target * N)``, or as close as ties at the threshold allow: on tied
 scores it stops as soon as no gamma inside its bracket can prune a count that
-neither edge prunes. Under the MAD rule the search sorts each layer's scores
-once, for the median, so a probe is one binary search per layer; under the
-std rule a probe is one compare per layer, since sorting would cost about as
-much as the search's probes and hold a copy of the scores. Statistics are
-computed once per layer per run: the search hands each layer's
+neither edge prunes. The search sorts each layer's scores once, under either
+rule, so a probe is one binary search per layer and the rule decides only
+each layer's center and spread; the MAD rule reads its median from that sort.
+Statistics are computed once per layer per run: the search hands each layer's
 ``LayerThreshold`` (center, spread, tau) at gamma* to the masks, as
 ``layer_thresholds`` does at a fixed gamma. Scores at or above tau are kept
 (ties survive). Scores are the scorers' float64 arrays, each checked once per
@@ -32,6 +31,10 @@ from .nmf import _check_matrix
 log = logging.getLogger(__name__)
 
 T_TYPES = ("std", "mad")
+
+# A search hits its target when the global sparsity it achieves lies within
+# this distance of it, the paper's tolerance.
+SPARSITY_TOLERANCE = 0.005
 
 
 def _validate_t_type(t_type: str) -> str:
@@ -56,16 +59,13 @@ class ThresholdConfig:
 
 @dataclass(frozen=True)
 class GammaSearchConfig:
-    """The global-sparsity target, and how far from it a search still hits."""
+    """The global-sparsity target of a gamma search."""
 
     s_target: float
-    epsilon_sparsity: float = 0.005
 
     def __post_init__(self):
         if not 0.0 < self.s_target < 1.0:
             raise ValueError(f"s_target must be in (0, 1), got {self.s_target}")
-        if not 0.0 < self.epsilon_sparsity < 1.0:
-            raise ValueError(f"epsilon_sparsity must be in (0, 1), got {self.epsilon_sparsity}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class LayerThreshold:
 class GammaSearchResult:
     gamma_star: float
     achieved: float
-    hit_target: bool  # False: the closest probe lies outside epsilon_sparsity
+    hit_target: bool  # False: the closest probe lies outside SPARSITY_TOLERANCE
     iterations: int
     thresholds: dict[str, LayerThreshold]  # each layer's, at gamma_star
     trace: list[GammaTraceEntry] = field(default_factory=list)
@@ -127,22 +127,26 @@ class GammaSearchResult:
 def _layer_stats(
     scores: np.ndarray, t_type: str, in_place: bool = False
 ) -> tuple[np.ndarray, float, float]:
-    """What the search and the masks read of one layer under the ``t_type``
-    rule: the scores to count, and the rule's center and spread.
+    """What the search reads of one layer under the ``t_type`` rule: the
+    scores as one ascending flat array, and the rule's center and spread.
 
-    The std rule reads no order: it returns ``scores`` as given, with their
-    mean and population std. The MAD rule returns the scores as one ascending
-    flat array, with their lower median and unscaled MAD; the lower median
-    takes the lower of the two middle elements for even counts: deterministic
-    and oracle-checkable, unlike the interpolating convention. With
-    ``in_place`` the MAD rule sorts a contiguous ``scores`` in its own buffer,
-    so its positions are lost; otherwise it sorts a copy.
+    The std rule's mean and population std are taken from ``scores`` as
+    given, before the sort, so their sums add in the same order as a fixed
+    gamma's. The MAD rule's lower median and unscaled MAD are read from the
+    sorted array; the lower median takes the lower of the two middle
+    elements for even counts: deterministic and oracle-checkable, unlike the
+    interpolating convention. With ``in_place`` a contiguous ``scores`` is
+    sorted in its own buffer, so its positions are lost; otherwise a copy is.
     """
-    if t_type == "std":
-        return scores, float(scores.mean()), float(scores.std())
+    mean_std = _mean_std(scores) if t_type == "std" else None
     flat = scores.ravel("K") if in_place else scores.flatten()
     flat.sort()
-    return flat, *_median_mad(flat)
+    return flat, *(mean_std or _median_mad(flat))
+
+
+def _mean_std(scores: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of ``scores``, summed in their own order."""
+    return float(scores.mean()), float(scores.std())
 
 
 def _median_mad(s: np.ndarray) -> tuple[float, float]:
@@ -188,10 +192,15 @@ def layer_thresholds(
     all_scores: dict[str, np.ndarray], t_type: str, gamma: float
 ) -> dict[str, LayerThreshold]:
     """Every layer's threshold at one fixed gamma, by layer id, from one
-    statistics pass per layer; under MAD one layer's sorted copy at a time."""
+    statistics pass per layer: under std no sort, under MAD one layer's
+    sorted copy at a time."""
     cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
     return {
-        layer_id: LayerThreshold.at(layer_id, *_layer_stats(scores, cfg.t_type)[1:], cfg.gamma)
+        layer_id: LayerThreshold.at(
+            layer_id,
+            *(_mean_std(scores) if cfg.t_type == "std" else _layer_stats(scores, cfg.t_type)[1:]),
+            cfg.gamma,
+        )
         for layer_id, scores in _checked(all_scores).items()
     }
 
@@ -229,26 +238,22 @@ def sparsity_report(arrays: dict[str, np.ndarray]) -> SparsityReport:
     )
 
 
-def _zeros_at(
-    layers: list[tuple[np.ndarray, float, float]], t_type: str, gamma: float
-) -> list[int]:
+def _zeros_at(layers: list[tuple[np.ndarray, float, float]], gamma: float) -> list[int]:
     """Each layer's count of the scores masks at ``gamma`` would prune (masks
-    not kept), from its ``_layer_stats``: the MAD rule's scores are sorted,
-    so a layer's count of scores below its threshold is one binary search;
-    the std rule's are counted by one compare."""
-    if t_type == "mad":
-        return [int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers]
-    return [int(np.count_nonzero(s < c + gamma * sp)) for s, c, sp in layers]
+    not kept), from its ``_layer_stats``: the scores are sorted, so a layer's
+    count of scores below its threshold is one binary search."""
+    return [int(np.searchsorted(s, c + gamma * sp, "left")) for s, c, sp in layers]
 
 
 def _no_new_count(
-    layers: list[tuple[np.ndarray, float, float]], t_type: str, lo: float, hi: float,
+    layers: list[tuple[np.ndarray, float, float]], lo: float, hi: float,
     lo_counts: list[int], hi_counts: list[int],
 ) -> bool:
     """Whether every gamma in ``(lo, hi)`` prunes what ``lo`` or ``hi``
     prunes, from each layer's counts at the two edges. It does when every
     layer whose count differs between them has a single score value from
-    its threshold at ``lo`` up to its threshold at ``hi``, and all those
+    its threshold at ``lo`` up to its threshold at ``hi`` (its sorted scores
+    between its two edge counts start and end on one value), and all those
     thresholds pass their values at one gamma. Each layer's count only grows
     with gamma, so it takes its two edge counts and no other; a gamma where
     some of these layers have passed and others not would make a new count.
@@ -258,9 +263,8 @@ def _no_new_count(
     for (s, c, sp), a, b in zip(layers, lo_counts, hi_counts):
         if a == b:
             continue
-        between = s[a:b] if t_type == "mad" else s[(c + lo * sp <= s) & (s < c + hi * sp)]
-        value = float(between.min())
-        if between.max() != value:
+        value = float(s[a])
+        if s[b - 1] != value:
             return False
         g_lo, g_hi = lo, hi
         while g_lo < (g := (g_lo + g_hi) / 2.0) < g_hi:
@@ -294,19 +298,17 @@ def tune_gamma(
     about the cost of a probe. The probe whose count is closest to K is
     returned; if it is not the last probe it is recorded once more as
     the closing trace entry, so gamma* is always the trace's last entry.
-    ``hit_target`` says whether it lies within
-    ``epsilon_sparsity`` of the target; if not, a warning goes to this
-    module's logger.
+    ``hit_target`` says whether it lies within ``SPARSITY_TOLERANCE`` of the
+    target; if not, a warning goes to this module's logger.
 
     Each layer's center and spread do not depend on gamma, so they are
-    computed once per search. The MAD rule's median needs the scores sorted,
-    so it holds one ascending copy of each layer's scores for the search and
-    a probe counts the scores below each threshold by binary search; the std
-    rule counts the scores as given. The result holds each layer's
+    computed once per search. Under either rule the search holds one
+    ascending copy of each layer's scores, and a probe counts the scores
+    below each threshold by binary search. The result holds each layer's
     ``LayerThreshold`` at gamma*, for ``generate_all_masks``. With
-    ``in_place=True`` the MAD rule sorts each contiguous score array in its
-    own buffer instead of a copy, losing its positions: for a caller that
-    drops the scores after the search.
+    ``in_place=True`` each contiguous score array is sorted in its own
+    buffer instead of a copy, losing its positions: for a caller that drops
+    the scores after the search.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
@@ -315,18 +317,15 @@ def tune_gamma(
     n = sum(s.size for s, _, _ in layers)
     k = round(cfg.s_target * n)
 
-    lo, hi = 0.0, max(
-        ((float(s[-1] if t == "mad" else s.max()) - c) / sp for s, c, sp in layers if sp > 0),
-        default=0.0,
-    )
-    counts = _zeros_at(layers, t, lo)
+    lo, hi = 0.0, max(((float(s[-1]) - c) / sp for s, c, sp in layers if sp > 0), default=0.0)
+    counts = _zeros_at(layers, lo)
     zeros = sum(counts)
     trace = [GammaTraceEntry(0, lo, zeros / n, lo, hi)]
     best, best_zeros = trace[0], zeros
     lo_counts, hi_counts = counts, None  # per layer at each edge; gamma_hi is not probed
     if zeros < k:  # gamma = 0 prunes too little: bisect
         while lo < (gamma := (lo + hi) / 2.0) < hi:
-            counts = _zeros_at(layers, t, gamma)
+            counts = _zeros_at(layers, gamma)
             zeros = sum(counts)
             trace.append(GammaTraceEntry(len(trace), gamma, zeros / n, lo, hi))
             if abs(zeros - k) < abs(best_zeros - k):
@@ -339,13 +338,13 @@ def tune_gamma(
             else:
                 hi, hi_counts = gamma, counts  # too much pruning: pull thresholds down
             if repeated and hi_counts is not None and _no_new_count(
-                layers, t, lo, hi, lo_counts, hi_counts
+                layers, lo, hi, lo_counts, hi_counts
             ):
                 break
     if best is not trace[-1]:
         trace.append(replace(best, iteration=len(trace)))
 
-    hit = abs(best.achieved - cfg.s_target) <= cfg.epsilon_sparsity
+    hit = abs(best.achieved - cfg.s_target) <= SPARSITY_TOLERANCE
     if not hit:
         missed = "sparsity target %g missed: the gamma search achieved %.4f after %d iterations"
         log.warning(missed, cfg.s_target, best.achieved, len(trace) - 1)

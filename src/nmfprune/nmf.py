@@ -19,6 +19,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# Added to the multiplicative-update denominators, so a factor row that
+# collapses to zero cannot divide by zero.
+EPSILON = 1e-12
+
 
 def _check_matrix(a: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``a`` is a finite,
@@ -36,24 +40,17 @@ def _check_matrix(a: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class NmfConfig:
-    """Factorization hyperparameters.
-
-    ``epsilon`` stabilizes the multiplicative-update denominators so a factor
-    row that collapses to zero cannot divide by zero.
-    """
+    """Factorization hyperparameters."""
 
     k: int
     n_iter: int = 200
     seed: int = 0
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {self.n_iter}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +77,8 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     two m x p x k products per iteration (G @ G.T carries over to the next
     F update):
 
-        F <- F * (W @ G.T) / (F @ (G @ G.T) + eps)
-        G <- G * (F.T @ W) / ((F.T @ F) @ G + eps)
+        F <- F * (W @ G.T) / (F @ (G @ G.T) + EPSILON)
+        G <- G * (F.T @ W) / ((F.T @ F) @ G + EPSILON)
 
     which keeps both factors non-negative and the objective non-increasing.
     ``objective_trace[0]`` is ||W - F @ G||^2 computed directly; later entries
@@ -112,7 +109,6 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     f = (1.0 - rng.random((m, k_eff))) * scale
     g = (1.0 - rng.random((k_eff, p))) * scale
 
-    eps = cfg.epsilon
     trace = np.empty(cfg.n_iter + 1)
     # One m x p buffer holds F @ G, the residual and its square, then the
     # square of W; none lives on through the loop.
@@ -123,10 +119,10 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     del buf
     ggt = g @ g.T
     for it in range(cfg.n_iter):
-        f *= (w_abs @ g.T) / (f @ ggt + eps)
+        f *= (w_abs @ g.T) / (f @ ggt + EPSILON)
         ftw = f.T @ w_abs
         ftf = f.T @ f
-        g *= ftw / (ftf @ g + eps)
+        g *= ftw / (ftf @ g + EPSILON)
         ggt = g @ g.T
         trace[it + 1] = max(w_sq - 2.0 * np.vdot(ftw, g) + np.vdot(ftf, ggt), 0.0)
     return NmfResult(f=f, g=g, objective_trace=trace, k_eff=k_eff)

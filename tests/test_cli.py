@@ -685,18 +685,24 @@ def second_tune_peak(path) -> int:
 
 
 def test_tune_sorts_the_scores_in_their_own_buffers(tmp_path, capsys):
-    # The MAD search sorts each layer's scores in place and selects the MAD
-    # from the sorted run, so no layer-sized copy joins the scores.
-    path = tmp_path / "mad.cfg"
+    # Under both rules the search sorts each layer's scores in place, and the
+    # MAD is selected from the sorted run, so no layer-sized copy joins the
+    # scores. Under std, np.std's temporary of the largest layer comes on top.
     config = WIDE_TUNE_CONFIG.replace("784", "256").replace("1000", "512")
-    path.write_text(config.format(out=tmp_path / "out"))
-    cfg = load_config(path)
-    assert cfg.threshold.t_type == "mad"
-    net = cli.init_network(cfg.model, cfg.seed)
-    assert [l.weights.shape for l in net.prunable_layers] == [(512, 256), (512, 512)]
-    score_bytes = sum(l.weights.nbytes for l in net.prunable_layers)
-    del net
-    assert second_tune_peak(path) <= 1.2 * score_bytes
+    for t_type in ("std", "mad"):
+        path = tmp_path / f"{t_type}.cfg"
+        path.write_text(
+            config.replace("type = mad", f"type = {t_type}").format(out=tmp_path / "out")
+        )
+        cfg = load_config(path)
+        assert cfg.threshold.t_type == t_type
+        net = cli.init_network(cfg.model, cfg.seed)
+        assert [l.weights.shape for l in net.prunable_layers] == [(512, 256), (512, 512)]
+        score_bytes = sum(l.weights.nbytes for l in net.prunable_layers)
+        largest_bytes = max(l.weights.nbytes for l in net.prunable_layers)
+        del net
+        bound = {"mad": 1.2 * score_bytes, "std": 1.2 * score_bytes + largest_bytes}
+        assert second_tune_peak(path) <= bound[t_type], t_type
 
 
 @pytest.mark.parametrize("scorer", [MAGNITUDE, NMF], ids=["magnitude", "nmf"])
@@ -859,6 +865,27 @@ class TestSweep:
         assert (out / "t0.8" / "report.json").exists()
 
 
+    def test_fixed_gamma_config_needs_a_target_before_any_run(
+        self, config_path, tmp_path, capsys
+    ):
+        # A fixed-gamma config names no target, and sweep runs a search at
+        # each target: it asks for one instead of choosing it.
+        path, out = config_path
+        text = path.read_text()
+        for old, new in FIXED_GAMMA:
+            text = text.replace(old, new)
+        fixed = tmp_path / "fixed.cfg"
+        fixed.write_text(text)
+        assert main(["sweep", "--config", str(fixed), "--ks", "2,3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep needs --targets, --target-sparsity or a [gamma_search] section\n"
+        )
+        assert not out.exists()
+        assert main(["sweep", "--config", str(fixed), "--target-sparsity", "0.6", "--quiet"]) == 0
+        report = json.loads((out / "t0.6" / "report.json").read_text())
+        assert report["gamma_search"]["target"] == 0.6
+
+
 class TestInspect:
     def test_prints_sparsity_report(self, config_path, capsys):
         path, out = config_path
@@ -872,3 +899,16 @@ class TestInspect:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"nonsense")
         assert main(["inspect", str(bad)]) == 2
+
+    def test_quiet_is_a_silent_validity_check(self, config_path, tmp_path, capsys):
+        path, out = config_path
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out / "checkpoint.bin"), "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"nonsense")
+        assert main(["inspect", str(bad), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

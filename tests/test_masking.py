@@ -257,8 +257,6 @@ class TestTuneGamma:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GammaSearchConfig(s_target=1.5)
-        with pytest.raises(ValueError):
-            GammaSearchConfig(s_target=0.5, epsilon_sparsity=0.0)
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no score"):
@@ -401,8 +399,8 @@ def quantized_scores(seed):
 @pytest.mark.parametrize("t_type", ["std", "mad"])
 def test_in_place_search_matches_the_copying_one(t_type):
     # Sorting in the scores' own buffers changes nothing the search reports;
-    # under MAD it leaves the arrays sorted, while the default leaves them
-    # untouched. The std rule sorts nothing.
+    # under either rule it leaves the arrays sorted, while the default leaves
+    # them untouched.
     rng = np.random.default_rng(12)
     scores = {
         "a": rng.random((40, 30)),
@@ -410,7 +408,7 @@ def test_in_place_search_matches_the_copying_one(t_type):
         "c": rng.exponential(3.0, (16, 16)),
     }
     before = {lid: s.copy() for lid, s in scores.items()}
-    cfg = GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4)
+    cfg = GammaSearchConfig(s_target=0.75)
     copying = tune_gamma(scores, t_type, cfg)
     for lid, s in scores.items():
         assert np.array_equal(s, before[lid])
@@ -421,25 +419,17 @@ def test_in_place_search_matches_the_copying_one(t_type):
     )
     assert in_place.trace == copying.trace
     for lid, s in scores.items():
-        if t_type == "mad":
-            assert np.array_equal(s.ravel(), np.sort(before[lid], axis=None))
-        else:
-            assert np.array_equal(s, before[lid])
+        assert np.array_equal(s.ravel(), np.sort(before[lid], axis=None))
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])
 def test_copying_search_peak_memory(t_type):
-    # The default MAD search keeps every layer's sorted copy for its probes:
-    # one more copy of the scores, and no other layer-sized buffer. The std
-    # search copies nothing; np.std's temporary and a probe's bool array of
-    # the largest layer are its peak.
+    # The default search keeps every layer's sorted copy for its probes: one
+    # more copy of the scores, and no other layer-sized buffer. Under std,
+    # np.std's temporary of a layer is freed before that layer's copy is made.
     rng = np.random.default_rng(13)
     shapes = [(512, 256), (512, 512), (10, 512)]
     scores = {f"layer{i}": np.abs(rng.standard_normal(s)) for i, s in enumerate(shapes)}
-    bound = {
-        "mad": 1.05 * sum(s.nbytes for s in scores.values()),
-        "std": 1.2 * max(s.nbytes for s in scores.values()),
-    }
     cfg = GammaSearchConfig(s_target=0.8)
     tune_gamma(scores, t_type, cfg)  # the first call's imports are not counted
     tracemalloc.start()
@@ -449,7 +439,7 @@ def test_copying_search_peak_memory(t_type):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= bound[t_type]
+    assert peak <= 1.05 * sum(s.nbytes for s in scores.values())
 
 
 @pytest.mark.parametrize("t_type", ["std", "mad"])
@@ -461,7 +451,7 @@ def test_every_probe_matches_the_mask_path(t_type):
         "b": rng.exponential(3.0, (20, 50)),
         "c": rng.normal(size=(16, 16)) ** 2,
     }
-    result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.75, epsilon_sparsity=1e-4))
+    result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.75))
     assert len(result.trace) > 3
     assert result.thresholds == layer_thresholds(scores, t_type, result.gamma_star)
     for entry in result.trace:

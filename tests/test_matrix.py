@@ -110,8 +110,8 @@ class TestStats:
 
     def test_stats_match_the_oracles_on_random_arrays(self):
         # MAD: exactly the two-copy partition values, ties and strides
-        # included, beside the sorted scores. std: the unsorted array's own
-        # mean and std, bit for bit, beside the array itself.
+        # included. std: the unsorted array's own mean and std, bit for bit.
+        # Both beside the sorted scores, in the array's own buffer in place.
         rng = np.random.default_rng(11)
         draws = [
             lambda n: rng.normal(size=n),
@@ -129,10 +129,8 @@ class TestStats:
                     own = a.copy() if in_place else a
                     counted, *got = masking._layer_stats(own, t_type, in_place=in_place)
                     assert tuple(got) == stats, (t_type, in_place, a)
-                    if t_type == "mad":
-                        assert np.array_equal(counted, np.sort(a))
-                    else:
-                        assert counted is own
+                    assert np.array_equal(counted, np.sort(a))
+                    assert np.shares_memory(counted, own) == in_place
 
     def test_empty_rejected(self):
         for read in READERS.values():

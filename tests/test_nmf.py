@@ -87,8 +87,6 @@ class TestFactorize:
             NmfConfig(k=0)
         with pytest.raises(ValueError):
             NmfConfig(k=1, n_iter=0)
-        with pytest.raises(ValueError):
-            NmfConfig(k=1, epsilon=0.0)
 
 
 class TestScoreLayer:

@@ -415,15 +415,15 @@ class TestRunPipeline:
 def test_mask_stage_reads_each_layers_statistics_once(tmp_path, monkeypatch, t_type, search):
     # The search hands its thresholds to the masks, and a fixed gamma makes
     # them in one pass: each prunable layer's center and spread are computed
-    # exactly once per run, under both rules.
+    # exactly once per run, under both rules. Each call's array is held, so
+    # no two calls' arrays can share an id.
     calls = []
-    layer_stats = masking._layer_stats
+    for name in ("_mean_std", "_median_mad"):
+        def counting_stats(a, stats=getattr(masking, name)):
+            calls.append(a)
+            return stats(a)
 
-    def counting_layer_stats(a, *args, **kwargs):
-        calls.append(id(a))
-        return layer_stats(a, *args, **kwargs)
-
-    monkeypatch.setattr(masking, "_layer_stats", counting_layer_stats)
+        monkeypatch.setattr(masking, name, counting_stats)
     cfg = base_config(
         tmp_path,
         scorer=MagnitudeScorer(),
@@ -433,7 +433,7 @@ def test_mask_stage_reads_each_layers_statistics_once(tmp_path, monkeypatch, t_t
     )
     report = run_pipeline(cfg)
     assert (len(report.gamma_trace) > 1) == search
-    assert len(calls) == len(set(calls)) == len(report.sparsity.per_layer) == 2
+    assert len(calls) == len({id(a) for a in calls}) == len(report.sparsity.per_layer) == 2
 
 
 class TestScoreMagnitude:

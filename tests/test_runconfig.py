@@ -53,8 +53,6 @@ NON_FINITE = {
     ),
     "lr": ("lr = 0.1", "lr = inf"),
     "weight_decay": ("lr = 0.1", "lr = 0.1\nweight_decay = inf"),
-    "epsilon_sparsity": ("s_target = 0.8", "s_target = 0.8\nepsilon_sparsity = inf"),
-    "epsilon": ("k = 6", "k = 6\nepsilon = inf"),
     "lr_gamma": ("lr = 0.1", "lr = 0.1\nlr_gamma = nan"),
 }
 
@@ -69,8 +67,7 @@ class TestParsing:
         assert cfg.scorer == NmfConfig(k=6)
         assert cfg.threshold.t_type == "std"
         assert cfg.gamma_search is not None
-        assert cfg.gamma_search.s_target == 0.8
-        assert cfg.gamma_search.epsilon_sparsity == 0.005
+        assert cfg.gamma_search == GammaSearchConfig(s_target=0.8)
         assert cfg.train.epochs == 10
         assert cfg.train.lr_milestones == (5, 8)
 
@@ -159,6 +156,7 @@ class TestErrors:
             ("[train]", "layer = flatten"),
             ("[scorer]", "n_iters = 5"),
             ("[scorer]", "seed = 3"),
+            ("[scorer]", "epsilon = 1e-12"),
             ("[run]", "checkpoint_evry = 2"),
             ("[model]", "layers = relu"),
             ("[threshold]", "t_type = mad"),
@@ -169,6 +167,8 @@ class TestErrors:
             ("[gamma_search]", "gamma_max = 10.0"),
             ("[gamma_search]", "gamma_guess = 1.0"),
             ("[gamma_search]", "epsilon_gamma_conv = 0.0001"),
+            # The hit tolerance is the paper's fixed 0.005.
+            ("[gamma_search]", "epsilon_sparsity = 0.005"),
         ],
     )
     def test_unknown_key_rejected_at_its_line(self, section, line):
@@ -240,14 +240,6 @@ class TestErrors:
     def test_invalid_train_values_surface_as_config_errors(self):
         text = BASE.replace("lr = 0.1", "lr = -0.5")
         with pytest.raises(ConfigError, match="lr must be"):
-            parse_config(text)
-
-    def test_zero_epsilon_sparsity_rejected_at_its_line(self):
-        text = BASE.replace("s_target = 0.8", "s_target = 0.8\nepsilon_sparsity = 0")
-        lineno = text.splitlines().index("epsilon_sparsity = 0") + 1
-        with pytest.raises(
-            ConfigError, match=rf"^<config>:{lineno}: epsilon_sparsity must be in \(0, 1\)"
-        ):
             parse_config(text)
 
     def test_missing_file(self, tmp_path):

@@ -41,9 +41,11 @@ def test_output_digests_hash_what_each_workload_writes_and_prints(tmp_path):
     assert set(digests) == run_keys | set(expected)
 
 
-def test_layer_peaks_prints_every_layer_of_one_training_pass():
+def layer_peak_rows(workload):
+    """The rows ``layer_peaks.py`` prints for one pass of ``workload``, by
+    (layer id, phase): calls, peak, entry and own figures."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "layer_peaks.py"), "--workload", "conv_idx"],
+        [sys.executable, str(ROOT / "tools" / "layer_peaks.py"), "--workload", workload],
         capture_output=True, text=True, check=True,
     )
     header, *lines = done.stdout.splitlines()
@@ -54,11 +56,29 @@ def test_layer_peaks_prints_every_layer_of_one_training_pass():
     for line in lines:
         layer_id, phase, calls, peak, entry, own = line.split()
         rows[layer_id, phase] = int(calls), float(peak), float(entry), float(own)
-    layers = ["layer0_conv", "layer1_relu", "layer2_conv", "layer3_relu", "layer4_flatten",
-              "layer5_linear"]
-    assert set(rows) == {(l, p) for l in layers for p in ("train", "eval", "backward")}
-    # 1,600 training images in batches of 64 for two epochs: 50 steps.
-    assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
     for calls, peak, entry, own in rows.values():
         assert 0 <= entry <= peak
         assert own == pytest.approx(peak - entry, abs=2e-3)
+    return rows
+
+
+def test_layer_peaks_prints_every_layer_of_one_training_pass():
+    rows = layer_peak_rows("conv_idx")
+    layers = ["layer0_conv", "layer1_relu", "layer2_conv", "layer3_relu", "layer4_flatten",
+              "layer5_linear"]
+    assert set(rows) == {(l, p) for l in layers for p in ("train", "eval", "backward")} | {
+        ("tune_gamma", "search")
+    }
+    # 1,600 training images in batches of 64 for two epochs: 50 steps.
+    assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
+    assert rows["tune_gamma", "search"][0] == 1  # run searches once
+
+
+def test_layer_peaks_prints_the_search_of_each_tune_call():
+    # tune_wide trains nothing: its six tune calls are one search row, which
+    # holds the magnitude scores (the prunable weights) at entry.
+    rows = layer_peak_rows("tune_wide")
+    assert list(rows) == [("tune_gamma", "search")]
+    calls, peak, entry, own = rows["tune_gamma", "search"]
+    assert calls == len(TUNE_TARGETS)
+    assert entry >= (784 * 1000 + 1000 * 1000) * 8 / 2**20

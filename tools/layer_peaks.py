@@ -1,4 +1,4 @@
-"""Print each layer's forward and backward memory peaks over one workload pass.
+"""Print per-layer forward and backward memory peaks, and the gamma search's, over one pass.
 
 Run from the repository root:
 
@@ -12,9 +12,12 @@ the instance: a call notes the traced bytes at entry and the peak they reach
 before it returns. One row per layer and phase (``train`` forward, ``eval``
 forward, ``backward``) gives the number of calls, the highest peak of any of
 them, the bytes resident at entry to that call, and the difference, which is
-what the call itself allocates on top. Figures are MiB of traced
-allocations, NumPy's arrays included. ``tune_wide`` trains nothing, so it
-prints no rows.
+what the call itself allocates on top. The gamma search is one more row,
+``tune_gamma`` in phase ``search``: ``pipeline.tune_gamma`` (``run``) and
+``cli.tune_gamma`` (``tune``) are wrapped the same way, so the search's peak
+sits beside training's. Figures are MiB of traced allocations, NumPy's
+arrays included. ``tune_wide`` trains nothing, so it prints the search row
+alone.
 """
 
 import os
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import nmfprune.cli as cli  # noqa: E402
 import nmfprune.pipeline as pipeline  # noqa: E402
 from perfbench.workloads import make_workload  # noqa: E402
 
@@ -55,34 +59,49 @@ def _traced(fn, phase_of, record):
 
 def layer_peaks(name: str, seed: int) -> dict[tuple[str, str], dict]:
     """Per (layer id, phase): ``calls``, and the ``peak`` and ``entry`` bytes
-    of the call with the highest peak, over one pass of workload ``name``."""
+    of the call with the highest peak, over one pass of workload ``name``.
+    The gamma search's calls are the row ``("tune_gamma", "search")``."""
     rows: dict[tuple[str, str], dict] = {}
+
+    def recorder(layer_id):
+        def record(phase, entry, peak):
+            row = rows.setdefault((layer_id, phase), {"calls": 0, "peak": -1, "entry": 0})
+            row["calls"] += 1
+            if peak > row["peak"]:
+                row["peak"], row["entry"] = peak, entry
+
+        return record
+
     build = pipeline.init_network
 
     def instrumented(*args, **kwargs):
         net = build(*args, **kwargs)
         for layer in net.layers:
-            def record(phase, entry, peak, layer_id=layer.layer_id):
-                row = rows.setdefault((layer_id, phase), {"calls": 0, "peak": -1, "entry": 0})
-                row["calls"] += 1
-                if peak > row["peak"]:
-                    row["peak"], row["entry"] = peak, entry
-
+            record = recorder(layer.layer_id)
             layer.forward = _traced(
                 layer.forward, lambda kw: "train" if kw.get("cache", True) else "eval", record
             )
             layer.backward = _traced(layer.backward, lambda kw: "backward", record)
         return net
 
+    search = recorder("tune_gamma")
+    patches = {
+        (pipeline, "init_network"): instrumented,
+        (pipeline, "tune_gamma"): _traced(pipeline.tune_gamma, lambda kw: "search", search),
+        (cli, "tune_gamma"): _traced(cli.tune_gamma, lambda kw: "search", search),
+    }
+    originals = {key: getattr(*key) for key in patches}
     with tempfile.TemporaryDirectory(prefix=f"layer-peaks-{name}-") as tmp:
         workload = make_workload(name, seed, Path(tmp))
-        pipeline.init_network = instrumented
+        for (module, attr), fn in patches.items():
+            setattr(module, attr, fn)
         tracemalloc.start()
         try:
             workload.run_pass()
         finally:
             tracemalloc.stop()
-            pipeline.init_network = build
+            for (module, attr), fn in originals.items():
+                setattr(module, attr, fn)
     return rows
 
 
