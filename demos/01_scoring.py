@@ -25,7 +25,8 @@ drops = np.diff(trace)
 print(f"largest single-update increase (should be <= 0): {drops.max():.2e}")
 
 # Step 2: the score of each weight is its absolute reconstruction error.
-scores = score_layer(layer.weights, cfg, layer.layer_id)
+# score_layer writes |W| over the array it is handed, so score a copy.
+scores = score_layer(layer.weights.copy(), cfg, layer.layer_id)
 print(f"score range: [{scores.min():.2e}, {scores.max():.2e}]")
 print(f"score mean:  {scores.mean():.4f}")
 

@@ -30,11 +30,14 @@ from nmfprune import (
 )
 
 dataset = load_dataset(SyntheticBlobs(1000, 16, 2, seed=7), split_seed=1)
-net = init_network([Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2)], seed=9)
+MODEL = [Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2)]
 
-# One-shot pruning at 80% global sparsity.
-scores = compute_scores(net, NmfConfig(k=6), root_seed=9)
+# One-shot pruning at 80% global sparsity. Scoring writes |W| over the
+# weights it scores, so it gets a network of its own, and the one that
+# trains is built from the same seed.
+scores = compute_scores(init_network(MODEL, seed=9), NmfConfig(k=6), root_seed=9)
 result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
+net = init_network(MODEL, seed=9)
 convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 start = count_zero_weights(net)
 print(f"pruned to {start.global_sparsity:.2%} ({start.global_zeros} zeros), gamma* = {result.gamma_star:.4f}")
@@ -57,7 +60,7 @@ print(f"steps with any zero-count drift: {drift} / 300 (must be 0)")
 
 # The epoch-level loop reports the same thing per epoch; train a fresh copy
 # of the pruned model from scratch so the loss curve is visible.
-net = init_network([Linear(16, 64), ReLU(), Linear(64, 32), ReLU(), Linear(32, 2)], seed=9)
+net = init_network(MODEL, seed=9)
 convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 metrics = run_training(
     net, dataset, TrainConfig(epochs=10, lr=0.1, batch_size=128, seed=4)

@@ -15,13 +15,13 @@ factorization at full rank, a missed sparsity target) are printed as
 
 ``score`` and ``tune`` never open the dataset, so they accept a model that
 cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
-scoring, from the sample shape the dataset declares. Both score into the
-weights' own buffers (``compute_scores(..., in_place=True)``) and drop the
-network once its scores exist, so the process holds one copy of the model:
-the only weight buffers left alive are magnitude scores themselves. The score
+scoring, from the sample shape the dataset declares. Every command scores a
+network built for scoring: ``compute_scores`` writes |W| over its weights
+and the network is dropped, so the process holds one copy of the model (the
+only weight buffers left alive are magnitude scores themselves). The score
 dump holds the scores and nothing else. ``tune`` drops the scores after the
-search, so the search sorts each layer's scores in their own buffers
-(``tune_gamma(..., in_place=True)``) and holds the scores and O(1)
+search, so it has ``tune_gamma`` sort each layer's scores in their own
+buffers and holds the scores and O(1)
 statistics per layer; under the ``std`` rule ``np.std``'s temporary of one
 layer comes on top.
 """
@@ -144,11 +144,9 @@ def _cmd_run(args) -> int:
 
 
 def _scores_of(cfg: RunConfig) -> tuple[Path, dict]:
-    """Make the output directory, then score the config's initial network
-    into its own weight buffers; the network is dropped on return."""
+    """Make the output directory, then score a network built for scoring."""
     out = make_output_dir(cfg.output_dir)
-    net = init_network(cfg.model, cfg.seed)
-    return out, compute_scores(net, cfg.scorer, cfg.seed, in_place=True)
+    return out, compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
 
 
 def _cmd_score(args) -> int:
@@ -176,6 +174,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.targets is not None and args.target_sparsity is not None:
+        raise ConfigError("--targets and --target-sparsity cannot be given together")
     cfg = _load(args)
     if args.targets is None and cfg.gamma_search is None:
         raise ConfigError("sweep needs --targets, --target-sparsity or a [gamma_search] section")

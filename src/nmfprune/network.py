@@ -234,7 +234,7 @@ class _LinearLayer(_WeightedLayer):
         """Fill the parameter gradients and release the forward cache; return
         the input gradient unless ``input_grad`` is false (the first weighted
         layer has no use for it)."""
-        self.grad_weights = dout.T @ self._cols
+        self.grad_weights = np.matmul(dout.T, self._cols, out=self.grad_weights)
         self._cols = None
         self.grad_bias = dout.sum(axis=0)
         return self.input_grad(dout) if input_grad else None
@@ -287,7 +287,7 @@ class _ConvLayer(_WeightedLayer):
         dout_t = dout.transpose(1, 2, 3, 0).reshape(s.out_channels, -1)
         cols = self._unfold(self._cols) if self.cache_input else self._cols
         self._cols = None
-        self.grad_weights = dout_t @ cols.T
+        self.grad_weights = np.matmul(dout_t, cols.T, out=self.grad_weights)
         del cols  # released before the patch gradient is made
         self.grad_bias = dout_t.sum(axis=1)
         if not input_grad:
@@ -310,9 +310,11 @@ class _ReLULayer:
         return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        # In the forward input's memory layout: the multiply then runs over
-        # matching layouts, and a conv before this layer flattens it for free.
+        # In the forward input's layout, which a conv before this flattens for free:
+        # into dout if it has it (all but a Flatten's), else a copy (a mixed multiply is slow).
         active, self._active = self._active, None
+        if all(d == a * dout.itemsize for d, a in zip(dout.strides, active.strides)):
+            return np.multiply(dout, active, out=dout)
         grad = np.empty_like(active, dtype=np.float64)
         np.copyto(grad, dout)
         grad *= active

@@ -7,7 +7,8 @@ Lee-Seung multiplicative updates. Each weight is then scored by how badly the
 low-rank reconstruction approximates it: score = |W_abs - F @ G|. Weights the
 factorization cannot explain carry information the dominant components miss,
 so high score means keep. The magnitude baseline scores a weight by |w|.
-Both scorers return a float64 array shaped like the weights.
+Both scorers write |W| over the weights they are handed and return a float64
+array shaped like them.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ EPSILON = 1e-12
 
 def _check_matrix(a: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``a`` is a finite,
-    non-empty 2D float64 array. Only ``factorize`` and masking's reads of
-    score arrays call it: nothing else checks a matrix."""
+    non-empty 2D float64 array; NaN reaches both extremes, so two reductions
+    check it with no n-byte bool array. ``factorize`` and masking call it."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError(f"{name} must be a 2D array, got {getattr(a, 'shape', type(a))}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got shape {a.shape}")
     if a.dtype != np.float64:
         raise ValueError(f"{name} must be float64, got {a.dtype}")
-    if not np.all(np.isfinite(a)):
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
@@ -91,7 +92,7 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     which starts with ``layer_id`` when one is given.
     """
     _check_matrix(w_abs, "w_abs")
-    if np.any(w_abs < 0):
+    if w_abs.min() < 0:
         raise ValueError(f"w_abs must be non-negative, min is {w_abs.min()}")
 
     m, p = w_abs.shape
@@ -128,18 +129,16 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     return NmfResult(f=f, g=g, objective_trace=trace, k_eff=k_eff)
 
 
-def score_layer(
-    w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer", *, in_place: bool = False
-) -> np.ndarray:
+def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> np.ndarray:
     """Score a layer's weights by absolute reconstruction error.
 
     Operates on |w| only (the result is invariant under sign flips of the
-    weights). ``w`` is left as it is, unless ``in_place`` asks to factorize
-    |w| in ``w``'s own buffer instead of a copy; the scores are a new array
-    either way. A weight matrix ``factorize`` rejects is a ValueError, and a
+    weights), and factorizes it in ``w``'s own buffer: ``w`` holds |w| on
+    return, so a caller that needs the weights scores a copy. The scores are
+    a new array. A weight matrix ``factorize`` rejects is a ValueError, and a
     full-rank fit a warning, that starts with ``layer_id``.
     """
-    w_abs = np.abs(w, out=w if in_place else None)
+    w_abs = np.abs(w, out=w)
     try:
         result = factorize(w_abs, cfg, layer_id)
     except ValueError as exc:
@@ -150,7 +149,7 @@ def score_layer(
     return scores
 
 
-def score_magnitude(w: np.ndarray, *, in_place: bool = False) -> np.ndarray:
-    """Baseline scores: importance is the absolute weight value, written to
-    a new array, or over ``w`` itself when ``in_place`` asks for it."""
-    return np.abs(w, out=w if in_place else None)
+def score_magnitude(w: np.ndarray) -> np.ndarray:
+    """Baseline scores: importance is the absolute weight value, written over
+    ``w`` itself, which is returned."""
+    return np.abs(w, out=w)

@@ -10,16 +10,18 @@ data. Second, the data stage (load, split, and the training split's
 statistics; see ``datasets``) runs beside the score stage as a task on a
 one-worker executor: scores come from the initial weights alone, the two
 share no state, and NumPy releases the interpreter lock in their heavy work,
-so they overlap on two cores. After both finish, the mask stage fixes the
-threshold scale gamma (searched against a sparsity target, or taken from the
-config), generates the final bool masks, and prunes; the layers keep the only
-copy of the masks. The train stage updates only the kept weights, from their
-own gradients (the paper's gradient masking), so pruned weights stay exactly
-zero; the report stage counts, evaluates and saves. Training and evaluation,
-the zero-epoch evaluation too, read standardized rows a batch at a time
-through ``Dataset.standardized``. Each stage is timed on the thread that
-runs it, so ``wall_times["data"]`` is the header read plus the loader's own
-elapsed time, and the five stage times can sum to more than the run.
+so they overlap on two cores; scoring writes |W| over the weights of a
+network built for it. After both finish, the mask stage fixes the threshold
+scale gamma (searched against a sparsity target, or taken from the config),
+generates the final bool masks, and prunes a network built from the same
+seed; the layers keep the only copy of the masks. The train stage updates
+only the kept weights, from their own gradients (the paper's gradient
+masking), so pruned weights stay exactly zero; the report stage counts,
+evaluates and saves. Training and evaluation, the zero-epoch evaluation too,
+read standardized rows a batch at a time through ``Dataset.standardized``.
+Each stage is timed on the thread that runs it, so ``wall_times["data"]`` is
+the header read plus the loader's own elapsed time, and the five stage times
+can sum to more than the run.
 Artifacts land in the run's output directory:
 
     report.json        full run report
@@ -81,17 +83,14 @@ class RunReport:
     wall_times: dict[str, float] = field(default_factory=dict)
 
 
-def compute_scores(
-    net: Network, scorer: ScorerSpec, root_seed: int, *, in_place: bool = False
-) -> dict[str, np.ndarray]:
+def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str, np.ndarray]:
     """Score every prunable layer: one float64 array per layer id, shaped
     like its weights. Factorization seeds derive per layer from the root
     seed, so layers are independent but the whole set is reproducible.
 
-    With ``in_place``, each prunable layer's weights buffer is overwritten
-    with |W| and the network must not be used again: magnitude scores are
-    that buffer, and NMF factorizes it instead of a copy. The scores are the
-    same either way; only a caller that drops the network may ask for it.
+    Each prunable layer's weights buffer is overwritten with |W|, so score
+    a network built for scoring: magnitude scores are that buffer, and NMF
+    factorizes it instead of a copy.
     """
     if not net.prunable_layers:
         raise ConfigError("the model has no prunable layer; set prunable=true on one")
@@ -99,10 +98,10 @@ def compute_scores(
     for layer in net.prunable_layers:
         lid = layer.layer_id
         if isinstance(scorer, MagnitudeScorer):
-            scores[lid] = score_magnitude(layer.weights, in_place=in_place)
+            scores[lid] = score_magnitude(layer.weights)
         else:
             cfg = dataclasses.replace(scorer, seed=derive_seed(root_seed, "nmf", lid))
-            scores[lid] = score_layer(layer.weights, cfg, lid, in_place=in_place)
+            scores[lid] = score_layer(layer.weights, cfg, lid)
     return scores
 
 
@@ -189,8 +188,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         loading = pool.submit(load)
         try:
             with _stage("score", wall):
-                net = init_network(cfg.model, cfg.seed)
-                scores = compute_scores(net, cfg.scorer, cfg.seed)
+                scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
         except StageError:
             loading.result()  # a data failure comes first in stage order
             raise
@@ -216,6 +214,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
             thresholds = layer_thresholds(scores, cfg.threshold.t_type, gamma_star)
         # The layers keep their own copies of the masks: the scores and
         # masks are not held past this stage.
+        net = init_network(cfg.model, cfg.seed)  # scoring spent its network
         net = convert_to_masked(net, generate_all_masks(scores, thresholds))
         del scores
 

@@ -142,9 +142,10 @@ def test_criterion_3_strict_sparsity_preservation(tmp_path):
     start = time.perf_counter()
     cfg = blobs_run_config(tmp_path)
     dataset = load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
-    net = init_network(cfg.model, cfg.seed)
-    scores = compute_scores(net, cfg.scorer, cfg.seed)
+    # Scoring spends its network; the one that trains is built from the seed.
+    scores = compute_scores(init_network(cfg.model, cfg.seed), cfg.scorer, cfg.seed)
     result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
+    net = init_network(cfg.model, cfg.seed)
     convert_to_masked(net, generate_all_masks(scores, result.thresholds))
 
     baseline = count_zero_weights(net).global_zeros

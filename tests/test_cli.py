@@ -707,8 +707,8 @@ def test_tune_sorts_the_scores_in_their_own_buffers(tmp_path, capsys):
 
 @pytest.mark.parametrize("scorer", [MAGNITUDE, NMF], ids=["magnitude", "nmf"])
 def test_scoring_in_place_gives_the_library_outputs(config_path, tmp_path, monkeypatch, scorer):
-    # The library default leaves the weights untouched; tune and score
-    # overwrite them. Both must write the same bytes.
+    # tune and score write |W| over the weights of the network they score.
+    # Scoring copies of those weights must write the same bytes.
     path, _ = config_path
     config = tmp_path / "scorer.cfg"
     config.write_text(path.read_text().replace(NMF, scorer))
@@ -727,13 +727,15 @@ def test_scoring_in_place_gives_the_library_outputs(config_path, tmp_path, monke
     consumed = outputs(tmp_path / "in_place")
     compute_scores = cli.compute_scores
 
-    def library_scores(net, scorer, root_seed, **kwargs):
-        before = [l.weights.copy() for l in net.weighted_layers]
+    def scores_of_copies(net, scorer, root_seed):
+        originals = [(l.weights, l.weights.copy()) for l in net.prunable_layers]
+        for layer, (_, copy) in zip(net.prunable_layers, originals):
+            layer.weights = copy.copy()
         scores = compute_scores(net, scorer, root_seed)
-        assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
+        assert all(np.array_equal(w, copy) for w, copy in originals)
         return scores
 
-    monkeypatch.setattr(cli, "compute_scores", library_scores)
+    monkeypatch.setattr(cli, "compute_scores", scores_of_copies)
     assert outputs(tmp_path / "library") == consumed
 
 
@@ -825,6 +827,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flags[0]}: ") and "given more than once" in err
+        assert not out.exists()
+
+    def test_targets_with_target_sparsity_exits_1_before_any_run(self, config_path, capsys):
+        # Each flag names the targets; sweep does not pick one of the two.
+        path, out = config_path
+        flags = ["--targets", "0.5", "--target-sparsity", "0.6"]
+        assert main(["sweep", "--config", str(path), *flags, "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --targets and --target-sparsity cannot be given together\n"
+        )
         assert not out.exists()
 
     def test_close_targets_get_their_own_directories(self, config_path, capsys):

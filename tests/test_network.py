@@ -467,6 +467,55 @@ class TestBackward:
         assert calls == ["layer4_linear", "layer2_linear"]
         assert all(l.grad_weights is not None for l in net.weighted_layers)
 
+    def test_weight_gradient_is_written_into_one_buffer(self):
+        # A lone linear layer's weight gradient is dout.T @ x, with dout the
+        # loss gradient of the logits.
+        net = init_network([Linear(5, 3)], seed=48)
+        layer = net.weighted_layers[0]
+        rng = np.random.default_rng(49)
+        buffers = []
+        for _ in range(2):
+            x, y = rng.normal(size=(4, 5)), rng.integers(0, 3, 4)
+            _, dout = softmax_cross_entropy(net.forward(x), y)
+            net.backward(y)
+            buffers.append(layer.grad_weights)
+        assert buffers[0] is buffers[1]
+        assert layer.grad_weights.tobytes() == (dout.T @ x).tobytes()
+
+    def test_second_backward_matches_a_fresh_network_bit_for_bit(self):
+        # Conv and linear layers reuse their buffers; the ReLU after a conv
+        # multiplies into the gradient it is handed, the one after the
+        # Flatten into a new array.
+        specs = [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Conv2d(2, 3, 3, 3, stride=2, padding=1),
+                 ReLU(), Flatten(), ReLU(), Linear(48, 2)]
+        net = init_network(specs, seed=50)
+        rng = np.random.default_rng(51)
+        batches = [(rng.normal(size=(3, 1, 8, 8)), rng.integers(0, 2, 3)) for _ in range(2)]
+        net.forward(batches[0][0])
+        net.backward(batches[0][1])
+        first = [l.grad_weights for l in net.weighted_layers]
+        net.forward(batches[1][0])
+        net.backward(batches[1][1])
+        fresh = init_network(specs, seed=50)
+        fresh.forward(batches[1][0])
+        fresh.backward(batches[1][1])
+        for layer, buffer, ref in zip(net.weighted_layers, first, fresh.weighted_layers):
+            assert layer.grad_weights is buffer, layer.layer_id
+            assert layer.grad_weights.tobytes() == ref.grad_weights.tobytes(), layer.layer_id
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_relu_backward_writes_over_a_gradient_in_its_layout(self, order):
+        relu = network._ReLULayer("layer0_relu")
+        rng = np.random.default_rng(52)
+        x = np.asarray(rng.normal(size=(4, 6)), order=order)
+        dout = rng.normal(size=(4, 6))  # C order, as a linear layer hands it back
+        expected = dout * (x > 0)
+        relu.forward(x)
+        grad = relu.backward(dout)
+        assert grad.tobytes() == expected.tobytes()
+        assert (grad is dout) == (order == "C")
+        assert grad.flags.f_contiguous == (order == "F")
+
     def test_relu_first_network_leaves_input_unchanged(self):
         rng = np.random.default_rng(48)
         for specs, shape in [

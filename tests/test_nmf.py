@@ -1,6 +1,7 @@
 """Factorization and score tests: convergence, monotonicity, determinism."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from nmfprune.masking import (
     GammaSearchConfig, LayerThreshold, generate_all_masks, layer_thresholds, tune_gamma,
 )
-from nmfprune.nmf import NmfConfig, factorize, score_layer
+from nmfprune.nmf import NmfConfig, _check_matrix, factorize, score_layer
 
 
 def rank_one_matrix(rng, m, p):
@@ -104,19 +105,21 @@ class TestScoreLayer:
     def test_sign_flip_invariance(self):
         w = np.random.default_rng(11).normal(size=(7, 9))
         cfg = NmfConfig(k=2, seed=9)
-        assert np.array_equal(score_layer(w, cfg), score_layer(-w, cfg))
+        flipped = -w
+        assert np.array_equal(score_layer(w, cfg), score_layer(flipped, cfg))
 
-    def test_input_not_mutated(self):
+    def test_input_overwritten_with_its_absolute_value(self):
         w = np.random.default_rng(12).normal(size=(5, 5))
-        before = w.copy()
+        w_abs = np.abs(w)
         score_layer(w, NmfConfig(k=2, seed=0))
-        assert np.array_equal(w, before)
+        assert np.array_equal(w, w_abs)
 
     def test_in_place_factorizes_the_weights_buffer(self):
         w = np.random.default_rng(12).normal(size=(6, 5))
         w_abs = np.abs(w)
-        expected = score_layer(w, NmfConfig(k=2, seed=0))
-        scores = score_layer(w, NmfConfig(k=2, seed=0), in_place=True)
+        result = factorize(w_abs.copy(), NmfConfig(k=2, seed=0))
+        expected = np.abs(w_abs - result.f @ result.g)
+        scores = score_layer(w, NmfConfig(k=2, seed=0))
         assert np.array_equal(scores, expected)
         assert np.array_equal(w, w_abs) and not np.shares_memory(scores, w)
 
@@ -189,3 +192,23 @@ def test_entry_points_reject_bad_matrices(entry, bad):
     call, name = entry
     with pytest.raises(ValueError, match=f"^{name} "):
         call(bad)
+
+
+class TestCheckMatrix:
+    def test_allocates_nothing_the_size_of_the_matrix(self):
+        a = np.random.default_rng(30).random((1000, 1000))
+        _check_matrix(a, "a")  # NumPy's first-use allocations are not counted
+        tracemalloc.start()
+        try:
+            _check_matrix(a, "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_one_non_finite_entry(self, bad):
+        a = np.ones((1000, 1000))
+        a[500, 321] = bad
+        with pytest.raises(ValueError, match=r"^a contains NaN or Inf$"):
+            _check_matrix(a, "a")

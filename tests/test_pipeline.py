@@ -1,5 +1,6 @@
 """End-to-end pipeline tests on the synthetic-blobs task."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -13,10 +14,11 @@ from nmfprune.checkpoint import load_checkpoint
 from nmfprune.datasets import DatasetError, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Linear, ReLU, count_zero_weights, init_network
-from nmfprune.nmf import MagnitudeScorer, NmfConfig, score_magnitude
+from nmfprune.nmf import MagnitudeScorer, NmfConfig, score_layer, score_magnitude
 from nmfprune import masking, pipeline
 from nmfprune.pipeline import STAGES, StageError, compute_scores, run_pipeline
 from nmfprune.runconfig import RunConfig
+from nmfprune.seeds import derive_seed
 from nmfprune.trainer import TrainConfig
 
 
@@ -443,13 +445,12 @@ class TestScoreMagnitude:
 
     def test_order_matches_magnitude_order(self):
         w = np.random.default_rng(0).normal(size=(5, 5))
-        scores = score_magnitude(w)
+        scores = score_magnitude(w.copy())
         assert np.array_equal(np.argsort(scores.ravel()), np.argsort(np.abs(w).ravel()))
-        assert not np.shares_memory(scores, w)
 
     def test_out_is_the_score_array(self):
         w = np.array([[-2.0, 1.0]])
-        scores = score_magnitude(w, in_place=True)
+        scores = score_magnitude(w)
         assert scores is w and np.array_equal(w, [[2.0, 1.0]])
 
     def test_tuned_target_keeps_top_magnitudes(self):
@@ -457,7 +458,7 @@ class TestScoreMagnitude:
 
         rng = np.random.default_rng(1)
         w = rng.normal(size=(64, 64))
-        scores = {"l": score_magnitude(w)}
+        scores = {"l": score_magnitude(w.copy())}
         result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.hit_target
         masks = generate_all_masks(scores, result.thresholds)
@@ -474,20 +475,25 @@ class TestScoreMagnitude:
 class TestComputeScoresInPlace:
     MODEL = [Linear(12, 20), ReLU(), Linear(20, 8, prunable=True), ReLU(), Linear(8, 2)]
 
-    def test_default_leaves_the_weights_untouched(self, scorer):
+    def test_prunable_weights_overwritten_with_their_magnitudes(self, scorer):
         net = init_network(self.MODEL, 4)
         before = [layer.weights.copy() for layer in net.weighted_layers]
-        scores = compute_scores(net, scorer, 4)
-        assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
-        assert not any(
-            np.shares_memory(scores[l.layer_id], l.weights) for l in net.prunable_layers
-        )
+        compute_scores(net, scorer, 4)
+        for layer, w in zip(net.weighted_layers, before):
+            assert np.array_equal(layer.weights, np.abs(w) if layer.prunable else w)
 
     def test_same_scores_written_into_the_weights(self, scorer):
-        expected = compute_scores(init_network(self.MODEL, 4), scorer, 4)
         net = init_network(self.MODEL, 4)
         abs_weights = [np.abs(layer.weights) for layer in net.prunable_layers]
-        scores = compute_scores(net, scorer, 4, in_place=True)
+        expected = {}
+        for layer, w_abs in zip(net.prunable_layers, abs_weights):
+            lid = layer.layer_id
+            if isinstance(scorer, MagnitudeScorer):
+                expected[lid] = w_abs
+            else:  # scored from a copy, with the layer's derived seed
+                cfg = dataclasses.replace(scorer, seed=derive_seed(4, "nmf", lid))
+                expected[lid] = score_layer(w_abs.copy(), cfg, lid)
+        scores = compute_scores(net, scorer, 4)
         assert list(scores) == list(expected)
         for layer, w_abs in zip(net.prunable_layers, abs_weights):
             s = scores[layer.layer_id]
@@ -498,3 +504,56 @@ class TestComputeScoresInPlace:
                 assert s is layer.weights
             else:  # NMF scores are a new array; the weights buffer held |W|
                 assert not np.shares_memory(s, layer.weights)
+
+
+def test_nmf_scoring_peaks_at_the_weights_and_two_buffers_of_the_largest_layer():
+    # |W| is factorized in the weights' own buffer: beside the weights, a
+    # layer holds its scores (or F @ G before them) and the earlier layers'
+    # scores, all within two buffers of the largest layer here.
+    model = [Linear(256, 256), ReLU(), Linear(256, 64), ReLU(), Linear(64, 10)]
+    scorer = NmfConfig(k=4, n_iter=5)
+    compute_scores(init_network(model, 7), scorer, 7)  # first-use allocations
+    tracemalloc.start()
+    try:
+        net = init_network(model, 7)
+        weights = sum(l.weights.nbytes + l.bias.nbytes for l in net.weighted_layers)
+        largest = max(l.weights.nbytes for l in net.prunable_layers)
+        compute_scores(net, scorer, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= weights + 2 * largest
+
+
+def test_run_trains_a_network_built_after_scoring(tmp_path, monkeypatch):
+    # Scoring writes |W| over the weights it scores, so the run scores one
+    # network and trains another built from the same seed, the last it builds.
+    build, compute, train = pipeline.init_network, pipeline.compute_scores, pipeline.run_training
+    built, scored, trained = [], [], []
+
+    def record_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def record_compute(net, *args, **kwargs):
+        scored.append((net, len(built)))
+        return compute(net, *args, **kwargs)
+
+    def record_train(net, *args, **kwargs):
+        trained.append((net, [l.weights.copy() for l in net.weighted_layers]))
+        return train(net, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "init_network", record_build)
+    monkeypatch.setattr(pipeline, "compute_scores", record_compute)
+    monkeypatch.setattr(pipeline, "run_training", record_train)
+    cfg = base_config(tmp_path, train=TrainConfig(epochs=1, lr=0.1, batch_size=64))
+    run_pipeline(cfg)
+    assert len(built) == 2 and scored == [(built[0], 1)]
+    [(net, start)] = trained
+    assert net is built[1]
+    fresh = init_network(cfg.model, cfg.seed)
+    for layer, weights, new in zip(net.weighted_layers, start, fresh.weighted_layers):
+        kept = np.ones(new.weights.shape, bool) if layer.mask is None else layer.mask
+        assert np.array_equal(weights, np.where(kept, new.weights, 0.0))
+    for layer, new in zip(built[0].prunable_layers, fresh.prunable_layers):
+        assert np.array_equal(layer.weights, np.abs(new.weights))

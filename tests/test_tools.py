@@ -43,12 +43,13 @@ def test_output_digests_hash_what_each_workload_writes_and_prints(tmp_path):
 
 def layer_peak_rows(workload):
     """The rows ``layer_peaks.py`` prints for one pass of ``workload``, by
-    (layer id, phase): calls, peak, entry and own figures."""
+    (layer id, phase): calls, peak, entry and own figures; and its last
+    line's pass peak with the row it names, or None for "between rows"."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "layer_peaks.py"), "--workload", workload],
         capture_output=True, text=True, check=True,
     )
-    header, *lines = done.stdout.splitlines()
+    header, *lines, last = done.stdout.splitlines()
     assert header.split() == [
         "layer", "phase", "calls", "peak", "MiB", "entry", "MiB", "own", "MiB",
     ]
@@ -59,26 +60,38 @@ def layer_peak_rows(workload):
     for calls, peak, entry, own in rows.values():
         assert 0 <= entry <= peak
         assert own == pytest.approx(peak - entry, abs=2e-3)
-    return rows
+    words = last.split()
+    assert words[:2] == ["pass", "peak"] and words[3:5] == ["MiB,", "set"]
+    pass_peak = float(words[2])
+    assert pass_peak >= max(peak for _, peak, _, _ in rows.values())
+    if words[5:] == ["between", "rows"]:
+        return rows, pass_peak, None
+    assert words[5] == "in"
+    row = tuple(words[6:])
+    assert rows[row][1] == pass_peak
+    return rows, pass_peak, row
 
 
 def test_layer_peaks_prints_every_layer_of_one_training_pass():
-    rows = layer_peak_rows("conv_idx")
+    rows, _, peak_row = layer_peak_rows("conv_idx")
     layers = ["layer0_conv", "layer1_relu", "layer2_conv", "layer3_relu", "layer4_flatten",
               "layer5_linear"]
-    assert set(rows) == {(l, p) for l in layers for p in ("train", "eval", "backward")} | {
-        ("tune_gamma", "search")
-    }
+    stages = {("load_dataset", "data"), ("compute_scores", "score"), ("tune_gamma", "search")}
+    assert set(rows) == {(l, p) for l in layers for p in ("train", "eval", "backward")} | stages
     # 1,600 training images in batches of 64 for two epochs: 50 steps.
     assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
-    assert rows["tune_gamma", "search"][0] == 1  # run searches once
+    assert {rows[stage][0] for stage in stages} == {1}  # run loads, scores and searches once
+    # The second conv's backward holds its patch gradient and the image it
+    # folds into beside the step's activations.
+    assert peak_row == ("layer2_conv", "backward")
 
 
 def test_layer_peaks_prints_the_search_of_each_tune_call():
-    # tune_wide trains nothing: its six tune calls are one search row, which
-    # holds the magnitude scores (the prunable weights) at entry.
-    rows = layer_peak_rows("tune_wide")
-    assert list(rows) == [("tune_gamma", "search")]
+    # tune_wide trains nothing: its six tune calls are one score row and one
+    # search row, and the search holds the magnitude scores (the prunable
+    # weights) at entry.
+    rows, _, _ = layer_peak_rows("tune_wide")
+    assert list(rows) == [("compute_scores", "score"), ("tune_gamma", "search")]
+    assert {calls for calls, _, _, _ in rows.values()} == {len(TUNE_TARGETS)}
     calls, peak, entry, own = rows["tune_gamma", "search"]
-    assert calls == len(TUNE_TARGETS)
     assert entry >= (784 * 1000 + 1000 * 1000) * 8 / 2**20

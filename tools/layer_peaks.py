@@ -1,4 +1,4 @@
-"""Print per-layer forward and backward memory peaks, and the gamma search's, over one pass.
+"""Print per-layer and per-stage memory peaks, and the pass peak, over one benchmark pass.
 
 Run from the repository root:
 
@@ -6,18 +6,24 @@ Run from the repository root:
 
 ``perfbench.workloads.make_workload`` writes the workload's inputs into a
 fresh temporary directory, and one pass runs under tracemalloc with one BLAS
-thread, as in the benchmark. Every layer of the network the pass builds
+thread, as in the benchmark. Every layer of each network the pass builds
 (``pipeline.init_network``) has its ``forward`` and ``backward`` wrapped on
 the instance: a call notes the traced bytes at entry and the peak they reach
 before it returns. One row per layer and phase (``train`` forward, ``eval``
 forward, ``backward``) gives the number of calls, the highest peak of any of
 them, the bytes resident at entry to that call, and the difference, which is
-what the call itself allocates on top. The gamma search is one more row,
-``tune_gamma`` in phase ``search``: ``pipeline.tune_gamma`` (``run``) and
-``cli.tune_gamma`` (``tune``) are wrapped the same way, so the search's peak
-sits beside training's. Figures are MiB of traced allocations, NumPy's
-arrays included. ``tune_wide`` trains nothing, so it prints the search row
-alone.
+what the call itself allocates on top. Three stages are rows of their own,
+wrapped the same way under the names ``run`` and ``tune`` look them up by:
+``load_dataset`` in phase ``data`` (``pipeline.load_dataset``),
+``compute_scores`` in phase ``score`` (``pipeline.compute_scores`` and
+``cli.compute_scores``) and ``tune_gamma`` in phase ``search``
+(``pipeline.tune_gamma`` and ``cli.tune_gamma``). ``run`` loads the data on
+a second thread while it scores, so each of those two rows' peaks counts the
+other's allocations while both run. The last line gives the pass peak, the
+quantity ``perfbench/run.py`` reports as ``pass_alloc_mb``, and the row that
+was open when it was reached, or ``between rows``. Figures are MiB of traced
+allocations, NumPy's arrays included. ``tune_wide`` trains nothing, so it
+prints the score and search rows alone.
 """
 
 import os
@@ -29,6 +35,7 @@ import argparse
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,54 +49,88 @@ WORKLOADS = ("mlp_nmf", "conv_idx", "tune_wide")
 MIB = 2**20
 
 
-def _traced(fn, phase_of, record):
-    """``fn`` wrapped to pass ``record(phase, entry_bytes, peak_bytes)`` the
-    traced bytes at its entry and the peak it reached."""
+class _Peaks:
+    """Rows of per-call peaks, by (name, phase), and the pass peak with the
+    row that set it. ``tracemalloc.reset_peak`` is global, so every entry to
+    a wrapped call first folds the peak reached since the last reset into
+    the pass peak: a peak reached while no row was open is set between rows."""
 
-    def wrapper(*args, **kwargs):
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            record(phase_of(kwargs), entry, tracemalloc.get_traced_memory()[1])
+    def __init__(self):
+        self.rows: dict[tuple[str, str], dict] = {}
+        self.open: list[tuple[str, str]] = []
+        self.peak, self.row = 0, None
 
-    return wrapper
+    def note(self, peak: int, row) -> None:
+        if peak > self.peak:
+            self.peak, self.row = peak, row
+
+    def fold(self) -> None:
+        """Fold the peak since the last reset into the pass peak."""
+        self.note(tracemalloc.get_traced_memory()[1], self.open[-1] if self.open else None)
+
+    def traced(self, fn, row_of):
+        """``fn`` wrapped to record, in row ``row_of(kwargs)``, the traced
+        bytes at its entry and the peak they reached before it returned."""
+
+        def wrapper(*args, **kwargs):
+            key = row_of(kwargs)
+            self.fold()
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            self.open.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.open.remove(key)
+                peak = tracemalloc.get_traced_memory()[1]
+                row = self.rows.setdefault(key, {"calls": 0, "peak": -1, "entry": 0})
+                row["calls"] += 1
+                if peak > row["peak"]:
+                    row["peak"], row["entry"] = peak, entry
+                self.note(peak, key)
+
+        return wrapper
 
 
-def layer_peaks(name: str, seed: int) -> dict[tuple[str, str], dict]:
+def _method(layer, name: str):
+    """``layer``'s method ``name`` through a weak reference, so that a
+    wrapper stored on the layer makes no reference cycle: a network the run
+    drops, the one it scored, is freed then, as in an untraced run."""
+    ref, fn = weakref.ref(layer), getattr(type(layer), name)
+    return lambda *args, **kwargs: fn(ref(), *args, **kwargs)
+
+
+def layer_peaks(name: str, seed: int) -> _Peaks:
     """Per (layer id, phase): ``calls``, and the ``peak`` and ``entry`` bytes
-    of the call with the highest peak, over one pass of workload ``name``.
-    The gamma search's calls are the row ``("tune_gamma", "search")``."""
-    rows: dict[tuple[str, str], dict] = {}
-
-    def recorder(layer_id):
-        def record(phase, entry, peak):
-            row = rows.setdefault((layer_id, phase), {"calls": 0, "peak": -1, "entry": 0})
-            row["calls"] += 1
-            if peak > row["peak"]:
-                row["peak"], row["entry"] = peak, entry
-
-        return record
-
+    of the call with the highest peak, over one pass of workload ``name``;
+    and the pass peak with the row that set it. The data, score and search
+    stages are the rows ``("load_dataset", "data")``, ``("compute_scores",
+    "score")`` and ``("tune_gamma", "search")``."""
+    peaks = _Peaks()
     build = pipeline.init_network
 
     def instrumented(*args, **kwargs):
         net = build(*args, **kwargs)
         for layer in net.layers:
-            record = recorder(layer.layer_id)
-            layer.forward = _traced(
-                layer.forward, lambda kw: "train" if kw.get("cache", True) else "eval", record
+            lid = layer.layer_id
+            layer.forward = peaks.traced(
+                _method(layer, "forward"),
+                lambda kw, lid=lid: (lid, "train" if kw.get("cache", True) else "eval"),
             )
-            layer.backward = _traced(layer.backward, lambda kw: "backward", record)
+            layer.backward = peaks.traced(
+                _method(layer, "backward"), lambda kw, lid=lid: (lid, "backward")
+            )
         return net
 
-    search = recorder("tune_gamma")
-    patches = {
-        (pipeline, "init_network"): instrumented,
-        (pipeline, "tune_gamma"): _traced(pipeline.tune_gamma, lambda kw: "search", search),
-        (cli, "tune_gamma"): _traced(cli.tune_gamma, lambda kw: "search", search),
-    }
+    phases = {"load_dataset": "data", "compute_scores": "score", "tune_gamma": "search"}
+    patches = {(pipeline, "init_network"): instrumented}
+    for module, attr in (
+        (pipeline, "load_dataset"), (pipeline, "compute_scores"), (cli, "compute_scores"),
+        (pipeline, "tune_gamma"), (cli, "tune_gamma"),
+    ):
+        patches[module, attr] = peaks.traced(
+            getattr(module, attr), lambda kw, row=(attr, phases[attr]): row
+        )
     originals = {key: getattr(*key) for key in patches}
     with tempfile.TemporaryDirectory(prefix=f"layer-peaks-{name}-") as tmp:
         workload = make_workload(name, seed, Path(tmp))
@@ -98,11 +139,12 @@ def layer_peaks(name: str, seed: int) -> dict[tuple[str, str], dict]:
         tracemalloc.start()
         try:
             workload.run_pass()
+            peaks.fold()
         finally:
             tracemalloc.stop()
             for (module, attr), fn in originals.items():
                 setattr(module, attr, fn)
-    return rows
+    return peaks
 
 
 def main(argv=None) -> int:
@@ -110,17 +152,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    rows = layer_peaks(args.workload, args.seed)
+    peaks = layer_peaks(args.workload, args.seed)
     print(
         f"{'layer':<16} {'phase':<9} {'calls':>6} {'peak MiB':>9} {'entry MiB':>10} "
         f"{'own MiB':>8}"
     )
-    for (layer_id, phase), row in rows.items():
+    for (layer_id, phase), row in peaks.rows.items():
         peak, entry = row["peak"] / MIB, row["entry"] / MIB
         print(
             f"{layer_id:<16} {phase:<9} {row['calls']:>6} {peak:>9.3f} {entry:>10.3f} "
             f"{peak - entry:>8.3f}"
         )
+    where = "between rows" if peaks.row is None else "in " + " ".join(peaks.row)
+    print(f"pass peak {peaks.peak / MIB:.3f} MiB, set {where}")
     return 0
 
 
