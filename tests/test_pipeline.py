@@ -475,6 +475,21 @@ class TestScoreMagnitude:
 class TestComputeScoresInPlace:
     MODEL = [Linear(12, 20), ReLU(), Linear(20, 8, prunable=True), ReLU(), Linear(8, 2)]
 
+    def test_default_leaves_the_weights_untouched(self, scorer):
+        # Scoring writes only over the prunable weights it scores: biases and
+        # the other layers keep their values, and a network built afterwards
+        # from the same seed (the one a run trains) has the original weights.
+        scored = init_network(self.MODEL, 4)
+        before = [(l.weights.copy(), l.bias.copy()) for l in scored.weighted_layers]
+        compute_scores(scored, scorer, 4)
+        for layer, (w, b) in zip(scored.weighted_layers, before):
+            assert np.array_equal(layer.bias, b)
+            if not layer.prunable:
+                assert np.array_equal(layer.weights, w)
+        trained = init_network(self.MODEL, 4)
+        for layer, (w, b) in zip(trained.weighted_layers, before):
+            assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
+
     def test_prunable_weights_overwritten_with_their_magnitudes(self, scorer):
         net = init_network(self.MODEL, 4)
         before = [layer.weights.copy() for layer in net.weighted_layers]
