@@ -14,7 +14,6 @@ from nmfprune import (
     GammaSearchConfig,
     Linear,
     NmfConfig,
-    OptimizerState,
     ReLU,
     SyntheticBlobs,
     TrainConfig,
@@ -25,6 +24,7 @@ from nmfprune import (
     init_network,
     load_dataset,
     masked_train_step,
+    momentum_buffers,
     run_training,
     tune_gamma,
 )
@@ -45,7 +45,7 @@ print(f"pruned to {start.global_sparsity:.2%} ({start.global_zeros} zeros), gamm
 # Drive individual steps and recount the zeros after each one. Momentum and
 # weight decay are on, the classic ways pruned weights come back to life.
 cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=128)
-state = OptimizerState.for_network(net)
+buffers = momentum_buffers(net)
 rng = np.random.default_rng(0)
 drift = 0
 for step in range(300):
@@ -53,7 +53,7 @@ for step in range(300):
     # standardized() returns float64 rows (blobs, CSV) as stored and
     # standardizes uint8 rows (IDX pixels) as they are read.
     x = dataset.standardized(dataset.train_x[idx])
-    masked_train_step(net, x, dataset.train_y[idx], state, 0.1, cfg)
+    masked_train_step(net, x, dataset.train_y[idx], buffers, 0.1, cfg)
     if count_zero_weights(net).global_zeros != start.global_zeros:
         drift += 1
 print(f"steps with any zero-count drift: {drift} / 300 (must be 0)")
@@ -62,9 +62,7 @@ print(f"steps with any zero-count drift: {drift} / 300 (must be 0)")
 # of the pruned model from scratch so the loss curve is visible.
 net = init_network(MODEL, seed=9)
 convert_to_masked(net, generate_all_masks(scores, result.thresholds))
-metrics = run_training(
-    net, dataset, TrainConfig(epochs=10, lr=0.1, batch_size=128, seed=4)
-)
+metrics = run_training(net, dataset, TrainConfig(epochs=10, lr=0.1, batch_size=128), seed=4)
 print("\nepoch  loss      train acc  test acc  zeros")
 for m in metrics:
     print(

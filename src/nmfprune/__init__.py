@@ -41,12 +41,12 @@ from .runconfig import ConfigError, RunConfig, load_config, parse_config
 from .seeds import derive_seed
 from .trainer import (
     EpochMetrics,
-    OptimizerState,
     SparsityViolationError,
     TrainConfig,
     evaluate,
     lr_at,
     masked_train_step,
+    momentum_buffers,
     run_training,
     sgd_step,
 )

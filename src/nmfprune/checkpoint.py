@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import LAYER_KINDS, Network, init_network
+from .nmf import _check_matrix
 
 MAGIC = b"ONGC"
 VERSION = 1
@@ -185,7 +186,8 @@ def _network_from_meta(meta, path) -> Network:
     specs = []
     for entry in meta["specs"]:
         fields = dict(entry) if isinstance(entry, dict) else {}
-        cls = LAYER_KINDS.get(fields.pop("kind", None))
+        kind = fields.pop("kind", None)
+        cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise CheckpointError(f"{path}: unknown layer spec {entry!r}")
         try:
@@ -208,9 +210,9 @@ def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint; raises before returning anything
     partial.
 
-    Metadata, tensor shapes and masks are checked: every mask holds only 0.0
-    and 1.0, every weight it prunes is exactly 0.0, and every tensor belongs
-    to a layer.
+    Metadata, tensor shapes and masks are checked: every weight and bias is
+    finite (no NaN or infinity), every mask holds only 0.0 and 1.0, every
+    weight it prunes is exactly 0.0, and every tensor belongs to a layer.
     """
     meta, tensors = read_container(path)
     net = _network_from_meta(meta, path)
@@ -231,6 +233,11 @@ def load_checkpoint(path) -> Network:
                 f"checkpoint bias of {bias.size} values does not match "
                 f"{layer.bias.size} for {lid!r}"
             )
+        for name, tensor in ((f"{lid}.weight", weight), (f"{lid}.bias", bias)):
+            try:
+                _check_matrix(tensor, f"tensor {name!r}")
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: {exc}") from None
         layer.weights = weight
         layer.bias = bias.reshape(layer.bias.shape)
         mask = tensors.pop(f"{lid}.mask", None)

@@ -100,10 +100,6 @@ class Dataset:
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
 
-    @property
-    def n_features(self) -> int:
-        return self.train_x.shape[1]
-
     def standardized(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` of this dataset's splits (``train_x[idx]``, a slice of
         ``test_x``) as standardized float64 rows: float64 rows as they are,

@@ -45,7 +45,6 @@ class NmfConfig:
 
     k: int
     n_iter: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -69,14 +68,16 @@ class NmfResult:
     k_eff: int
 
 
-def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) -> NmfResult:
+def factorize(
+    w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None, *, seed: int
+) -> NmfResult:
     """Factorize a non-negative matrix with multiplicative updates.
 
-    Factors are initialized from a seeded uniform draw on (0, 1] scaled by
-    sqrt(mean(w_abs) / k_eff), so the initial reconstruction magnitude matches
-    the data. One iteration updates F then G in the Gram form of Lee & Seung,
-    two m x p x k products per iteration (G @ G.T carries over to the next
-    F update):
+    Factors are initialized from a uniform draw on (0, 1], seeded by ``seed``
+    and scaled by sqrt(mean(w_abs) / k_eff), so the initial reconstruction
+    magnitude matches the data. One iteration updates F then G in the Gram
+    form of Lee & Seung, two m x p x k products per iteration (G @ G.T
+    carries over to the next F update):
 
         F <- F * (W @ G.T) / (F @ (G @ G.T) + EPSILON)
         G <- G * (F.T @ W) / ((F.T @ F) @ G + EPSILON)
@@ -104,7 +105,7 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
             f"{layer_id}: " if layer_id else "", k_eff, cfg.k, m, p,
         )
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     scale = np.sqrt(w_abs.mean() / k_eff)
     # 1 - random() lands in (0, 1], so no factor entry starts at exactly zero.
     f = (1.0 - rng.random((m, k_eff))) * scale
@@ -129,18 +130,21 @@ def factorize(w_abs: np.ndarray, cfg: NmfConfig, layer_id: str | None = None) ->
     return NmfResult(f=f, g=g, objective_trace=trace, k_eff=k_eff)
 
 
-def score_layer(w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer") -> np.ndarray:
+def score_layer(
+    w: np.ndarray, cfg: NmfConfig, layer_id: str = "layer", *, seed: int
+) -> np.ndarray:
     """Score a layer's weights by absolute reconstruction error.
 
     Operates on |w| only (the result is invariant under sign flips of the
     weights), and factorizes it in ``w``'s own buffer: ``w`` holds |w| on
     return, so a caller that needs the weights scores a copy. The scores are
-    a new array. A weight matrix ``factorize`` rejects is a ValueError, and a
-    full-rank fit a warning, that starts with ``layer_id``.
+    a new array; ``seed`` seeds the factorization. A weight matrix
+    ``factorize`` rejects is a ValueError, and a full-rank fit a warning, that
+    starts with ``layer_id``.
     """
     w_abs = np.abs(w, out=w)
     try:
-        result = factorize(w_abs, cfg, layer_id)
+        result = factorize(w_abs, cfg, layer_id, seed=seed)
     except ValueError as exc:
         raise ValueError(f"{layer_id}: {exc}") from None
     scores = result.f @ result.g  # |W_abs - F @ G|, built in the product's buffer

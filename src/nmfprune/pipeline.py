@@ -100,8 +100,8 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
         if isinstance(scorer, MagnitudeScorer):
             scores[lid] = score_magnitude(layer.weights)
         else:
-            cfg = dataclasses.replace(scorer, seed=derive_seed(root_seed, "nmf", lid))
-            scores[lid] = score_layer(layer.weights, cfg, lid)
+            seed = derive_seed(root_seed, "nmf", lid)
+            scores[lid] = score_layer(layer.weights, scorer, lid, seed=seed)
     return scores
 
 
@@ -224,7 +224,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
                 f"the model has {logits[0]} outputs but the dataset has "
                 f"{dataset.n_classes} classes"
             )
-        train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, "train"))
+        seed = derive_seed(cfg.seed, "train")
         with open(out / "epochs.jsonl", "w", encoding="utf-8") as epoch_log:
 
             def on_epoch_end(epoch, network, epoch_metrics):
@@ -233,7 +233,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
                 if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                     save_checkpoint(network, out / f"checkpoint_epoch{epoch:04d}.bin")
 
-            metrics = run_training(net, dataset, train_cfg, on_epoch_end=on_epoch_end)
+            metrics = run_training(net, dataset, cfg.train, seed=seed, on_epoch_end=on_epoch_end)
 
     with _stage("report", wall):
         if metrics:

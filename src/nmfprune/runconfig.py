@@ -147,18 +147,15 @@ class _Section:
             raise ConfigError(f"{self.source}:{lineno}: [{self.name}] has unknown kind {kind!r}")
         return kinds[kind.lower()]
 
-    def build(self, cls, aliases: dict[str, str] | None = None, fixed: tuple = (), **given):
+    def build(self, cls, aliases: dict[str, str] | None = None, **given):
         """``cls`` from the section's keys, one key per dataclass field.
 
         A field's key is its name, or ``aliases[name]`` where the config
-        spells it differently. Fields in ``fixed`` or ``given`` take no key;
-        fields without a key keep their dataclass default.
+        spells it differently. Fields in ``given`` take no key; fields
+        without a key keep their dataclass default.
         """
         aliases = aliases or {}
-        accepted = {
-            aliases.get(f.name, f.name): f
-            for f in fields(cls) if f.name not in fixed and f.name not in given
-        }
+        accepted = {aliases.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
         values = {}
         for key, (lineno, text) in self.kv.items():
             if key not in accepted:
@@ -227,8 +224,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         aliases={"images_path": "images", "labels_path": "labels"},
     )
     scorer_section = _Section("scorer", want("scorer"), source)
-    # Factorization and training seeds derive from [run] seed.
-    scorer = scorer_section.build(scorer_section.pick(_SCORER_KINDS), fixed=("seed",))
+    scorer = scorer_section.build(scorer_section.pick(_SCORER_KINDS))
 
     threshold_section = _Section("threshold", want("threshold"), source)
     threshold = threshold_section.build(ThresholdConfig, aliases={"t_type": "type"})
@@ -249,7 +245,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         )
 
     train = _Section("train", want("train"), source).build(
-        TrainConfig, aliases={"lr_milestones": "milestones"}, fixed=("seed",)
+        TrainConfig, aliases={"lr_milestones": "milestones"}
     )
     return _Section("run", sections.get("run", []), source).build(
         RunConfig,

@@ -34,7 +34,6 @@ class TrainConfig:
     batch_size: int = 128
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -59,23 +58,18 @@ class TrainConfig:
             raise ValueError(f"lr_milestones must be < epochs={self.epochs}, got {ms}")
 
 
-class OptimizerState:
-    """Momentum buffers, one per parameter. A masked weight's buffer is flat
-    and holds its kept entries, in the order of the layer's ``kept``
-    indices; every other buffer has its parameter's shape."""
-
-    def __init__(self, buffers: dict[str, np.ndarray]):
-        self.buffers = buffers
-
-    @classmethod
-    def for_network(cls, net: Network) -> "OptimizerState":
-        buffers = {}
-        for layer in net.weighted_layers:
-            buffers[f"{layer.layer_id}.weight"] = (
-                np.zeros_like(layer.weights) if layer.kept is None else np.zeros(layer.kept.size)
-            )
-            buffers[f"{layer.layer_id}.bias"] = np.zeros_like(layer.bias)
-        return cls(buffers)
+def momentum_buffers(net: Network) -> dict[str, np.ndarray]:
+    """Zeroed momentum buffers keyed ``<layer id>.weight`` and ``<layer
+    id>.bias``. A masked weight's buffer is flat and holds its kept entries,
+    in the order of the layer's ``kept`` indices; every other buffer has its
+    parameter's shape."""
+    buffers = {}
+    for layer in net.weighted_layers:
+        buffers[f"{layer.layer_id}.weight"] = (
+            np.zeros_like(layer.weights) if layer.kept is None else np.zeros(layer.kept.size)
+        )
+        buffers[f"{layer.layer_id}.bias"] = np.zeros_like(layer.bias)
+    return buffers
 
 
 @dataclass
@@ -108,15 +102,16 @@ class SparsityViolationError(RuntimeError):
         )
 
 
-def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """Momentum SGD over every trainable parameter, biases included:
+def sgd_step(net: Network, buffers: dict[str, np.ndarray], lr: float, cfg: TrainConfig) -> None:
+    """Momentum SGD over every trainable parameter, biases included, with
+    the buffers ``momentum_buffers`` made:
 
         buf <- momentum * buf + (grad + weight_decay * param)
         param <- param - lr * buf
 
     A masked weight is updated at its kept indices only; its pruned entries
     are not read or written, and their gradients enter only the check that
-    every gradient entry is finite.
+    every gradient entry is finite, two reductions with no bool copy.
     """
     for layer in net.weighted_layers:
         if layer.grad_weights is None or layer.grad_bias is None:
@@ -125,17 +120,16 @@ def sgd_step(net: Network, state: OptimizerState, lr: float, cfg: TrainConfig) -
             (f"{layer.layer_id}.weight", layer.weights, layer.grad_weights, layer.kept),
             (f"{layer.layer_id}.bias", layer.bias, layer.grad_bias, None),
         ):
-            finite = np.isfinite(grad)
-            if not finite.all():
-                bad = np.flatnonzero(~finite)
+            if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+                bad = np.flatnonzero(~np.isfinite(grad))
                 raise FloatingPointError(f"non-finite gradient in {key}: {bad.size} entries, "
                                          f"first at flat index {bad[0]}")
-            buf = state.buffers[key]
+            buf = buffers[key]
             size = param.size if kept is None else kept.size
             if buf.size != size:
                 raise RuntimeError(
                     f"momentum buffer of {key} has {buf.size} entries but the parameter "
-                    f"updates {size}: build the optimizer state after attaching masks"
+                    f"updates {size}: build the momentum buffers after attaching masks"
                 )
             if kept is None:
                 p, g = param, grad
@@ -156,7 +150,7 @@ def masked_train_step(
     net: Network,
     x: np.ndarray,
     y: np.ndarray,
-    state: OptimizerState,
+    buffers: dict[str, np.ndarray],
     lr: float,
     cfg: TrainConfig,
 ) -> StepResult:
@@ -170,7 +164,7 @@ def masked_train_step(
     """
     logits = net.forward(x)
     loss = net.backward(y)
-    sgd_step(net, state, lr, cfg)
+    sgd_step(net, buffers, lr, cfg)
     for layer in net.masked_layers:
         violations = np.flatnonzero((layer.weights != 0.0) > layer.mask)
         if violations.size:
@@ -204,9 +198,10 @@ def evaluate(net: Network, dataset, batch_size: int) -> float:
 
 
 def run_training(
-    net: Network, dataset, cfg: TrainConfig, on_epoch_end=None
+    net: Network, dataset, cfg: TrainConfig, *, seed: int, on_epoch_end=None
 ) -> list[EpochMetrics]:
-    """Train for cfg.epochs with seeded per-epoch shuffling.
+    """Train for cfg.epochs, shuffling each epoch with a stream derived from
+    ``seed`` as ``shuffle/<epoch>``.
 
     Each batch is read through ``dataset.standardized`` and reshaped to the
     model's input shape (``network.input_shape``). Returns one metrics
@@ -215,20 +210,20 @@ def run_training(
     per-step assertion were disabled. ``on_epoch_end(epoch, net, metrics)``,
     when given, runs after each epoch (log appending, periodic checkpoints).
     """
-    state = OptimizerState.for_network(net)
+    buffers = momentum_buffers(net)
     shape = input_shape(net.specs, dataset.sample_shape)
     n = len(dataset.train_x)
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch))
+        rng = np.random.default_rng(derive_seed(seed, "shuffle", epoch))
         perm = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             x = dataset.standardized(dataset.train_x[idx]).reshape(-1, *shape)
-            result = masked_train_step(net, x, dataset.train_y[idx], state, lr, cfg)
+            result = masked_train_step(net, x, dataset.train_y[idx], buffers, lr, cfg)
             loss_sum += result.loss * result.count
             correct += result.correct
         report = count_zero_weights(net)

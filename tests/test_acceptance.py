@@ -34,10 +34,10 @@ from nmfprune.pipeline import compute_scores, run_pipeline
 from nmfprune.runconfig import RunConfig
 from nmfprune.seeds import derive_seed
 from nmfprune.trainer import (
-    OptimizerState,
     TrainConfig,
     lr_at,
     masked_train_step,
+    momentum_buffers,
     run_training,
 )
 
@@ -150,13 +150,13 @@ def test_criterion_3_strict_sparsity_preservation(tmp_path):
 
     baseline = count_zero_weights(net).global_zeros
     train_cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=128)
-    state = OptimizerState.for_network(net)
+    buffers = momentum_buffers(net)
     rng = np.random.default_rng(0)
     n = len(dataset.train_x)
     steps = 2000
     for step in range(steps):
         idx = rng.integers(0, n, 128)
-        masked_train_step(net, dataset.train_x[idx], dataset.train_y[idx], state, 0.1, train_cfg)
+        masked_train_step(net, dataset.train_x[idx], dataset.train_y[idx], buffers, 0.1, train_cfg)
         count = count_zero_weights(net).global_zeros
         assert count == baseline, f"step {step}: zero count {count} != {baseline}"
     elapsed = time.perf_counter() - start
@@ -178,13 +178,13 @@ def test_criterion_4_masking_identity():
         if masked:
             masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net.prunable_layers}
             convert_to_masked(net, masks)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         rng = np.random.default_rng(5)
         losses = []
         for _ in range(500):
             x = rng.normal(size=(64, 16))
             y = rng.integers(0, 2, 64)
-            losses.append(masked_train_step(net, x, y, state, 0.05, train_cfg).loss)
+            losses.append(masked_train_step(net, x, y, buffers, 0.05, train_cfg).loss)
         return losses
 
     masked_losses = run(masked=True)
@@ -204,7 +204,7 @@ def test_criterion_5_nmf_correctness():
     for i in range(20):
         rng = np.random.default_rng(300 + i)
         w = rng.random((rng.integers(4, 20), rng.integers(4, 20)))
-        trace = factorize(w, NmfConfig(k=3, seed=i)).objective_trace
+        trace = factorize(w, NmfConfig(k=3), seed=i).objective_trace
         assert len(trace) == 201
         assert np.all(trace[1:] <= trace[:-1] + 1e-9), f"matrix {i} trace increased"
 
@@ -213,15 +213,15 @@ def test_criterion_5_nmf_correctness():
     worst_resid = 0.0
     for _ in range(5):
         w = rng.uniform(0.1, 1.0, (40, 1)) @ rng.uniform(0.1, 1.0, (1, 25))
-        result = factorize(w, NmfConfig(k=1, seed=1))
+        result = factorize(w, NmfConfig(k=1), seed=1)
         resid = result.objective_trace[-1] / float(np.sum(w * w))
         worst_resid = max(worst_resid, resid)
         assert resid <= 1e-6
 
     # (c) bit-exact determinism under a fixed seed
     w = np.random.default_rng(78).random((12, 9))
-    a = factorize(w, NmfConfig(k=4, seed=9))
-    b = factorize(w, NmfConfig(k=4, seed=9))
+    a = factorize(w, NmfConfig(k=4), seed=9)
+    b = factorize(w, NmfConfig(k=4), seed=9)
     assert a.f.tobytes() == b.f.tobytes()
     assert a.g.tobytes() == b.g.tobytes()
     assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
@@ -278,9 +278,9 @@ def test_criterion_7_learning_under_sparsity(tmp_path):
     dataset = load_dataset(cfg.dataset, split_seed=derive_seed(cfg.seed, "data"))
     train_cfg = TrainConfig(
         epochs=40, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=128,
-        lr_milestones=(20, 30), lr_gamma=0.1, seed=derive_seed(cfg.seed, "train"),
+        lr_milestones=(20, 30), lr_gamma=0.1,
     )
-    dense_metrics = run_training(dense_net, dataset, train_cfg)
+    dense_metrics = run_training(dense_net, dataset, train_cfg, seed=derive_seed(cfg.seed, "train"))
 
     sparse_acc = sparse_report.final_test_accuracy
     dense_acc = dense_metrics[-1].test_accuracy

@@ -1,6 +1,7 @@
 """Container format round-trip and corruption rejection tests."""
 
 import json
+import re
 import struct
 import tracemalloc
 import zlib
@@ -20,10 +21,10 @@ from nmfprune.checkpoint import (
 from nmfprune.cli import main
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import (
-    OptimizerState,
     SparsityViolationError,
     TrainConfig,
     masked_train_step,
+    momentum_buffers,
 )
 
 
@@ -33,9 +34,9 @@ def trained_masked_net(seed=0):
     masks = {l.layer_id: rng.random(l.weights.shape) < 0.4 for l in net.prunable_layers}
     convert_to_masked(net, masks)
     cfg = TrainConfig(epochs=1, lr=0.1)
-    state = OptimizerState.for_network(net)
+    buffers = momentum_buffers(net)
     for _ in range(5):
-        masked_train_step(net, rng.normal(size=(8, 6)), rng.integers(0, 3, 8), state, 0.1, cfg)
+        masked_train_step(net, rng.normal(size=(8, 6)), rng.integers(0, 3, 8), buffers, 0.1, cfg)
     return net
 
 
@@ -191,7 +192,7 @@ class TestLoadedMasks:
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(8, 6)), rng.integers(0, 3, 8)
         for model in (net, loaded):
-            masked_train_step(model, x, y, OptimizerState.for_network(model), 0.1, cfg)
+            masked_train_step(model, x, y, momentum_buffers(model), 0.1, cfg)
         for a, b in zip(net.weighted_layers, loaded.weighted_layers):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
@@ -210,7 +211,7 @@ class TestLoadedMasks:
         with pytest.raises(SparsityViolationError) as err:
             masked_train_step(
                 net, rng.normal(size=(4, 6)), rng.integers(0, 3, 4),
-                OptimizerState.for_network(net), 0.1,
+                momentum_buffers(net), 0.1,
                 TrainConfig(epochs=1, lr=0.1),
             )
         assert err.value.layer_id == layer.layer_id
@@ -347,6 +348,8 @@ BAD_CHECKPOINTS = {
         t["layer0_linear.weight"], t["layer0_linear.mask"] == 0.0, 1.0
     ),
     "tensor-of-no-layer": lambda meta, t: _set(t, "layer9_linear.weight", np.ones((2, 2))),
+    "kind-object": lambda meta, t: _set(meta["specs"][0], "kind", {"name": "linear"}),
+    "kind-list": lambda meta, t: _set(meta["specs"][0], "kind", ["linear"]),
 }
 
 
@@ -361,7 +364,24 @@ def test_bad_checkpoint_metadata_rejected(tmp_path, capsys, edit):
         load_checkpoint(path)
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tensor", ["layer0_linear.weight", "layer2_linear.bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_tensor_rejected(tmp_path, capsys, tensor, value):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(trained_masked_net(), path)
+    meta, tensors = read_container(path)
+    tensors[tensor][0, -1] = value
+    write_container(path, meta, tensors)
+    message = f"{path}: tensor {tensor!r} contains NaN or Inf"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["inspect", "--quiet", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _container_bytes(meta: bytes, name: bytes) -> bytes:

@@ -528,9 +528,9 @@ def test_model_that_cannot_read_its_data_exits_1_before_scoring(
     factorized = []
     score_layer = pipeline.score_layer
 
-    def record_and_score(w, cfg, layer_id):
+    def record_and_score(w, cfg, layer_id, *, seed):
         factorized.append(layer_id)
-        return score_layer(w, cfg, layer_id)
+        return score_layer(w, cfg, layer_id, seed=seed)
 
     monkeypatch.setattr(pipeline, "score_layer", record_and_score)
     out = tmp_path / "out"

@@ -47,7 +47,7 @@ class TestBlobs:
         assert len(ds.train_x) == 80
         assert len(ds.test_x) == 20
         assert ds.n_classes == 3
-        assert ds.n_features == 4
+        assert ds.train_x.shape[1] == 4
 
     def test_normalized_on_train_split(self):
         ds = load_dataset(SyntheticBlobs(500, 8, 2, seed=1), split_seed=2)
@@ -70,7 +70,7 @@ class TestCsv:
         p = tmp_path / "data.csv"
         p.write_text("1.0,2.0,0\n3.0,4.0,1\n" * 10)
         ds = load_dataset(CsvSource(str(p), label_column=2))
-        assert ds.n_features == 2
+        assert ds.train_x.shape[1] == 2
         assert ds.n_classes == 2
         assert len(ds.train_x) + len(ds.test_x) == 20
 
@@ -157,7 +157,7 @@ class TestIdx:
         write_idx_labels(tmp_path / "lbls", labels)
         ds = load_dataset(IdxSource(str(tmp_path / "imgs"), str(tmp_path / "lbls")))
         assert ds.sample_shape == (1, 4, 4)
-        assert ds.n_features == 16
+        assert ds.train_x.shape[1] == 16
         assert len(ds.train_x) == 40
         assert ds.train_x.dtype == ds.test_x.dtype == np.uint8
 
@@ -363,12 +363,12 @@ class TestBatchReads:
 
         monkeypatch.setattr(trainer, "masked_train_step", record_step)
         net.forward = record_forward
-        cfg = trainer.TrainConfig(epochs=2, lr=0.05, batch_size=16, seed=5)
-        trainer.run_training(net, ds, cfg)
+        cfg = trainer.TrainConfig(epochs=2, lr=0.05, batch_size=16)
+        trainer.run_training(net, ds, cfg, seed=5)
 
         expected_steps, expected_evaluations = [], []
         for epoch in range(cfg.epochs):
-            perm = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(40)
+            perm = np.random.default_rng(derive_seed(5, "shuffle", epoch)).permutation(40)
             expected_steps += [ref_train[perm[s : s + 16]] for s in range(0, 40, 16)]
             expected_evaluations.append(ref_test)  # 10 test rows: one batch
         for got, rows in zip(
@@ -448,7 +448,7 @@ class TestDeclaredShape:
             assert declared_shape(spec) == shape
             ds = load_dataset(spec)
             assert ds.sample_shape == shape
-            assert ds.n_features == math.prod(shape)
+            assert ds.train_x.shape[1] == math.prod(shape)
 
     def test_reads_only_the_first_csv_row(self, tmp_path):
         p = tmp_path / "data.csv"

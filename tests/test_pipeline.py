@@ -1,6 +1,5 @@
 """End-to-end pipeline tests on the synthetic-blobs task."""
 
-import dataclasses
 import json
 import threading
 import time
@@ -92,7 +91,8 @@ class TestRunPipeline:
         specs = [Linear(16, 8), ReLU(), Linear(8, 2)]
         seed = 11
         dataset = load_dataset(SyntheticBlobs(600, 16, 2, seed=5), derive_seed(seed, "data"))
-        train_cfg = TrainConfig(epochs=3, lr=0.1, batch_size=64, seed=derive_seed(seed, "train"))
+        train_cfg = TrainConfig(epochs=3, lr=0.1, batch_size=64)
+        train_seed = derive_seed(seed, "train")
 
         masked_net = init_network(specs, seed)
         constant_scores = {
@@ -103,10 +103,10 @@ class TestRunPipeline:
         )
         assert all(np.all(m) for m in masks.values())
         convert_to_masked(masked_net, masks)
-        masked_metrics = run_training(masked_net, dataset, train_cfg)
+        masked_metrics = run_training(masked_net, dataset, train_cfg, seed=train_seed)
 
         dense_net = init_network(specs, seed)
-        dense_metrics = run_training(dense_net, dataset, train_cfg)
+        dense_metrics = run_training(dense_net, dataset, train_cfg, seed=train_seed)
 
         assert masked_metrics[-1].test_accuracy == dense_metrics[-1].test_accuracy
         assert [m.train_loss for m in masked_metrics] == [m.train_loss for m in dense_metrics]
@@ -506,8 +506,8 @@ class TestComputeScoresInPlace:
             if isinstance(scorer, MagnitudeScorer):
                 expected[lid] = w_abs
             else:  # scored from a copy, with the layer's derived seed
-                cfg = dataclasses.replace(scorer, seed=derive_seed(4, "nmf", lid))
-                expected[lid] = score_layer(w_abs.copy(), cfg, lid)
+                seed = derive_seed(4, "nmf", lid)
+                expected[lid] = score_layer(w_abs.copy(), scorer, lid, seed=seed)
         scores = compute_scores(net, scorer, 4)
         assert list(scores) == list(expected)
         for layer, w_abs in zip(net.prunable_layers, abs_weights):

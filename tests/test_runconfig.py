@@ -1,15 +1,16 @@
 """Config file parsing: grammar, defaults, and mode exclusivity."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from nmfprune.datasets import SyntheticBlobs
-from nmfprune.masking import GammaSearchConfig
+from nmfprune.datasets import CsvSource, IdxSource, SyntheticBlobs
+from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU
 from nmfprune.nmf import NmfConfig
-from nmfprune.runconfig import ConfigError, MagnitudeScorer, load_config, parse_config
+from nmfprune.runconfig import ConfigError, MagnitudeScorer, RunConfig, load_config, parse_config
 from nmfprune.trainer import TrainConfig
 
 BASE = """
@@ -250,3 +251,38 @@ class TestErrors:
         p = tmp_path / "run.cfg"
         p.write_text(BASE)
         assert load_config(p).seed == 42
+
+
+# Each dataclass a section is read into: (section, its kind line, the class,
+# the config's spelling of a field where it differs from the field's name).
+SECTION_CLASSES = [
+    ("scorer", "kind = nmf", NmfConfig, {}),
+    ("scorer", "kind = magnitude", MagnitudeScorer, {}),
+    ("train", "", TrainConfig, {"lr_milestones": "milestones"}),
+    ("threshold", "", ThresholdConfig, {"t_type": "type"}),
+    ("gamma_search", "", GammaSearchConfig, {}),
+    ("dataset", "kind = synthetic-blobs", SyntheticBlobs, {}),
+    ("dataset", "kind = csv", CsvSource, {}),
+    ("dataset", "kind = idx", IdxSource, {"images_path": "images", "labels_path": "labels"}),
+    ("run", "", RunConfig, {"output_dir": "output"}),
+]
+SECTION_NAMES = {"run", "model", "dataset", "scorer", "threshold", "gamma_search", "train"}
+FIELD_KEYS = [
+    pytest.param(section, kind, aliases.get(f.name, f.name), id=f"{cls.__name__}.{f.name}")
+    for section, kind, cls, aliases in SECTION_CLASSES
+    for f in fields(cls)
+    if f.name not in SECTION_NAMES  # RunConfig's sections, not keys
+]
+
+
+@pytest.mark.parametrize("section, kind, key", FIELD_KEYS)
+def test_every_field_of_a_section_has_a_key(section, kind, key):
+    # A config field that no config may set is a value the caller overwrites:
+    # pass it as an argument instead (as the seeds are).
+    parts = re.split(r"(?m)^(?=\[)", BASE)
+    text = "".join(p for p in parts if not p.startswith(f"[{section}]"))
+    text += f"\n[{section}]\n{kind}\n{key} = 1\n"
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        assert "unknown key" not in str(exc)

@@ -8,12 +8,12 @@ import pytest
 from nmfprune.datasets import Dataset
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import (
-    OptimizerState,
     SparsityViolationError,
     TrainConfig,
     evaluate,
     lr_at,
     masked_train_step,
+    momentum_buffers,
     run_training,
     sgd_step,
 )
@@ -53,20 +53,20 @@ class TestSgdStep:
         cfg = TrainConfig(epochs=1, lr=0.5, momentum=0.0, weight_decay=0.0)
         before = net.weighted_layers[0].weights.copy()
         set_grads(net, 2.0)
-        sgd_step(net, OptimizerState.for_network(net), 0.5, cfg)
+        sgd_step(net, momentum_buffers(net), 0.5, cfg)
         assert np.allclose(net.weighted_layers[0].weights, before - 0.5 * 2.0, atol=1e-15)
 
     def test_momentum_buildup(self):
         net = make_net()
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.5, weight_decay=0.0)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         w = net.weighted_layers[0].weights
         before = w.copy()
         set_grads(net, 1.0)
-        sgd_step(net, state, 0.1, cfg)
+        sgd_step(net, buffers, 0.1, cfg)
         after_first = w.copy()
         set_grads(net, 1.0)
-        sgd_step(net, state, 0.1, cfg)
+        sgd_step(net, buffers, 0.1, cfg)
         first_delta = before - after_first
         second_delta = after_first - w
         assert np.allclose(first_delta, 0.1 * 1.0, atol=1e-15)
@@ -78,7 +78,7 @@ class TestSgdStep:
         w = net.weighted_layers[0].weights
         before = w.copy()
         set_grads(net, 0.0)
-        sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
+        sgd_step(net, momentum_buffers(net), 0.1, cfg)
         assert np.allclose(w, before - 0.1 * 0.01 * before, atol=1e-15)
 
     def test_nan_gradient_aborts(self):
@@ -87,7 +87,7 @@ class TestSgdStep:
         set_grads(net, 1.0)
         net.weighted_layers[0].grad_weights[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
+            sgd_step(net, momentum_buffers(net), 0.1, cfg)
 
     def test_inf_gradient_reports_count_and_first_index(self):
         net = make_net()
@@ -100,16 +100,16 @@ class TestSgdStep:
             FloatingPointError,
             match=r"non-finite gradient in layer0_linear.weight: 2 entries, first at flat index 3$",
         ):
-            sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
+            sgd_step(net, momentum_buffers(net), 0.1, cfg)
 
     def test_masked_step_never_writes_pruned_weights(self):
         net = make_net(seed=36)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=37))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         for _ in range(3):
             set_grads(net, 1.0)  # non-zero at the pruned positions too
-            sgd_step(net, state, 0.1, cfg)
+            sgd_step(net, buffers, 0.1, cfg)
         layer = net.masked_layers[0]
         pruned = layer.weights[layer.mask == 0.0]
         assert pruned.size and np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
@@ -118,40 +118,40 @@ class TestSgdStep:
     def test_non_contiguous_masked_weight_rejected_not_updated_in_a_copy(self):
         net = make_net(seed=36)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=37))
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         layer = net.masked_layers[0]
         layer.weights = np.asfortranarray(layer.weights)
         set_grads(net, 1.0)
         with pytest.raises(RuntimeError, match=f"{layer.layer_id}.weight is not contiguous"):
-            sgd_step(net, state, 0.1, TrainConfig(epochs=1, lr=0.1))
+            sgd_step(net, buffers, 0.1, TrainConfig(epochs=1, lr=0.1))
 
     def test_masked_buffer_holds_kept_entries_only(self):
         net = make_net(seed=38)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=39))
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         for layer in net.weighted_layers:
-            buf = state.buffers[f"{layer.layer_id}.weight"]
+            buf = buffers[f"{layer.layer_id}.weight"]
             expected = layer.weights.shape if layer.kept is None else (layer.kept.size,)
             assert buf.shape == expected
-            assert state.buffers[f"{layer.layer_id}.bias"].shape == layer.bias.shape
+            assert buffers[f"{layer.layer_id}.bias"].shape == layer.bias.shape
 
     def test_state_built_before_masks_rejected(self):
         net = make_net(seed=40)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         convert_to_masked(net, random_masks(net, keep=0.5, seed=41))
         set_grads(net, 1.0)
         before = [l.weights.copy() for l in net.weighted_layers]
         with pytest.raises(
             RuntimeError, match=r"momentum buffer of layer0_linear.weight has 32 entries"
         ):
-            sgd_step(net, state, 0.1, TrainConfig(epochs=1, lr=0.1))
+            sgd_step(net, buffers, 0.1, TrainConfig(epochs=1, lr=0.1))
         assert all(np.array_equal(l.weights, w) for l, w in zip(net.weighted_layers, before))
 
     def test_missing_gradients_rejected(self):
         net = make_net()
         cfg = TrainConfig(epochs=1, lr=0.1)
         with pytest.raises(RuntimeError, match="no gradients"):
-            sgd_step(net, OptimizerState.for_network(net), 0.1, cfg)
+            sgd_step(net, momentum_buffers(net), 0.1, cfg)
 
 
 class TestMaskedTrainStep:
@@ -160,12 +160,12 @@ class TestMaskedTrainStep:
         masks = {l.layer_id: np.zeros_like(l.weights, dtype=bool) for l in net.prunable_layers}
         convert_to_masked(net, masks)
         cfg = TrainConfig(epochs=1, lr=0.1)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=(16, 4))
             y = rng.integers(0, 3, 16)
-            masked_train_step(net, x, y, state, 0.1, cfg)
+            masked_train_step(net, x, y, buffers, 0.1, cfg)
             assert np.all(net.masked_layers[0].weights == 0.0)
 
     def test_all_ones_mask_bitwise_identical_to_unmasked(self):
@@ -175,16 +175,16 @@ class TestMaskedTrainStep:
         y = rng.integers(0, 3, 8)
 
         net_plain = make_net(seed=3)
-        state_plain = OptimizerState.for_network(net_plain)
+        buffers_plain = momentum_buffers(net_plain)
         net_plain.forward(x)
         net_plain.backward(y)
-        sgd_step(net_plain, state_plain, 0.1, cfg)
+        sgd_step(net_plain, buffers_plain, 0.1, cfg)
 
         net_masked = make_net(seed=3)
         masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net_masked.prunable_layers}
         convert_to_masked(net_masked, masks)
-        state_masked = OptimizerState.for_network(net_masked)
-        masked_train_step(net_masked, x, y, state_masked, 0.1, cfg)
+        buffers_masked = momentum_buffers(net_masked)
+        masked_train_step(net_masked, x, y, buffers_masked, 0.1, cfg)
 
         for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
             assert np.array_equal(a.weights, b.weights)
@@ -194,7 +194,7 @@ class TestMaskedTrainStep:
         net = make_net(seed=4)
         convert_to_masked(net, random_masks(net, keep=0.2, seed=5))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         initial = sum(
             int(np.count_nonzero(l.weights == 0.0)) for l in net.prunable_layers
         )
@@ -202,7 +202,7 @@ class TestMaskedTrainStep:
         for _ in range(200):
             x = rng.normal(size=(16, 4))
             y = rng.integers(0, 3, 16)
-            masked_train_step(net, x, y, state, 0.1, cfg)
+            masked_train_step(net, x, y, buffers, 0.1, cfg)
             count = sum(
                 int(np.count_nonzero(l.weights == 0.0)) for l in net.prunable_layers
             )
@@ -213,13 +213,15 @@ class TestMaskedTrainStep:
         convert_to_masked(net, random_masks(net, keep=0.5, seed=11))
         layer = net.masked_layers[0]
         # The step never writes pruned weights, so a live one stays live.
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         masked_index = tuple(np.argwhere(layer.mask == 0.0)[0])
         layer.weights[masked_index] = 123.0
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9)
         rng = np.random.default_rng(12)
         with pytest.raises(SparsityViolationError) as err:
-            masked_train_step(net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4), state, 0.1, cfg)
+            masked_train_step(
+                net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4), buffers, 0.1, cfg
+            )
         assert err.value.layer_id == layer.layer_id
         assert err.value.indices.tolist() == [np.ravel_multi_index(masked_index, layer.mask.shape)]
 
@@ -230,7 +232,7 @@ class TestMaskedTrainStep:
         net = init_network(specs, seed=42)
         masks = random_masks(net, keep=keep, seed=43)
         convert_to_masked(net, masks)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         # Reference: the dense update over every entry, with masked gradients
         # and weights re-masked before each step.
         ref = init_network(specs, seed=42)
@@ -241,7 +243,7 @@ class TestMaskedTrainStep:
         rng = np.random.default_rng(44)
         for _ in range(50):
             x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, 8)
-            masked_train_step(net, x, y, state, 0.1, cfg)
+            masked_train_step(net, x, y, buffers, 0.1, cfg)
             ref.forward(x)
             ref.backward(y)
             for layer in ref.prunable_layers:
@@ -274,17 +276,19 @@ class TestMaskedTrainStep:
         with pytest.raises(FloatingPointError, match=rf"1 entries, first at flat index {pruned}$"):
             masked_train_step(
                 net, rng.normal(size=(4, 4)), rng.integers(0, 3, 4),
-                OptimizerState.for_network(net), 0.1, TrainConfig(epochs=1, lr=0.1),
+                momentum_buffers(net), 0.1, TrainConfig(epochs=1, lr=0.1),
             )
 
     def test_masked_weights_stay_positive_zero(self):
         net = make_net(seed=33)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=34))
         cfg = TrainConfig(epochs=1, lr=0.1, momentum=0.9, weight_decay=5e-4)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         rng = np.random.default_rng(35)
         for _ in range(20):
-            masked_train_step(net, rng.normal(size=(8, 4)), rng.integers(0, 3, 8), state, 0.1, cfg)
+            masked_train_step(
+                net, rng.normal(size=(8, 4)), rng.integers(0, 3, 8), buffers, 0.1, cfg
+            )
             for layer in net.masked_layers:
                 pruned = layer.weights[layer.mask == 0.0]
                 assert np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
@@ -322,25 +326,25 @@ class TestRunTraining:
     def test_zero_epochs_empty_metrics(self):
         net = make_net(seed=13)
         before = [l.weights.copy() for l in net.weighted_layers]
-        metrics = run_training(net, small_dataset(), TrainConfig(epochs=0, lr=0.1))
+        metrics = run_training(net, small_dataset(), TrainConfig(epochs=0, lr=0.1), seed=0)
         assert metrics == []
         for layer, w in zip(net.weighted_layers, before):
             assert np.array_equal(layer.weights, w)
 
     def test_deterministic_replay(self):
-        cfg = TrainConfig(epochs=3, lr=0.1, batch_size=32, seed=14)
+        cfg = TrainConfig(epochs=3, lr=0.1, batch_size=32)
         runs = []
         for _ in range(2):
             net = make_net(seed=15)
             convert_to_masked(net, random_masks(net, keep=0.5, seed=16))
-            runs.append(run_training(net, small_dataset(seed=17), cfg))
+            runs.append(run_training(net, small_dataset(seed=17), cfg, seed=14))
         assert runs[0] == runs[1]
 
     def test_sparsity_constant_across_epochs(self):
         net = make_net(seed=18)
         convert_to_masked(net, random_masks(net, keep=0.3, seed=19))
         metrics = run_training(
-            net, small_dataset(seed=20), TrainConfig(epochs=4, lr=0.1, batch_size=32, seed=21)
+            net, small_dataset(seed=20), TrainConfig(epochs=4, lr=0.1, batch_size=32), seed=21
         )
         counts = {m.zero_count for m in metrics}
         assert len(counts) == 1
@@ -348,16 +352,16 @@ class TestRunTraining:
         assert len(sparsities) == 1
 
     def test_all_ones_masks_reproduce_unmasked_run(self):
-        cfg = TrainConfig(epochs=3, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=32, seed=22)
+        cfg = TrainConfig(epochs=3, lr=0.1, momentum=0.9, weight_decay=5e-4, batch_size=32)
         data = small_dataset(seed=23)
 
         net_plain = make_net(seed=24)
-        plain = run_training(net_plain, data, cfg)
+        plain = run_training(net_plain, data, cfg, seed=22)
 
         net_masked = make_net(seed=24)
         masks = {l.layer_id: np.ones_like(l.weights, dtype=bool) for l in net_masked.prunable_layers}
         convert_to_masked(net_masked, masks)
-        masked = run_training(net_masked, data, cfg)
+        masked = run_training(net_masked, data, cfg, seed=22)
 
         assert [m.train_loss for m in plain] == [m.train_loss for m in masked]
         for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
@@ -368,7 +372,7 @@ class TestRunTraining:
             net = make_net(seed=25)
             convert_to_masked(net, random_masks(net, keep=keep, seed=26))
             metrics = run_training(
-                net, small_dataset(seed=27), TrainConfig(epochs=5, lr=0.1, batch_size=32, seed=28)
+                net, small_dataset(seed=27), TrainConfig(epochs=5, lr=0.1, batch_size=32), seed=28
             )
             assert metrics[-1].train_loss < metrics[0].train_loss
 
@@ -399,10 +403,10 @@ class TestAllOnesConvMasks:
         net_plain = conv_relu_net(seed=61)
         net_plain.forward(x)
         net_plain.backward(y)
-        sgd_step(net_plain, OptimizerState.for_network(net_plain), 0.1, cfg)
+        sgd_step(net_plain, momentum_buffers(net_plain), 0.1, cfg)
 
         net_masked = all_ones_masked(conv_relu_net(seed=61))
-        masked_train_step(net_masked, x, y, OptimizerState.for_network(net_masked), 0.1, cfg)
+        masked_train_step(net_masked, x, y, momentum_buffers(net_masked), 0.1, cfg)
 
         for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
             assert np.array_equal(a.weights, b.weights)
@@ -416,13 +420,11 @@ class TestAllOnesConvMasks:
             train_x=x[:48], train_y=y[:48], test_x=x[48:], test_y=y[48:],
             n_classes=3, sample_shape=(1, 6, 6),
         )
-        cfg = TrainConfig(
-            epochs=2, lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=16, seed=63
-        )
+        cfg = TrainConfig(epochs=2, lr=0.05, momentum=0.9, weight_decay=5e-4, batch_size=16)
         net_plain = conv_relu_net(seed=64)
-        plain = run_training(net_plain, data, cfg)
+        plain = run_training(net_plain, data, cfg, seed=63)
         net_masked = all_ones_masked(conv_relu_net(seed=64))
-        masked = run_training(net_masked, data, cfg)
+        masked = run_training(net_masked, data, cfg, seed=63)
 
         assert plain == masked
         for a, b in zip(net_plain.weighted_layers, net_masked.weighted_layers):
@@ -473,7 +475,7 @@ class TestEvaluate:
             sample_shape=(1, 14, 14), mean=pixels.mean(axis=0), std=pixels.std(axis=0),
         )
         cfg = TrainConfig(epochs=1, lr=0.01, batch_size=batch)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -484,8 +486,8 @@ class TestEvaluate:
                 return tracemalloc.get_traced_memory()[1] - base
 
             # The first step also allocates the gradient buffers; measure the second.
-            masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg)
-            step = peak(lambda: masked_train_step(net, x[:batch], y[:batch], state, 0.01, cfg))
+            masked_train_step(net, x[:batch], y[:batch], buffers, 0.01, cfg)
+            step = peak(lambda: masked_train_step(net, x[:batch], y[:batch], buffers, 0.01, cfg))
             evaluation = peak(lambda: evaluate(net, data, batch))
             from_pixels = peak(lambda: evaluate(net, stored, batch))
         finally:
@@ -506,18 +508,18 @@ class TestEvaluate:
         x = rng.normal(size=(n, 1, 14, 14))
         y = rng.integers(0, 10, n)
         cfg = TrainConfig(epochs=1, lr=0.01, batch_size=n)
-        state = OptimizerState.for_network(net)
+        buffers = momentum_buffers(net)
         image = 8 * 14 * 14 * n * 8  # the first conv's output, float64
         mask = 8 * 14 * 14 * n  # the first ReLU's bool mask
         patches = 8 * 3 * 3 * 7 * 7 * n * 8  # the second conv's patch matrix (or its gradient)
         output = 16 * 7 * 7 * n * 8  # the second conv's output (or its gradient)
         working_set = image + mask + patches + output
         # The first step also allocates the gradient buffers; measure the second.
-        masked_train_step(net, x, y, state, 0.01, cfg)
+        masked_train_step(net, x, y, buffers, 0.01, cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            masked_train_step(net, x, y, state, 0.01, cfg)
+            masked_train_step(net, x, y, buffers, 0.01, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
