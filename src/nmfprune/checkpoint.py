@@ -27,6 +27,7 @@ import struct
 import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -92,64 +93,49 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     write_atomic(path, chunks())
 
 
-class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
+def _parse(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """A container's metadata and tensors; a ValueError says what is wrong."""
+    if len(raw) < 12:
+        raise ValueError("truncated container")
+    if raw[:4] != MAGIC:
+        raise ValueError(f"not a container (bad magic {raw[:4]!r})")
+    (version,) = struct.unpack_from("<I", raw, 4)
+    if version != VERSION:
+        raise ValueError(f"format version {version}, expected {VERSION}")
+    body, (crc,) = raw[8:-4], struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(body) != crc:
+        raise ValueError("checksum failure")
+    pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"truncated container {self.path}")
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+    def take(size: int) -> bytes:
+        nonlocal pos
+        pos += size
+        if pos > len(body):
+            raise ValueError("truncated container")
+        return body[pos - size : pos]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    meta = json.loads(take(*struct.unpack("<Q", take(8))).decode("utf-8"))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(*struct.unpack("<Q", take(8))):
+        name = take(*struct.unpack("<I", take(4))).decode("utf-8")
+        if name in tensors:
+            raise ValueError(f"tensor {name!r} is stored twice")
+        rows, cols = struct.unpack("<QQ", take(16))
+        tensors[name] = np.frombuffer(take(8 * rows * cols), "<f8").reshape(rows, cols).copy()
+    if pos != len(body):
+        raise ValueError(f"{len(body) - pos} trailing bytes")
+    return meta, tensors
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    file = Path(path)
-    if not file.is_file():
-        raise CheckpointError(f"checkpoint file not found: {path}")
-    raw = file.read_bytes()
-    if len(raw) < 12:
-        raise CheckpointError(f"truncated container {path}")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path} is not a container (bad magic {raw[:4]!r})")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != VERSION:
-        raise CheckpointError(f"{path} has format version {version}, expected {VERSION}")
-    body, (crc,) = raw[8:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"checksum failure reading {path}")
-
-    reader = _Reader(body, path)
-    meta_bytes = reader.take(reader.u64())
+    """The metadata and named tensors of the container at ``path``. Any
+    rejection is a CheckpointError that begins with ``<path>: ``."""
     try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise CheckpointError(f"{path}: metadata is not UTF-8 JSON: {exc}") from None
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(reader.u64()):
-        name_bytes = reader.take(reader.u32())
-        try:
-            name = name_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from None
-        if name in tensors:
-            raise CheckpointError(f"{path}: tensor {name!r} is stored twice")
-        rows = reader.u64()
-        cols = reader.u64()
-        data = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8")
-        tensors[name] = data.reshape(rows, cols).copy()
-    if reader.pos != len(body):
-        raise CheckpointError(f"{path} has {len(body) - reader.pos} trailing bytes")
-    return meta, tensors
+        if not Path(path).is_file():
+            raise ValueError("checkpoint file not found")
+        return _parse(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # RecursionError: metadata nested too deep
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 _KIND_NAMES = {cls: kind for kind, cls in LAYER_KINDS.items()}
@@ -172,87 +158,88 @@ def save_checkpoint(net: Network, path) -> None:
     write_container(path, meta, tensors)
 
 
-def _network_from_meta(meta, path) -> Network:
+def _check_types(values: dict, hints: dict, required: set, what: str) -> None:
+    """Raise unless ``values`` gives each name in ``required`` and no name
+    outside ``hints``, each value exactly of a type its hint names, as JSON
+    gives it: a bool is not an int, and ``bool | None`` takes a bool or null."""
+    if not required <= values.keys() <= hints.keys():
+        raise ValueError(f"{what} has fields {sorted(values)}: needs {sorted(required)}, "
+                         f"takes only {sorted(hints)}")
+    for name, value in values.items():
+        types = get_args(hints[name]) or (hints[name],)
+        if type(value) not in types:
+            expected = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{what} {name!r} has type {type(value).__name__}, not {expected}")
+
+
+# The metadata save_checkpoint writes, by key and JSON type.
+_META_TYPES = {"kind": str, "seed": int, "specs": list, "prunable": dict}
+
+
+def _network_from_meta(meta) -> Network:
     """The network the metadata describes, with its stored prunable flags."""
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind != "checkpoint":
-        raise CheckpointError(f"{path} is a {kind!r} container, not a checkpoint")
-    for key, expected in (("seed", int), ("specs", list), ("prunable", dict)):
-        value = meta.get(key)
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise CheckpointError(
-                f"{path}: metadata {key!r} is missing or not a {expected.__name__}"
-            )
+        raise ValueError(f"container kind {kind!r} is not a checkpoint")
+    _check_types(meta, _META_TYPES, _META_TYPES.keys(), "metadata")
     specs = []
-    for entry in meta["specs"]:
+    for i, entry in enumerate(meta["specs"]):
         fields = dict(entry) if isinstance(entry, dict) else {}
         kind = fields.pop("kind", None)
         cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise CheckpointError(f"{path}: unknown layer spec {entry!r}")
-        try:
-            specs.append(cls(**fields))
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad layer spec {entry!r}: {exc}") from None
-    try:
-        net = init_network(specs, meta["seed"])
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+            raise ValueError(f"layer spec {i} has no known kind")
+        required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+        _check_types(fields, get_type_hints(cls), required, f"layer spec {i}")
+        specs.append(cls(**fields))
+    net = init_network(specs, meta["seed"])
     for layer in net.weighted_layers:
-        prunable = meta["prunable"].get(layer.layer_id)
-        if not isinstance(prunable, bool):
-            raise CheckpointError(f"{path}: no prunable flag for {layer.layer_id!r}")
-        layer.prunable = prunable
+        layer.prunable = meta["prunable"].pop(layer.layer_id, None)
+        if not isinstance(layer.prunable, bool):
+            raise ValueError(f"no prunable flag for {layer.layer_id!r}")
+    if meta["prunable"]:
+        raise ValueError(f"prunable flags {sorted(meta['prunable'])} belong to no layer")
     return net
 
 
-def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint; raises before returning anything
-    partial.
+def _pop_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """Remove tensor ``name`` and return it, checked for ``shape`` and finite values."""
+    if name not in tensors:
+        raise ValueError(f"tensor {name!r} is missing")
+    tensor = tensors.pop(name)
+    if tensor.shape != shape:
+        raise ValueError(f"tensor {name!r} has shape {tensor.shape}, expected {shape}")
+    _check_matrix(tensor, f"tensor {name!r}")
+    return tensor
 
-    Metadata, tensor shapes and masks are checked: every weight and bias is
-    finite (no NaN or infinity), every mask holds only 0.0 and 1.0, every
+
+def load_checkpoint(path) -> Network:
+    """Rebuild a network from a checkpoint; raises before returning anything partial.
+
+    The metadata holds exactly the keys save_checkpoint writes, each layer
+    spec field a value of its annotated type. Every weight, bias and mask has
+    its layer's shape and finite values, a mask only 0.0 and 1.0, every
     weight it prunes is exactly 0.0, and every tensor belongs to a layer.
+    Every rejection, here or in ``read_container``, is a CheckpointError
+    that begins with ``<path>: ``.
     """
     meta, tensors = read_container(path)
-    net = _network_from_meta(meta, path)
-    for layer in net.weighted_layers:
-        lid = layer.layer_id
-        try:
-            weight = tensors.pop(f"{lid}.weight")
-            bias = tensors.pop(f"{lid}.bias")
-        except KeyError as exc:
-            raise CheckpointError(f"missing tensor {exc} in {path}") from None
-        if weight.shape != layer.weights.shape:
-            raise CheckpointError(
-                f"checkpoint weight shape {weight.shape} does not match "
-                f"{layer.weights.shape} for {lid!r}"
-            )
-        if bias.size != layer.bias.size:
-            raise CheckpointError(
-                f"checkpoint bias of {bias.size} values does not match "
-                f"{layer.bias.size} for {lid!r}"
-            )
-        for name, tensor in ((f"{lid}.weight", weight), (f"{lid}.bias", bias)):
-            try:
-                _check_matrix(tensor, f"tensor {name!r}")
-            except ValueError as exc:
-                raise CheckpointError(f"{path}: {exc}") from None
-        layer.weights = weight
-        layer.bias = bias.reshape(layer.bias.shape)
-        mask = tensors.pop(f"{lid}.mask", None)
-        if mask is None:
-            continue
-        # Only 1.0 and +0.0: save_checkpoint writes a bool mask as those.
-        if np.count_nonzero(mask == 1.0) != np.count_nonzero(mask) or np.signbit(mask).any():
-            raise CheckpointError(f"{path}: mask of {lid!r} holds values other than 0.0 and 1.0")
-        try:
-            live = layer.attach_mask(mask == 1.0)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
-        if live:
-            raise CheckpointError(f"weights of {lid!r} are non-zero where its mask is 0.0")
-    if tensors:
-        raise CheckpointError(f"{path}: tensors {sorted(tensors)} belong to no layer")
-    net.invalidate_cache()
+    try:
+        net = _network_from_meta(meta)
+        for layer in net.weighted_layers:
+            lid, shape = layer.layer_id, layer.weights.shape
+            layer.weights = _pop_tensor(tensors, f"{lid}.weight", shape)
+            layer.bias = _pop_tensor(tensors, f"{lid}.bias", (1, shape[0])).reshape(shape[0])
+            if f"{lid}.mask" not in tensors:
+                continue
+            mask = _pop_tensor(tensors, f"{lid}.mask", shape)
+            # Only 1.0 and +0.0: save_checkpoint writes a bool mask as those.
+            if np.count_nonzero(mask == 1.0) != np.count_nonzero(mask) or np.signbit(mask).any():
+                raise ValueError(f"mask of {lid!r} holds values other than 0.0 and 1.0")
+            if layer.attach_mask(mask == 1.0):
+                raise ValueError(f"weights of {lid!r} are non-zero where its mask is 0.0")
+        if tensors:
+            raise ValueError(f"tensors {sorted(tensors)} belong to no layer")
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return net

@@ -237,10 +237,7 @@ class _LinearLayer(_WeightedLayer):
         self.grad_weights = np.matmul(dout.T, self._cols, out=self.grad_weights)
         self._cols = None
         self.grad_bias = dout.sum(axis=0)
-        return self.input_grad(dout) if input_grad else None
-
-    def input_grad(self, dout: np.ndarray) -> np.ndarray:
-        return dout @ self.weights
+        return dout @ self.weights if input_grad else None
 
 
 class _ConvLayer(_WeightedLayer):
@@ -298,7 +295,6 @@ class _ConvLayer(_WeightedLayer):
 
 class _ReLULayer:
     kind = "relu"
-    prunable = False
 
     def __init__(self, layer_id: str):
         self.layer_id = layer_id
@@ -323,7 +319,6 @@ class _ReLULayer:
 
 class _FlattenLayer:
     kind = "flatten"
-    prunable = False
 
     def __init__(self, layer_id: str):
         self.layer_id = layer_id

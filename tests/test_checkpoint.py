@@ -40,6 +40,16 @@ def trained_masked_net(seed=0):
     return net
 
 
+def masked_conv_net(seed=0):
+    net = init_network(
+        [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Flatten(), Linear(18, 3)], seed=seed
+    )
+    rng = np.random.default_rng(seed + 1)
+    convert_to_masked(net, {l.layer_id: rng.random(l.weights.shape) < 0.4
+                            for l in net.prunable_layers})
+    return net
+
+
 class TestContainer:
     def test_round_trip_meta_and_tensors(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -80,7 +90,7 @@ class TestContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + bytes(20))
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*bad magic"):
             read_container(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -89,7 +99,7 @@ class TestContainer:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 99"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*version 99"):
             read_container(path)
 
     def test_truncation_rejected(self, tmp_path):
@@ -97,7 +107,20 @@ class TestContainer:
         write_container(path, {"k": 1}, {"t": np.ones((4, 4))})
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 9])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+            read_container(path)
+
+    @pytest.mark.parametrize("body, message", [
+        (struct.pack("<Q", 20) + b"{}", "truncated container"),  # 20 metadata bytes promised
+        (struct.pack("<Q", 2) + b"{}" + struct.pack("<QI", 1, 1) + b"t"
+         + struct.pack("<QQd", 2, 2, 0.0), "truncated container"),  # 4 values promised
+        (struct.pack("<Q", 2) + b"{}" + struct.pack("<Q", 0) + b"xyz", "3 trailing bytes"),
+    ], ids=["metadata", "tensor", "trailing"])
+    def test_body_unlike_its_headers_rejected(self, tmp_path, body, message):
+        path = tmp_path / "c.bin"
+        crc = struct.pack("<I", zlib.crc32(body))
+        path.write_bytes(b"ONGC" + struct.pack("<I", 1) + body + crc)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_container(path)
 
     def test_corruption_fails_checksum(self, tmp_path):
@@ -106,7 +129,7 @@ class TestContainer:
         raw = bytearray(path.read_bytes())
         raw[30] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: checksum"):
             read_container(path)
 
 
@@ -328,7 +351,8 @@ def _set(table, key, value):
 
 
 # Edits to a valid checkpoint's metadata and tensors that load_checkpoint must
-# reject; the container stays CRC-valid.
+# reject; the container stays CRC-valid. The checkpoint is trained_masked_net's,
+# or masked_conv_net's for the cases in ON_CONV.
 BAD_CHECKPOINTS = {
     "missing-prunable-entry": lambda meta, t: meta["prunable"].pop("layer0_linear"),
     "missing-seed": lambda meta, t: meta.pop("seed"),
@@ -343,6 +367,8 @@ BAD_CHECKPOINTS = {
     "inf-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), np.inf),
     "two-mask": lambda meta, t: _set(t["layer0_linear.mask"], (0, 0), 2.0),
     "bias-size-mismatch": lambda meta, t: _set(t, "layer0_linear.bias", np.zeros(3)),
+    "weight-shape-mismatch": lambda meta, t: _set(t, "layer0_linear.weight", np.zeros((3, 3))),
+    "missing-bias": lambda meta, t: t.pop("layer0_linear.bias"),
     "mask-shape-mismatch": lambda meta, t: _set(t, "layer0_linear.mask", np.ones((6, 10))),
     "live-pruned-weight": lambda meta, t: _set(
         t["layer0_linear.weight"], t["layer0_linear.mask"] == 0.0, 1.0
@@ -350,22 +376,42 @@ BAD_CHECKPOINTS = {
     "tensor-of-no-layer": lambda meta, t: _set(t, "layer9_linear.weight", np.ones((2, 2))),
     "kind-object": lambda meta, t: _set(meta["specs"][0], "kind", {"name": "linear"}),
     "kind-list": lambda meta, t: _set(meta["specs"][0], "kind", ["linear"]),
+    "prunable-int": lambda meta, t: _set(meta["specs"][0], "prunable", 1),
+    "extra-meta-key": lambda meta, t: _set(meta, "extra", 1),
+    "stride-true": lambda meta, t: _set(meta["specs"][0], "stride", True),
+    "float-spec-field": lambda meta, t: _set(meta["specs"][0], "in_channels", 1.0),
 }
+ON_CONV = {"stride-true", "float-spec-field"}
 
 
-@pytest.mark.parametrize("edit", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
-def test_bad_checkpoint_metadata_rejected(tmp_path, capsys, edit):
+@pytest.mark.parametrize("name", BAD_CHECKPOINTS)
+def test_bad_checkpoint_metadata_rejected(tmp_path, capsys, name):
     path = tmp_path / "ck.bin"
-    save_checkpoint(trained_masked_net(), path)
+    save_checkpoint(masked_conv_net() if name in ON_CONV else trained_masked_net(), path)
     meta, tensors = read_container(path)
-    edit(meta, tensors)
+    BAD_CHECKPOINTS[name](meta, tensors)
     write_container(path, meta, tensors)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("layer0_linear.weight", (3, 3)), ("layer2_linear.bias", (1, 2)), ("layer0_linear.mask", (6, 10)),
+])
+def test_every_tensor_shape_checked_by_one_rule(tmp_path, name, shape):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(trained_masked_net(), path)
+    meta, tensors = read_container(path)
+    message = f"{path}: tensor {name!r} has shape {shape}, expected {tensors[name].shape}"
+    tensors[name] = np.zeros(shape)
+    write_container(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("tensor", ["layer0_linear.weight", "layer2_linear.bias"])
@@ -384,11 +430,13 @@ def test_non_finite_tensor_rejected(tmp_path, capsys, tensor, value):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _container_bytes(meta: bytes, name: bytes) -> bytes:
-    """A CRC-valid container holding ``meta`` as its metadata and one 1x1
-    tensor called ``name``, both written as given."""
+def _container_bytes(meta: bytes, name: bytes, rows: int = 1, cols: int = 1) -> bytes:
+    """A CRC-valid container holding ``meta`` as its metadata and one
+    all-zero tensor called ``name`` of ``rows`` x ``cols``, all written as
+    given."""
     body = struct.pack("<Q", len(meta)) + meta + struct.pack("<Q", 1)
-    body += struct.pack("<I", len(name)) + name + struct.pack("<QQd", 1, 1, 0.0)
+    body += struct.pack("<I", len(name)) + name + struct.pack("<QQ", rows, cols)
+    body += bytes(8 * rows * cols)
     return b"ONGC" + struct.pack("<I", 1) + body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -396,19 +444,22 @@ UNDECODABLE = {
     "metadata-not-json": (b"{kind: checkpoint", b"w"),
     "metadata-not-utf8": (b'{"kind": "\xff"}', b"w"),
     "tensor-name-not-utf8": (b'{"kind": "checkpoint"}', b"\xffw"),
+    "metadata-nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, b"w"),
+    "dimension-too-large": (b'{"kind": "checkpoint"}', b"w", 0, 2**63),
 }
 
 
-@pytest.mark.parametrize("meta, name", UNDECODABLE.values(), ids=UNDECODABLE.keys())
-def test_undecodable_container_names_the_file(tmp_path, capsys, meta, name):
+@pytest.mark.parametrize("fields", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_undecodable_container_names_the_file(tmp_path, capsys, fields):
     path = tmp_path / "ck.bin"
-    path.write_bytes(_container_bytes(meta, name))
+    path.write_bytes(_container_bytes(*fields))
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -416,11 +467,12 @@ def test_unreadable_checkpoint_path_names_it(tmp_path, capsys, kind):
     path = tmp_path / "ck.bin"
     if kind == "directory":
         path.mkdir()
-    with pytest.raises(CheckpointError, match=f"^checkpoint file not found: {path}$"):
+    message = f"{path}: checkpoint file not found"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         load_checkpoint(path)
     capsys.readouterr()
     assert main(["inspect", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: checkpoint file not found: {path}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repeated_tensor_name_rejected(tmp_path, capsys):

@@ -452,17 +452,24 @@ class TestBackward:
         # Only the second conv folds a gradient back, onto the first's output.
         assert calls == [(2, 2, 8, 8)]
 
-    def test_first_layer_computes_no_input_gradient(self, monkeypatch):
+    def test_first_layer_computes_no_input_gradient(self):
+        # In backward a linear layer reads its weights for the input gradient only.
         calls = []
-        original = network._LinearLayer.input_grad
 
-        def counting(self, dout):
-            calls.append(self.layer_id)
-            return original(self, dout)
+        class CountedWeights:
+            __array_ufunc__ = None  # numpy hands `dout @ weights` to __rmatmul__
 
-        monkeypatch.setattr(network._LinearLayer, "input_grad", counting)
+            def __init__(self, layer):
+                self.layer_id, self.array = layer.layer_id, layer.weights
+
+            def __rmatmul__(self, dout):
+                calls.append(self.layer_id)
+                return dout @ self.array
+
         net = init_network([Linear(4, 6), ReLU(), Linear(6, 5), ReLU(), Linear(5, 3)], seed=46)
         net.forward(np.random.default_rng(47).normal(size=(3, 4)))
+        for layer in net.weighted_layers:
+            layer.weights = CountedWeights(layer)
         net.backward(np.array([0, 1, 2]))
         assert calls == ["layer4_linear", "layer2_linear"]
         assert all(l.grad_weights is not None for l in net.weighted_layers)

@@ -37,7 +37,11 @@ def test_output_digests_hash_what_each_workload_writes_and_prints(tmp_path):
 
     # Trained weights depend on the BLAS thread count, which the script sets
     # to one and this process does not, so the runs are checked by key only.
-    run_keys = {f"{name}/1/out/{file}" for name in ("mlp_nmf", "conv_idx") for file in RUN_OUTPUTS}
+    run_keys = {
+        f"{name}/1/out/{file}"
+        for name in ("mlp_nmf", "conv_idx")
+        for file in (*RUN_OUTPUTS, "checkpoint.bin:loaded")
+    }
     assert set(digests) == run_keys | set(expected)
 
 

@@ -10,9 +10,12 @@ thread as in the benchmark. The map's keys are ``<workload>/<seed>/<path>``,
 where ``<path>`` is an output file relative to the workload's directory, or
 ``stdout_t<target>`` for what ``tune`` printed at that target. Covered:
 ``checkpoint.bin``, ``epochs.jsonl``, ``gamma_search.jsonl``, ``status.json``,
-``report.json`` without its ``wall_times``, and the ``tune`` stdouts. The
-generated inputs are not hashed: ``conv_idx``'s config holds its own absolute
-path. Two trees that print the same map wrote the same bytes.
+``report.json`` without its ``wall_times``, and the ``tune`` stdouts. Each
+``checkpoint.bin`` is also loaded back, and ``<path>:loaded`` digests the
+network ``load_checkpoint`` returns: every weighted layer's weight, bias and
+mask bytes, in layer order. The generated inputs are not hashed:
+``conv_idx``'s config holds its own absolute path. Two trees that print the
+same map wrote, and read back, the same bytes.
 """
 
 import os
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from nmfprune.checkpoint import load_checkpoint  # noqa: E402
 from perfbench.workloads import make_workload  # noqa: E402
 
 WORKLOADS = ("mlp_nmf", "conv_idx", "tune_wide")
@@ -38,6 +42,16 @@ OUTPUTS = ("checkpoint.bin", "epochs.jsonl", "gamma_search.jsonl", "status.json"
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _loaded_digest(path: Path) -> str:
+    """Digest of the weights, biases and masks of the network at ``path``."""
+    h = hashlib.sha256()
+    for layer in load_checkpoint(path).weighted_layers:
+        for array in (layer.weights, layer.bias, layer.mask):
+            if array is not None:
+                h.update(array.tobytes())
+    return h.hexdigest()
 
 
 def workload_digests(name: str, seed: int) -> dict[str, str]:
@@ -55,6 +69,8 @@ def workload_digests(name: str, seed: int) -> dict[str, str]:
                 report = json.loads(path.read_text())
                 del report["wall_times"]
                 digests[key] = _sha256(json.dumps(report).encode())
+            if path.name == "checkpoint.bin":
+                digests[f"{key}:loaded"] = _loaded_digest(path)
         for target, text in getattr(workload, "outputs", {}).items():
             digests[f"stdout_t{target:g}"] = _sha256(text.encode())
     return digests
