@@ -21,6 +21,7 @@ corrupted files before any tensor is handed back.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -94,7 +95,9 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def _parse(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """A container's metadata and tensors; a ValueError says what is wrong."""
+    """A container's metadata and tensors; a ValueError says what is wrong.
+    The body is read through a memoryview, so each tensor is copied out of
+    ``raw`` once and nothing else is."""
     if len(raw) < 12:
         raise ValueError("truncated container")
     if raw[:4] != MAGIC:
@@ -102,22 +105,22 @@ def _parse(raw: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise ValueError(f"format version {version}, expected {VERSION}")
-    body, (crc,) = raw[8:-4], struct.unpack_from("<I", raw, len(raw) - 4)
+    body, (crc,) = memoryview(raw)[8:-4], struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(body) != crc:
         raise ValueError("checksum failure")
     pos = 0
 
-    def take(size: int) -> bytes:
+    def take(size: int) -> memoryview:
         nonlocal pos
         pos += size
         if pos > len(body):
             raise ValueError("truncated container")
         return body[pos - size : pos]
 
-    meta = json.loads(take(*struct.unpack("<Q", take(8))).decode("utf-8"))
+    meta = json.loads(str(take(*struct.unpack("<Q", take(8))), "utf-8"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(*struct.unpack("<Q", take(8))):
-        name = take(*struct.unpack("<I", take(4))).decode("utf-8")
+        name = str(take(*struct.unpack("<I", take(4))), "utf-8")
         if name in tensors:
             raise ValueError(f"tensor {name!r} is stored twice")
         rows, cols = struct.unpack("<QQ", take(16))
@@ -172,6 +175,9 @@ def _check_types(values: dict, hints: dict, required: set, what: str) -> None:
             raise ValueError(f"{what} {name!r} has type {type(value).__name__}, not {expected}")
 
 
+# Each spec class's field types, resolved on first use and kept for the process.
+_type_hints = functools.cache(get_type_hints)
+
 # The metadata save_checkpoint writes, by key and JSON type.
 _META_TYPES = {"kind": str, "seed": int, "specs": list, "prunable": dict}
 
@@ -190,7 +196,7 @@ def _network_from_meta(meta) -> Network:
         if cls is None:
             raise ValueError(f"layer spec {i} has no known kind")
         required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
-        _check_types(fields, get_type_hints(cls), required, f"layer spec {i}")
+        _check_types(fields, _type_hints(cls), required, f"layer spec {i}")
         specs.append(cls(**fields))
     net = init_network(specs, meta["seed"])
     for layer in net.weighted_layers:
@@ -199,6 +205,8 @@ def _network_from_meta(meta) -> Network:
             raise ValueError(f"no prunable flag for {layer.layer_id!r}")
     if meta["prunable"]:
         raise ValueError(f"prunable flags {sorted(meta['prunable'])} belong to no layer")
+    if not net.prunable_layers:  # run never saves one: it masks a prunable layer
+        raise ValueError("network has no prunable layers")
     return net
 
 

@@ -14,8 +14,11 @@ Statistics are computed once per layer per run: the search hands each layer's
 ``LayerThreshold`` (center, spread, tau) at gamma* to the masks, as
 ``layer_thresholds`` does at a fixed gamma. Scores at or above tau are kept
 (ties survive). Scores are the scorers' float64 arrays, each checked once per
-call that reads it. A mask is the bool array of that comparison, True where
-kept; it goes unchanged to ``network.convert_to_masked``.
+call that reads it, in a pass the call makes anyway: a sorted run is finite
+when its two ends are (NumPy sorts NaN last), and only a call that sorts
+nothing (``layer_thresholds`` under std, ``generate_all_masks``) reads a min
+and a max for the check. A mask is the bool array of that comparison, True
+where kept; it goes unchanged to ``network.convert_to_masked``.
 """
 
 from __future__ import annotations
@@ -125,22 +128,30 @@ class GammaSearchResult:
 
 
 def _layer_stats(
-    scores: np.ndarray, t_type: str, in_place: bool = False
+    layer_id: str, scores: np.ndarray, t_type: str, in_place: bool = False
 ) -> tuple[np.ndarray, float, float]:
     """What the search reads of one layer under the ``t_type`` rule: the
     scores as one ascending flat array, and the rule's center and spread.
 
-    The std rule's mean and population std are taken from ``scores`` as
-    given, before the sort, so their sums add in the same order as a fixed
-    gamma's. The MAD rule's lower median and unscaled MAD are read from the
-    sorted array; the lower median takes the lower of the two middle
-    elements for even counts: deterministic and oracle-checkable, unlike the
-    interpolating convention. With ``in_place`` a contiguous ``scores`` is
-    sorted in its own buffer, so its positions are lost; otherwise a copy is.
+    Non-finite scores are rejected from the sorted run's two ends, before
+    any statistic is read from it, so a caller checks only their shape and
+    dtype (``_checked`` without ``finite``). The std rule's mean and
+    population std are taken from ``scores`` as given, before the sort, so
+    their sums add in the same order as a fixed gamma's. The MAD rule's
+    lower median and unscaled MAD are read from the sorted array; the lower
+    median takes the lower of the two middle elements for even counts:
+    deterministic and oracle-checkable, unlike the interpolating convention.
+    With ``in_place`` a contiguous ``scores`` is sorted in its own buffer, so
+    its positions are lost; otherwise a copy is.
     """
-    mean_std = _mean_std(scores) if t_type == "std" else None
+    mean_std = None
+    if t_type == "std":
+        with np.errstate(invalid="ignore"):  # an infinity makes NaN here; rejected below
+            mean_std = _mean_std(scores)
     flat = scores.ravel("K") if in_place else scores.flatten()
     flat.sort()
+    if not (math.isfinite(flat[0]) and math.isfinite(flat[-1])):  # NaN sorts last
+        raise ValueError(f"scores of {layer_id!r} contains NaN or Inf")
     return flat, *(mean_std or _median_mad(flat))
 
 
@@ -181,10 +192,11 @@ def _median_mad(s: np.ndarray) -> tuple[float, float]:
     return m, max(low(i - 1) if i else 0.0, high(j - 1) if j else 0.0)
 
 
-def _checked(all_scores: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``all_scores``, after one check of each array, named by its layer id."""
+def _checked(all_scores: dict[str, np.ndarray], finite: bool = True) -> dict[str, np.ndarray]:
+    """``all_scores``, after one check of each array, named by its layer id;
+    without ``finite`` the O(1) checks only, for a caller that sorts."""
     for layer_id, scores in all_scores.items():
-        _check_matrix(scores, f"scores of {layer_id!r}")
+        _check_matrix(scores, f"scores of {layer_id!r}", finite)
     return all_scores
 
 
@@ -195,13 +207,12 @@ def layer_thresholds(
     statistics pass per layer: under std no sort, under MAD one layer's
     sorted copy at a time."""
     cfg = ThresholdConfig(t_type=t_type, gamma=gamma)
+    std = cfg.t_type == "std"
     return {
-        layer_id: LayerThreshold.at(
-            layer_id,
-            *(_mean_std(scores) if cfg.t_type == "std" else _layer_stats(scores, cfg.t_type)[1:]),
-            cfg.gamma,
+        lid: LayerThreshold.at(
+            lid, *(_mean_std(s) if std else _layer_stats(lid, s, cfg.t_type)[1:]), cfg.gamma
         )
-        for layer_id, scores in _checked(all_scores).items()
+        for lid, s in _checked(all_scores, finite=std).items()
     }
 
 
@@ -308,12 +319,15 @@ def tune_gamma(
     ``LayerThreshold`` at gamma*, for ``generate_all_masks``. With
     ``in_place=True`` each contiguous score array is sorted in its own
     buffer instead of a copy, losing its positions: for a caller that drops
-    the scores after the search.
+    the scores after the search. A layer whose scores hold NaN or an
+    infinity is rejected after its sort, before any probe.
     """
     if not all_scores:
         raise ValueError("cannot tune gamma with no score matrices")
     t = _validate_t_type(t_type)
-    layers = [_layer_stats(s, t, in_place) for s in _checked(all_scores).values()]
+    layers = [
+        _layer_stats(lid, s, t, in_place) for lid, s in _checked(all_scores, finite=False).items()
+    ]
     n = sum(s.size for s, _, _ in layers)
     k = round(cfg.s_target * n)
 

@@ -12,7 +12,9 @@ patch matrix and computes W @ patches, so the unfolding, both gradient GEMMs,
 the bias gradient (a sum along contiguous rows) and the fold of the input
 gradient all run over N-long contiguous runs. ReLU keeps its input's layout,
 and Flatten's (N, C*H*W) reshape of it is a view too (C, H and W stay
-adjacent), so a linear layer after a conv reads its input column-major.
+adjacent), so a linear layer after a conv reads its input column-major; it
+hands its input gradient back column-major too, so every gradient reaches
+its ReLU in the ReLU's forward layout.
 
 A masked layer holds its mask as a read-only bool array (1 byte per weight,
 ``writeable`` off) with the flat indices of its kept weights beside it.
@@ -233,11 +235,14 @@ class _LinearLayer(_WeightedLayer):
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Fill the parameter gradients and release the forward cache; return
         the input gradient unless ``input_grad`` is false (the first weighted
-        layer has no use for it)."""
-        self.grad_weights = np.matmul(dout.T, self._cols, out=self.grad_weights)
-        self._cols = None
+        layer has no use for it), in its input's layout: column-major after a
+        Flatten of conv activations, so the ReLU before it multiplies in place."""
+        x, self._cols = self._cols, None
+        self.grad_weights = np.matmul(dout.T, x, out=self.grad_weights)
         self.grad_bias = dout.sum(axis=0)
-        return dout @ self.weights if input_grad else None
+        if not input_grad:
+            return None
+        return dout @ self.weights if x.flags.c_contiguous else (self.weights.T @ dout.T).T
 
 
 class _ConvLayer(_WeightedLayer):
@@ -306,15 +311,10 @@ class _ReLULayer:
         return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        # In the forward input's layout, which a conv before this flattens for free:
-        # into dout if it has it (all but a Flatten's), else a copy (a mixed multiply is slow).
+        # Into dout, which every layer after this hands back in the forward
+        # input's layout (a multiply across two layouts is slow).
         active, self._active = self._active, None
-        if all(d == a * dout.itemsize for d, a in zip(dout.strides, active.strides)):
-            return np.multiply(dout, active, out=dout)
-        grad = np.empty_like(active, dtype=np.float64)
-        np.copyto(grad, dout)
-        grad *= active
-        return grad
+        return np.multiply(dout, active, out=dout)
 
 
 class _FlattenLayer:

@@ -25,17 +25,19 @@ log = logging.getLogger(__name__)
 EPSILON = 1e-12
 
 
-def _check_matrix(a: np.ndarray, name: str) -> None:
+def _check_matrix(a: np.ndarray, name: str, finite: bool = True) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``a`` is a finite,
     non-empty 2D float64 array; NaN reaches both extremes, so two reductions
-    check it with no n-byte bool array. ``factorize`` and masking call it."""
+    check it with no n-byte bool array. ``factorize`` and masking call it;
+    with ``finite`` false only the O(1) checks run, for a caller that finds
+    non-finite values in a pass it makes anyway (a sort)."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError(f"{name} must be a 2D array, got {getattr(a, 'shape', type(a))}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got shape {a.shape}")
     if a.dtype != np.float64:
         raise ValueError(f"{name} must be float64, got {a.dtype}")
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if finite and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{name} contains NaN or Inf")
 
 

@@ -106,8 +106,10 @@ def compute_scores(net: Network, scorer: ScorerSpec, root_seed: int) -> dict[str
 
 
 def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
-    """Write ``gamma_search.jsonl`` in ``out`` atomically, one line per probe."""
-    lines = "".join(json.dumps(dataclasses.asdict(t)) + "\n" for t in trace)
+    """Write ``gamma_search.jsonl`` in ``out`` atomically, one line per probe.
+    A probe is a flat record, so its field dict (``vars``) is its JSON object,
+    key for key as ``dataclasses.asdict`` gives it, without a deep copy."""
+    lines = "".join(json.dumps(vars(t)) + "\n" for t in trace)
     write_atomic(out / "gamma_search.jsonl", [lines.encode()])
 
 
@@ -228,7 +230,7 @@ def _run_stages(cfg: RunConfig, out: Path) -> RunReport:
         with open(out / "epochs.jsonl", "w", encoding="utf-8") as epoch_log:
 
             def on_epoch_end(epoch, network, epoch_metrics):
-                epoch_log.write(json.dumps(dataclasses.asdict(epoch_metrics)) + "\n")
+                epoch_log.write(json.dumps(vars(epoch_metrics)) + "\n")  # a flat record
                 epoch_log.flush()
                 if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                     save_checkpoint(network, out / f"checkpoint_epoch{epoch:04d}.bin")

@@ -14,6 +14,7 @@ searches for it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -73,6 +74,9 @@ def _parse_ints(token: str) -> tuple[int, ...]:
     return tuple(int(t) for t in token.replace(",", " ").split())
 
 
+# Each class's field types, resolved on first use and kept for the process.
+_type_hints = functools.cache(get_type_hints)
+
 # How a value is read for each field type, and what the error says it must be.
 _READERS = {
     int: (int, "an integer"),
@@ -89,7 +93,7 @@ def _make(cls, values: dict[str, tuple[str, str, str]], context: str, **given):
     ``(key, text, location)``, read as the type the field is annotated with.
     ``X | None`` reads as ``X``; ``context`` prefixes the errors of ``cls``'s
     own validation that name no given field."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = dict(given)
     for name, (key, text, location) in values.items():
         hint = hints[name]

@@ -380,6 +380,7 @@ BAD_CHECKPOINTS = {
     "extra-meta-key": lambda meta, t: _set(meta, "extra", 1),
     "stride-true": lambda meta, t: _set(meta["specs"][0], "stride", True),
     "float-spec-field": lambda meta, t: _set(meta["specs"][0], "in_channels", 1.0),
+    "no-prunable-layer": lambda meta, t: _set(meta["prunable"], "layer0_linear", False),
 }
 ON_CONV = {"stride-true", "float-spec-field"}
 
@@ -460,6 +461,36 @@ def test_undecodable_container_names_the_file(tmp_path, capsys, fields):
     assert main(["inspect", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_checkpoint_with_no_prunable_layer_names_the_file(tmp_path, capsys):
+    # A valid container that run never writes: inspect has no layer to report.
+    path = tmp_path / "ck.bin"
+    save_checkpoint(init_network([Linear(4, 3, prunable=False)], seed=0), path)
+    message = f"{path}: network has no prunable layers"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_peak_memory_at_most_two_point_one_files(tmp_path):
+    # The file's bytes, and one copy of each tensor read out of them.
+    net = init_network([Linear(784, 300), ReLU(), Linear(300, 100), ReLU(), Linear(100, 10)],
+                       seed=1)
+    rng = np.random.default_rng(1)
+    convert_to_masked(net, {l.layer_id: rng.random(l.weights.shape) < 0.1
+                            for l in net.prunable_layers})
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * path.stat().st_size
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -267,9 +267,9 @@ class TestTuneGamma:
 
         layer_stats = masking._layer_stats
 
-        def counting_layer_stats(a, t_type, in_place=False):
+        def counting_layer_stats(layer_id, a, t_type, in_place=False):
             calls.append(id(a))
-            return layer_stats(a, t_type, in_place)
+            return layer_stats(layer_id, a, t_type, in_place)
 
         monkeypatch.setattr(masking, "_layer_stats", counting_layer_stats)
         rng = np.random.default_rng(8)
@@ -459,22 +459,55 @@ def test_every_probe_matches_the_mask_path(t_type):
         assert entry.achieved == sparsity_report(masks).global_sparsity
 
 
+class _Reads(np.ndarray):
+    """A score array that logs every ufunc call it is an operand of: each is
+    one pass over its values (sorting and binary searches are none)."""
+
+    log: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Reads.log.append(f"{ufunc.__name__}.{method}")
+        inputs = [a.view(np.ndarray) if isinstance(a, _Reads) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def test_each_score_array_checked_once_per_call(monkeypatch):
+    # Each call checks each layer once. Where it sorts (the search, MAD
+    # thresholds) the check is the O(1) part and the sort finds non-finite
+    # scores, so the only passes over a score array are the std rule's mean
+    # and std.
     checked = []
     check = masking._check_matrix
 
-    def counting_check(a, name):
-        checked.append(name)
-        check(a, name)
+    def counting_check(a, name, finite=True):
+        checked.append((name, finite))
+        check(a, name, finite)
 
     monkeypatch.setattr(masking, "_check_matrix", counting_check)
     rng = np.random.default_rng(10)
     scores = {"a": rng.random((12, 10)), "b": rng.random((6, 9))}
-    tune_gamma(scores, "mad", GammaSearchConfig(s_target=0.5))
-    assert checked == ["scores of 'a'", "scores of 'b'"]
+
+    def reads(call, t_type, **kwargs):
+        checked.clear()
+        _Reads.log = []
+        call({lid: s.copy().view(_Reads) for lid, s in scores.items()}, t_type, **kwargs)
+        return checked, _Reads.log
+
+    statistics = []
+    for s in scores.values():
+        _Reads.log = []
+        s.view(_Reads).mean(), s.view(_Reads).std()
+        statistics += _Reads.log
+    sorted_only = [("scores of 'a'", False), ("scores of 'b'", False)]
+    search = GammaSearchConfig(s_target=0.5)
+    for in_place in (False, True):
+        assert reads(tune_gamma, "mad", cfg=search, in_place=in_place) == (sorted_only, [])
+        assert reads(tune_gamma, "std", cfg=search, in_place=in_place) == (
+            sorted_only, statistics
+        )
+    assert reads(layer_thresholds, "mad", gamma=1.0) == (sorted_only, [])
+    checked_once = [("scores of 'a'", True), ("scores of 'b'", True)]
+    assert reads(layer_thresholds, "std", gamma=1.0)[0] == checked_once
     checked.clear()
-    thresholds = layer_thresholds(scores, "std", 1.0)
-    assert checked == ["scores of 'a'", "scores of 'b'"]
-    checked.clear()
-    generate_all_masks(scores, thresholds)
-    assert checked == ["scores of 'a'", "scores of 'b'"]
+    generate_all_masks(scores, layer_thresholds(scores, "std", 1.0))
+    assert checked == checked_once * 2

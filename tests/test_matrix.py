@@ -98,12 +98,12 @@ class TestStats:
         cases.append(rng.exponential(size=(6, 9)).T)  # a strided view
         for a in cases:
             before = a.copy()
-            flat, *median_mad = masking._layer_stats(a, "mad")
+            flat, *median_mad = masking._layer_stats("l", a, "mad")
             assert tuple(median_mad) == two_copy_median_mad(a), a.shape
             assert np.array_equal(flat, np.sort(a, axis=None))
             assert np.array_equal(a, before)  # the caller's scores are left alone
             own = a.copy()
-            flat, *median_mad = masking._layer_stats(own, "mad", in_place=True)
+            flat, *median_mad = masking._layer_stats("l", own, "mad", in_place=True)
             assert tuple(median_mad) == two_copy_median_mad(a), a.shape
             assert np.shares_memory(flat, own)
             assert np.array_equal(own.ravel(), np.sort(a, axis=None))
@@ -127,7 +127,7 @@ class TestStats:
             for t_type, stats in expected.items():
                 for in_place in (False, True):
                     own = a.copy() if in_place else a
-                    counted, *got = masking._layer_stats(own, t_type, in_place=in_place)
+                    counted, *got = masking._layer_stats("l", own, t_type, in_place=in_place)
                     assert tuple(got) == stats, (t_type, in_place, a)
                     assert np.array_equal(counted, np.sort(a))
                     assert np.shares_memory(counted, own) == in_place
@@ -154,6 +154,29 @@ class TestValidation:
                 ValueError, match="^scores of 'layer2_linear' contains NaN or Inf$"
             ):
                 read(scores)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("t_type", ["std", "mad"])
+    def test_non_finite_score_rejected_from_the_sorted_run(self, monkeypatch, t_type, in_place):
+        # The search finds NaN and infinities at the ends of each layer's
+        # sorted run, wherever they sit, and rejects them before any probe.
+        probes = []
+        monkeypatch.setattr(masking, "_zeros_at", lambda *args: probes.append(args))
+        rng = np.random.default_rng(12)
+        for layer in ("a", "b"):
+            for value in (np.nan, np.inf, -np.inf):
+                for position in (0, 27, 59):
+                    scores = {"a": rng.random((6, 10)), "b": rng.random((10, 6))}
+                    scores[layer].flat[position] = value
+                    with pytest.raises(
+                        ValueError, match=f"^scores of '{layer}' contains NaN or Inf$"
+                    ):
+                        tune_gamma(scores, t_type, GammaSearchConfig(0.5), in_place=in_place)
+                    with pytest.raises(
+                        ValueError, match=f"^scores of '{layer}' contains NaN or Inf$"
+                    ):
+                        layer_thresholds(scores, t_type, 1.0)
+        assert probes == []
 
     def test_nan_weight_scored_by_magnitude_rejected_by_the_search(self):
         net = init_network([Linear(4, 3), ReLU(), Linear(3, 2)], seed=0)

@@ -490,9 +490,8 @@ class TestBackward:
         assert layer.grad_weights.tobytes() == (dout.T @ x).tobytes()
 
     def test_second_backward_matches_a_fresh_network_bit_for_bit(self):
-        # Conv and linear layers reuse their buffers; the ReLU after a conv
-        # multiplies into the gradient it is handed, the one after the
-        # Flatten into a new array.
+        # Conv and linear layers reuse their buffers; every ReLU multiplies
+        # into the gradient it is handed, the one after the Flatten too.
         specs = [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Conv2d(2, 3, 3, 3, stride=2, padding=1),
                  ReLU(), Flatten(), ReLU(), Linear(48, 2)]
         net = init_network(specs, seed=50)
@@ -515,13 +514,56 @@ class TestBackward:
         relu = network._ReLULayer("layer0_relu")
         rng = np.random.default_rng(52)
         x = np.asarray(rng.normal(size=(4, 6)), order=order)
-        dout = rng.normal(size=(4, 6))  # C order, as a linear layer hands it back
+        dout = np.asarray(rng.normal(size=(4, 6)), order=order)  # as the next layer hands it
         expected = dout * (x > 0)
         relu.forward(x)
         grad = relu.backward(dout)
+        assert grad is dout
         assert grad.tobytes() == expected.tobytes()
-        assert (grad is dout) == (order == "C")
         assert grad.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_linear_backward_returns_the_input_gradient_in_its_input_layout(self, order):
+        layer = init_network([Linear(6, 3)], seed=53).weighted_layers[0]
+        rng = np.random.default_rng(54)
+        x = np.asarray(rng.normal(size=(4, 6)), order=order)
+        dout = rng.normal(size=(4, 3))
+        layer.forward(x)
+        grad = layer.backward(dout)
+        assert grad.flags.c_contiguous == (order == "C")
+        assert grad.flags.f_contiguous == (order == "F")
+        np.testing.assert_allclose(grad, dout @ layer.weights, rtol=1e-12, atol=1e-15)
+
+    def test_every_relu_is_handed_its_gradient_in_its_forward_layout(self):
+        # A linear layer after a Flatten of conv activations hands back a
+        # column-major gradient, which the Flatten reshapes into the ReLU's
+        # (C, H, W, N) layout, so every ReLU multiplies in place.
+        rng = np.random.default_rng(55)
+        for specs, shape in [
+            ([Linear(5, 7), ReLU(), Linear(7, 6), ReLU(), Linear(6, 3)], (4, 5)),
+            ([Conv2d(1, 2, 3, 3, padding=1), ReLU(), Conv2d(2, 3, 3, 3, stride=2, padding=1),
+              ReLU(), Flatten(), ReLU(), Linear(48, 3)], (4, 1, 8, 8)),
+        ]:
+            net = init_network(specs, seed=56)
+            handed = []
+            for layer in net.layers:
+                if isinstance(layer, network._ReLULayer):
+
+                    def backward(dout, layer=layer, original=layer.backward):
+                        active = layer._active
+                        expected = dout * active
+                        grad = original(dout)
+                        assert grad.tobytes() == expected.tobytes()
+                        handed.append((
+                            grad is dout, dout.strides == tuple(8 * a for a in active.strides)
+                        ))
+                        return grad
+
+                    layer.backward = backward
+            net.forward(rng.normal(size=shape))
+            net.backward(rng.integers(0, 3, shape[0]))
+            relus = sum(isinstance(s, ReLU) for s in specs)
+            assert handed == [(True, True)] * relus, specs
 
     def test_relu_first_network_leaves_input_unchanged(self):
         rng = np.random.default_rng(48)

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests on the synthetic-blobs task."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -410,6 +411,17 @@ class TestRunPipeline:
             set(p) == {"iteration", "gamma", "achieved", "gamma_low", "gamma_high"}
             for p in probes
         )
+
+    def test_trace_rows_are_the_bytes_of_asdict(self, tmp_path):
+        # Each line is written from the flat record's field dict, byte for
+        # byte what the recursive dataclasses.asdict gives.
+        cfg = base_config(tmp_path)
+        report = run_pipeline(cfg)
+        for name, rows in [
+            ("gamma_search.jsonl", report.gamma_trace), ("epochs.jsonl", report.epoch_metrics),
+        ]:
+            expected = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in rows)
+            assert len(rows) > 1 and (cfg.output_dir / name).read_text() == expected, name
 
 
 @pytest.mark.parametrize("search", [True, False], ids=["search", "fixed"])

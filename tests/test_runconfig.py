@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nmfprune import runconfig
 from nmfprune.datasets import CsvSource, IdxSource, SyntheticBlobs
 from nmfprune.masking import GammaSearchConfig, ThresholdConfig
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU
@@ -218,6 +219,30 @@ class TestErrors:
             ConfigError, match=rf"^<config>:{lineno}: checkpoint_every must be >= 1, got {every}$"
         ):
             parse_config(text)
+
+    def test_errors_unchanged_by_the_type_hint_memo(self):
+        # Each field type's reader and each section's own validation, read
+        # with the memo empty and again with it filled: the same text.
+        cases = [
+            ("epochs = 10", "epochs = ten", "{line}: epochs must be an integer"),
+            ("lr = 0.1", "lr = inf", "{line}: lr must be a finite number"),
+            ("milestones = 5 8", "milestones = 5 x", "{line}: milestones must be integers"),
+            ("layer = linear 16 64", "layer = linear 16 64 prunable=maybe",
+             "{line}: prunable must be a boolean"),
+            ("k = 6", "k = 0", "{line}: k must be >= 1, got 0"),
+            ("s_target = 0.8", "s_target = 1.5", "{line}: s_target must be in (0, 1), got 1.5"),
+            ("type = std", "type = iqr",
+             "<config>: unknown threshold type 'iqr', expected one of ('std', 'mad')"),
+        ]
+        for old, new, message in cases:
+            text = BASE.replace(old, new)
+            expected = message.format(line=f"<config>:{text.splitlines().index(new) + 1}")
+            runconfig._type_hints.cache_clear()
+            for _ in range(2):
+                with pytest.raises(ConfigError) as err:
+                    parse_config(text)
+                assert str(err.value) == expected
+        assert runconfig._type_hints.cache_info().hits > 0
 
     @pytest.mark.parametrize("old, new", NON_FINITE.values(), ids=NON_FINITE.keys())
     def test_non_finite_number_rejected_at_its_line(self, old, new):
