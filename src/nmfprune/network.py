@@ -124,20 +124,21 @@ def _in_bounds(k: int, size: int, out: int, stride: int, padding: int) -> tuple[
     return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold an (N, C, H, W) batch, in any memory layout, into a contiguous
-    (C*kh*kw, out_h*out_w*N) patch matrix: rows in (channel, kernel row,
-    kernel column) order, columns in (output row, output column, sample)
-    order. Each kernel offset's strided window of the input is copied
-    straight into its rows of the one output buffer, and only the border
-    strips that fall in the padding are zero-filled: no padded copy of the
-    input is made. The sample is the innermost axis, so the copies run along
-    N-long rows. A batch already stored as (C, H, W, N), as a conv's output
-    is, is read in place; any other layout is first copied to it once, which
-    is faster than gathering each window across the layout."""
+def im2col(x: np.ndarray, spec: Conv2d) -> np.ndarray:
+    """Unfold an (N, C, H, W) batch, in any memory layout, into the conv
+    ``spec``'s contiguous (C*kh*kw, out_h*out_w*N) patch matrix: rows in
+    (channel, kernel row, kernel column) order, columns in (output row,
+    output column, sample) order. Each kernel offset's strided window of the
+    input is copied straight into its rows of the one output buffer, and
+    only the border strips that fall in the padding are zero-filled: no
+    padded copy of the input is made. The sample is the innermost axis, so
+    the copies run along N-long rows. A batch already stored as
+    (C, H, W, N), as a conv's output is, is read in place; any other layout
+    is first copied to it once, which is faster than gathering each window
+    across the layout."""
     n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    kh, kw, stride, padding = spec.kernel_h, spec.kernel_w, spec.stride, spec.padding
+    _, out_h, out_w = spec.output_shape((c, h, w))
     img = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     cols = np.empty((c, kh, kw, out_h, out_w, n), dtype=x.dtype)
     for i in range(kh):
@@ -153,18 +154,17 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     return cols.reshape(c * kh * kw, out_h * out_w * n)
 
 
-def col2im(
-    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
-) -> np.ndarray:
+def col2im(cols: np.ndarray, x_shape: tuple, spec: Conv2d) -> np.ndarray:
     """Fold patch gradients in im2col's layout (C*kh*kw, out_h*out_w*N) back
-    onto the (N, C, H, W) input, accumulating where patches overlap. The
-    image is built unpadded as (C, H, W, N): each of the kh*kw kernel
-    offsets adds its in-bounds window, in (kernel row, kernel column) order,
-    so every element receives its adds in that order, and each strided add
-    runs over N-long rows. The result is an (N, C, H, W) view of it."""
+    onto the conv ``spec``'s (N, C, H, W) input, accumulating where patches
+    overlap. The image is built unpadded as (C, H, W, N): each of the kh*kw
+    kernel offsets adds its in-bounds window, in (kernel row, kernel column)
+    order, so every element receives its adds in that order, and each
+    strided add runs over N-long rows. The result is an (N, C, H, W) view
+    of it."""
     n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    kh, kw, stride, padding = spec.kernel_h, spec.kernel_w, spec.stride, spec.padding
+    _, out_h, out_w = spec.output_shape((c, h, w))
     planes = cols.reshape(c, kh, kw, out_h, out_w, n)
     img = np.zeros((c, h, w, n))
     for i in range(kh):
@@ -190,6 +190,10 @@ class _WeightedLayer:
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None  # read-only bool, True where kept
         self.kept: np.ndarray | None = None  # flat indices of the mask's True entries
+        # Set by Network on its first weighted layer, whose input gradient
+        # nothing reads and whose input is the batch the caller holds
+        # through the step anyway.
+        self.first = False
         self._cols: np.ndarray | None = None  # the input (or a conv's patches) backward reads
 
     def attach_mask(self, bits: np.ndarray) -> int:
@@ -232,15 +236,15 @@ class _LinearLayer(_WeightedLayer):
         out += self.bias
         return out
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         """Fill the parameter gradients and release the forward cache; return
-        the input gradient unless ``input_grad`` is false (the first weighted
-        layer has no use for it), in its input's layout: column-major after a
-        Flatten of conv activations, so the ReLU before it multiplies in place."""
+        the input gradient, unless this is the first weighted layer, in its
+        input's layout: column-major after a Flatten of conv activations, so
+        the ReLU before it multiplies in place."""
         x, self._cols = self._cols, None
         self.grad_weights = np.matmul(dout.T, x, out=self.grad_weights)
         self.grad_bias = dout.sum(axis=0)
-        if not input_grad:
+        if self.first:
             return None
         return dout @ self.weights if x.flags.c_contiguous else (self.weights.T @ dout.T).T
 
@@ -252,50 +256,41 @@ class _ConvLayer(_WeightedLayer):
         fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
         super().__init__(layer_id, spec, prunable, rng, fan_in, spec.out_channels)
         self._x_shape: tuple | None = None
-        # Set by Network on its first weighted layer, whose input is the batch
-        # the caller holds through the step anyway: the training forward then
-        # caches that batch, not its kh*kw times larger patch matrix, and
-        # backward unfolds it again (im2col is a pure copy, so the patches
-        # and the weight gradient have the same bits).
-        self.cache_input = False
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         return self.spec.output_shape((self.spec.in_channels, h, w))[1:]
 
-    def _unfold(self, x: np.ndarray) -> np.ndarray:
-        s = self.spec
-        return im2col(x, s.kernel_h, s.kernel_w, s.stride, s.padding)
-
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Return an (N, C_out, out_h, out_w) view of (C_out, out_h, out_w, N)
         memory: the layout the next conv's im2col reads in order. A training
-        forward caches the patches, or the input itself under
-        ``cache_input``; the caller must not write that input before
-        backward."""
+        forward caches the patches, or, in the first weighted layer, the
+        input itself, not its kh*kw times larger patch matrix; the caller
+        must not write that input before backward."""
         s = self.spec
         _, out_h, out_w = s.output_shape(x.shape[1:])
         self._x_shape = x.shape
-        cols = self._unfold(x)
-        self._cols = (x if self.cache_input else cols) if cache else None
+        cols = im2col(x, s)
+        self._cols = (x if self.first else cols) if cache else None
         out = self.weights @ cols
         out += self.bias[:, None]
         return out.reshape(s.out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         """As the linear layer's, over (C_out, out_h*out_w*N) gradient rows.
         ``dout`` arrives in this layer's output layout (ReLU backward keeps
-        its forward input's layout), so flattening it is a view."""
+        its forward input's layout), so flattening it is a view. The first
+        weighted layer unfolds its cached input again: im2col is a pure
+        copy, so the weight gradient has the bits cached patches give."""
         s = self.spec
         dout_t = dout.transpose(1, 2, 3, 0).reshape(s.out_channels, -1)
-        cols = self._unfold(self._cols) if self.cache_input else self._cols
+        cols = im2col(self._cols, s) if self.first else self._cols
         self._cols = None
         self.grad_weights = np.matmul(dout_t, cols.T, out=self.grad_weights)
         del cols  # released before the patch gradient is made
         self.grad_bias = dout_t.sum(axis=1)
-        if not input_grad:
+        if self.first:
             return None
-        dcols = self.weights.T @ dout_t
-        return col2im(dcols, self._x_shape, s.kernel_h, s.kernel_w, s.stride, s.padding)
+        return col2im(self.weights.T @ dout_t, self._x_shape, s)
 
 
 class _ReLULayer:
@@ -378,8 +373,7 @@ class Network:
         self.seed = seed
         # Backward stops at the first weighted layer; nothing before it caches.
         self._first = next(i for i, l in enumerate(layers) if isinstance(l, _WeightedLayer))
-        if isinstance(layers[self._first], _ConvLayer):
-            layers[self._first].cache_input = True
+        layers[self._first].first = True
         # The last training forward's logits; None once they are stale.
         self._logits: np.ndarray | None = None
 
@@ -427,9 +421,8 @@ class Network:
             )
         logits, self._logits = self._logits, None
         loss, grad = softmax_cross_entropy(logits, labels)
-        for layer in reversed(self.layers[self._first + 1 :]):
+        for layer in reversed(self.layers[self._first :]):
             grad = layer.backward(grad)
-        self.layers[self._first].backward(grad, input_grad=False)
         return loss
 
     def invalidate_cache(self) -> None:

@@ -1,4 +1,5 @@
-"""Seeded fuzzing of outside inputs: checkpoint metadata and tensors.
+"""Seeded fuzzing of outside inputs: checkpoints, config text, CSV cells and
+IDX headers.
 
 Each metadata mutation edits one node of a valid checkpoint's JSON metadata
 (a type swap, a deleted or added key, a value nested one level deeper); each
@@ -8,14 +9,21 @@ gives one tensor another shape. Both rewrite the container with a valid CRC.
 Loading it must either return a network whose masks are bool, whose pruned
 weights are exactly 0.0, whose weights and biases are finite and whose spec
 fields have their declared types, or raise a CheckpointError that begins
-with the path; ``inspect`` must exit 0 on the first and 2 on the second,
-with at most one stderr line that names no exception type.
+with the path; ``inspect`` must exit 0 on the first and 2 on the second.
+
+Config text, CSV cells and IDX headers are mutated in files that ``run``
+(and, for config text, ``tune``) then reads in process. Every mutation puts
+in small values only, so a run that is accepted stays a few milliseconds.
+
+Every command must exit 0, 1, 2 or 3, with at most one stderr line that
+names no exception type.
 """
 
 import copy
 import dataclasses
 import random
 import re
+import struct
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -102,12 +110,21 @@ def _loads(path, capsys) -> bool:
     else:
         _check_loaded(net)
         loaded = True
-    capsys.readouterr()
-    assert main(["inspect", "--quiet", str(path)]) == (0 if loaded else 2)
-    err = capsys.readouterr().err
-    assert err.count("\n") <= 1 and not EXCEPTION_NAME.search(err), err
+    code, err = _cli(["inspect", "--quiet", str(path)], capsys)
+    assert code == (0 if loaded else 2)
     assert loaded or err.startswith(f"error: {path}: "), err
     return loaded
+
+
+def _cli(argv, capsys) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, after checking the oracle every
+    command keeps."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert err.count("\n") <= 1 and not EXCEPTION_NAME.search(err), (argv, err)
+    return code, err
 
 
 @pytest.fixture
@@ -177,3 +194,269 @@ def test_mutated_checkpoint_tensors_load_or_name_the_file(tmp_path, capsys, base
         outcomes.append(_loads(path, capsys))
         assert outcomes[-1] != rejected, {n: t.shape for n, t in mutated.items()}
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+# README's example config at small sizes, writing into ``out``.
+BLOBS_CONFIG = """\
+[run]
+seed = 42
+output = out
+# checkpoint_every = 10        # optional periodic checkpoints
+
+[model]
+layer = linear 4 8
+layer = relu
+layer = linear 8 4
+layer = relu
+layer = linear 4 2            # last weighted layer stays dense by default
+
+[dataset]
+kind = synthetic-blobs
+n_samples = 40
+n_features = 4
+n_classes = 2
+seed = 7
+
+[scorer]
+kind = nmf
+k = 2
+n_iter = 5
+
+[gamma_search]
+s_target = 0.8
+
+[threshold]
+type = std
+
+[train]
+epochs = 2
+lr = 0.1
+momentum = 0.9
+weight_decay = 5e-4
+batch_size = 16
+milestones = 1
+lr_gamma = 0.1
+"""
+
+# A conv net on the IDX pair that ``_write_idx`` makes.
+IDX_CONFIG = """\
+[run]
+seed = 3
+output = out
+
+[model]
+layer = conv2d 1 2 3 3 stride=2 padding=1 prunable=true
+layer = relu
+layer = flatten
+layer = linear 8 2
+
+[dataset]
+kind = idx
+images = images.idx
+labels = labels.idx
+
+[scorer]
+kind = magnitude
+
+[gamma_search]
+s_target = 0.5
+
+[threshold]
+type = mad
+
+[train]
+epochs = 1
+lr = 0.05
+batch_size = 8
+"""
+
+# An MLP on the table ``data_dir`` writes, with a fixed gamma and no [run]
+# section, so it writes into the default ``runs/run``.
+CSV_CONFIG = """\
+[model]
+layer = linear 4 6
+layer = relu
+layer = linear 6 2
+
+[dataset]
+kind = csv
+path = data.csv
+label_column = 4
+
+[scorer]
+kind = magnitude
+
+[threshold]
+type = mad
+gamma = 0
+
+[train]
+epochs = 1
+lr = 0.05
+batch_size = 8
+"""
+
+# What a config mutation puts in place of one token of a value, of a whole
+# value, or of a key. Sizes stay small: an epoch count or a sample count
+# beyond these would make an accepted run slow, not wrong.
+CONFIG_TOKENS = ["", "0", "1", "2", "3", "-1", "0.5", "0.99", "1e-3"]
+CONFIG_VALUES = CONFIG_TOKENS + [
+    "nan", "inf", "x", "true", "no", "1 2", "2,1", "std", "mad", "nmf", "magnitude", "csv",
+    "idx", "synthetic-blobs", "linear 2 2", "relu", "flatten", "conv2d 1 2 3 3", "stride=0",
+    "padding=2", "out", "data.csv", "images.idx",
+]
+CONFIG_KEYS = [
+    "kind", "seed", "output", "checkpoint_every", "layer", "n_samples", "n_features",
+    "n_classes", "path", "label_column", "images", "labels", "k", "n_iter", "s_target",
+    "type", "gamma", "epochs", "lr", "batch_size", "milestones", "extra",
+]
+SECTIONS = ["[run]", "[model]", "[dataset]", "[scorer]", "[gamma_search]", "[threshold]",
+            "[train]", "[extra]", "[]", "[model", "model]"]
+
+
+def _mutate_config(text: str, rng: random.Random) -> str:
+    """``text`` with one line's value, layer token, key or section swapped,
+    one line deleted or repeated, or the text cut short."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    key, eq, value = lines[i].partition("=")
+    tokens = value.split("#")[0].split()
+    op = rng.choice(["value", "token", "key", "section", "delete", "repeat", "cut"])
+    if op == "value" and eq:
+        lines[i] = f"{key}= {rng.choice(CONFIG_VALUES)}"
+    elif op == "token" and tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(CONFIG_TOKENS)
+        lines[i] = f"{key}= {' '.join(tokens)}"
+    elif op == "key" and eq:
+        lines[i] = f"{rng.choice(CONFIG_KEYS)} ={value}"
+    elif op == "section":
+        lines[i] = rng.choice(SECTIONS)
+    elif op == "delete":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    else:  # cut, or a value op on a line with no value
+        return text[: rng.randrange(len(text))]
+    return "\n".join(lines) + "\n"
+
+
+def _write_idx(tmp_path, h=4, w=4, n=24, n_labels=None, images_header=None,
+               labels_header=None) -> None:
+    """An IDX pair of ``n`` h x w images and ``n_labels`` (by default ``n``)
+    labels in two classes; a given header (a tuple of ints) replaces the
+    file's own."""
+    n_labels = n if n_labels is None else n_labels
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, (n, h, w), dtype=np.uint8)
+    labels = (np.arange(n_labels) % 2).astype(np.uint8)
+    images_header = images_header or (0x803, n, h, w)
+    labels_header = labels_header or (0x801, n_labels)
+    (tmp_path / "images.idx").write_bytes(
+        struct.pack(f">{len(images_header)}i", *images_header) + pixels.tobytes()
+    )
+    (tmp_path / "labels.idx").write_bytes(
+        struct.pack(f">{len(labels_header)}i", *labels_header) + labels.tobytes()
+    )
+
+
+@pytest.fixture
+def data_dir(tmp_path, monkeypatch):
+    """``tmp_path`` as the working directory, holding the IDX pair and the
+    CSV table the configs name, so every relative output lands in it."""
+    monkeypatch.chdir(tmp_path)
+    _write_idx(tmp_path)
+    rng = np.random.default_rng(1)
+    rows = [[*np.round(rng.normal(size=4), 3), i % 2] for i in range(30)]
+    (tmp_path / "data.csv").write_text(
+        "a,b,c,d,label\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+    )
+    return tmp_path
+
+
+def test_mutated_config_text_runs_or_exits_with_one_line(data_dir, capsys):
+    rng = random.Random(2)
+    codes = []
+    for _ in range(250):
+        base = rng.choice([BLOBS_CONFIG, IDX_CONFIG])
+        path = data_dir / "run.ini"
+        path.write_text(_mutate_config(base, rng))
+        for command in ("run", "tune"):
+            codes.append(_cli([command, "--config", str(path), "--quiet"], capsys)[0])
+    # Accepted and rejected configs are both exercised.
+    assert 0 in codes and 1 in codes
+
+
+# What a CSV mutation writes into a cell.
+CELLS = ["", "nan", "inf", "-inf", "1e309", "-1", "2", "7", "0.5", "1e19", "x", " 3 ", "0x1",
+         "-0", "1,2", "#", "1e-320"]
+
+
+def _mutate_csv(text: str, rng: random.Random) -> str:
+    """``text`` with one cell swapped, deleted or added, or one row deleted,
+    repeated, cut or blanked."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    cells = lines[i].split(",")
+    j = rng.randrange(len(cells))
+    op = rng.choice(["cell", "cell", "cell", "drop_cell", "add_cell", "delete", "repeat", "cut"])
+    if op == "cell":
+        cells[j] = rng.choice(CELLS)
+    elif op == "drop_cell":
+        del cells[j]
+    elif op == "add_cell":
+        cells.insert(j, rng.choice(CELLS))
+    elif op == "delete":
+        del lines[i]
+        return "".join(line + "\n" for line in lines)
+    elif op == "repeat":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        return "".join(line + "\n" for line in lines)
+    else:
+        return text[: rng.randrange(len(text))]
+    lines[i] = ",".join(cells)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_mutated_csv_cells_run_or_exit_with_one_line(data_dir, capsys):
+    rng = random.Random(3)
+    base = (data_dir / "data.csv").read_text()
+    config = data_dir / "csv.ini"
+    config.write_text(CSV_CONFIG)
+    codes = []
+    for _ in range(200):
+        (data_dir / "data.csv").write_text(_mutate_csv(base, rng))
+        codes.append(_cli(["run", "--config", str(config), "--quiet"], capsys)[0])
+    # A table the run cannot use is a dataset error (exit 1), never a defect
+    # caught as a failed stage (exit 2).
+    assert set(codes) == {0, 1}
+
+
+# What an IDX header mutation writes into one header field: magic numbers of
+# other ranks and types, sizes off by one, and sizes no file can hold.
+HEADER_VALUES = [0, 1, 2, 3, 5, 23, 25, -1, 0x801, 0x803, 0x804, 0x802, 0x0D03, 2**31 - 1, -2**31]
+
+
+def test_mutated_idx_headers_run_or_exit_with_one_line(data_dir, capsys):
+    rng = random.Random(4)
+    config = data_dir / "idx.ini"
+    config.write_text(IDX_CONFIG)
+    codes = []
+    for _ in range(150):
+        op = rng.choice(["images", "labels", "shape", "cut"])
+        images, labels = [0x803, 24, 4, 4], [0x801, 24]
+        if op == "images":
+            images[rng.randrange(4)] = rng.choice(HEADER_VALUES)
+        elif op == "labels":
+            labels[rng.randrange(2)] = rng.choice(HEADER_VALUES)
+        if op == "shape":  # consistent files of another image size or count
+            counts = [1, 2, 5, 23, 24]
+            _write_idx(data_dir, h=rng.choice([1, 2, 3, 4, 5]), w=rng.choice([1, 3, 4, 6]),
+                       n=rng.choice(counts), n_labels=rng.choice(counts))
+        else:
+            _write_idx(data_dir, images_header=tuple(images), labels_header=tuple(labels))
+        if op == "cut":
+            path = data_dir / rng.choice(["images.idx", "labels.idx"])
+            data = path.read_bytes()
+            path.write_bytes(data[: rng.randrange(len(data))])
+        codes.append(_cli(["run", "--config", str(config), "--quiet"], capsys)[0])
+    assert set(codes) == {0, 1}  # as for CSV tables

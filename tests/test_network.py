@@ -27,6 +27,7 @@ from nmfprune.network import (
     output_shapes,
     softmax_cross_entropy,
 )
+from nmfprune.trainer import TrainConfig, masked_train_step, momentum_buffers
 
 
 def direct_conv(x, weights_2d, bias, spec):
@@ -135,6 +136,12 @@ def batch_innermost(x):
     return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
+def conv_spec(c, kh, kw, stride, padding):
+    """The Conv2d im2col and col2im read a geometry from; its output channels
+    play no part in either."""
+    return Conv2d(c, 1, kh, kw, stride=stride, padding=padding)
+
+
 class TestIm2col:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(40)
@@ -142,7 +149,7 @@ class TestIm2col:
             x = rng.normal(size=(2, c, 5, 7))
             expected = im2col_oracle(x, kh, kw, stride, padding)
             for layout in (x, batch_innermost(x)):
-                got = im2col(layout, kh, kw, stride, padding)
+                got = im2col(layout, conv_spec(c, kh, kw, stride, padding))
                 assert np.array_equal(patch_rows(got, 2), expected), (
                     c, kh, kw, stride, padding,
                 )
@@ -152,7 +159,7 @@ class TestIm2col:
         for c, (kh, kw), stride, padding in GEOMETRIES:
             x = signed_zeros(rng, (3, c, 5, 7))
             for layout in (x, batch_innermost(x)):
-                got = im2col(layout, kh, kw, stride, padding)
+                got = im2col(layout, conv_spec(c, kh, kw, stride, padding))
                 want = padded_im2col(layout, kh, kw, stride, padding)
                 assert got.shape == want.shape and got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes(), (c, kh, kw, stride, padding)
@@ -164,7 +171,7 @@ class TestIm2col:
             x_shape = (3, c, 5, 7)
             rows = padded_im2col(np.zeros(x_shape), kh, kw, stride, padding).shape
             cols = signed_zeros(rng, rows)
-            got = col2im(cols, x_shape, kh, kw, stride, padding)
+            got = col2im(cols, x_shape, conv_spec(c, kh, kw, stride, padding))
             want = padded_col2im(cols, x_shape, kh, kw, stride, padding)
             assert got.shape == want.shape == x_shape
             assert got.transpose(1, 2, 3, 0).flags.c_contiguous  # unpadded (C, H, W, N)
@@ -180,13 +187,13 @@ class TestIm2col:
         rng = np.random.default_rng(61)
         x = rng.normal(size=(64, 8, 14, 14))
         stored = batch_innermost(x)
-        geometry = (3, 3, 2, 1)
-        cols = im2col(x, *geometry)
+        spec = conv_spec(8, 3, 3, 2, 1)
+        cols = im2col(x, spec)
         buffers = 3 * np.getbufsize() * x.itemsize
         for name, call, bound in [
-            ("im2col", lambda: im2col(stored, *geometry), cols.nbytes),
-            ("im2col N-first", lambda: im2col(x, *geometry), cols.nbytes + x.nbytes),
-            ("col2im", lambda: col2im(cols, x.shape, *geometry), x.nbytes + buffers),
+            ("im2col", lambda: im2col(stored, spec), cols.nbytes),
+            ("im2col N-first", lambda: im2col(x, spec), cols.nbytes + x.nbytes),
+            ("col2im", lambda: col2im(cols, x.shape, spec), x.nbytes + buffers),
         ]:
             call()  # a first call's one-off allocations are not counted
             tracemalloc.start()
@@ -203,9 +210,10 @@ class TestIm2col:
         rng = np.random.default_rng(41)
         for c, (kh, kw), stride, padding in GEOMETRIES:
             x = rng.normal(size=(2, c, 5, 7))
-            unfolded = im2col(x, kh, kw, stride, padding)
+            spec = conv_spec(c, kh, kw, stride, padding)
+            unfolded = im2col(x, spec)
             cols = rng.normal(size=unfolded.shape)
-            folded = col2im(cols, x.shape, kh, kw, stride, padding)
+            folded = col2im(cols, x.shape, spec)
             assert folded.shape == x.shape
             lhs = np.sum(unfolded * cols)
             rhs = np.sum(x * folded)
@@ -324,6 +332,7 @@ class TestForward:
         # conv gets the previous conv's (N, C, H, W) view of batch-innermost memory.
         specs = [Conv2d(2, 3, 3, 3, padding=1), Conv2d(3, 2, 2, 3, stride=2, padding=1)]
         first, second = init_network(specs, seed=56).weighted_layers
+        first.first = False  # so each caches its patches and folds an input gradient
         rng = np.random.default_rng(57)
         x = rng.normal(size=(2, 2, 5, 6))
         first_out = first.forward(x, cache=False)
@@ -333,7 +342,7 @@ class TestForward:
             out = layer.forward(inp)
             assert np.max(np.abs(out - direct_conv(inp, layer.weights, layer.bias, spec))) <= 1e-10
             dout = rng.normal(size=out.shape)
-            layer.backward(dout, input_grad=False)
+            assert layer.backward(dout).shape == inp.shape
             # The output is linear in the weights: d<out, dout>/dW[i] is the
             # oracle's output for a unit weight at i, weighed by dout.
             want = np.zeros_like(layer.weights)
@@ -433,24 +442,41 @@ class TestBackward:
             denom = max(abs(numeric), abs(analytic[index]), 1e-8)
             assert abs(analytic[index] - numeric) / denom <= 1e-4
 
-    def test_col2im_once_per_backward_on_two_conv_network(self, monkeypatch):
+    def test_unfold_fold_and_backward_calls_of_one_training_step(self, monkeypatch):
+        # The contract a tracer wrapping the module's im2col and col2im and
+        # each layer's instance backward relies on: the first conv unfolds
+        # its batch in forward and again in backward, a later conv unfolds
+        # once and folds its input gradient once, and backward runs once per
+        # layer from the first weighted layer on.
         calls = []
+        for name in ("im2col", "col2im"):
+            def counting(*args, name=name, original=getattr(network, name)):
+                # The spec, and the shape of the input it unfolds or folds onto.
+                shape = args[0].shape if name == "im2col" else args[1]
+                calls.append((name, args[-1], shape))
+                return original(*args)
 
-        def counting_col2im(*args):
-            calls.append(args[1])
-            return col2im(*args)
+            monkeypatch.setattr(network, name, counting)
+        specs = [ReLU(), Conv2d(1, 2, 3, 3, padding=1), ReLU(),
+                 Conv2d(2, 3, 3, 3, stride=2, padding=1), ReLU(), Flatten(), Linear(48, 2)]
+        net = init_network(specs, seed=64)
+        backward_calls = []
+        for layer in net.layers:
+            def backward(dout, layer=layer, original=layer.backward):
+                backward_calls.append(layer.layer_id)
+                return original(dout)
 
-        monkeypatch.setattr(network, "col2im", counting_col2im)
-        net = init_network(
-            [Conv2d(1, 2, 3, 3, padding=1), ReLU(), Conv2d(2, 3, 3, 3, stride=2, padding=1),
-             ReLU(), Flatten(), Linear(48, 2)],
-            seed=44,
-        )
-        rng = np.random.default_rng(45)
-        net.forward(rng.normal(size=(2, 1, 8, 8)))
-        net.backward(np.array([0, 1]))
+            layer.backward = backward
+        rng = np.random.default_rng(65)
+        cfg = TrainConfig(epochs=1, lr=0.1)
+        masked_train_step(net, rng.normal(size=(2, 1, 8, 8)), np.array([0, 1]),
+                          momentum_buffers(net), 0.1, cfg)
+        first, second = specs[1], specs[3]
         # Only the second conv folds a gradient back, onto the first's output.
-        assert calls == [(2, 2, 8, 8)]
+        assert calls == [("im2col", first, (2, 1, 8, 8)), ("im2col", second, (2, 2, 8, 8)),
+                         ("col2im", second, (2, 2, 8, 8)), ("im2col", first, (2, 1, 8, 8))]
+        assert all(spec is want for (_, spec, _), want in zip(calls, [first, second, second, first]))
+        assert backward_calls == [l.layer_id for l in reversed(net.layers[1:])]
 
     def test_first_layer_computes_no_input_gradient(self):
         # In backward a linear layer reads its weights for the input gradient only.
@@ -525,6 +551,7 @@ class TestBackward:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_linear_backward_returns_the_input_gradient_in_its_input_layout(self, order):
         layer = init_network([Linear(6, 3)], seed=53).weighted_layers[0]
+        layer.first = False  # a lone layer is its network's first
         rng = np.random.default_rng(54)
         x = np.asarray(rng.normal(size=(4, 6)), order=order)
         dout = rng.normal(size=(4, 3))
@@ -646,13 +673,13 @@ class TestActivationCache:
         x = rng.normal(size=(5, 2, 5, 7))
         y = rng.integers(0, 2, 5)
         net, reference = init_network(specs, seed=63), init_network(specs, seed=63)
-        reference.layers[0].cache_input = False
+        reference.layers[0].first = False  # caches patches and folds an input gradient
         net.forward(x)
         reference.forward(x)
         first, second = net.layers[0], net.layers[2]
         assert first._cols is x and first._cols.nbytes <= x.nbytes
         assert reference.layers[0]._cols.nbytes == 9 * x.nbytes
-        assert not second.cache_input and second._cols.shape == (3 * 2 * 3, 4 * 3 * 5)
+        assert not second.first and second._cols.shape == (3 * 2 * 3, 4 * 3 * 5)
         assert net.backward(y) == reference.backward(y)
         for layer, ref in zip(net.weighted_layers, reference.weighted_layers, strict=True):
             assert layer.grad_weights.tobytes() == ref.grad_weights.tobytes(), layer.layer_id
