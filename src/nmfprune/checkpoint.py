@@ -21,19 +21,19 @@ corrupted files before any tensor is handed back.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import struct
 import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import numpy as np
 
-from .network import LAYER_KINDS, Network, init_network
+from .network import LAYER_KINDS, Network
 from .nmf import _check_matrix
+from .runconfig import _type_hints
 
 MAGIC = b"ONGC"
 VERSION = 1
@@ -175,15 +175,13 @@ def _check_types(values: dict, hints: dict, required: set, what: str) -> None:
             raise ValueError(f"{what} {name!r} has type {type(value).__name__}, not {expected}")
 
 
-# Each spec class's field types, resolved on first use and kept for the process.
-_type_hints = functools.cache(get_type_hints)
-
 # The metadata save_checkpoint writes, by key and JSON type.
 _META_TYPES = {"kind": str, "seed": int, "specs": list, "prunable": dict}
 
 
-def _network_from_meta(meta) -> Network:
-    """The network the metadata describes, with its stored prunable flags."""
+def _network_from_meta(meta, tensors: dict) -> Network:
+    """The network the metadata describes, built from its stored prunable
+    flags and from the weights and biases it takes out of ``tensors``."""
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind != "checkpoint":
         raise ValueError(f"container kind {kind!r} is not a checkpoint")
@@ -198,13 +196,19 @@ def _network_from_meta(meta) -> Network:
         required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
         _check_types(fields, _type_hints(cls), required, f"layer spec {i}")
         specs.append(cls(**fields))
-    net = init_network(specs, meta["seed"])
-    for layer in net.weighted_layers:
-        layer.prunable = meta["prunable"].pop(layer.layer_id, None)
-        if not isinstance(layer.prunable, bool):
-            raise ValueError(f"no prunable flag for {layer.layer_id!r}")
-    if meta["prunable"]:
-        raise ValueError(f"prunable flags {sorted(meta['prunable'])} belong to no layer")
+    flags = meta["prunable"]
+
+    def stored(lid: str, spec, _: bool) -> tuple:
+        prunable = flags.pop(lid, None)
+        if not isinstance(prunable, bool):
+            raise ValueError(f"no prunable flag for {lid!r}")
+        weights = _pop_tensor(tensors, f"{lid}.weight", spec.weight_shape)
+        bias = _pop_tensor(tensors, f"{lid}.bias", (1, len(weights)))
+        return prunable, weights, bias.reshape(-1)
+
+    net = Network(specs, meta["seed"], stored)
+    if flags:
+        raise ValueError(f"prunable flags {sorted(flags)} belong to no layer")
     if not net.prunable_layers:  # run never saves one: it masks a prunable layer
         raise ValueError("network has no prunable layers")
     return net
@@ -223,6 +227,7 @@ def _pop_tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint; raises before returning anything partial.
+    Its layers are built from the stored flags and tensors: nothing is drawn.
 
     The metadata holds exactly the keys save_checkpoint writes, each layer
     spec field a value of its annotated type. Every weight, bias and mask has
@@ -233,14 +238,12 @@ def load_checkpoint(path) -> Network:
     """
     meta, tensors = read_container(path)
     try:
-        net = _network_from_meta(meta)
+        net = _network_from_meta(meta, tensors)
         for layer in net.weighted_layers:
-            lid, shape = layer.layer_id, layer.weights.shape
-            layer.weights = _pop_tensor(tensors, f"{lid}.weight", shape)
-            layer.bias = _pop_tensor(tensors, f"{lid}.bias", (1, shape[0])).reshape(shape[0])
+            lid = layer.layer_id
             if f"{lid}.mask" not in tensors:
                 continue
-            mask = _pop_tensor(tensors, f"{lid}.mask", shape)
+            mask = _pop_tensor(tensors, f"{lid}.mask", layer.weights.shape)
             # Only 1.0 and +0.0: save_checkpoint writes a bool mask as those.
             if np.count_nonzero(mask == 1.0) != np.count_nonzero(mask) or np.signbit(mask).any():
                 raise ValueError(f"mask of {lid!r} holds values other than 0.0 and 1.0")

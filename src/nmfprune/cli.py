@@ -54,9 +54,9 @@ EXIT_INVARIANT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; remap to the config-error code.
+    # argparse prints its usage block and exits with 2 on usage errors; print
+    # the one error line and exit with the config-error code instead.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
@@ -245,8 +245,9 @@ def main(argv=None) -> int:
             print(f"invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         message = str(exc)
-        if not isinstance(exc, (ValueError, RuntimeError, OSError)):  # a defect
-            message = f"{type(exc).__name__}: {message}"
+        # Any other type is a defect; FloatingPointError is a diverged sgd_step.
+        if not isinstance(cause, (ValueError, RuntimeError, OSError, FloatingPointError)):
+            message = f"{type(cause).__name__}: {message}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(cause, (ConfigError, DatasetError)) else EXIT_RUNTIME
     finally:

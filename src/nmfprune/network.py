@@ -56,6 +56,10 @@ class Linear:
         if self.in_features < 1 or self.out_features < 1:
             raise ValueError(f"Linear dimensions must be positive, got {self}")
 
+    @property
+    def weight_shape(self) -> tuple[int, int]:
+        return (self.out_features, self.in_features)
+
     def output_shape(self, shape: tuple) -> tuple:
         if shape not in ((self.in_features,), (None,)):
             raise ValueError(f"input shape {shape} does not fit {self.in_features} features")
@@ -77,6 +81,10 @@ class Conv2d:
             raise ValueError(f"Conv2d dimensions must be positive, got {self}")
         if self.stride < 1 or self.padding < 0:
             raise ValueError(f"Conv2d stride/padding invalid: {self}")
+
+    @property
+    def weight_shape(self) -> tuple[int, int]:
+        return (self.out_channels, self.in_channels * self.kernel_h * self.kernel_w)
 
     def output_shape(self, shape: tuple) -> tuple:
         if len(shape) != 3 or shape[0] != self.in_channels:
@@ -176,16 +184,16 @@ def col2im(cols: np.ndarray, x_shape: tuple, spec: Conv2d) -> np.ndarray:
 
 
 class _WeightedLayer:
-    """Weights (out x fan_in) and a bias, their gradient buffers, and the
-    mask that linear and conv layers share."""
+    """The weights (its spec's ``weight_shape``) and bias it is handed, their
+    gradient buffers, and the mask that linear and conv layers share."""
 
-    def __init__(self, layer_id, spec, prunable: bool, rng, fan_in: int, fan_out: int):
+    def __init__(self, layer_id: str, spec, prunable: bool, weights: np.ndarray,
+                 bias: np.ndarray):
         self.layer_id = layer_id
         self.spec = spec
         self.prunable = prunable
-        bound = np.sqrt(6.0 / fan_in)  # Kaiming uniform
-        self.weights = rng.uniform(-bound, bound, (fan_out, fan_in))
-        self.bias = np.zeros(fan_out)
+        self.weights = weights
+        self.bias = bias
         self.grad_weights: np.ndarray | None = None
         self.grad_bias: np.ndarray | None = None
         self.mask: np.ndarray | None = None  # read-only bool, True where kept
@@ -226,9 +234,6 @@ class _WeightedLayer:
 class _LinearLayer(_WeightedLayer):
     kind = "linear"
 
-    def __init__(self, layer_id: str, spec: Linear, prunable: bool, rng: np.random.Generator):
-        super().__init__(layer_id, spec, prunable, rng, spec.in_features, spec.out_features)
-
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         self.spec.output_shape(x.shape[1:])  # raises on an input that does not fit
         self._cols = x if cache else None
@@ -251,11 +256,6 @@ class _LinearLayer(_WeightedLayer):
 
 class _ConvLayer(_WeightedLayer):
     kind = "conv"
-
-    def __init__(self, layer_id: str, spec: Conv2d, prunable: bool, rng: np.random.Generator):
-        fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-        super().__init__(layer_id, spec, prunable, rng, fan_in, spec.out_channels)
-        self._x_shape: tuple | None = None
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
         return self.spec.output_shape((self.spec.in_channels, h, w))[1:]
@@ -367,13 +367,34 @@ def output_shapes(specs: list[LayerSpec], sample_shape: tuple | None = None) -> 
 class Network:
     """Ordered layer stack with cached activations for one backward pass."""
 
-    def __init__(self, layers: list, specs: list[LayerSpec], seed: int):
-        self.layers = layers
-        self.specs = specs
+    def __init__(self, specs: list[LayerSpec], seed: int, params):
+        """The layers of ``specs``, checked to fit one another, with ids
+        ``layer<i>_<kind>``. Each weighted layer holds the ``(prunable,
+        weights, bias)`` that ``params(layer_id, spec, prunable)`` returns,
+        called in layer order; the ``prunable`` it is handed is the spec's
+        flag, or, where that is None, True for every weighted layer but the
+        last (the classifier stays dense)."""
+        self.specs = list(specs)
         self.seed = seed
+        weighted = [i for i, s in enumerate(self.specs) if isinstance(s, (Linear, Conv2d))]
+        if not weighted:
+            raise ValueError("network needs at least one weighted layer")
+        try:
+            output_shapes(self.specs)
+        except ValueError as exc:
+            raise ValueError(f"incompatible layer pair: {exc}") from None
+        self.layers: list = []
+        for i, spec in enumerate(self.specs):
+            cls = _LAYER_CLASSES[type(spec)]
+            layer_id = f"layer{i}_{cls.kind}"
+            if i in weighted:
+                prunable = i != weighted[-1] if spec.prunable is None else spec.prunable
+                self.layers.append(cls(layer_id, spec, *params(layer_id, spec, prunable)))
+            else:
+                self.layers.append(cls(layer_id))
         # Backward stops at the first weighted layer; nothing before it caches.
-        self._first = next(i for i, l in enumerate(layers) if isinstance(l, _WeightedLayer))
-        layers[self._first].first = True
+        self._first = weighted[0]
+        self.layers[self._first].first = True
         # The last training forward's logits; None once they are stale.
         self._logits: np.ndarray | None = None
 
@@ -444,32 +465,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 def init_network(specs: list[LayerSpec], seed: int) -> Network:
     """Build a network from layer specs with seeded fan-in-scaled uniform
-    weights and zero biases.
+    (Kaiming) weights, drawn layer by layer from one stream, and zero biases.
 
     The last weighted layer defaults to non-prunable (it is the classifier);
     pass an explicit ``prunable=`` on the spec to override either direction.
     """
-    specs = list(specs)
-    weighted_positions = [i for i, s in enumerate(specs) if isinstance(s, (Linear, Conv2d))]
-    if not weighted_positions:
-        raise ValueError("network needs at least one weighted layer")
-    try:
-        output_shapes(specs)
-    except ValueError as exc:
-        raise ValueError(f"incompatible layer pair: {exc}") from None
-
-    last_weighted = weighted_positions[-1]
     rng = np.random.default_rng(derive_seed(seed, "init"))
-    layers: list = []
-    for i, spec in enumerate(specs):
-        cls = _LAYER_CLASSES[type(spec)]
-        layer_id = f"layer{i}_{cls.kind}"
-        if issubclass(cls, _WeightedLayer):
-            prunable = spec.prunable if spec.prunable is not None else i != last_weighted
-            layers.append(cls(layer_id, spec, prunable, rng))
-        else:
-            layers.append(cls(layer_id))
-    return Network(layers, specs, seed)
+
+    def kaiming_uniform(layer_id: str, spec, prunable: bool) -> tuple:
+        out, fan_in = spec.weight_shape
+        bound = np.sqrt(6.0 / fan_in)
+        return prunable, rng.uniform(-bound, bound, (out, fan_in)), np.zeros(out)
+
+    return Network(specs, seed, kaiming_uniform)
 
 
 def convert_to_masked(net: Network, masks: dict[str, np.ndarray]) -> Network:

@@ -415,6 +415,57 @@ def test_every_tensor_shape_checked_by_one_rule(tmp_path, name, shape):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("make", [trained_masked_net, masked_conv_net])
+def test_load_draws_no_random_weights(tmp_path, monkeypatch, make):
+    # The layers are built from the stored tensors, not drawn and overwritten.
+    net = make()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_checkpoint(path)
+    for a, b in zip(net.weighted_layers, loaded.weighted_layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+# A weighted spec and its (out, fan_in) weight shape, written out by hand.
+WEIGHT_SHAPES = [
+    (Linear(6, 10), (10, 6)),
+    (Conv2d(2, 4, 3, 3), (4, 18)),
+    (Conv2d(2, 4, 1, 1), (4, 2)),
+    (Conv2d(2, 4, 2, 3, stride=2), (4, 12)),
+    (Conv2d(2, 4, 3, 1, padding=2), (4, 6)),
+    (Conv2d(3, 5, 3, 2, stride=3, padding=1), (5, 18)),
+]
+
+
+@pytest.mark.parametrize("spec, shape", WEIGHT_SHAPES)
+def test_built_and_loaded_layers_hold_their_spec_weight_shape(tmp_path, spec, shape):
+    net = init_network([spec, Flatten(), Linear(shape[0], 2)], seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+    assert spec.weight_shape == shape
+    for built in (net, load_checkpoint(path)):
+        layer = built.weighted_layers[0]
+        assert layer.weights.shape == shape and layer.bias.shape == (shape[0],)
+
+
+@pytest.mark.parametrize("stored", [(4, 17), (18, 4), (2, 36), (8, 9)])
+def test_stored_weight_of_another_shape_rejected(tmp_path, stored):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(init_network([Conv2d(2, 4, 3, 3), Flatten(), Linear(4, 2)], seed=0), path)
+    meta, tensors = read_container(path)
+    tensors["layer0_conv.weight"] = np.zeros(stored)
+    write_container(path, meta, tensors)
+    message = f"{path}: tensor 'layer0_conv.weight' has shape {stored}, expected (4, 18)"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("tensor", ["layer0_linear.weight", "layer2_linear.bias"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_tensor_rejected(tmp_path, capsys, tensor, value):

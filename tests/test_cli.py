@@ -311,6 +311,20 @@ class TestRun:
             main(["frobnicate"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv, line", [
+        (["run"], "nmfprune run: error: the following arguments are required: --config"),
+        (["run", "--config", "x", "--seed", "1.5"],
+         "nmfprune run: error: argument --seed: invalid int value: '1.5'"),
+        (["run", "--config", "x", "--no-such-flag"],
+         "nmfprune: error: unrecognized arguments: --no-such-flag"),
+        ([], "nmfprune: error: the following arguments are required: command"),
+    ], ids=["missing-config", "bad-seed", "unknown-flag", "no-command"])
+    def test_usage_error_is_one_line_without_usage_block(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr().err == line + "\n"
+
 
 @pytest.mark.parametrize(
     "flags",
@@ -402,6 +416,22 @@ def test_unexpected_exception_exits_2_without_traceback(
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
     assert "Traceback" not in err
+
+
+def test_defect_inside_a_stage_exits_2_naming_its_type(config_path, capsys, monkeypatch):
+    # A stage failure reaches main as a StageError (a RuntimeError); the
+    # defect is its cause, and the cause's type is what the line names.
+    import nmfprune.pipeline as pipeline
+
+    def broken_load(spec, split_seed):
+        return np.arange(5)[7]
+
+    path, _ = config_path
+    monkeypatch.setattr(pipeline, "load_dataset", broken_load)
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: IndexError: stage 'data' failed: index 7 is out of bounds for axis 0 with size 5\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["run", "score", "tune", "sweep"])

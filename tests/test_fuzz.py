@@ -17,6 +17,12 @@ in small values only, so a run that is accepted stays a few milliseconds.
 
 Every command must exit 0, 1, 2 or 3, with at most one stderr line that
 names no exception type.
+
+CLI flags are mutated in the argv of every command: a token dropped or
+repeated, an unknown flag put in, or a flag given a value no run expects.
+The command, or argparse's ``SystemExit``, must exit 0, 1, 2 or 3, and
+stderr must name no exception type: a failure is one line after any
+``warning:`` lines, a success prints only ``warning:`` lines.
 """
 
 import copy
@@ -460,3 +466,66 @@ def test_mutated_idx_headers_run_or_exit_with_one_line(data_dir, capsys):
             path.write_bytes(data[: rng.randrange(len(data))])
         codes.append(_cli(["run", "--config", str(config), "--quiet"], capsys)[0])
     assert set(codes) == {0, 1}  # as for CSV tables
+
+
+# What a flag mutation gives --target-sparsity, --seed, --targets, --ks or
+# --output. A list holds at most three entries, so an accepted sweep runs at
+# most nine small pipelines, and most mutations exit before any work.
+FLAG_VALUES = [
+    "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "0.8", "1e309", "", "0.5,0.5", "0.5,0.8",
+    "2,3", "1,2,3", ",", "x", str(2**64), "9" * 40, "out", "data.csv",
+]
+FLAGS = ["--target-sparsity", "--seed", "--targets", "--ks", "--output"]
+UNKNOWN_FLAGS = ["--frobnicate", "-x", "--seed=", "--target", "--", "-", "--quiet=1"]
+ARGVS = [
+    ["run", "--config", "blobs.ini", "--quiet"],
+    ["score", "--config", "blobs.ini", "--quiet"],
+    ["tune", "--config", "blobs.ini", "--quiet", "--target-sparsity", "0.8"],
+    ["sweep", "--config", "blobs.ini", "--quiet", "--targets", "0.5,0.8", "--ks", "2"],
+    ["inspect", "--quiet", "out/checkpoint.bin"],
+    ["inspect", "--quiet", "blobs.ini"],  # not a checkpoint
+]
+
+
+def _mutate_argv(argv: list, rng: random.Random) -> list:
+    """``argv`` with one token dropped or repeated, an unknown flag put in,
+    or one of ``FLAGS`` set (or added) to one of ``FLAG_VALUES``."""
+    argv = list(argv)
+    i = rng.randrange(len(argv))
+    op = rng.choice(["drop", "repeat", "unknown", "value", "value"])
+    if op == "drop":
+        del argv[i]
+    elif op == "repeat":
+        argv.insert(rng.randrange(len(argv) + 1), argv[i])
+    elif op == "unknown":
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(UNKNOWN_FLAGS))
+    else:
+        flag, value = rng.choice(FLAGS), rng.choice(FLAG_VALUES)
+        if flag in argv[:-1]:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def test_mutated_cli_flags_exit_with_one_line(data_dir, capsys):
+    (data_dir / "blobs.ini").write_text(BLOBS_CONFIG)
+    assert main(ARGVS[0]) == 0  # the checkpoint that inspect reads
+    rng = random.Random(5)
+    codes = []
+    for _ in range(300):
+        argv = _mutate_argv(rng.choice(ARGVS), rng)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err and not EXCEPTION_NAME.search(err), (argv, err)
+        lines = err.splitlines()
+        failures = [i for i, line in enumerate(lines) if not line.startswith("warning: ")]
+        assert failures == ([len(lines) - 1] if code else []), (argv, err)
+        codes.append(code)
+    # Accepted runs, usage and value errors, and failed runs are all exercised.
+    assert {0, 1, 2} <= set(codes)
