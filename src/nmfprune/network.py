@@ -27,9 +27,14 @@ A training forward caches what backward needs (layer inputs, im2col patches,
 ReLU masks, logits) and backward releases each cache as it uses it; an
 evaluation forward caches nothing. A conv caches its patches, except the
 network's first weighted layer: it caches its input, the batch the caller
-holds through the step anyway, and backward unfolds it again. A Network
-instance is single-writer: forward/backward mutate per-layer caches and
-gradient buffers, so one instance must not be driven from two threads.
+holds through the step anyway, and backward unfolds it again. Every other
+array is freed at its last use: Network hands each layer its input as the
+only reference it holds, and a layer drops its own reference once it has
+read it, so an activation or gradient dies inside the call that last reads
+it (from CPython 3.11 on, where a call hands its arguments over to the
+callee). A Network instance is single-writer: forward/backward mutate
+per-layer caches and gradient buffers, so one instance must not be driven
+from two threads.
 """
 
 from __future__ import annotations
@@ -251,7 +256,9 @@ class _LinearLayer(_WeightedLayer):
         self.grad_bias = dout.sum(axis=0)
         if self.first:
             return None
-        return dout @ self.weights if x.flags.c_contiguous else (self.weights.T @ dout.T).T
+        row_major = x.flags.c_contiguous
+        del x  # freed before the input gradient is made
+        return dout @ self.weights if row_major else (self.weights.T @ dout.T).T
 
 
 class _ConvLayer(_WeightedLayer):
@@ -271,9 +278,10 @@ class _ConvLayer(_WeightedLayer):
         self._x_shape = x.shape
         cols = im2col(x, s)
         self._cols = (x if self.first else cols) if cache else None
+        del x  # freed once unfolded, unless cached above
         out = self.weights @ cols
         out += self.bias[:, None]
-        return out.reshape(s.out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
+        return out.reshape(s.out_channels, out_h, out_w, -1).transpose(3, 0, 1, 2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
         """As the linear layer's, over (C_out, out_h*out_w*N) gradient rows.
@@ -283,6 +291,7 @@ class _ConvLayer(_WeightedLayer):
         copy, so the weight gradient has the bits cached patches give."""
         s = self.spec
         dout_t = dout.transpose(1, 2, 3, 0).reshape(s.out_channels, -1)
+        del dout  # dout_t is a view of it
         cols = im2col(self._cols, s) if self.first else self._cols
         self._cols = None
         self.grad_weights = np.matmul(dout_t, cols.T, out=self.grad_weights)
@@ -290,7 +299,9 @@ class _ConvLayer(_WeightedLayer):
         self.grad_bias = dout_t.sum(axis=1)
         if self.first:
             return None
-        return col2im(self.weights.T @ dout_t, self._x_shape, s)
+        dcols = self.weights.T @ dout_t
+        del dout_t  # freed before col2im allocates the image
+        return col2im(dcols, self._x_shape, s)
 
 
 class _ReLULayer:
@@ -418,10 +429,12 @@ class Network:
         ``cache=False`` (evaluation) no layer keeps anything and the cache is
         stale, so a backward after it raises.
         """
-        x = np.asarray(x, dtype=np.float64)
-        out = x
+        # The list is the network's one reference to the next layer's input,
+        # and pop hands it over, so the layer frees it at its last use.
+        held = [np.asarray(x, dtype=np.float64)]
         for i, layer in enumerate(self.layers):
-            out = layer.forward(out, cache=cache and i >= self._first)
+            held.append(layer.forward(held.pop(), cache=cache and i >= self._first))
+        out = held.pop()
         if out.ndim != 2:
             raise ValueError(f"network output must be 2D logits, got shape {out.shape}")
         self._logits = out if cache else None
@@ -440,10 +453,12 @@ class Network:
                 f"labels length {labels.shape[0]} does not match cached batch "
                 f"of {self._logits.shape[0]}"
             )
-        logits, self._logits = self._logits, None
-        loss, grad = softmax_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(self._logits, labels)
+        self._logits = None
+        held = [grad]  # handed over as in forward
+        del grad
         for layer in reversed(self.layers[self._first :]):
-            grad = layer.backward(grad)
+            held.append(layer.backward(held.pop()))
         return loss
 
     def invalidate_cache(self) -> None:

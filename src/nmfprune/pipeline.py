@@ -115,12 +115,15 @@ def write_gamma_trace(out: Path, trace: list[GammaTraceEntry]) -> None:
 
 def make_output_dir(path) -> Path:
     """Create the output directory ``path`` and its parents if missing. A
-    path that is a file, or lies under one, is a ConfigError naming it."""
+    path that cannot be made (a file in its way, a name too long, no
+    permission) is a ConfigError naming it."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"output directory {out} cannot be made: a file is in its way") from None
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} cannot be made: {exc.strerror}") from None
     return out
 
 

@@ -224,6 +224,7 @@ def run_training(
             idx = perm[start : start + cfg.batch_size]
             x = dataset.standardized(dataset.train_x[idx]).reshape(-1, *shape)
             result = masked_train_step(net, x, dataset.train_y[idx], buffers, lr, cfg)
+            del x  # freed before the next batch is gathered
             loss_sum += result.loss * result.count
             correct += result.correct
         report = count_zero_weights(net)

@@ -1,8 +1,10 @@
 """Command-line interface tests: subcommands, overrides, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import struct
 import tracemalloc
 import weakref
@@ -375,6 +377,23 @@ def test_output_that_is_a_file_exits_1_before_scoring(
         f"error: output directory {out} cannot be made: a file is in its way\n"
     )
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["run", "score", "tune"])
+def test_output_that_cannot_be_made_exits_1_naming_it(
+    config_path, tmp_path, capsys, monkeypatch, command
+):
+    # Any OSError from mkdir is a config error, not only a file in the way:
+    # here a name longer than the file system allows.
+    path, _ = config_path
+    monkeypatch.chdir(tmp_path)
+    out = "9" * 300
+    assert main([command, "--config", str(path), "--output", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {out}")
+    assert err.endswith(f" cannot be made: {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(

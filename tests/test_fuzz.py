@@ -469,11 +469,12 @@ def test_mutated_idx_headers_run_or_exit_with_one_line(data_dir, capsys):
 
 
 # What a flag mutation gives --target-sparsity, --seed, --targets, --ks or
-# --output. A list holds at most three entries, so an accepted sweep runs at
-# most nine small pipelines, and most mutations exit before any work.
+# --output ("9" * 300 is an output name too long to make). A list holds at
+# most three entries, so an accepted sweep runs at most nine small
+# pipelines, and most mutations exit before any work.
 FLAG_VALUES = [
     "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "0.8", "1e309", "", "0.5,0.5", "0.5,0.8",
-    "2,3", "1,2,3", ",", "x", str(2**64), "9" * 40, "out", "data.csv",
+    "2,3", "1,2,3", ",", "x", str(2**64), "9" * 40, "9" * 300, "out", "data.csv",
 ]
 FLAGS = ["--target-sparsity", "--seed", "--targets", "--ks", "--output"]
 UNKNOWN_FLAGS = ["--frobnicate", "-x", "--seed=", "--target", "--", "-", "--quiet=1"]

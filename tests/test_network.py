@@ -2,6 +2,7 @@
 central finite differences, and conv against a direct nested-loop oracle."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,72 @@ class TestIm2col:
             lhs = np.sum(unfolded * cols)
             rhs = np.sum(x * folded)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), (c, kh, kw, stride, padding)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="a Python call hands its arguments over to the callee only from 3.11 on",
+)
+class TestActivationLifetimes:
+    """Network hands each layer its input as the one reference it holds, and
+    each layer frees that input at its last use, so a training step never
+    holds an activation that nothing will read again."""
+
+    SPECS = [
+        Conv2d(1, 8, 3, 3, padding=1), ReLU(), Conv2d(8, 16, 3, 3, stride=2, padding=1), ReLU(),
+        Flatten(), Linear(16 * 14 * 14, 10),
+    ]
+    FIRST = 64 * 8 * 28 * 28 * 8  # bytes of a first-conv activation: the second conv's input
+    SECOND = 64 * 16 * 14 * 14 * 8  # a second-conv activation, or its output gradient
+    SLACK = 16 * 1024  # logits, the loss's temporaries, a bias gradient
+
+    def step_peaks(self, net, x, y):
+        """Traced bytes above entry at the peak of a training forward, at
+        its end (the caches it leaves), and at the peak of its backward."""
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net.forward(x)
+            cached, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            net.backward(y)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return forward_peak - entry, cached - entry, backward_peak - cached
+
+    def test_training_step_frees_each_activation_at_its_last_use(self):
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(64, 1, 28, 28))
+        y = rng.integers(0, 10, 64)
+        net = init_network(self.SPECS, seed=65)
+        net.forward(x)  # the first step allocates the gradient buffers
+        net.backward(y)
+        forward, cached, backward = self.step_peaks(net, x, y)
+        # Forward peaks at the second ReLU: beside the caches, only its input
+        # is alive, not also the second conv's input, which is freed once
+        # unfolded.
+        assert forward <= cached + self.SECOND + self.SLACK, (forward, cached)
+        # Backward peaks at the second conv's fold. By then the second ReLU's
+        # mask and the linear layer's cached input are released, and the
+        # patch gradient has replaced the patches; the output gradient is
+        # freed before the fold's image (NumPy's ufunc buffers beside it) is
+        # made.
+        buffers = 3 * np.getbufsize() * x.itemsize
+        released = self.SECOND + self.SECOND // 8
+        assert backward <= self.FIRST + buffers - released + self.SLACK, backward
+
+    def test_a_batch_the_caller_holds_stays_unchanged_and_usable(self):
+        rng = np.random.default_rng(66)
+        x = rng.normal(size=(8, 1, 28, 28))
+        kept = x.copy()
+        net = init_network(self.SPECS, seed=67)
+        logits = net.forward(x).copy()
+        net.backward(rng.integers(0, 10, 8))
+        assert np.array_equal(x, kept)
+        assert np.array_equal(net.forward(x), logits)
+        assert np.array_equal(net.forward(x, cache=False), logits)
 
 
 class TestInitNetwork:

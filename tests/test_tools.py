@@ -1,5 +1,6 @@
 """Smoke tests of the tools: output_digests.py and layer_peaks.py at one seed."""
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -45,6 +46,7 @@ def test_output_digests_hash_what_each_workload_writes_and_prints(tmp_path):
     assert set(digests) == run_keys | set(expected)
 
 
+@functools.cache
 def layer_peak_rows(workload):
     """The rows ``layer_peaks.py`` prints for one pass of ``workload``, by
     (layer id, phase): calls, peak, entry and own figures; and its last
@@ -85,9 +87,23 @@ def test_layer_peaks_prints_every_layer_of_one_training_pass():
     # 1,600 training images in batches of 64 for two epochs: 50 steps.
     assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
     assert {rows[stage][0] for stage in stages} == {1}  # run loads, scores and searches once
-    # The second conv's backward holds its patch gradient and the image it
-    # folds into beside the step's activations.
-    assert peak_row == ("layer2_conv", "backward")
+    # The second ReLU's forward holds the second conv's cached patches, its
+    # output and the ReLU's output beside the step's other caches; the second
+    # conv's fold comes within 0.02 MiB of it.
+    assert peak_row == ("layer3_relu", "train")
+
+
+def test_layer_peaks_pass_peak_matches_an_uninstrumented_pass():
+    # The wrappers keep no layer's input alive, so the instrumented pass
+    # reaches the peak of the benchmark's warm-up pass (pass_alloc_mb).
+    _, pass_peak, _ = layer_peak_rows("conv_idx")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "conv_idx",
+         "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+        capture_output=True, text=True, check=True, cwd=ROOT,
+    )
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    assert pass_peak == pytest.approx(metrics["pass_alloc_mb"]["value"], abs=0.01)
 
 
 def test_layer_peaks_prints_the_search_of_each_tune_call():

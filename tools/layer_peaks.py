@@ -9,11 +9,13 @@ fresh temporary directory, and one pass runs under tracemalloc with one BLAS
 thread, as in the benchmark. Every layer of each network the pass builds
 (``pipeline.init_network``) has its ``forward`` and ``backward`` wrapped on
 the instance: a call notes the traced bytes at entry and the peak they reach
-before it returns. One row per layer and phase (``train`` forward, ``eval``
-forward, ``backward``) gives the number of calls, the highest peak of any of
-them, the bytes resident at entry to that call, and the difference, which is
-what the call itself allocates on top. Three stages are rows of their own,
-wrapped the same way under the names ``run`` and ``tune`` look them up by:
+before it returns. The wrappers keep no reference to a layer's input, so
+each activation is freed where an unwrapped pass frees it. One row per layer
+and phase (``train`` forward, ``eval`` forward, ``backward``) gives the
+number of calls, the highest peak of any of them, the bytes resident at
+entry to that call, and the difference, which is what the call itself
+allocates on top. Three stages are rows of their own, wrapped the same way
+under the names ``run`` and ``tune`` look them up by:
 ``load_dataset`` in phase ``data`` (``pipeline.load_dataset``),
 ``compute_scores`` in phase ``score`` (``pipeline.compute_scores`` and
 ``cli.compute_scores``) and ``tune_gamma`` in phase ``search``
@@ -36,6 +38,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,36 +71,58 @@ class _Peaks:
         """Fold the peak since the last reset into the pass peak."""
         self.note(tracemalloc.get_traced_memory()[1], self.open[-1] if self.open else None)
 
-    def traced(self, fn, row_of):
-        """``fn`` wrapped to record, in row ``row_of(kwargs)``, the traced
-        bytes at its entry and the peak they reached before it returned."""
+    @contextmanager
+    def recording(self, key: tuple[str, str]):
+        """Record, in row ``key``, the traced bytes at entry to the block and
+        the peak they reach before it ends."""
+        self.fold()
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        self.open.append(key)
+        try:
+            yield
+        finally:
+            self.open.remove(key)
+            peak = tracemalloc.get_traced_memory()[1]
+            row = self.rows.setdefault(key, {"calls": 0, "peak": -1, "entry": 0})
+            row["calls"] += 1
+            if peak > row["peak"]:
+                row["peak"], row["entry"] = peak, entry
+            self.note(peak, key)
+
+    def traced(self, fn, key: tuple[str, str]):
+        """``fn`` wrapped to record its calls in row ``key``."""
 
         def wrapper(*args, **kwargs):
-            key = row_of(kwargs)
-            self.fold()
-            entry = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            self.open.append(key)
-            try:
+            with self.recording(key):
                 return fn(*args, **kwargs)
-            finally:
-                self.open.remove(key)
-                peak = tracemalloc.get_traced_memory()[1]
-                row = self.rows.setdefault(key, {"calls": 0, "peak": -1, "entry": 0})
-                row["calls"] += 1
-                if peak > row["peak"]:
-                    row["peak"], row["entry"] = peak, entry
-                self.note(peak, key)
 
         return wrapper
 
+    def wrap_layer(self, layer) -> None:
+        """Wrap ``layer``'s ``forward`` and ``backward`` on the instance, in
+        rows ``(layer id, "train" | "eval" | "backward")``. A wrapper reaches
+        the layer through a weak reference, so it makes no reference cycle: a
+        network the run drops, the one it scored, is freed then. And it hands
+        its array on without keeping it (``pop`` leaves the layer the only
+        reference), so a layer frees its input at its last use. Both are as
+        in an unwrapped run."""
+        ref, lid = weakref.ref(layer), layer.layer_id
+        forward, backward = type(layer).forward, type(layer).backward
 
-def _method(layer, name: str):
-    """``layer``'s method ``name`` through a weak reference, so that a
-    wrapper stored on the layer makes no reference cycle: a network the run
-    drops, the one it scored, is freed then, as in an untraced run."""
-    ref, fn = weakref.ref(layer), getattr(type(layer), name)
-    return lambda *args, **kwargs: fn(ref(), *args, **kwargs)
+        def traced_forward(x, cache=True):
+            held = [x]
+            del x
+            with self.recording((lid, "train" if cache else "eval")):
+                return forward(ref(), held.pop(), cache=cache)
+
+        def traced_backward(dout):
+            held = [dout]
+            del dout
+            with self.recording((lid, "backward")):
+                return backward(ref(), held.pop())
+
+        layer.forward, layer.backward = traced_forward, traced_backward
 
 
 def layer_peaks(name: str, seed: int) -> _Peaks:
@@ -112,14 +137,7 @@ def layer_peaks(name: str, seed: int) -> _Peaks:
     def instrumented(*args, **kwargs):
         net = build(*args, **kwargs)
         for layer in net.layers:
-            lid = layer.layer_id
-            layer.forward = peaks.traced(
-                _method(layer, "forward"),
-                lambda kw, lid=lid: (lid, "train" if kw.get("cache", True) else "eval"),
-            )
-            layer.backward = peaks.traced(
-                _method(layer, "backward"), lambda kw, lid=lid: (lid, "backward")
-            )
+            peaks.wrap_layer(layer)
         return net
 
     phases = {"load_dataset": "data", "compute_scores": "score", "tune_gamma": "search"}
@@ -128,9 +146,7 @@ def layer_peaks(name: str, seed: int) -> _Peaks:
         (pipeline, "load_dataset"), (pipeline, "compute_scores"), (cli, "compute_scores"),
         (pipeline, "tune_gamma"), (cli, "tune_gamma"),
     ):
-        patches[module, attr] = peaks.traced(
-            getattr(module, attr), lambda kw, row=(attr, phases[attr]): row
-        )
+        patches[module, attr] = peaks.traced(getattr(module, attr), (attr, phases[attr]))
     originals = {key: getattr(*key) for key in patches}
     with tempfile.TemporaryDirectory(prefix=f"layer-peaks-{name}-") as tmp:
         workload = make_workload(name, seed, Path(tmp))
