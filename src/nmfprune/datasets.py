@@ -54,6 +54,9 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticBlobs:
+    """``n_samples`` Gaussian blob samples of ``n_features`` values in
+    ``n_classes`` classes, drawn from ``seed``."""
+
     n_samples: int
     n_features: int
     n_classes: int
@@ -66,12 +69,18 @@ class SyntheticBlobs:
 
 @dataclass(frozen=True)
 class CsvSource:
+    """A CSV file of numeric rows, the label in column ``label_column``
+    (0-based) and the features in the others."""
+
     path: str
     label_column: int
 
 
 @dataclass(frozen=True)
 class IdxSource:
+    """An IDX file of n (h, w) uint8 images and an IDX file of their n
+    labels."""
+
     images_path: str
     labels_path: str
 

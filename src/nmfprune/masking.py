@@ -73,6 +73,9 @@ class GammaSearchConfig:
 
 @dataclass(frozen=True)
 class LayerSparsity:
+    """One layer's count of zero weights, of all its weights, and their
+    ratio."""
+
     zeros: int
     total: int
     sparsity: float
@@ -119,6 +122,9 @@ class LayerThreshold:
 
 @dataclass
 class GammaSearchResult:
+    """What a gamma search settled on: gamma*, the sparsity it reaches, each
+    layer's threshold there, and every probe made."""
+
     gamma_star: float
     achieved: float
     hit_target: bool  # False: the closest probe lies outside SPARSITY_TOLERANCE

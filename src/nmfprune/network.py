@@ -26,8 +26,9 @@ so neither holds a padded copy.
 A training forward caches what backward needs (layer inputs, im2col patches,
 ReLU masks, logits) and backward releases each cache as it uses it; an
 evaluation forward caches nothing. A conv caches its patches, except the
-network's first weighted layer: it caches its input, the batch the caller
-holds through the step anyway, and backward unfolds it again. Every other
+network's first weighted layer: it caches its input, the batch, which costs
+no copy, and backward unfolds it again. A training step hands the batch over
+and keeps no reference, so that cache is its last holder. Every other
 array is freed at its last use: Network hands each layer its input as the
 only reference it holds, and a layer drops its own reference once it has
 read it, so an activation or gradient dies inside the call that last reads
@@ -51,6 +52,9 @@ from .seeds import derive_seed
 
 @dataclass(frozen=True)
 class Linear:
+    """A fully connected layer, ``x @ W.T + b`` with W of shape
+    (out_features, in_features)."""
+
     in_features: int
     out_features: int
     # None resolves to True unless this is the network's last weighted layer
@@ -73,6 +77,10 @@ class Linear:
 
 @dataclass(frozen=True)
 class Conv2d:
+    """A 2D convolution, its stride and zero padding the same along both
+    axes; its weights are one (out_channels, in_channels*kernel_h*kernel_w)
+    matrix."""
+
     in_channels: int
     out_channels: int
     kernel_h: int
@@ -106,12 +114,16 @@ class Conv2d:
 
 @dataclass(frozen=True)
 class ReLU:
+    """An elementwise ``max(x, 0)``."""
+
     def output_shape(self, shape: tuple) -> tuple:
         return shape
 
 
 @dataclass(frozen=True)
 class Flatten:
+    """Each sample's (C, H, W) values as one row of C*H*W features."""
+
     def output_shape(self, shape: tuple) -> tuple:
         return (None,) if None in shape else (math.prod(shape),)
 
@@ -204,8 +216,7 @@ class _WeightedLayer:
         self.mask: np.ndarray | None = None  # read-only bool, True where kept
         self.kept: np.ndarray | None = None  # flat indices of the mask's True entries
         # Set by Network on its first weighted layer, whose input gradient
-        # nothing reads and whose input is the batch the caller holds
-        # through the step anyway.
+        # nothing reads and whose input, the batch, it caches uncopied.
         self.first = False
         self._cols: np.ndarray | None = None  # the input (or a conv's patches) backward reads
 
@@ -527,6 +538,9 @@ def count_zero_weights(net: Network) -> SparsityReport:
 
 @dataclass(frozen=True)
 class FlopsEstimate:
+    """Forward-pass FLOPs for one sample, of the dense network and with
+    its pruned weights skipped."""
+
     # Field order is the key order of report.json's "flops" block.
     dense: int
     sparse: int

@@ -71,6 +71,8 @@ class StageError(RuntimeError):
 
 @dataclass
 class RunReport:
+    """The record a run writes as report.json."""
+
     # report.json is dataclasses.asdict of this record: field order is its key order.
     gamma_star: float
     # target, achieved, hit_target and iterations of the search; None for a fixed gamma

@@ -40,6 +40,8 @@ _SECTIONS = {"run", "model", "dataset", "scorer", "threshold", "gamma_search", "
 
 @dataclass
 class RunConfig:
+    """One run's settings, as a config file's sections give them."""
+
     model: list[LayerSpec]
     dataset: DatasetSpec
     scorer: ScorerSpec

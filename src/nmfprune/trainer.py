@@ -10,6 +10,14 @@ weight's momentum buffer holds its kept entries only. A post-step check
 enforces the zero count with no tolerance: the one bool compare
 ``(weights != 0.0) > mask`` against the layer's read-only bool mask.
 
+A step frees what it will not read again. The update consumes the
+gradients: it drops each layer's ``grad_weights`` and ``grad_bias`` once it
+has applied them, so a gradient lives from its backward to its update, and
+a second update without a backward between raises. The step drops its batch
+once the forward has run, and ``run_training`` keeps no reference to it, so
+the first weighted layer's cache holds it last and that layer's backward
+frees it, before the update.
+
 The loop and ``evaluate`` read their batches through the dataset's
 ``standardized`` method, so a split stored as integers (IDX pixels) is
 standardized one batch at a time and never held as a float64 copy.
@@ -27,6 +35,9 @@ from .seeds import derive_seed
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings: epochs, batch size, the learning rate and its step
+    schedule, momentum and weight decay."""
+
     epochs: int
     lr: float
     momentum: float = 0.9
@@ -74,6 +85,9 @@ def momentum_buffers(net: Network) -> dict[str, np.ndarray]:
 
 @dataclass
 class EpochMetrics:
+    """One epoch's mean training loss, its accuracies, and the sparsity
+    recounted from the weights at its end."""
+
     epoch: int
     train_loss: float
     train_accuracy: float
@@ -84,6 +98,9 @@ class EpochMetrics:
 
 @dataclass
 class StepResult:
+    """One step's mean batch loss, and how many of its ``count`` samples
+    the forward classified correctly."""
+
     loss: float
     correct: int
     count: int
@@ -112,6 +129,10 @@ def sgd_step(net: Network, buffers: dict[str, np.ndarray], lr: float, cfg: Train
     A masked weight is updated at its kept indices only; its pruned entries
     are not read or written, and their gradients enter only the check that
     every gradient entry is finite, two reductions with no bool copy.
+
+    The update consumes the gradients: each layer's ``grad_weights`` and
+    ``grad_bias`` are None once it is updated, so the next backward makes
+    fresh ones, and a second call before it raises.
     """
     for layer in net.weighted_layers:
         if layer.grad_weights is None or layer.grad_bias is None:
@@ -143,6 +164,7 @@ def sgd_step(net: Network, buffers: dict[str, np.ndarray], lr: float, cfg: Train
             p -= lr * buf
             if kept is not None:
                 flat[kept] = p
+        layer.grad_weights = layer.grad_bias = None
     net.invalidate_cache()
 
 
@@ -161,8 +183,13 @@ def masked_train_step(
     indices. A non-finite gradient anywhere, at a pruned position too, fails
     the step. Afterwards
     every masked position must hold exactly 0.0 or the step fails hard.
+
+    The step drops ``x`` once the forward has run: a caller that hands the
+    batch over without keeping it lets the first weighted layer's backward
+    free it.
     """
     logits = net.forward(x)
+    del x
     loss = net.backward(y)
     sgd_step(net, buffers, lr, cfg)
     for layer in net.masked_layers:
@@ -222,9 +249,11 @@ def run_training(
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            x = dataset.standardized(dataset.train_x[idx]).reshape(-1, *shape)
-            result = masked_train_step(net, x, dataset.train_y[idx], buffers, lr, cfg)
-            del x  # freed before the next batch is gathered
+            # The batch is handed over unbound, so the step holds its last reference.
+            result = masked_train_step(
+                net, dataset.standardized(dataset.train_x[idx]).reshape(-1, *shape),
+                dataset.train_y[idx], buffers, lr, cfg,
+            )
             loss_sum += result.loss * result.count
             correct += result.correct
         report = count_zero_weights(net)

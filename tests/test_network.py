@@ -728,8 +728,8 @@ class TestActivationCache:
             net.backward(np.arange(6) % 3)
 
     def test_first_conv_caches_its_batch_and_unfolds_it_again(self):
-        # The first weighted layer keeps the batch the caller holds anyway,
-        # not its kh*kw times larger patch matrix; later convs keep patches.
+        # The first weighted layer keeps the batch itself, uncopied, not its
+        # kh*kw times larger patch matrix; later convs keep patches.
         # im2col is a pure copy, so every gradient has the bits it has when
         # the first conv caches patches too.
         specs = [

@@ -87,18 +87,30 @@ def test_layer_peaks_prints_every_layer_of_one_training_pass():
     # 1,600 training images in batches of 64 for two epochs: 50 steps.
     assert {rows[l, p][0] for l in layers for p in ("train", "backward")} == {50}
     assert {rows[stage][0] for stage in stages} == {1}  # run loads, scores and searches once
-    # The second ReLU's forward holds the second conv's cached patches, its
-    # output and the ReLU's output beside the step's other caches; the second
-    # conv's fold comes within 0.02 MiB of it.
-    assert peak_row == ("layer3_relu", "train")
+    # The second conv's backward, which folds its patch gradient into an
+    # image, sets the peak. The second ReLU's forward comes about 0.2 MiB
+    # below it: no update leaves the classifier's gradient alive through it.
+    assert peak_row == ("layer2_conv", "backward")
 
 
-def test_layer_peaks_pass_peak_matches_an_uninstrumented_pass():
-    # The wrappers keep no layer's input alive, so the instrumented pass
-    # reaches the peak of the benchmark's warm-up pass (pass_alloc_mb).
-    _, pass_peak, _ = layer_peak_rows("conv_idx")
+def test_layer_peaks_puts_the_mlp_peak_in_the_first_layer_backward():
+    # The first layer's weight gradient (1.79 MiB) is made while the batch
+    # it cached and its output gradient are live. No gradient survives an
+    # update, so every training forward peaks over 1.5 MiB lower.
+    rows, pass_peak, peak_row = layer_peak_rows("mlp_nmf")
+    assert peak_row == ("layer0_linear", "backward")
+    forwards = [peak for (_, phase), (_, peak, _, _) in rows.items() if phase == "train"]
+    assert max(forwards) < pass_peak - 1.5
+
+
+@pytest.mark.parametrize("workload", ["conv_idx", "mlp_nmf"])
+def test_layer_peaks_pass_peak_matches_an_uninstrumented_pass(workload):
+    # The wrappers keep no layer's input alive, and numpy.random has drawn
+    # before tracing starts in both, so the instrumented pass reaches the
+    # peak of the benchmark's warm-up pass (pass_alloc_mb).
+    _, pass_peak, _ = layer_peak_rows(workload)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "conv_idx",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.01", "--trace", "0"],
         capture_output=True, text=True, check=True, cwd=ROOT,
     )

@@ -1,10 +1,14 @@
 """Optimizer, masked-step, schedule, and training-loop tests."""
 
+import math
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from nmfprune import trainer
 from nmfprune.datasets import Dataset
 from nmfprune.network import Conv2d, Flatten, Linear, ReLU, convert_to_masked, init_network
 from nmfprune.trainer import (
@@ -279,6 +283,23 @@ class TestMaskedTrainStep:
                 momentum_buffers(net), 0.1, TrainConfig(epochs=1, lr=0.1),
             )
 
+    def test_step_consumes_the_gradients(self):
+        # A gradient lives from its backward to its update, so a second
+        # update from one backward is rejected, not applied again.
+        net = make_net(seed=68)
+        convert_to_masked(net, random_masks(net, keep=0.5, seed=69))
+        cfg = TrainConfig(epochs=1, lr=0.1)
+        buffers = momentum_buffers(net)
+        rng = np.random.default_rng(70)
+        masked_train_step(net, rng.normal(size=(8, 4)), rng.integers(0, 3, 8), buffers, 0.1, cfg)
+        assert all(l.grad_weights is None and l.grad_bias is None for l in net.weighted_layers)
+        before = [(l.weights.copy(), l.bias.copy()) for l in net.weighted_layers]
+        with pytest.raises(RuntimeError, match="no gradients for layer 'layer0_linear'"):
+            sgd_step(net, buffers, 0.1, cfg)
+        for layer, (w, b) in zip(net.weighted_layers, before):
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == b.tobytes()
+
     def test_masked_weights_stay_positive_zero(self):
         net = make_net(seed=33)
         convert_to_masked(net, random_masks(net, keep=0.4, seed=34))
@@ -375,6 +396,44 @@ class TestRunTraining:
                 net, small_dataset(seed=27), TrainConfig(epochs=5, lr=0.1, batch_size=32), seed=28
             )
             assert metrics[-1].train_loss < metrics[0].train_loss
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="a Python call hands its arguments over to the callee only from 3.11 on",
+    )
+    @pytest.mark.parametrize("model", ["mlp", "conv"])
+    def test_each_batch_is_freed_before_its_update(self, monkeypatch, model):
+        # run_training hands each batch over unbound and the step drops it
+        # after the forward, so the first weighted layer's cache holds it
+        # last and that layer's backward frees it, before the update.
+        if model == "mlp":
+            net, data = make_net(seed=65), small_dataset(seed=66)
+        else:
+            net = conv_relu_net(seed=65)
+            rng = np.random.default_rng(66)
+            pixels = rng.integers(0, 256, (60, 36), dtype=np.uint8)  # standardized per batch
+            y = rng.integers(0, 3, 60)
+            data = Dataset(
+                train_x=pixels[:48], train_y=y[:48], test_x=pixels[48:], test_y=y[48:],
+                n_classes=3, sample_shape=(1, 6, 6),
+                mean=pixels[:48].mean(axis=0), std=pixels[:48].std(axis=0),
+            )
+        batches, live = [], []
+        standardized, step = data.standardized, trainer.sgd_step
+
+        def gathering(rows):
+            batch = standardized(rows)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        def stepping(*args):
+            live.append(sum(ref() is not None for ref in batches))
+            step(*args)
+
+        monkeypatch.setattr(data, "standardized", gathering)
+        monkeypatch.setattr(trainer, "sgd_step", stepping)
+        run_training(net, data, TrainConfig(epochs=2, lr=0.1, batch_size=16), seed=67)
+        assert live == [0] * (2 * math.ceil(len(data.train_x) / 16))
 
 
 def conv_relu_net(seed):
@@ -485,7 +544,7 @@ class TestEvaluate:
                 fn()
                 return tracemalloc.get_traced_memory()[1] - base
 
-            # The first step also allocates the gradient buffers; measure the second.
+            # A first step warms up; measure the second.
             masked_train_step(net, x[:batch], y[:batch], buffers, 0.01, cfg)
             step = peak(lambda: masked_train_step(net, x[:batch], y[:batch], buffers, 0.01, cfg))
             evaluation = peak(lambda: evaluate(net, data, batch))
@@ -514,7 +573,7 @@ class TestEvaluate:
         patches = 8 * 3 * 3 * 7 * 7 * n * 8  # the second conv's patch matrix (or its gradient)
         output = 16 * 7 * 7 * n * 8  # the second conv's output (or its gradient)
         working_set = image + mask + patches + output
-        # The first step also allocates the gradient buffers; measure the second.
+        # A first step warms up; measure the second.
         masked_train_step(net, x, y, buffers, 0.01, cfg)
         tracemalloc.start()
         try:

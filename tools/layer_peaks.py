@@ -6,21 +6,22 @@ Run from the repository root:
 
 ``perfbench.workloads.make_workload`` writes the workload's inputs into a
 fresh temporary directory, and one pass runs under tracemalloc with one BLAS
-thread, as in the benchmark. Every layer of each network the pass builds
-(``pipeline.init_network``) has its ``forward`` and ``backward`` wrapped on
-the instance: a call notes the traced bytes at entry and the peak they reach
-before it returns. The wrappers keep no reference to a layer's input, so
-each activation is freed where an unwrapped pass frees it. One row per layer
-and phase (``train`` forward, ``eval`` forward, ``backward``) gives the
-number of calls, the highest peak of any of them, the bytes resident at
-entry to that call, and the difference, which is what the call itself
-allocates on top. Three stages are rows of their own, wrapped the same way
-under the names ``run`` and ``tune`` look them up by:
-``load_dataset`` in phase ``data`` (``pipeline.load_dataset``),
+thread, as in the benchmark. As there, ``numpy.random`` has drawn once before
+tracing starts, so the pass does not count that module's first import. Every
+layer of each network the pass builds (``pipeline.init_network``) has its
+``forward`` and ``backward`` wrapped on the instance: a call notes the traced
+bytes at entry and the peak they reach before it returns. The wrappers keep
+no reference to a layer's input, so each activation is freed where an
+unwrapped pass frees it. One row per layer and phase (``train`` forward,
+``eval`` forward, ``backward``) gives the number of calls, the highest peak
+of any of them, the bytes resident at entry to that call, and the difference,
+which is what the call itself allocates on top. Three stages are rows of
+their own, wrapped the same way under the names ``run`` and ``tune`` look
+them up by: ``load_dataset`` in phase ``data`` (``pipeline.load_dataset``),
 ``compute_scores`` in phase ``score`` (``pipeline.compute_scores`` and
 ``cli.compute_scores``) and ``tune_gamma`` in phase ``search``
-(``pipeline.tune_gamma`` and ``cli.tune_gamma``). ``run`` loads the data on
-a second thread while it scores, so each of those two rows' peaks counts the
+(``pipeline.tune_gamma`` and ``cli.tune_gamma``). ``run`` loads the data on a
+second thread while it scores, so each of those two rows' peaks counts the
 other's allocations while both run. The last line gives the pass peak, the
 quantity ``perfbench/run.py`` reports as ``pass_alloc_mb``, and the row that
 was open when it was reached, or ``between rows``. Figures are MiB of traced
@@ -43,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
 
 import nmfprune.cli as cli  # noqa: E402
 import nmfprune.pipeline as pipeline  # noqa: E402
@@ -152,6 +155,7 @@ def layer_peaks(name: str, seed: int) -> _Peaks:
         workload = make_workload(name, seed, Path(tmp))
         for (module, attr), fn in patches.items():
             setattr(module, attr, fn)
+        np.random.default_rng(0).random()  # as perfbench/run.py's SpeedReference does
         tracemalloc.start()
         try:
             workload.run_pass()
