@@ -33,7 +33,7 @@ import numpy as np
 
 from .network import LAYER_KINDS, Network
 from .nmf import _check_matrix
-from .runconfig import _type_hints
+from .runconfig import _required, _type_hints
 
 MAGIC = b"ONGC"
 VERSION = 1
@@ -193,7 +193,7 @@ def _network_from_meta(meta, tensors: dict) -> Network:
         cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise ValueError(f"layer spec {i} has no known kind")
-        required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+        required = {f.name for f in dataclasses.fields(cls) if _required(f)}
         _check_types(fields, _type_hints(cls), required, f"layer spec {i}")
         specs.append(cls(**fields))
     flags = meta["prunable"]

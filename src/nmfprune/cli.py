@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 config or dataset error, 2 any other error, 3
 sparsity-invariant violation; a failed pipeline stage counts as its cause.
-Failures are one line on stderr, never a traceback. Library warnings (a
-factorization at full rank, a missed sparsity target) are printed as
-``warning:`` lines on stderr, even with ``--quiet``.
+Failures are one line on stderr, never a traceback. The library warns
+through ``warnings`` (a factorization at full rank, a missed sparsity
+target); every warning shown during a command, NumPy's included, is one
+``warning: <message>`` line on stderr, even with ``--quiet``.
 
 ``score`` and ``tune`` never open the dataset, so they accept a model that
 cannot read its data; ``run`` and ``sweep`` reject it with exit 1 before any
@@ -31,8 +32,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import logging
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -231,27 +232,28 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "inspect": _cmd_inspect,
     }
-    # Library warnings go to this call's stderr, one line each.
-    warning_lines = logging.StreamHandler(sys.stderr)
-    warning_lines.setFormatter(logging.Formatter("warning: %(message)s"))
-    warning_lines.setLevel(logging.WARNING)
-    library_log = logging.getLogger("nmfprune")
-    library_log.addHandler(warning_lines)
     try:
-        return commands[args.command](args)
+        with warnings.catch_warnings():
+            # Each warning shown is one line on this call's stderr. The
+            # library's own show each time they are issued (a sweep scores the
+            # same layers at every grid point); every other warning, NumPy's
+            # raised in library code included, keeps the filters in force.
+            warnings.filterwarnings("always", category=UserWarning, module="nmfprune")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return commands[args.command](args)
     except Exception as exc:  # one line on stderr, never a traceback
         cause = exc.__cause__ if isinstance(exc, StageError) else exc
         if isinstance(cause, SparsityViolationError):
             print(f"invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         message = str(exc)
-        # Any other type is a defect; FloatingPointError is a diverged sgd_step.
-        if not isinstance(cause, (ValueError, RuntimeError, OSError, FloatingPointError)):
+        # Any other type is a defect; FloatingPointError is a diverged
+        # sgd_step, and MemoryError an input too large for this host.
+        ordinary = (ValueError, RuntimeError, OSError, FloatingPointError, MemoryError)
+        if not isinstance(cause, ordinary):
             message = f"{type(cause).__name__}: {message}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(cause, (ConfigError, DatasetError)) else EXIT_RUNTIME
-    finally:
-        library_log.removeHandler(warning_lines)
 
 
 def entry() -> None:

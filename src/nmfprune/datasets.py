@@ -311,23 +311,34 @@ def _train_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arithmetic on its float64 values; a constant feature gets std 1.0. The
     centered rows are squared in blocks of ``_STAT_BYTES`` (see there).
     Integer rows have exact column sums, so their mean is the mean of their
-    float64 values, bit for bit."""
+    float64 values, bit for bit. Finite values can still overflow a column
+    sum or a square; the first feature whose mean or std is then not finite
+    is a DatasetError. A finite std bounds every training row's distance
+    from the mean, so standardizing those rows cannot overflow."""
     n, d = train.shape
-    mean = train.mean(axis=0)
-    if d == 1:
-        var = np.square(train - mean).sum(axis=0)
-    else:
-        rows = max(1, _STAT_BYTES // (8 * d))
-        block = np.zeros((min(rows, n) + 1, d))  # row 0: the sums so far
-        for lo in range(0, n, rows):
-            part = block[: min(rows, n - lo) + 1]
-            part[1:] = train[lo : lo + rows]
-            part[1:] -= mean
-            np.square(part[1:], out=part[1:])
-            block[0] = part.sum(axis=0)
-        var = block[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        if d == 1:
+            var = np.square(train - mean).sum(axis=0)
+        else:
+            rows = max(1, _STAT_BYTES // (8 * d))
+            block = np.zeros((min(rows, n) + 1, d))  # row 0: the sums so far
+            for lo in range(0, n, rows):
+                part = block[: min(rows, n - lo) + 1]
+                part[1:] = train[lo : lo + rows]
+                part[1:] -= mean
+                np.square(part[1:], out=part[1:])
+                block[0] = part.sum(axis=0)
+            var = block[0]
     var /= n
     std = np.sqrt(var)
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflowed.any():
+        j = int(overflowed.argmax())
+        raise DatasetError(
+            f"feature {j} overflows float64 in the training statistics "
+            f"(mean {mean[j]:g}, std {std[j]:g})"
+        )
     std[std == 0.0] = 1.0
     return mean, std
 

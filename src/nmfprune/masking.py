@@ -23,15 +23,13 @@ where kept; it goes unchanged to ``network.convert_to_masked``.
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .nmf import _check_matrix
-
-log = logging.getLogger(__name__)
 
 T_TYPES = ("std", "mad")
 
@@ -316,7 +314,7 @@ def tune_gamma(
     returned; if it is not the last probe it is recorded once more as
     the closing trace entry, so gamma* is always the trace's last entry.
     ``hit_target`` says whether it lies within ``SPARSITY_TOLERANCE`` of the
-    target; if not, a warning goes to this module's logger.
+    target; if not, it issues a ``UserWarning`` through ``warnings``.
 
     Each layer's center and spread do not depend on gamma, so they are
     computed once per search. Under either rule the search holds one
@@ -366,8 +364,10 @@ def tune_gamma(
 
     hit = abs(best.achieved - cfg.s_target) <= SPARSITY_TOLERANCE
     if not hit:
-        missed = "sparsity target %g missed: the gamma search achieved %.4f after %d iterations"
-        log.warning(missed, cfg.s_target, best.achieved, len(trace) - 1)
+        warnings.warn(
+            "sparsity target %g missed: the gamma search achieved %.4f after %d iterations"
+            % (cfg.s_target, best.achieved, len(trace) - 1)
+        )
     return GammaSearchResult(
         gamma_star=best.gamma,
         achieved=best.achieved,

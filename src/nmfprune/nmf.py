@@ -13,12 +13,10 @@ array shaped like them.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Added to the multiplicative-update denominators, so a factor row that
 # collapses to zero cannot divide by zero.
@@ -91,8 +89,8 @@ def factorize(
     The requested rank is clamped to min(k, rows, cols) when the matrix is
     smaller than k in either dimension. At the full rank min(rows, cols), the
     clamp included, the fit is exact up to rounding, so the reconstruction
-    error is rounding residue: that logs a warning on this module's logger,
-    which starts with ``layer_id`` when one is given.
+    error is rounding residue: that issues a ``UserWarning`` through
+    ``warnings``, whose message starts with ``layer_id`` when one is given.
     """
     _check_matrix(w_abs, "w_abs")
     if w_abs.min() < 0:
@@ -101,10 +99,10 @@ def factorize(
     m, p = w_abs.shape
     k_eff = min(cfg.k, m, p)
     if k_eff == min(m, p):
-        log.warning(
+        warnings.warn(
             "%srank %d (k = %d) is the full rank of a %dx%d matrix: the fit is exact up to "
-            "rounding and its scores are noise",
-            f"{layer_id}: " if layer_id else "", k_eff, cfg.k, m, p,
+            "rounding and its scores are noise"
+            % (f"{layer_id}: " if layer_id else "", k_eff, cfg.k, m, p)
         )
 
     rng = np.random.default_rng(seed)

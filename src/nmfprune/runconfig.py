@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 from typing import Union, get_args, get_type_hints
 
@@ -78,6 +78,13 @@ def _parse_ints(token: str) -> tuple[int, ...]:
 
 # Each class's field types, resolved on first use and kept for the process.
 _type_hints = functools.cache(get_type_hints)
+
+
+def _required(f: Field) -> bool:
+    """Whether a config or checkpoint must give the dataclass field ``f``:
+    it has neither a default nor a default factory."""
+    return f.default is MISSING and f.default_factory is MISSING
+
 
 # How a value is read for each field type, and what the error says it must be.
 _READERS = {
@@ -168,7 +175,7 @@ class _Section:
                 raise ConfigError(f"{self.source}:{lineno}: unknown key {key!r} in [{self.name}]")
             values[accepted[key].name] = (key, text, f"{self.source}:{lineno}")
         for key, f in accepted.items():
-            if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            if f.name not in values and _required(f):
                 raise ConfigError(f"{self.source}: [{self.name}] is missing required key {key!r}")
         return _make(cls, values, self.source, **given)
 
@@ -182,7 +189,7 @@ def _parse_layer(value: str, location: str) -> LayerSpec:
     cls = LAYER_KINDS.get(kind)
     if cls is None:
         raise ConfigError(f"{location}: unknown layer kind {kind!r}")
-    required = [f.name for f in fields(cls) if f.default is MISSING]
+    required = [f.name for f in fields(cls) if _required(f)]
     optional = {f.name for f in fields(cls)} - set(required)
     positional = [t for t in args if "=" not in t]
     options: dict[str, str] = {}

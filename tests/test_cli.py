@@ -7,6 +7,7 @@ import json
 import os
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -164,6 +165,39 @@ class TestRun:
             "fit is exact up to rounding and its scores are noise"
         ]
         assert error.startswith("error: stage 'data' failed: label '1e300' at row 41")
+
+    @pytest.mark.parametrize(
+        "cells, stats",
+        [
+            ({1: "1e200"}, "mean 3.125e+198, std inf"),
+            ({i: "1e308" for i in (5, 6, 7, 11)}, "mean inf, std inf"),
+        ],
+        ids=["1e200", "1e308"],
+    )
+    def test_training_statistics_that_overflow_exit_1(self, tmp_path, capsys, cells, stats):
+        # Finite cells whose square (1e200) or column sum (four 1e308s)
+        # overflows; these rows land in the training split of a run seeded 3.
+        rows = [[f"{i % 7}.0", f"{i % 16}.5", f"{i % 2}"] for i in range(40)]
+        for i, cell in cells.items():
+            rows[i][0] = cell
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        big = tmp_path / "big.cfg"
+        big.write_text(
+            CONFIG.format(out=tmp_path / "out")
+            .replace("linear 16 32", "linear 2 32")
+            .replace("kind = nmf\nk = 4", "kind = magnitude")
+            .replace(
+                "kind = synthetic-blobs\nn_samples = 400\nn_features = 16\n"
+                "n_classes = 2\nseed = 9",
+                f"kind = csv\npath = {data}\nlabel_column = 2",
+            )
+        )
+        assert main(["run", "--config", str(big), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'data' failed: feature 0 overflows float64 in the training "
+            f"statistics ({stats})\n"
+        )
 
     def test_data_failure_is_reported_over_score_failure(
         self, config_path, capsys, monkeypatch
@@ -450,6 +484,51 @@ def test_defect_inside_a_stage_exits_2_naming_its_type(config_path, capsys, monk
     assert main(["run", "--config", str(path), "--quiet"]) == 2
     assert capsys.readouterr().err == (
         "error: IndexError: stage 'data' failed: index 7 is out of bounds for axis 0 with size 5\n"
+    )
+
+
+def test_memory_error_exits_2_as_an_ordinary_failure(config_path, capsys, monkeypatch):
+    # An input too large for this host is no defect: the line names no type.
+    import nmfprune.pipeline as pipeline
+
+    def oversized_load(spec, split_seed):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    path, _ = config_path
+    monkeypatch.setattr(pipeline, "load_dataset", oversized_load)
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 'data' failed: Unable to allocate 7.28 TiB for an array with shape "
+        "(1000000000000,)\n"
+    )
+
+
+@pytest.mark.filterwarnings("default")  # the filters a run has outside the suite
+def test_numpy_warning_is_one_warning_line(config_path, capsys, monkeypatch):
+    import nmfprune.pipeline as pipeline
+
+    run_training = pipeline.run_training
+
+    def overflowing_training(*args, **kwargs):
+        warnings.warn("overflow encountered in matmul", RuntimeWarning)
+        return run_training(*args, **kwargs)
+
+    path, _ = config_path
+    monkeypatch.setattr(pipeline, "run_training", overflowing_training)
+    assert main(["run", "--config", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().err == "warning: overflow encountered in matmul\n"
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_numpy_warning_in_library_code_keeps_the_filters_in_force(config_path, tmp_path, capsys):
+    # Only nmfprune's own warnings are always shown: NumPy's overflow in a
+    # diverging step stays an error, so the train stage fails on it.
+    path, _ = config_path
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(path.read_text().replace("lr = 0.1", "lr = 1e300"))
+    assert main(["run", "--config", str(diverging), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: RuntimeWarning: stage 'train' failed: overflow encountered in matmul\n"
     )
 
 
@@ -910,6 +989,21 @@ class TestSweep:
         ]
         assert [search["hit_target"] for search in searches] == [False, False]
         assert captured.err.splitlines() == [miss_warning(search) for search in searches]
+
+    @pytest.mark.filterwarnings("default")  # the filters a run has outside the suite
+    def test_each_grid_point_repeats_a_full_rank_warning(self, config_path, tmp_path, capsys):
+        # Both grid points score the same layers, so the two warnings are the
+        # same text from the same line; each is printed.
+        path, _ = config_path
+        full_rank = tmp_path / "full_rank.cfg"
+        full_rank.write_text(path.read_text().replace("k = 4", "k = 16"))
+        assert main(
+            ["sweep", "--config", str(full_rank), "--targets", "0.6,0.7", "--quiet"]
+        ) == 0
+        assert capsys.readouterr().err.splitlines() == 2 * [
+            "warning: layer0_linear: rank 16 (k = 16) is the full rank of a 32x16 matrix: the "
+            "fit is exact up to rounding and its scores are noise"
+        ]
 
     def test_ks_needs_nmf_scorer(self, config_path, tmp_path, capsys):
         path, out = config_path

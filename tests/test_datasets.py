@@ -33,6 +33,16 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">ii", 0x00000801, len(labels)) + labels.tobytes())
 
 
+def overflowing_table(cells: dict[int, str]) -> str:
+    """40 CSV rows of two finite features and a label, with ``cells`` put in
+    feature 0 of the rows they name. Rows 1, 5, 6, 7 and 11 land in the
+    training split at split seed 0, and in a run seeded 3."""
+    rows = [[f"{i % 7}.0", f"{i % 16}.5", f"{i % 2}"] for i in range(40)]
+    for i, cell in cells.items():
+        rows[i][0] = cell
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 class TestBlobs:
     def test_deterministic(self):
         spec = SyntheticBlobs(1000, 16, 2, seed=5)
@@ -138,6 +148,25 @@ class TestCsv:
         with pytest.raises(DatasetError, match="has no feature columns") as err:
             load_dataset(CsvSource(str(p), label_column=0))
         assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cells, stats",
+        [
+            # One square overflows: std is inf (the mean is 1e200 / 32).
+            ({1: "1e200"}, r"mean 3\.125e\+198, std inf"),
+            # The column sum overflows: mean is inf.
+            ({5: "1e308", 6: "1e308", 7: "1e308", 11: "1e308"}, "mean inf, std inf"),
+        ],
+        ids=["1e200", "1e308"],
+    )
+    def test_training_statistics_that_overflow_rejected(self, tmp_path, cells, stats):
+        p = tmp_path / "big.csv"
+        p.write_text(overflowing_table(cells))
+        with pytest.raises(
+            DatasetError,
+            match=rf"^feature 0 overflows float64 in the training statistics \({stats}\)$",
+        ):
+            load_dataset(CsvSource(str(p), label_column=2))
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "ragged.csv"

@@ -394,7 +394,7 @@ def test_mutated_config_text_runs_or_exits_with_one_line(data_dir, capsys):
 
 # What a CSV mutation writes into a cell.
 CELLS = ["", "nan", "inf", "-inf", "1e309", "-1", "2", "7", "0.5", "1e19", "x", " 3 ", "0x1",
-         "-0", "1,2", "#", "1e-320"]
+         "-0", "1,2", "#", "1e-320", "1e200"]
 
 
 def _mutate_csv(text: str, rng: random.Random) -> str:

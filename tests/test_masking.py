@@ -1,8 +1,8 @@
 """Threshold, mask, sparsity accounting, and gamma-search tests."""
 
-import logging
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +21,21 @@ from nmfprune.masking import (
 from nmfprune.network import Linear, ReLU, convert_to_masked, init_network
 from nmfprune.nmf import MagnitudeScorer, NmfConfig
 from nmfprune.pipeline import compute_scores
+
+# The start of the UserWarning a search that misses its target issues.
+MISSED = r"^sparsity target [0-9.]+ missed: "
+
+
+def missed(target, result):
+    """The whole text of that warning for a search's result."""
+    return (
+        f"sparsity target {target:g} missed: the gamma search achieved "
+        f"{result.achieved:.4f} after {result.iterations} iterations"
+    )
+
+
+def messages(record):
+    return [str(w.message) for w in record]
 
 
 def f64(values):
@@ -183,20 +198,21 @@ class TestTuneGamma:
         zeros, total = quantile_oracle_sparsity([scores["l"]], "std", result.gamma_star)
         assert result.achieved == zeros / total
 
-    def test_all_zero_spread_returns_gamma_zero_with_warning(self, caplog):
+    def test_all_zero_spread_returns_gamma_zero_with_warning(self):
         # No layer's threshold moves with gamma, so there is nothing to
         # bisect: one probe, and no division by a zero spread (filterwarnings
         # = error would turn numpy's RuntimeWarning into a failure).
         scores = {"a": np.full((8, 8), 2.0), "b": np.full((4, 4), 0.5)}
-        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+        with pytest.warns(UserWarning, match=MISSED) as record:
             result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.8))
         assert result.gamma_star == 0.0
         assert result.achieved == 0.0
         assert not result.hit_target
         assert len(result.trace) == 1
         assert result.iterations == 0
-        [record] = caplog.records
-        assert record.getMessage().endswith("after 0 iterations")
+        assert messages(record) == [
+            "sparsity target 0.8 missed: the gamma search achieved 0.0000 after 0 iterations"
+        ]
 
     def test_gamma_shared_thresholds_per_layer(self):
         rng = np.random.default_rng(4)
@@ -233,26 +249,27 @@ class TestTuneGamma:
         # Two distinct score values: achievable sparsities are only {0, 0.5, ~1}.
         bits = np.concatenate([np.full(32, 1.0), np.full(32, 2.0)]).reshape(8, 8)
         scores = {"l": bits}
-        result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.75))
+        with pytest.warns(UserWarning, match=MISSED) as record:
+            result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.75))
+        assert messages(record) == [missed(0.75, result)]
         assert not result.hit_target
         assert result.achieved in (0.0, 0.5, 1.0)
         assert abs(result.achieved - 0.75) == min(
             abs(s - 0.75) for s in {t.achieved for t in result.trace}
         )
 
-    def test_a_miss_logs_one_warning_and_a_hit_none(self, caplog):
+    def test_a_miss_warns_once_and_a_hit_not_at_all(self):
         hit = {"l": np.random.default_rng(3).random((64, 64))}
-        missed = {"l": np.full((8, 8), 2.0)}
-        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+        flat = {"l": np.full((8, 8), 2.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert tune_gamma(hit, "std", GammaSearchConfig(s_target=0.8)).hit_target
-            assert caplog.records == []
-            result = tune_gamma(missed, "std", GammaSearchConfig(s_target=0.8))
-        [record] = caplog.records
-        assert (record.name, record.levelno) == ("nmfprune.masking", logging.WARNING)
-        assert record.getMessage() == (
+        with pytest.warns(UserWarning, match=MISSED) as record:
+            result = tune_gamma(flat, "std", GammaSearchConfig(s_target=0.8))
+        assert messages(record) == [
             "sparsity target 0.8 missed: the gamma search achieved 0.0000 "
             f"after {result.iterations} iterations"
-        )
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -314,28 +331,27 @@ class TestExactCount:
                 assert result.achieved == zeros / n
                 assert result.hit_target
 
-    def test_target_below_gamma_zero_returns_it_after_one_probe(self, caplog):
+    def test_target_below_gamma_zero_returns_it_after_one_probe(self):
         # Exponential scores' mean sits above their median: under the std
         # rule gamma = 0 already prunes about 1 - 1/e of them.
         scores = {"l": np.random.default_rng(14).exponential(1.0, (64, 64))}
-        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+        with pytest.warns(UserWarning, match=MISSED) as record:
             result = tune_gamma(scores, "std", GammaSearchConfig(s_target=0.5))
         assert result.gamma_star == 0.0
         assert len(result.trace) == 1
         assert result.iterations == 0
         assert result.achieved == result.trace[0].achieved > 0.6
         assert not result.hit_target
-        [record] = caplog.records
-        assert record.getMessage().endswith("after 0 iterations")
+        assert messages(record) == [missed(0.5, result)]
 
     @pytest.mark.parametrize("t_type", ["std", "mad"])
-    def test_zero_spread_layer_beside_a_normal_one_hits_the_count(self, t_type, caplog):
+    def test_zero_spread_layer_beside_a_normal_one_hits_the_count(self, t_type):
         scores = {"flat": np.full((8, 8), 2.0), "l": np.random.default_rng(15).random((64, 64))}
-        with caplog.at_level(logging.WARNING, logger="nmfprune.masking"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a hit issues no warning
             result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=0.8))
         assert zeros_of(scores, result) == round(0.8 * (64 + 64 * 64))
         assert result.hit_target
-        assert caplog.records == []
 
     @pytest.mark.parametrize("t_type", ["std", "mad"])
     def test_tie_groups_bound_the_miss(self, t_type):
@@ -347,18 +363,19 @@ class TestExactCount:
         # 57-60 probes here and up to 63.
         scores = quantized_scores(16)
         n = sum(s.size for s in scores.values())
-        for target in (0.6, 0.75, 0.9, 0.97):
-            result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
-            assert result.trace[0].achieved < target  # reachable: gamma = 0 prunes less
-            groups = []
-            for lid, s in scores.items():
-                tau = result.thresholds[lid].tau
-                if (s >= tau).any():
-                    groups.append(np.count_nonzero(s == s[s >= tau].min()))
-                if (s < tau).any():
-                    groups.append(np.count_nonzero(s == s[s < tau].max()))
-            assert abs(zeros_of(scores, result) - round(target * n)) <= max(groups)
-            assert len(result.trace) <= 12
+        with pytest.warns(UserWarning, match=MISSED):  # ties make some targets miss
+            for target in (0.6, 0.75, 0.9, 0.97):
+                result = tune_gamma(scores, t_type, GammaSearchConfig(s_target=target))
+                assert result.trace[0].achieved < target  # reachable: gamma = 0 prunes less
+                groups = []
+                for lid, s in scores.items():
+                    tau = result.thresholds[lid].tau
+                    if (s >= tau).any():
+                        groups.append(np.count_nonzero(s == s[s >= tau].min()))
+                    if (s < tau).any():
+                        groups.append(np.count_nonzero(s == s[s < tau].max()))
+                assert abs(zeros_of(scores, result) - round(target * n)) <= max(groups)
+                assert len(result.trace) <= 12
 
     @pytest.mark.parametrize("t_type", ["std", "mad"])
     def test_early_stop_changes_no_result(self, t_type, monkeypatch):
@@ -366,24 +383,25 @@ class TestExactCount:
         # return the same gamma*, count and thresholds; the stopped trace is
         # the full one cut short, plus the closing entry.
         shortened = 0
-        for seed in range(16, 24):
-            scores = quantized_scores(seed)
-            for target in (0.6, 0.75, 0.9, 0.97):
-                cfg = GammaSearchConfig(s_target=target)
-                stopped = tune_gamma(scores, t_type, cfg)
-                with monkeypatch.context() as m:
-                    m.setattr(masking, "_no_new_count", lambda *args: False)
-                    full = tune_gamma(scores, t_type, cfg)
-                shortened += len(stopped.trace) < len(full.trace)
-                assert (stopped.gamma_star, stopped.achieved, stopped.hit_target) == (
-                    full.gamma_star, full.achieved, full.hit_target,
-                )
-                assert stopped.thresholds == full.thresholds
-                probes = len(stopped.trace) - 1
-                assert stopped.trace[:probes] == full.trace[:probes]
-                assert replace(stopped.trace[-1], iteration=0) == replace(
-                    full.trace[-1], iteration=0
-                )
+        with pytest.warns(UserWarning, match=MISSED):  # ties make some targets miss
+            for seed in range(16, 24):
+                scores = quantized_scores(seed)
+                for target in (0.6, 0.75, 0.9, 0.97):
+                    cfg = GammaSearchConfig(s_target=target)
+                    stopped = tune_gamma(scores, t_type, cfg)
+                    with monkeypatch.context() as m:
+                        m.setattr(masking, "_no_new_count", lambda *args: False)
+                        full = tune_gamma(scores, t_type, cfg)
+                    shortened += len(stopped.trace) < len(full.trace)
+                    assert (stopped.gamma_star, stopped.achieved, stopped.hit_target) == (
+                        full.gamma_star, full.achieved, full.hit_target,
+                    )
+                    assert stopped.thresholds == full.thresholds
+                    probes = len(stopped.trace) - 1
+                    assert stopped.trace[:probes] == full.trace[:probes]
+                    assert replace(stopped.trace[-1], iteration=0) == replace(
+                        full.trace[-1], iteration=0
+                    )
         assert shortened >= 30  # of 32; a search that prunes exactly K stops there
 
 
@@ -500,11 +518,12 @@ def test_each_score_array_checked_once_per_call(monkeypatch):
         statistics += _Reads.log
     sorted_only = [("scores of 'a'", False), ("scores of 'b'", False)]
     search = GammaSearchConfig(s_target=0.5)
-    for in_place in (False, True):
-        assert reads(tune_gamma, "mad", cfg=search, in_place=in_place) == (sorted_only, [])
-        assert reads(tune_gamma, "std", cfg=search, in_place=in_place) == (
-            sorted_only, statistics
-        )
+    with pytest.warns(UserWarning, match=MISSED):
+        for in_place in (False, True):
+            assert reads(tune_gamma, "mad", cfg=search, in_place=in_place) == (sorted_only, [])
+            assert reads(tune_gamma, "std", cfg=search, in_place=in_place) == (
+                sorted_only, statistics
+            )
     assert reads(layer_thresholds, "mad", gamma=1.0) == (sorted_only, [])
     checked_once = [("scores of 'a'", True), ("scores of 'b'", True)]
     assert reads(layer_thresholds, "std", gamma=1.0)[0] == checked_once

@@ -1,6 +1,5 @@
 """Factorization and score tests: convergence, monotonicity, determinism."""
 
-import logging
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,9 @@ from nmfprune.masking import (
     GammaSearchConfig, LayerThreshold, generate_all_masks, layer_thresholds, tune_gamma,
 )
 from nmfprune.nmf import NmfConfig, _check_matrix, factorize, score_layer
+
+# The UserWarning a factorization at its matrix's full rank issues.
+FULL_RANK = r"^rank \d+ \(k = \d+\) is the full rank of a \d+x\d+ matrix: "
 
 
 def rank_one_matrix(rng, m, p):
@@ -57,24 +59,24 @@ class TestFactorize:
 
     def test_rank_clamped_to_matrix_dims(self):
         w = np.random.default_rng(7).random((3, 5))
-        result = factorize(w, NmfConfig(k=10), seed=0)
+        with pytest.warns(UserWarning, match=FULL_RANK):
+            result = factorize(w, NmfConfig(k=10), seed=0)
         assert result.k_eff == 3
         assert result.f.shape == (3, 3)
         assert result.g.shape == (3, 5)
 
     @pytest.mark.parametrize("k, warns", [(10, True), (4, True), (3, False)])
-    def test_full_rank_warns(self, caplog, k, warns):
+    def test_full_rank_warns(self, k, warns):
         w = np.random.default_rng(7).random((4, 6))
-        with caplog.at_level(logging.WARNING, logger="nmfprune"):
+        if not warns:  # the suite's filterwarnings = error fails on any warning
             factorize(w, NmfConfig(k=k), seed=0)
-        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        if warns:
-            assert messages == [
-                f"rank 4 (k = {k}) is the full rank of a 4x6 matrix: the fit is exact up to "
-                "rounding and its scores are noise"
-            ]
-        else:
-            assert messages == []
+            return
+        with pytest.warns(UserWarning, match=FULL_RANK) as record:
+            factorize(w, NmfConfig(k=k), seed=0)
+        assert [str(r.message) for r in record] == [
+            f"rank 4 (k = {k}) is the full rank of a 4x6 matrix: the fit is exact up to "
+            "rounding and its scores are noise"
+        ]
 
     def test_zero_rows_converge_to_zero_reconstruction(self):
         w = np.random.default_rng(8).random((6, 4))
@@ -146,12 +148,13 @@ class TestObjectiveTrace:
 
 class TestMonotonicityProperty:
     def test_twenty_random_matrices(self):
-        for i in range(20):
-            rng = np.random.default_rng(100 + i)
-            w = rng.random((rng.integers(2, 12), rng.integers(2, 12)))
-            result = factorize(w, NmfConfig(k=3), seed=i)
-            trace = result.objective_trace
-            assert np.all(trace[1:] <= trace[:-1] + 1e-9), f"matrix {i} not monotone"
+        with pytest.warns(UserWarning, match=FULL_RANK):  # some have 2 or 3 rows or columns
+            for i in range(20):
+                rng = np.random.default_rng(100 + i)
+                w = rng.random((rng.integers(2, 12), rng.integers(2, 12)))
+                result = factorize(w, NmfConfig(k=3), seed=i)
+                trace = result.objective_trace
+                assert np.all(trace[1:] <= trace[:-1] + 1e-9), f"matrix {i} not monotone"
 
 
 # Inputs every entry point rejects with a ValueError that names its argument
